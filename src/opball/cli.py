@@ -41,18 +41,12 @@ class RunConfig:
     """Tolerances and limits; documented defaults apply when absent."""
 
     boundary_tol: float = 1e-8
-    herm_tol: float = 1e-10
-    psd_tol: float = 1e-10
-    rank_tol: float = 1e-12
-    eig_tol: float = 1e-9
     aut_tol: float = 1e-8
     group_tol: float = 1e-8
     fp_tol: float = 1e-9
     elliptic_margin: float = 1e-6
-    cheb_tol: float = 1e-7
     unit_tol: float = 1e-7
     rep_tol: float = 1e-8
-    pair_tol: float = 1e-7
     split_tol: float = 1e-10
     seed: int = 0
     max_iter: int = 5000

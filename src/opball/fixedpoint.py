@@ -5,7 +5,10 @@ The solver minimizes the displacement f(X) = max_g rho(X, w_g(X)), which
 is convex along geodesics and vanishes exactly on the common fixed-point
 set.  The default mode steps toward the rho-midpoint of X and the image
 under the worst group element, with backtracking; the alternative mode
-iterates the Chebyshev center of the orbit.
+iterates the Chebyshev center of the orbit.  That center is found by
+subgradient descent whose line search runs in the chart at the current
+center: a bracketing grid, each round one batched rho evaluation
+(``hyperbolic._rho_batch``) over every grid value and orbit point.
 """
 
 from __future__ import annotations
@@ -15,7 +18,6 @@ from dataclasses import dataclass, field
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
-from scipy.optimize import minimize, minimize_scalar
 
 from .errors import (
     ClosureExceeded,
@@ -26,7 +28,9 @@ from .errors import (
 )
 from .hyperbolic import (
     MetricSample,
-    _atanh,
+    _atanh_all,
+    _lift_batch,
+    _rho_batch,
     barycenter_sequence,
     convex_combination,
     distance,
@@ -51,6 +55,10 @@ FP_TOL = 1e-9
 CHEB_TOL = 1e-7
 MAX_ELEMENTS = 256
 MAX_ITER = 5000
+# Chebyshev line search: grid values per round (the bracket shrinks 16-fold
+# per round), and the bracket width at which it stops
+LINE_GRID = 33
+LINE_XTOL = 4e-13
 
 
 @dataclass
@@ -134,12 +142,12 @@ def group_closure(generators: Sequence[BallAutomorphism],
         margins = 1.0 - np.linalg.svd(sig, compute_uv=False)[:, 0]
         if margins.min() < _PROBE_MARGIN_FLOOR:
             return None
-        worst = np.zeros(len(elements))
-        for k in range(n_probes):
-            worst = np.maximum(worst, np.where(
-                healthy,
-                distances_from(sig[k], sigs[:, k], saturate=True),
-                np.inf))
+        # per known element e, the worst over the probes k of
+        # rho(sig[k], sigs[e, k]): one kernel call
+        worst = np.where(
+            healthy,
+            _rho_batch(sig, sigs.swapaxes(0, 1), saturate=True, max_axis=0),
+            np.inf)
         hit = int(np.argmin(worst))
         return hit if worst[hit] < group_tol else None
 
@@ -249,6 +257,9 @@ def _min_norm_combination(grads):
     k = len(grads)
     if k == 1:
         return grads[0]
+    # imported here: scipy.optimize takes longer to load than all of opball
+    from scipy.optimize import minimize
+
     g = np.stack([x.ravel() for x in grads])
     q = np.real(g @ g.conj().T)
     res = minimize(lambda lam: lam @ q @ lam, np.full(k, 1.0 / k),
@@ -263,15 +274,47 @@ def _min_norm_combination(grads):
     return sum(l * x for l, x in zip(lam, grads))
 
 
-def _top_singular_outer(mat, rel_tol=1e-9):
-    """Outer products u v* over the near-maximal singular pairs; these span
-    the subdifferential of the spectral norm at mat."""
-    u, s, vh = np.linalg.svd(mat)
-    out = []
-    for k in range(len(s)):
-        if s[k] >= s[0] - rel_tol * max(s[0], 1.0):
-            out.append(np.outer(u[:, k], vh[k, :]))
-    return out
+def _line_radius(lifted, direction_svd, ts):
+    """max_i rho(Th(t D), lifted_i) for each t, in one kernel call; by
+    invariance this is the radius at M_X(Th(t D)) of the orbit whose lift
+    to the chart at X is ``lifted``."""
+    w, sig, vh = direction_svd
+    bases = (w * np.tanh(np.multiply.outer(ts, sig))[:, None, :]) @ vh
+    others = np.broadcast_to(lifted, (len(ts),) + lifted.shape)
+    return _rho_batch(bases, others, saturate=True, max_axis=1)
+
+
+def _grid_line_search(radius, hi):
+    """Minimize a convex function of t on [0, hi] with a bracketing grid.
+
+    Each round evaluates ``LINE_GRID`` equally spaced values of t in one
+    call of ``radius`` and shrinks the bracket to the neighbours of the
+    best one, until the bracket is at most ``LINE_XTOL`` wide.  Returns
+    ``(t, radius(t))``.
+    """
+    lo = 0.0
+    while True:
+        ts = np.linspace(lo, hi, LINE_GRID)
+        vals = radius(ts)
+        k = int(np.argmin(vals))
+        lo, hi = ts[max(k - 1, 0)], ts[min(k + 1, LINE_GRID - 1)]
+        if hi - lo <= LINE_XTOL:
+            return float(ts[k]), float(vals[k])
+
+
+def _descent_step(lifted, u, vh, top, active, hi):
+    """Best step ``t D`` along the minimum-norm combination D of the active
+    lifts' top singular pairs, t in [0, hi], with the radius it reaches;
+    ``(None, inf)`` when that combination vanishes."""
+    grads = [np.outer(u[i, :, k], vh[i, k, :])
+             for i in active for k in np.flatnonzero(top[i])]
+    w = _min_norm_combination(grads)
+    if float(np.linalg.norm(w)) < 1e-9:
+        return None, np.inf
+    dw, ds, dvh = np.linalg.svd(w, full_matrices=False)
+    t, fun = _grid_line_search(
+        lambda ts: _line_radius(lifted, (dw, ds / ds[0], dvh), ts), hi)
+    return (t / ds[0]) * w, fun
 
 
 def chebyshev_center(sample: MetricSample, cheb_tol: float = CHEB_TOL,
@@ -279,9 +322,13 @@ def chebyshev_center(sample: MetricSample, cheb_tol: float = CHEB_TOL,
     """Center and radius of the minimal enclosing rho-ball of the sample.
 
     Descends R(X) = max_i rho(X, p_i) along the minimum-norm element of the
-    eps-active subdifferential, lifted to the chart at the current center,
-    with an exact convex line search per step.  R is rho-convex, so the
-    no-descent-direction condition certifies (eps-)optimality.
+    eps-active subdifferential, lifted to the chart at the current center
+    X.  The line search stays in that chart: by invariance the radius at
+    M_X(Th(tD)) is max_i rho(Th(tD), M_{-X}(p_i)), so each round of a
+    bracketing grid search (``_grid_line_search``) costs one batched rho
+    call, and only the accepted step is mapped back through M_X.  R is
+    rho-convex, so the no-descent-direction condition certifies
+    (eps-)optimality.
     """
     pts = list(sample.points)
     n = len(pts)
@@ -292,46 +339,34 @@ def chebyshev_center(sample: MetricSample, cheb_tol: float = CHEB_TOL,
         return center, float(max(distance(center, p) for p in pts))
     mats = np.stack([p.matrix for p in pts])
 
-    def radius_at(xm) -> float:
-        return float(distances_from(xm, mats).max())
-
     x = barycenter_sequence(pts)
-    r = radius_at(x.matrix)
+    r = float(distances_from(x.matrix, mats).max())
     floor = 10.0 * cheb_tol
     for _ in range(max_iter):
-        lifted = [mobius_matrix(-x.matrix, m) for m in mats]
-        rho = np.array([_atanh(spectral_norm(z)) for z in lifted])
+        lifted = _lift_batch(x.matrix[None], mats[None])[0]
+        u, s, vh = np.linalg.svd(lifted, full_matrices=False)
+        rho = _atanh_all(s[:, 0])
         big = rho.max()
         if big <= cheb_tol:
             return x, big
-        improved = False
+        # singular pairs near the top of each lift: their outer products
+        # u v* span the subdifferential of the spectral norm there
+        top = s >= s[:, :1] - 1e-9 * np.maximum(s[:, :1], 1.0)
         slack = max(floor, 0.05 * big)
+        tried = None
         while True:
-            grads = []
-            for i in range(n):
-                if rho[i] >= big - slack:
-                    grads.extend(_top_singular_outer(lifted[i]))
-            w = _min_norm_combination(grads)
-            if float(np.linalg.norm(w)) >= 1e-9:
-                wdir = w / spectral_norm(w)
-
-                def line(t):
-                    return radius_at(mobius_matrix(x.matrix, th_map(t * wdir)))
-
-                res = minimize_scalar(line, bounds=(0.0, big), method="bounded",
-                                      options={"xatol": 1e-13})
-                if res.fun < r - max(cheb_tol * 1e-3, 1e-15):
-                    x = BallPoint(mobius_matrix(x.matrix,
-                                                th_map(float(res.x) * wdir)),
-                                  boundary_tol=0.0)
-                    r = min(float(res.fun), r)
-                    improved = True
+            active = tuple(np.flatnonzero(rho >= big - slack))
+            # with the same active set a smaller slack repeats a failed step
+            if active != tried:
+                tried = active
+                step, fun = _descent_step(lifted, u, vh, top, active, big)
+                if fun < r - max(cheb_tol * 1e-3, 1e-15):
                     break
             if slack <= floor:
-                break
+                return x, r
             slack = max(floor, slack / 8.0)
-        if not improved:
-            return x, r
+        x = BallPoint(mobius_matrix(x.matrix, th_map(step)), boundary_tol=0.0)
+        r = min(fun, r)
     raise MaxIterations(f"no convergence in {max_iter} center iterations")
 
 

@@ -14,7 +14,6 @@ from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
-from scipy.integrate import simpson
 
 from .errors import (
     BoundaryProximity,
@@ -70,21 +69,40 @@ def distances_from(base: np.ndarray, others: np.ndarray,
     """
     base = np.asarray(base, dtype=np.complex128)
     others = np.asarray(others, dtype=np.complex128)
-    p, q = base.shape
-    n = others.shape[0]
-    left = inv_sqrtm_psd(np.eye(p) - base @ adjoint(base))
-    right = sqrtm_psd(np.eye(q) - adjoint(base) @ base)
-    resolvents = np.broadcast_to(np.eye(q), (n, q, q)) - adjoint(base)[None] @ others
-    solved = np.linalg.solve(resolvents, np.broadcast_to(right, (n, q, q)))
-    moved = left[None] @ (others - base[None]) @ solved
-    sig = np.linalg.svd(moved, compute_uv=False)[:, 0]
-    out = np.empty(n)
-    for i, u in enumerate(sig):
-        if saturate and u >= 1.0:
-            out[i] = np.inf
-        else:
-            out[i] = _atanh(float(u))
-    return out
+    return _rho_batch(base[None], others[None], saturate=saturate)[0]
+
+
+def _lift_batch(bases: np.ndarray, others: np.ndarray) -> np.ndarray:
+    """Batched M_{-B_k}(O_ki) for bases (m, p, q) and others (m, n, p, q).
+
+    Moves each ``others[k]`` stack into the chart centred at ``bases[k]``:
+    one stacked ``eigh`` per defect operator, one stacked solve.
+    """
+    p, q = bases.shape[-2:]
+    left = inv_sqrtm_psd(np.eye(p) - bases @ adjoint(bases))
+    right = sqrtm_psd(np.eye(q) - adjoint(bases) @ bases)
+    resolvents = np.eye(q) - adjoint(bases)[:, None] @ others
+    solved = np.linalg.solve(resolvents,
+                             np.broadcast_to(right[:, None], resolvents.shape))
+    return left[:, None] @ (others - bases[:, None]) @ solved
+
+
+def _atanh_all(norms: np.ndarray, saturate: bool = False) -> np.ndarray:
+    """``_atanh`` over an array; ``inf`` at norms >= 1 with ``saturate``."""
+    return np.array([np.inf if saturate and u >= 1.0 else _atanh(u)
+                     for u in norms.ravel().tolist()]).reshape(norms.shape)
+
+
+def _rho_batch(bases: np.ndarray, others: np.ndarray, saturate: bool = False,
+               max_axis=None) -> np.ndarray:
+    """rho(bases[k], others[k, i]) as an (m, n) array, from one stacked SVD
+    of the lifted stack.  With ``saturate`` a boundary-collapsed pair yields
+    ``inf`` instead of raising ``BoundaryProximity``.  ``max_axis`` reduces
+    by the maximum over that axis before ``atanh``, which is increasing."""
+    norms = np.linalg.svd(_lift_batch(bases, others), compute_uv=False)[..., 0]
+    if max_axis is not None:
+        norms = norms.max(axis=max_axis)
+    return _atanh_all(norms, saturate)
 
 
 def th_map(d) -> np.ndarray:
@@ -218,6 +236,8 @@ def curve_length(ts, points: Sequence[BallPoint], velocities=None) -> float:
     ``velocities`` may give the derivative matrix at each node; when absent
     it is approximated by second-order differences of the sample.
     """
+    from scipy.integrate import simpson
+
     ts = np.asarray(ts, dtype=np.float64)
     if ts.ndim != 1 or len(ts) != len(points):
         raise ValueError("parameter grid and points must align")

@@ -18,7 +18,6 @@ from .errors import DomainError, NotHermitian, NotPSD
 HERM_TOL = 1e-10
 PSD_TOL = 1e-10
 RANK_TOL = 1e-12
-EIG_TOL = 1e-9
 
 
 def as_matrix(data, name: str = "matrix") -> np.ndarray:
@@ -33,7 +32,8 @@ def as_matrix(data, name: str = "matrix") -> np.ndarray:
 
 
 def adjoint(a: np.ndarray) -> np.ndarray:
-    return a.conj().T
+    """Conjugate transpose of a matrix, or of each matrix in a stack."""
+    return a.conj().T if a.ndim < 3 else a.conj().swapaxes(-1, -2)
 
 
 def spectral_norm(a) -> float:
@@ -88,12 +88,15 @@ def psd_apply(s, f: Callable[[float], float], psd_tol: float = PSD_TOL,
 def _psd_apply_fast(s: np.ndarray, fvec) -> np.ndarray:
     """Internal hot path: symmetrize and apply a vectorized scalar function,
     skipping the hermiticity-defect check (callers construct Hermitian
-    inputs such as 1 - A A* directly)."""
-    lam, v = np.linalg.eigh((s + s.conj().T) / 2.0)
+    inputs such as 1 - A A* directly).  ``s`` may be a stack of matrices;
+    the stack takes one batched ``eigh``."""
+    lam, v = np.linalg.eigh((s + adjoint(s)) / 2.0)
     vals = fvec(np.maximum(lam, 0.0))
     if not np.all(np.isfinite(vals)):
         raise DomainError("matrix function undefined at an eigenvalue near 0")
-    return (v * vals) @ v.conj().T
+    if v.ndim > 2:
+        vals = vals[..., None, :]
+    return (v * vals) @ adjoint(v)
 
 
 def sqrtm_psd(s) -> np.ndarray:

@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from typing import NamedTuple, Optional, Union
 
 import numpy as np
-from scipy.linalg import subspace_angles
 
 from .errors import (
     DegenerateGraph,
@@ -36,7 +35,6 @@ from .sampling import random_eta_preserving, random_unitary, rng_from
 
 REP_TOL = 1e-8
 UNIT_TOL = 1e-7
-PAIR_TOL = 1e-7
 SPLIT_TOL = 1e-10
 
 
@@ -488,4 +486,6 @@ def dual_pair(rep: Representation, split_tol: float = SPLIT_TOL,
 
 def max_principal_angle(b1: np.ndarray, b2: np.ndarray) -> float:
     """Largest principal angle between the column spans (radians)."""
+    from scipy.linalg import subspace_angles
+
     return float(np.max(subspace_angles(b1, b2)))

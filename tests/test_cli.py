@@ -1,5 +1,6 @@
 import json
 import math
+import os
 import subprocess
 import sys
 
@@ -215,6 +216,20 @@ def test_console_script_installed(tmp_path):
                              ], input="", capture_output=True, text=True)
     # bare invocation is a usage error
     assert result.returncode == 2
+
+
+def test_cli_import_loads_no_scipy():
+    import opball
+
+    src = os.path.dirname(os.path.dirname(opball.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p])
+    probe = ("import sys, opball.cli; "
+             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    result = subprocess.run([sys.executable, "-c", probe], env=env,
+                            capture_output=True, text=True, check=True)
+    assert result.stdout.strip() == "[]"
 
 
 def test_fixpoint_chebyshev_iterate_mode(tmp_path, capsys):

@@ -7,6 +7,8 @@ from numpy.testing import assert_allclose
 from opball.errors import ClosureExceeded, NotElliptic, PreconditionUnmet
 from opball.fixedpoint import (
     AutomorphismGroup,
+    _grid_line_search,
+    _line_radius,
     chebyshev_center,
     displacement,
     equicontinuity_witness,
@@ -17,9 +19,11 @@ from opball.fixedpoint import (
 )
 from opball.hyperbolic import (
     MetricSample,
+    _lift_batch,
     convex_combination,
     distance,
     poincare_scalar,
+    th_map,
 )
 from opball.mobius import (
     BallAutomorphism,
@@ -27,11 +31,17 @@ from opball.mobius import (
     automorphism_apply,
     automorphism_compose,
     mobius_as_block,
+    mobius_matrix,
     zero_point,
 )
 from opball.opcore import spectral_norm
 from opball.pontryagin import PontryaginSignature, make_test_representation
-from opball.sampling import random_ball_point, random_eta_preserving, rng_from
+from opball.sampling import (
+    complex_gaussian,
+    random_ball_point,
+    random_eta_preserving,
+    rng_from,
+)
 
 
 def rotation_block(theta):
@@ -88,6 +98,27 @@ def test_closure_contains_inverses():
         roundtrip = automorphism_apply(
             elem, automorphism_apply(group.elements[inv_candidates[0]], x))
         assert spectral_norm(roundtrip.matrix - x.matrix) < 1e-8
+
+
+# element order and multiplication table of the closures below, pinned:
+# the deduplication must reproduce them exactly
+# (group, generator indices, signature, table rows)
+PINNED_CLOSURES = [
+    ("C4", (1,), (2, 1), ["0123", "1302", "2031", "3210"]),
+    ("S3", (1, 2), (4, 2), ["012345", "103254", "240513", "351402", "425031",
+                            "534120"]),
+    ("Q8", (2, 4), (5, 2), ["01234567", "15067243", "20576134", "37650412",
+                            "46705321", "52143076", "63421750", "74312605"]),
+]
+
+
+@pytest.mark.parametrize("name,gens,sig,rows", PINNED_CLOSURES,
+                         ids=[c[0] for c in PINNED_CLOSURES])
+def test_closure_order_and_table_are_pinned(name, gens, sig, rows):
+    rep = make_test_representation(name, PontryaginSignature(*sig), 10.0,
+                                   seed=3)
+    group = group_closure([BallAutomorphism(rep.images[i], *sig) for i in gens])
+    assert ["".join(map(str, row)) for row in group.table.tolist()] == rows
 
 
 # --- orbits and ellipticity ----------------------------------------------------
@@ -231,6 +262,48 @@ def test_chebyshev_radius_is_orbit_invariant():
         moved = MetricSample([automorphism_apply(g, p) for p in sample.points])
         _, radius_g = chebyshev_center(moved)
         assert abs(radius - radius_g) <= 1e-7
+
+
+def test_line_radius_matches_mobius_evaluation():
+    rng = rng_from(41)
+    pts = [random_ball_point(rng, 2, 2, 0.8) for _ in range(4)]
+    mats = np.stack([pt.matrix for pt in pts])
+    x = random_ball_point(rng, 2, 2, 0.6)
+    d = complex_gaussian(rng, 2, 2)
+    d = d / spectral_norm(d)
+    lifted = _lift_batch(x.matrix[None], mats[None])[0]
+    ts = np.linspace(0.0, 2.0, 9)
+    got = _line_radius(lifted, np.linalg.svd(d, full_matrices=False), ts)
+    for t, value in zip(ts, got):
+        moved = BallPoint(mobius_matrix(x.matrix, th_map(t * d)),
+                          boundary_tol=0.0)
+        want = max(distance(moved, pt) for pt in pts)
+        assert value == pytest.approx(want, rel=1e-12)
+
+
+def test_grid_line_search_matches_brute_force():
+    # the scalar triple 0.5, -0.5, 0.5i seen from x = 0.3 along -1: the
+    # radius is smallest at the origin, t = atanh(0.3), with value atanh(0.5)
+    pts = np.array([[[0.5]], [[-0.5]], [[0.5j]]])
+    x = np.array([[0.3]], dtype=np.complex128)
+    lifted = _lift_batch(x[None], pts[None])[0]
+    svd = np.linalg.svd(np.array([[-1.0 + 0j]]), full_matrices=False)
+    t, value = _grid_line_search(lambda ts: _line_radius(lifted, svd, ts), 1.0)
+    assert t == pytest.approx(math.atanh(0.3), abs=1e-10)
+    assert value == pytest.approx(math.atanh(0.5), abs=1e-10)
+    # three random 2x2 points: no value of a dense grid does better
+    rng = rng_from(42)
+    mats = np.stack([random_ball_point(rng, 2, 2, 0.8).matrix for _ in range(3)])
+    x = random_ball_point(rng, 2, 2, 0.5).matrix
+    d = complex_gaussian(rng, 2, 2)
+    lifted = _lift_batch(x[None], mats[None])[0]
+    svd = np.linalg.svd(d / spectral_norm(d), full_matrices=False)
+    t, value = _grid_line_search(lambda ts: _line_radius(lifted, svd, ts), 3.0)
+    grid = np.linspace(0.0, 3.0, 20001)
+    dense = _line_radius(lifted, svd, grid)
+    best = int(np.argmin(dense))
+    assert value <= dense[best] + 1e-10
+    assert abs(t - grid[best]) <= grid[1] - grid[0]
 
 
 # --- the fixed-point solver --------------------------------------------------------

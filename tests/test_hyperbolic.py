@@ -16,6 +16,7 @@ from opball.errors import (
 )
 from opball.hyperbolic import (
     GeodesicLine,
+    _rho_batch,
     MetricSample,
     alpha_metric,
     barycenter_sequence,
@@ -93,6 +94,37 @@ def test_scalar_distance_matches_poincare_oracle(z1, z2):
     want = poincare_scalar(z1, z2)
     assert abs(got - want) < 1e-12
     assert abs(got - distance(scalar(z2), scalar(z1))) < 1e-12
+
+
+def test_rho_batch_matches_distance_pairwise():
+    rng = rng_from(40)
+    for p, q in ((1, 1), (3, 2), (2, 4)):
+        bases = [random_ball_point(rng, p, q, 0.95) for _ in range(3)]
+        others = [[random_ball_point(rng, p, q, 0.95) for _ in range(4)]
+                  for _ in range(3)]
+        got = _rho_batch(np.stack([b.matrix for b in bases]),
+                         np.stack([[o.matrix for o in row] for row in others]))
+        assert got.shape == (3, 4)
+        for k, base in enumerate(bases):
+            for i, other in enumerate(others[k]):
+                assert got[k, i] == pytest.approx(distance(base, other),
+                                                  rel=1e-12)
+        reduced = _rho_batch(np.stack([b.matrix for b in bases]),
+                             np.stack([[o.matrix for o in row] for row in others]),
+                             max_axis=1)
+        assert_allclose(reduced, got.max(axis=1), rtol=0, atol=0)
+
+
+def test_rho_batch_saturates_on_the_boundary():
+    bases = np.array([[[0.5]]], dtype=np.complex128)
+    # a point rounded just past the boundary lifts to norm >= 1
+    others = np.array([[[[1.0 + 1e-12]], [[0.2]]]], dtype=np.complex128)
+    got = _rho_batch(bases, others, saturate=True)
+    assert got[0, 0] == math.inf
+    assert got[0, 1] == pytest.approx(distance(BallPoint([[0.5]]),
+                                               BallPoint([[0.2]])), rel=1e-12)
+    with pytest.raises(BoundaryProximity):
+        _rho_batch(bases, others)
 
 
 # --- Th and its inverse --------------------------------------------------------
