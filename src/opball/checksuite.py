@@ -25,10 +25,11 @@ from .mobius import (
     BallAutomorphism,
     BallPoint,
     automorphism_apply,
+    defect_roots,
     mobius_apply,
     mobius_differential,
 )
-from .opcore import adjoint, inv_sqrtm_psd, spectral_norm
+from .opcore import adjoint, spectral_norm
 from .pontryagin import PontryaginSignature, negativeness_degree
 from .sampling import random_ball_point, random_direction, random_eta_preserving
 
@@ -89,8 +90,7 @@ def check_met_lemma(rng, trials):
         d = random_direction(rng, p, q)
         t = float(rng.uniform(-2.5, 2.5))
         g = th_map(t * d)
-        left = inv_sqrtm_psd(np.eye(p) - g @ adjoint(g))
-        right = inv_sqrtm_psd(np.eye(q) - adjoint(g) @ g)
+        left, right = defect_roots(g, -0.5, -0.5)
         err = spectral_norm(left @ (d - g @ adjoint(d) @ g) @ right - d)
         if err > 1e-8:
             failures.append(f"trial {k}: met identity off by {err:.3e}")
@@ -104,8 +104,7 @@ def check_lemma_inequality(rng, trials):
         p, q = _dims(rng)
         a = random_ball_point(rng, p, q, 0.95).matrix
         b = random_ball_point(rng, p, q, 0.95).matrix
-        left = inv_sqrtm_psd(np.eye(p) - b @ adjoint(b))
-        right = inv_sqrtm_psd(np.eye(q) - adjoint(b) @ b)
+        left, right = defect_roots(b, -0.5, -0.5)
         rhs = spectral_norm(left @ (a - b @ adjoint(a) @ b) @ right)
         if spectral_norm(a) > rhs + 1e-9:
             failures.append(f"trial {k}: ||A|| = {spectral_norm(a):.6f} > "

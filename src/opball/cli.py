@@ -15,7 +15,6 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -36,52 +35,34 @@ from .pontryagin import (
 )
 
 
-@dataclass
-class RunConfig:
-    """Tolerances and limits; documented defaults apply when absent."""
-
-    boundary_tol: float = 1e-8
-    aut_tol: float = 1e-8
-    group_tol: float = 1e-8
-    fp_tol: float = 1e-9
-    elliptic_margin: float = 1e-6
-    unit_tol: float = 1e-7
-    rep_tol: float = 1e-8
-    split_tol: float = 1e-10
-    seed: int = 0
-    max_iter: int = 5000
-    max_elements: int = 256
-    solver_mode: str = "midpoint-descent"
-
-    def __post_init__(self):
-        for f in fields(self):
-            if f.name.endswith(("_tol", "_margin")):
-                if getattr(self, f.name) <= 0:
-                    raise ValueError(f"{f.name} must be positive")
-        if self.solver_mode not in ("midpoint-descent", "chebyshev-iterate"):
-            raise ValueError(f"unknown solver mode {self.solver_mode!r}")
-        env_seed = os.environ.get("OPBALL_SEED")
-        if env_seed is not None:
-            self.seed = int(env_seed)
+def _seed(args) -> int:
+    """The ``--seed`` option, else ``OPBALL_SEED``, else 0."""
+    if args.seed is not None:
+        return args.seed
+    return int(os.environ.get("OPBALL_SEED", 0))
 
 
 # --- matrix and representation I/O -------------------------------------------
 
 
-def load_matrix(path) -> np.ndarray:
-    path = Path(path)
+def _read_json(path: Path, fields):
+    """``fields(doc)`` for the JSON document in a file; a file that cannot be
+    read or decoded, or whose fields are missing or malformed, raises
+    ``ParseError``."""
     try:
-        doc = json.loads(path.read_text())
+        return fields(json.loads(path.read_text()))
     except OSError as exc:
         raise ParseError(f"{path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: invalid JSON ({exc})") from exc
-    if not isinstance(doc, dict):
-        raise ParseError(f"{path}: expected an object with rows/cols/data")
-    try:
-        rows, cols, data = int(doc["rows"]), int(doc["cols"]), doc["data"]
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"{path}: missing or malformed field ({exc})") from exc
+
+
+def load_matrix(path) -> np.ndarray:
+    path = Path(path)
+    rows, cols, data = _read_json(
+        path, lambda doc: (int(doc["rows"]), int(doc["cols"]), doc["data"]))
     if rows < 1 or cols < 1:
         raise ShapeError(f"{path}: rows and cols must be positive")
     if not isinstance(data, list) or len(data) != rows * cols:
@@ -120,13 +101,20 @@ def _load_sig(dirpath: Path, override: str | None) -> PontryaginSignature:
     sig_file = dirpath / "sig.json"
     if not sig_file.exists():
         raise ParseError(f"{dirpath}: no sig.json and no --sig given")
-    doc = json.loads(sig_file.read_text())
-    return PontryaginSignature(int(doc["n_plus"]), int(doc["n_minus"]))
+    p, q = _read_json(
+        sig_file, lambda doc: (int(doc["n_plus"]), int(doc["n_minus"])))
+    return PontryaginSignature(p, q)
+
+
+def _element_index(path: Path) -> int:
+    try:
+        return int(path.stem.split("_")[1])
+    except ValueError as exc:
+        raise ParseError(f"{path}: file name is not elem_<k>.json") from exc
 
 
 def _load_elements(dirpath: Path) -> list:
-    elems = sorted(dirpath.glob("elem_*.json"),
-                   key=lambda p: int(p.stem.split("_")[1]))
+    elems = sorted(dirpath.glob("elem_*.json"), key=_element_index)
     if not elems:
         raise ParseError(f"{dirpath}: no elem_<k>.json files")
     return [load_matrix(p) for p in elems]
@@ -138,7 +126,8 @@ def load_representation(dirpath, sig_override: str | None = None) -> Representat
     table_file = dirpath / "table.json"
     if not table_file.exists():
         raise ParseError(f"{dirpath}: no table.json")
-    table = np.asarray(json.loads(table_file.read_text())["table"], dtype=int)
+    table = _read_json(table_file,
+                       lambda doc: np.asarray(doc["table"], dtype=int))
     return Representation(sig, table, _load_elements(dirpath))
 
 
@@ -163,20 +152,20 @@ def _emit(doc) -> int:
     return 0
 
 
-def _cmd_distance(args, cfg: RunConfig) -> int:
-    a = BallPoint(load_matrix(args.a), boundary_tol=cfg.boundary_tol)
-    b = BallPoint(load_matrix(args.b), boundary_tol=cfg.boundary_tol)
+def _cmd_distance(args) -> int:
+    a = BallPoint(load_matrix(args.a))
+    b = BallPoint(load_matrix(args.b))
     return _emit({"rho": distance(a, b)})
 
 
-def _cmd_mobius(args, cfg: RunConfig) -> int:
-    a = BallPoint(load_matrix(args.a), boundary_tol=cfg.boundary_tol)
-    x = BallPoint(load_matrix(args.x), boundary_tol=cfg.boundary_tol)
+def _cmd_mobius(args) -> int:
+    a = BallPoint(load_matrix(args.a))
+    x = BallPoint(load_matrix(args.x))
     return _emit(matrix_document(mobius_apply(a, x).matrix))
 
 
-def _cmd_geodesic(args, cfg: RunConfig) -> int:
-    base = BallPoint(load_matrix(args.a), boundary_tol=cfg.boundary_tol)
+def _cmd_geodesic(args) -> int:
+    base = BallPoint(load_matrix(args.a))
     direction = load_matrix(args.d)
     norm = spectral_norm(direction)
     if norm == 0.0:
@@ -187,16 +176,13 @@ def _cmd_geodesic(args, cfg: RunConfig) -> int:
     return _emit({"t": ts, "points": points})
 
 
-def _cmd_fixpoint(args, cfg: RunConfig) -> int:
+def _cmd_fixpoint(args) -> int:
     dirpath = Path(args.group)
     sig = _load_sig(dirpath, args.sig)
-    gens = [BallAutomorphism(m, sig.n_plus, sig.n_minus, aut_tol=cfg.aut_tol)
+    gens = [BallAutomorphism(m, sig.n_plus, sig.n_minus)
             for m in _load_elements(dirpath)]
-    group = group_closure(gens, max_elements=cfg.max_elements,
-                          group_tol=cfg.group_tol)
-    result = find_fixed_point(group, fp_tol=cfg.fp_tol, max_iter=cfg.max_iter,
-                              mode=args.mode or cfg.solver_mode,
-                              elliptic_margin=cfg.elliptic_margin)
+    group = group_closure(gens)
+    result = find_fixed_point(group, mode=args.mode)
     return _emit({
         "group_order": len(group),
         "fixed_point": matrix_document(result.point.matrix),
@@ -206,11 +192,9 @@ def _cmd_fixpoint(args, cfg: RunConfig) -> int:
     })
 
 
-def _cmd_unitarize(args, cfg: RunConfig) -> int:
+def _cmd_unitarize(args) -> int:
     rep = load_representation(args.rep, args.sig)
-    res = unitarize(rep, fp_tol=cfg.fp_tol, unit_tol=cfg.unit_tol,
-                    rep_tol=cfg.rep_tol, max_iter=cfg.max_iter,
-                    mode=cfg.solver_mode)
+    res = unitarize(rep)
     eye = np.eye(rep.signature.dim)
     unit_defect = max(spectral_norm(m.conj().T @ m - eye)
                       for m in res.unitary_rep.images)
@@ -222,11 +206,9 @@ def _cmd_unitarize(args, cfg: RunConfig) -> int:
     })
 
 
-def _cmd_dualpair(args, cfg: RunConfig) -> int:
+def _cmd_dualpair(args) -> int:
     rep = load_representation(args.rep, args.sig)
-    pair = dual_pair(rep, split_tol=cfg.split_tol, unit_tol=cfg.unit_tol,
-                     rep_tol=cfg.rep_tol, max_iter=cfg.max_iter,
-                     mode=cfg.solver_mode)
+    pair = dual_pair(rep)
     angle = 0.0
     for m in rep.images:
         angle = max(angle,
@@ -242,21 +224,20 @@ def _cmd_dualpair(args, cfg: RunConfig) -> int:
     })
 
 
-def _cmd_check(args, cfg: RunConfig) -> int:
+def _cmd_check(args) -> int:
     summary = checksuite.run_checks(suite=args.suite, trials=args.trials,
-                                    seed=args.seed if args.seed is not None
-                                    else cfg.seed)
+                                    seed=_seed(args))
     _emit(summary)
     return 0 if summary["passed"] else 1
 
 
-def _cmd_gen(args, cfg: RunConfig) -> int:
+def _cmd_gen(args) -> int:
     try:
         p, q = (int(x) for x in args.sig.split(","))
     except ValueError as exc:
         raise ParseError(f"--sig must be P,Q integers: {args.sig!r}") from exc
     sig = PontryaginSignature(p, q)
-    seed = args.seed if args.seed is not None else cfg.seed
+    seed = _seed(args)
     rep = make_test_representation(args.group, sig, conditioning=args.cond,
                                    seed=seed)
     save_representation(rep, args.out)
@@ -300,7 +281,8 @@ def _build_parser() -> argparse.ArgumentParser:
                             "the block matrices in a directory")
     f.add_argument("--group", required=True)
     f.add_argument("--sig", help="P,Q when the directory has no sig.json")
-    f.add_argument("--mode", choices=["midpoint-descent", "chebyshev-iterate"])
+    f.add_argument("--mode", choices=["midpoint-descent", "chebyshev-iterate"],
+                   default="midpoint-descent")
 
     u = sub.add_parser("unitarize",
                        help="similarity of an eta-preserving representation "
@@ -344,8 +326,7 @@ def run(argv) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        cfg = RunConfig()
-        return _HANDLERS[args.command](args, cfg)
+        return _HANDLERS[args.command](args)
     except OperatorBallError as exc:
         _emit({"error": type(exc).__name__, "message": str(exc)})
         return 1

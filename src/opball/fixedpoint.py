@@ -42,6 +42,7 @@ from .mobius import (
     BallPoint,
     automorphism_apply,
     automorphism_compose,
+    frac_linear,
     mobius_as_block,
     mobius_matrix,
     zero_point,
@@ -86,11 +87,7 @@ class AutomorphismGroup:
 
     def apply_all(self, x: BallPoint) -> np.ndarray:
         """Stacked w_g(x) over all elements (batched fractional-linear)."""
-        p = self.dim_h
-        blocks = self._blocks
-        num = blocks[:, :p, :p] @ x.matrix + blocks[:, :p, p:]
-        den = blocks[:, p:, :p] @ x.matrix + blocks[:, p:, p:]
-        return num @ np.linalg.inv(den)
+        return frac_linear(self._blocks, x.matrix)
 
 
 # probe images closer to the boundary than this cannot be compared reliably
@@ -100,17 +97,12 @@ _PROBE_MARGIN_FLOOR = 1e-10
 
 
 def _action_signature(t: BallAutomorphism, probe_mats) -> Optional[np.ndarray]:
-    """Raw w_T images of the probes, or None when the action degenerates."""
-    p = t.dim_h
-    t11, t12, t21, t22 = t.blocks()
-    out = np.empty((len(probe_mats), p, t.dim_k), dtype=np.complex128)
-    for k, pm in enumerate(probe_mats):
-        den = t21 @ pm + t22
-        try:
-            out[k] = (t11 @ pm + t12) @ np.linalg.inv(den)
-        except np.linalg.LinAlgError:
-            return None
-    return out
+    """Raw w_T images of the probe stack, or None when the action
+    degenerates."""
+    try:
+        return frac_linear(t.block, probe_mats)
+    except np.linalg.LinAlgError:
+        return None
 
 
 def group_closure(generators: Sequence[BallAutomorphism],
@@ -129,7 +121,7 @@ def group_closure(generators: Sequence[BallAutomorphism],
     for g in generators:
         if (g.dim_h, g.dim_k) != (p, q):
             raise ValueError("generators must share one split")
-    probe_mats = [pt.matrix for pt in probe_points(p, q)]
+    probe_mats = np.stack([pt.matrix for pt in probe_points(p, q)])
     n_probes = len(probe_mats)
 
     elements: list = []
@@ -407,9 +399,9 @@ def find_fixed_point(group: AutomorphismGroup, x0: Optional[BallPoint] = None,
                 break
             x, f = cand, fc
         else:
-            dists = distances_from(x.matrix, group.apply_all(x))
-            worst = group.elements[int(np.argmax(dists))]
-            target = automorphism_apply(worst, x)
+            images = group.apply_all(x)
+            worst = int(np.argmax(distances_from(x.matrix, images)))
+            target = BallPoint(images[worst], boundary_tol=0.0)
             lam = 1.0
             improved = False
             while lam > 1e-4:
@@ -466,13 +458,12 @@ def equicontinuity_witness(g: BallAutomorphism,
     half_slice = 0.5 * a.matrix @ proj
     x2 = BallPoint(np.linalg.solve(s11, half_slice) @ s22, boundary_tol=0.0)
 
-    y1 = automorphism_apply(g, x1)
     y2 = automorphism_apply(g, x2)
     input_gap = spectral_norm(x2.matrix - x1.matrix)
-    image_gap = spectral_norm(y2.matrix - y1.matrix)
+    image_gap = spectral_norm(y2.matrix - a.matrix)
     if not (input_gap > 0.25 and image_gap < delta):
         raise ArithmeticError(
             f"witness construction failed: input gap {input_gap!r}, "
             f"image gap {image_gap!r}")
-    return EquicontinuityWitness(x1=x1, x2=x2, images=(y1, y2),
+    return EquicontinuityWitness(x1=x1, x2=x2, images=(a, y2),
                                  input_gap=input_gap, image_gap=image_gap)

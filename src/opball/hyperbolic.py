@@ -22,8 +22,15 @@ from .errors import (
     ParameterOverflow,
     ZeroInput,
 )
-from .mobius import BOUNDARY_TOL, BallPoint, mobius_differential, mobius_matrix
-from .opcore import adjoint, inv_sqrtm_psd, spectral_norm, sqrtm_psd
+from .mobius import (
+    BOUNDARY_TOL,
+    BallPoint,
+    defect_roots,
+    mobius_batch,
+    mobius_differential,
+    mobius_matrix,
+)
+from .opcore import adjoint, spectral_norm
 
 DIR_TOL = 1e-8
 LINE_TOL = 1e-12
@@ -51,12 +58,19 @@ def poincare_scalar(z1: complex, z2: complex,
     return _atanh(abs((z1 - z2) / (1.0 - z1.conjugate() * z2)))
 
 
+def _chart_lift(a: BallPoint, b: BallPoint):
+    """M_{-A}(B), B seen from the chart centred at A, and rho(A, B) = atanh
+    of its norm."""
+    if a.shape != b.shape:
+        raise ValueError(f"shape mismatch {a.shape} vs {b.shape}")
+    moved = mobius_matrix(-a.matrix, b.matrix)
+    return moved, _atanh(spectral_norm(moved))
+
+
 def distance(a: BallPoint, b: BallPoint) -> float:
     """rho(A, B) = atanh ||M_{-A}(B)||; invariant under all eta-preserving
     fractional-linear automorphisms."""
-    if a.shape != b.shape:
-        raise ValueError(f"shape mismatch {a.shape} vs {b.shape}")
-    return _atanh(spectral_norm(mobius_matrix(-a.matrix, b.matrix)))
+    return _chart_lift(a, b)[1]
 
 
 def distances_from(base: np.ndarray, others: np.ndarray,
@@ -78,13 +92,7 @@ def _lift_batch(bases: np.ndarray, others: np.ndarray) -> np.ndarray:
     Moves each ``others[k]`` stack into the chart centred at ``bases[k]``:
     one stacked ``eigh`` per defect operator, one stacked solve.
     """
-    p, q = bases.shape[-2:]
-    left = inv_sqrtm_psd(np.eye(p) - bases @ adjoint(bases))
-    right = sqrtm_psd(np.eye(q) - adjoint(bases) @ bases)
-    resolvents = np.eye(q) - adjoint(bases)[:, None] @ others
-    solved = np.linalg.solve(resolvents,
-                             np.broadcast_to(right[:, None], resolvents.shape))
-    return left[:, None] @ (others - bases[:, None]) @ solved
+    return mobius_batch(-bases[:, None], others)
 
 
 def _atanh_all(norms: np.ndarray, saturate: bool = False) -> np.ndarray:
@@ -195,11 +203,10 @@ def geodesic_velocity(line: GeodesicLine, t: float) -> np.ndarray:
 def line_through(a: BallPoint, b: BallPoint,
                  line_tol: float = LINE_TOL) -> GeodesicLine:
     """The unique line with gamma(0) = A and gamma(rho(A,B)) = B."""
-    rho = distance(a, b)
+    moved, rho = _chart_lift(a, b)
     if rho <= line_tol:
         raise CoincidentPoints(f"points at distance {rho!r} define no line")
-    moved = BallPoint(mobius_matrix(-a.matrix, b.matrix), boundary_tol=0.0)
-    direction, _ = th_inverse(moved)
+    direction, _ = th_inverse(BallPoint(moved, boundary_tol=0.0))
     return GeodesicLine(a, direction)
 
 
@@ -212,10 +219,11 @@ def convex_combination(x: BallPoint, y: BallPoint, t: float,
         return x
     if t == 1.0:
         return y
-    rho = distance(x, y)
+    moved, rho = _chart_lift(x, y)
     if rho <= line_tol:
         return x
-    return geodesic_point(line_through(x, y, line_tol=line_tol), t * rho)
+    direction, _ = th_inverse(BallPoint(moved, boundary_tol=0.0))
+    return geodesic_point(GeodesicLine(x, direction), t * rho)
 
 
 def alpha_metric(a: BallPoint, v) -> float:
@@ -223,10 +231,7 @@ def alpha_metric(a: BallPoint, v) -> float:
     v = np.asarray(v, dtype=np.complex128)
     if v.shape != a.shape:
         raise ValueError(f"shape mismatch {v.shape} vs {a.shape}")
-    am = a.matrix
-    p, q = am.shape
-    left = inv_sqrtm_psd(np.eye(p) - am @ adjoint(am))
-    right = inv_sqrtm_psd(np.eye(q) - adjoint(am) @ am)
+    left, right = defect_roots(a.matrix, -0.5, -0.5)
     return spectral_norm(left @ v @ right)
 
 
@@ -262,10 +267,11 @@ class MetricSample:
         if not points:
             raise ValueError("sample must contain at least one point")
         n = len(points)
-        table = np.zeros((n, n))
-        for i in range(n):
-            for j in range(i + 1, n):
-                table[i, j] = table[j, i] = distance(points[i], points[j])
+        mats = np.stack([pt.matrix for pt in points])
+        # rho(points[i], points[j]) for i < j, from one kernel call
+        full = _rho_batch(mats, np.broadcast_to(mats, (n,) + mats.shape))
+        upper = np.triu(full, 1)
+        table = upper + upper.T
         if validate and n >= 3:
             slack = (table[:, :, None] + table[None, :, :]).min(axis=1) - table
             worst = float(slack.min())

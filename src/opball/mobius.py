@@ -69,15 +69,28 @@ def _min_singular(a: np.ndarray) -> float:
     return float(np.linalg.svd(a, compute_uv=False)[-1])
 
 
+def defect_roots(a: np.ndarray, left: float, right: float):
+    """The defect roots ``((1 - A A*)^left, (1 - A* A)^right)`` of a matrix,
+    or of each matrix in a stack; the exponents are 1/2 or -1/2."""
+    p, q = a.shape[-2:]
+    root = {0.5: sqrtm_psd, -0.5: inv_sqrtm_psd}
+    return (root[left](np.eye(p) - a @ adjoint(a)),
+            root[right](np.eye(q) - adjoint(a) @ a))
+
+
+def mobius_batch(a: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """M_A(X) without checks, for matrices or stacks of them that broadcast
+    against each other; the one implementation of the formula."""
+    left, right = defect_roots(a, -0.5, 0.5)
+    resolvent = np.eye(a.shape[-1]) + adjoint(a) @ x
+    return left @ (a + x) @ np.linalg.solve(resolvent, right)
+
+
 def mobius_matrix(a: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Core formula on raw matrices; see ``mobius_apply`` for the checked API."""
-    p, q = a.shape
-    resolvent = np.eye(q) + adjoint(a) @ x
-    if _min_singular(resolvent) < COND_TOL:
+    if _min_singular(np.eye(a.shape[1]) + adjoint(a) @ x) < COND_TOL:
         raise SingularResolvent("1 + A*X numerically singular")
-    left = inv_sqrtm_psd(np.eye(p) - a @ adjoint(a))
-    right = sqrtm_psd(np.eye(q) - adjoint(a) @ a)
-    return left @ (a + x) @ np.linalg.solve(resolvent, right)
+    return mobius_batch(a, x)
 
 
 def mobius_apply(a: BallPoint, x: BallPoint,
@@ -103,8 +116,7 @@ def mobius_differential(b: BallPoint, a: BallPoint, v) -> np.ndarray:
     right_res = np.eye(q) + adjoint(bm) @ am
     if min(_min_singular(left_res), _min_singular(right_res)) < COND_TOL:
         raise SingularResolvent("1 + A B* numerically singular")
-    left = sqrtm_psd(np.eye(p) - bm @ adjoint(bm))
-    right = sqrtm_psd(np.eye(q) - adjoint(bm) @ bm)
+    left, right = defect_roots(bm, 0.5, 0.5)
     return left @ np.linalg.solve(left_res, v) @ np.linalg.solve(right_res, right)
 
 
@@ -124,16 +136,14 @@ class BallAutomorphism:
         n = dim_h + dim_k
         if t.shape != (n, n):
             raise ValueError(f"block must be {n}x{n}, got {t.shape}")
-        j = eta_matrix(dim_h, dim_k)
-        gram = adjoint(t) @ j @ t
         if normalize:
-            scale = float(np.trace(j @ gram).real) / n
+            j = eta_matrix(dim_h, dim_k)
+            scale = float(np.trace(j @ (adjoint(t) @ j @ t)).real) / n
             if scale <= 0.0:
                 raise NotEtaPreserving("T*JT has non-positive alignment with J")
             t = t / np.sqrt(scale)
-            gram = adjoint(t) @ j @ t
         # forming T*JT already loses ||T||^2 eps, so the check scales with it
-        defect = spectral_norm(gram - j)
+        defect = eta_defect(t, dim_h, dim_k)
         allowed = aut_tol * max(1.0, spectral_norm(t) ** 2)
         if defect > allowed:
             raise NotEtaPreserving(f"||T*JT - J|| = {defect:.3e} > {allowed!r}")
@@ -167,14 +177,29 @@ def eta_matrix(dim_h: int, dim_k: int) -> np.ndarray:
         np.complex128)
 
 
+def eta_defect(t: np.ndarray, dim_h: int, dim_k: int) -> float:
+    """||T*JT - J||: how far T is from preserving eta."""
+    j = eta_matrix(dim_h, dim_k)
+    return spectral_norm(adjoint(t) @ j @ t - j)
+
+
 def mobius_as_block(a: BallPoint) -> BallAutomorphism:
     """Block matrix T_A whose fractional-linear action equals M_A."""
     am = a.matrix
     p, q = am.shape
-    left = inv_sqrtm_psd(np.eye(p) - am @ adjoint(am))
-    right = inv_sqrtm_psd(np.eye(q) - adjoint(am) @ am)
+    left, right = defect_roots(am, -0.5, -0.5)
     block = np.block([[left, left @ am], [right @ adjoint(am), right]])
     return BallAutomorphism(block, p, q)
+
+
+def frac_linear(blocks: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """w_T(X) = (T11 X + T12)(T21 X + T22)^{-1} without checks, for block
+    matrices and points, or stacks of them, that broadcast against each
+    other; the split is read from the rows of ``x``."""
+    p = x.shape[-2]
+    num = blocks[..., :p, :p] @ x + blocks[..., :p, p:]
+    den = blocks[..., p:, :p] @ x + blocks[..., p:, p:]
+    return num @ np.linalg.inv(den)
 
 
 def automorphism_apply(t: BallAutomorphism, a: BallPoint) -> BallPoint:
@@ -182,15 +207,11 @@ def automorphism_apply(t: BallAutomorphism, a: BallPoint) -> BallPoint:
     if a.shape != (t.dim_h, t.dim_k):
         raise ValueError(f"point shape {a.shape} does not match split "
                          f"({t.dim_h}, {t.dim_k})")
-    t11, t12, t21, t22 = t.blocks()
-    num = t11 @ a.matrix + t12
-    den = t21 @ a.matrix + t22
-    sig = np.linalg.svd(den, compute_uv=False)
+    _, _, t21, t22 = t.blocks()
+    sig = np.linalg.svd(t21 @ a.matrix + t22, compute_uv=False)
     if sig[-1] < COND_TOL * max(sig[0], 1.0):
         raise SingularDenominator("T21 A + T22 singular; T not eta-preserving")
-    # solve on the right: num @ den^{-1}
-    result = np.linalg.solve(den.conj().T, num.conj().T).conj().T
-    return BallPoint(result, boundary_tol=0.0)
+    return BallPoint(frac_linear(t.block, a.matrix), boundary_tol=0.0)
 
 
 def automorphism_compose(t1: BallAutomorphism,

@@ -29,8 +29,14 @@ from .errors import (
     UnknownGroup,
 )
 from .fixedpoint import FP_TOL, MAX_ITER, AutomorphismGroup, find_fixed_point
-from .mobius import BallAutomorphism, BallPoint, eta_matrix
-from .opcore import adjoint, as_matrix, hermitian_eig, inv_sqrtm_psd, spectral_norm
+from .mobius import (
+    BallAutomorphism,
+    BallPoint,
+    defect_roots,
+    eta_defect,
+    eta_matrix,
+)
+from .opcore import adjoint, as_matrix, hermitian_eig, spectral_norm
 from .sampling import random_eta_preserving, random_unitary, rng_from
 
 REP_TOL = 1e-8
@@ -72,8 +78,7 @@ def is_J_unitary(sig: PontryaginSignature, t, tol: float = REP_TOL):
     t = np.asarray(t, dtype=np.complex128)
     if t.shape != (sig.dim, sig.dim):
         raise ShapeMismatch(f"expected {(sig.dim, sig.dim)}, got {t.shape}")
-    j = sig.j
-    defect = spectral_norm(adjoint(t) @ j @ t - j)
+    defect = eta_defect(t, sig.n_plus, sig.n_minus)
     return defect <= tol, defect
 
 
@@ -138,9 +143,7 @@ def unitarizer_matrix(sig: PontryaginSignature, d: BallPoint) -> np.ndarray:
         raise ShapeMismatch(f"point shape {d.shape} != "
                             f"{(sig.n_plus, sig.n_minus)}")
     dm = d.matrix
-    p, q = dm.shape
-    left = inv_sqrtm_psd(np.eye(p) - dm @ adjoint(dm))
-    right = inv_sqrtm_psd(np.eye(q) - adjoint(dm) @ dm)
+    left, right = defect_roots(dm, -0.5, -0.5)
     return np.block([[left, -dm @ right], [-adjoint(dm) @ left, right]])
 
 
@@ -312,9 +315,8 @@ class Representation:
                     images[int(table[g][h])] - images[g] @ images[h]))
         if worst > rep_tol:
             raise ValueError(f"homomorphism defect {worst:.3e} > {rep_tol!r}")
-        j = signature.j
         self.eta_defect = max(
-            spectral_norm(adjoint(m) @ j @ m - j) for m in images)
+            eta_defect(m, signature.n_plus, signature.n_minus) for m in images)
         self.signature = signature
         self.table = table
         self.images = images

@@ -6,8 +6,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .mobius import BallPoint, eta_matrix
-from .opcore import adjoint, spectral_norm
+from .mobius import BallPoint
+from .opcore import spectral_norm
 
 # probe points used for deduplicating automorphisms by their action
 _PROBE_SEED = 20259
@@ -76,8 +76,3 @@ def probe_points(p: int, q: int, count: int = 3) -> list[BallPoint]:
     rng = rng_from(_PROBE_SEED)
     return [random_ball_point(rng, p, q, max_norm=0.5, min_norm=0.2)
             for _ in range(count)]
-
-
-def eta_defect(t: np.ndarray, p: int, q: int) -> float:
-    j = eta_matrix(p, q)
-    return spectral_norm(adjoint(t) @ j @ t - j)

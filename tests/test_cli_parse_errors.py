@@ -1,0 +1,47 @@
+"""A malformed representation directory is a ParseError document with exit
+code 1, not a traceback."""
+
+import json
+
+import pytest
+
+from opball.cli import run, save_representation
+from opball.pontryagin import PontryaginSignature, make_test_representation
+
+
+@pytest.fixture
+def repdir(tmp_path):
+    rep = make_test_representation("C2", PontryaginSignature(2, 1),
+                                   conditioning=2.0, seed=0)
+    save_representation(rep, tmp_path / "rep")
+    return tmp_path / "rep"
+
+
+def assert_parse_error(capsys, argv, fragment):
+    code = run(argv)
+    doc = json.loads(capsys.readouterr().out)
+    assert code == 1
+    assert doc["error"] == "ParseError"
+    assert fragment in doc["message"]
+
+
+@pytest.mark.parametrize("command, option", [("unitarize", "--rep"),
+                                             ("dualpair", "--rep"),
+                                             ("fixpoint", "--group")])
+def test_sig_without_n_minus(repdir, capsys, command, option):
+    (repdir / "sig.json").write_text(json.dumps({"n_plus": 2}))
+    assert_parse_error(capsys, [command, option, str(repdir)], "sig.json")
+
+
+def test_table_that_is_not_json(repdir, capsys):
+    (repdir / "table.json").write_text("{not json")
+    assert_parse_error(capsys, ["unitarize", "--rep", str(repdir)],
+                       "invalid JSON")
+
+
+def test_element_file_name_without_an_index(repdir, capsys):
+    (repdir / "elem_x.json").write_text((repdir / "elem_0.json").read_text())
+    assert_parse_error(capsys, ["unitarize", "--rep", str(repdir)],
+                       "elem_x.json")
+    assert_parse_error(capsys, ["fixpoint", "--group", str(repdir)],
+                       "elem_x.json")

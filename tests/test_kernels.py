@@ -1,0 +1,144 @@
+"""The shared kernels: defect roots, the batched Mobius transform, the
+fractional-linear action and the eta defect, against the functions they
+replaced and against their defining formulas."""
+
+import numpy as np
+import pytest
+from numpy.testing import assert_allclose
+
+import opball.hyperbolic as hyperbolic
+from opball.fixedpoint import _action_signature
+from opball.hyperbolic import MetricSample, convex_combination, distance
+from opball.mobius import (
+    BallAutomorphism,
+    automorphism_apply,
+    defect_roots,
+    eta_defect,
+    eta_matrix,
+    frac_linear,
+    mobius_batch,
+    mobius_matrix,
+)
+from opball.opcore import adjoint, inv_sqrtm_psd, sqrtm_psd
+from opball.sampling import random_ball_point, random_eta_preserving, rng_from
+
+SHAPES = [(1, 1), (2, 1), (1, 3), (3, 2), (4, 4)]
+
+
+@pytest.mark.parametrize("p, q", SHAPES)
+def test_defect_roots_match_psd_functions(p, q):
+    rng = rng_from(11)
+    a = random_ball_point(rng, p, q, 0.95).matrix
+    roots = {0.5: sqrtm_psd, -0.5: inv_sqrtm_psd}
+    for left in (0.5, -0.5):
+        for right in (0.5, -0.5):
+            got_l, got_r = defect_roots(a, left, right)
+            assert_allclose(got_l, roots[left](np.eye(p) - a @ adjoint(a)),
+                            rtol=0, atol=1e-14)
+            assert_allclose(got_r, roots[right](np.eye(q) - adjoint(a) @ a),
+                            rtol=0, atol=1e-14)
+
+
+@pytest.mark.parametrize("p, q", SHAPES)
+def test_defect_roots_on_a_stack(p, q):
+    rng = rng_from(12)
+    stack = np.stack([random_ball_point(rng, p, q, 0.9).matrix
+                      for _ in range(5)])
+    left, right = defect_roots(stack, -0.5, 0.5)
+    assert left.shape == (5, p, p) and right.shape == (5, q, q)
+    for k, a in enumerate(stack):
+        assert_allclose(left[k], inv_sqrtm_psd(np.eye(p) - a @ adjoint(a)),
+                        rtol=0, atol=1e-13)
+        assert_allclose(right[k], sqrtm_psd(np.eye(q) - adjoint(a) @ a),
+                        rtol=0, atol=1e-13)
+
+
+def test_mobius_batch_broadcasts_like_mobius_matrix():
+    rng = rng_from(13)
+    p, q = 3, 2
+    bases = np.stack([random_ball_point(rng, p, q, 0.9).matrix
+                      for _ in range(3)])
+    others = np.stack([[random_ball_point(rng, p, q, 0.9).matrix
+                        for _ in range(4)] for _ in range(3)])
+    out = mobius_batch(bases[:, None], others)
+    assert out.shape == (3, 4, p, q)
+    for k in range(3):
+        for i in range(4):
+            assert_allclose(out[k, i], mobius_matrix(bases[k], others[k, i]),
+                            rtol=0, atol=1e-13)
+
+
+@pytest.mark.parametrize("p, q", SHAPES)
+def test_frac_linear_on_a_stack_matches_automorphism_apply(p, q):
+    rng = rng_from(14)
+    autos = [BallAutomorphism(random_eta_preserving(rng, p, q, 5.0), p, q)
+             for _ in range(4)]
+    x = random_ball_point(rng, p, q, 0.8)
+    images = frac_linear(np.stack([t.block for t in autos]), x.matrix)
+    assert images.shape == (4, p, q)
+    for t, img in zip(autos, images):
+        assert_allclose(img, automorphism_apply(t, x).matrix,
+                        rtol=0, atol=1e-13)
+
+
+def test_frac_linear_maps_a_probe_stack_through_one_block():
+    rng = rng_from(15)
+    p, q = 2, 2
+    t = BallAutomorphism(random_eta_preserving(rng, p, q, 3.0), p, q)
+    probes = [random_ball_point(rng, p, q, 0.5) for _ in range(3)]
+    images = frac_linear(t.block, np.stack([pt.matrix for pt in probes]))
+    for pt, img in zip(probes, images):
+        assert_allclose(img, automorphism_apply(t, pt).matrix,
+                        rtol=0, atol=1e-13)
+
+
+def test_action_signature_is_none_on_a_singular_denominator():
+    # T21 X + T22 = 0 at X = 1 for this (not eta-preserving) block
+    block = np.array([[1.0, 0.0], [1.0, -1.0]], dtype=np.complex128)
+    t = BallAutomorphism(block, 1, 1, normalize=False, aut_tol=10.0)
+    probes = np.array([[[0.5]], [[1.0]]], dtype=np.complex128)
+    assert _action_signature(t, probes) is None
+    assert _action_signature(t, probes[:1]) is not None
+
+
+@pytest.mark.parametrize("p, q", SHAPES)
+def test_eta_defect_matches_its_formula(p, q):
+    rng = rng_from(16)
+    t = random_eta_preserving(rng, p, q, 4.0)
+    t = t + 1e-3 * (rng.standard_normal(t.shape)
+                    + 1j * rng.standard_normal(t.shape))
+    j = np.diag([1.0] * p + [-1.0] * q)
+    expected = np.linalg.norm(t.conj().T @ j @ t - j, 2)
+    assert eta_defect(t, p, q) == pytest.approx(expected, rel=1e-12)
+    assert eta_defect(np.eye(p + q), p, q) == 0.0
+    assert_allclose(eta_matrix(p, q), j, rtol=0, atol=0)
+
+
+def test_convex_combination_makes_two_mobius_evaluations(monkeypatch):
+    rng = rng_from(17)
+    x = random_ball_point(rng, 3, 2, 0.8)
+    y = random_ball_point(rng, 3, 2, 0.8)
+    calls = []
+    original = hyperbolic.mobius_matrix
+
+    def counted(a, b):
+        calls.append(1)
+        return original(a, b)
+
+    monkeypatch.setattr(hyperbolic, "mobius_matrix", counted)
+    z = convex_combination(x, y, 0.3)
+    assert len(calls) == 2
+    monkeypatch.undo()
+    assert distance(x, z) == pytest.approx(0.3 * distance(x, y), rel=1e-10)
+
+
+def test_metric_sample_table_matches_pairwise_distance():
+    rng = rng_from(18)
+    points = [random_ball_point(rng, 2, 3, 0.9) for _ in range(7)]
+    table = MetricSample(points).pairwise
+    assert np.array_equal(table, table.T)
+    assert np.all(np.diag(table) == 0.0)
+    for i in range(7):
+        for j in range(i + 1, 7):
+            assert table[i, j] == pytest.approx(
+                distance(points[i], points[j]), rel=1e-12)
