@@ -31,6 +31,7 @@ from .pontryagin import (
     dual_pair,
     make_test_representation,
     max_principal_angle,
+    max_unitarity_defect,
     unitarize,
 )
 
@@ -39,7 +40,11 @@ def _seed(args) -> int:
     """The ``--seed`` option, else ``OPBALL_SEED``, else 0."""
     if args.seed is not None:
         return args.seed
-    return int(os.environ.get("OPBALL_SEED", 0))
+    value = os.environ.get("OPBALL_SEED", "0")
+    try:
+        return int(value)
+    except ValueError as exc:
+        raise ParseError(f"OPBALL_SEED must be an integer: {value!r}") from exc
 
 
 # --- matrix and representation I/O -------------------------------------------
@@ -128,7 +133,11 @@ def load_representation(dirpath, sig_override: str | None = None) -> Representat
         raise ParseError(f"{dirpath}: no table.json")
     table = _read_json(table_file,
                        lambda doc: np.asarray(doc["table"], dtype=int))
-    return Representation(sig, table, _load_elements(dirpath))
+    images = _load_elements(dirpath)
+    try:
+        return Representation(sig, table, images)
+    except ValueError as exc:
+        raise ParseError(f"{dirpath}: not a representation ({exc})") from exc
 
 
 def save_representation(rep: Representation, dirpath):
@@ -195,14 +204,11 @@ def _cmd_fixpoint(args) -> int:
 def _cmd_unitarize(args) -> int:
     rep = load_representation(args.rep, args.sig)
     res = unitarize(rep)
-    eye = np.eye(rep.signature.dim)
-    unit_defect = max(spectral_norm(m.conj().T @ m - eye)
-                      for m in res.unitary_rep.images)
     return _emit({
         "fixed_point": matrix_document(res.fixed_point.matrix),
         "similarity": matrix_document(res.similarity),
         "unitary_images": [matrix_document(m) for m in res.unitary_rep.images],
-        "max_unitarity_defect": unit_defect,
+        "max_unitarity_defect": max_unitarity_defect(res.unitary_rep.images),
     })
 
 

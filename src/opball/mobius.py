@@ -177,8 +177,9 @@ def eta_matrix(dim_h: int, dim_k: int) -> np.ndarray:
         np.complex128)
 
 
-def eta_defect(t: np.ndarray, dim_h: int, dim_k: int) -> float:
-    """||T*JT - J||: how far T is from preserving eta."""
+def eta_defect(t: np.ndarray, dim_h: int, dim_k: int):
+    """||T*JT - J||: how far T is from preserving eta; a float for a matrix,
+    an array with one value per matrix for a stack."""
     j = eta_matrix(dim_h, dim_k)
     return spectral_norm(adjoint(t) @ j @ t - j)
 

@@ -36,9 +36,13 @@ def adjoint(a: np.ndarray) -> np.ndarray:
     return a.conj().T if a.ndim < 3 else a.conj().swapaxes(-1, -2)
 
 
-def spectral_norm(a) -> float:
-    """Largest singular value of ``a``."""
-    return float(np.linalg.norm(np.asarray(a, dtype=np.complex128), 2))
+def spectral_norm(a):
+    """Largest singular value of a matrix (a float), or of each matrix in a
+    stack (an array; the stack takes one batched SVD).  The SVD returns the
+    singular values in descending order, so the first is the norm."""
+    a = np.asarray(a, dtype=np.complex128)
+    norms = np.linalg.svd(a, compute_uv=False)[..., 0]
+    return float(norms) if a.ndim == 2 else norms
 
 
 def hermitian_eig(s, herm_tol: float = HERM_TOL):

@@ -82,6 +82,14 @@ def is_J_unitary(sig: PontryaginSignature, t, tol: float = REP_TOL):
     return defect <= tol, defect
 
 
+def max_unitarity_defect(images) -> float:
+    """The largest ||T*T - 1|| over a stack (or list) of square matrices,
+    from one stacked SVD."""
+    stack = np.asarray(images, dtype=np.complex128)
+    return float(spectral_norm(
+        adjoint(stack) @ stack - np.eye(stack.shape[-1])).max())
+
+
 def graph_subspace(sig: PontryaginSignature, a: BallPoint) -> np.ndarray:
     """Column basis [A; I] of L(A) = {Ax (+) x}, a maximal negative
     subspace."""
@@ -287,9 +295,49 @@ def _assemble_block(classes, dim: int, allowed, rng) -> Optional[list]:
     return out
 
 
+def _check_homomorphism(table: np.ndarray, stack: np.ndarray,
+                        norms: np.ndarray, rep_tol: float):
+    """The homomorphism check of ``Representation``, given the norms of the
+    images; a failure names the pair furthest over its tolerance."""
+    worst = None
+    for g in range(len(table)):
+        diff = stack[table[g]] - stack[g] @ stack
+        allowed = rep_tol * np.maximum(1.0, norms[g] * norms)
+        # rounding in either norm cannot carry a difference across the
+        # factor 2, so the screen never decides a pair the SVD would not
+        frobenius = np.linalg.norm(diff, axis=(-2, -1))
+        near = np.flatnonzero(frobenius > allowed / 2)
+        if near.size == 0:
+            continue
+        for h, defect in zip(near, spectral_norm(diff[near])):
+            over = defect / allowed[h]
+            if defect > allowed[h] and (worst is None or over > worst[0]):
+                worst = (over, float(defect), float(allowed[h]), g, int(h))
+    if worst is not None:
+        _, defect, allowed, g, h = worst
+        raise ValueError(f"homomorphism defect {defect:.3e} > {allowed:.3e} "
+                         f"at ({g}, {h})")
+
+
 class Representation:
     """A finite group given by its multiplication table together with one
-    matrix per element."""
+    matrix per element.
+
+    The constructor checks that the identity maps to the identity matrix
+    (to ``rep_tol``, absolute) and that pi is a homomorphism:
+    ``||pi(gh) - pi(g) pi(h)|| <= rep_tol * max(1, ||pi(g)|| ||pi(h)||)``
+    for every pair, since forming pi(g) pi(h) in floating point already
+    costs about eps ||pi(g)|| ||pi(h)||.  It records ``bound``, the largest
+    ||pi(g)||, and ``eta_defect``, the largest ||pi(g)* J pi(g) - J||, each
+    from one stacked SVD over the images; eta preservation is checked by
+    whoever needs it (``eta_preserving``, ``unitarize``).
+
+    The homomorphism check takes one row of the table at a time: one
+    stacked product ``pi(table[g]) - pi(g) pi`` per row, screened by
+    Frobenius norm, which bounds the spectral norm from above, so only
+    differences that come within a factor 2 of their tolerance get an SVD.
+    Stacking the whole table at once would hold |G|^2 matrices in memory.
+    """
 
     __slots__ = ("signature", "table", "images", "bound", "eta_defect",
                  "identity_index")
@@ -308,19 +356,15 @@ class Representation:
                 raise ShapeMismatch(f"image shape {m.shape} != {(dim, dim)}")
         if spectral_norm(images[ident] - np.eye(dim)) > rep_tol:
             raise ValueError("identity element must map to the identity matrix")
-        worst = 0.0
-        for g in range(n):
-            for h in range(n):
-                worst = max(worst, spectral_norm(
-                    images[int(table[g][h])] - images[g] @ images[h]))
-        if worst > rep_tol:
-            raise ValueError(f"homomorphism defect {worst:.3e} > {rep_tol!r}")
-        self.eta_defect = max(
-            eta_defect(m, signature.n_plus, signature.n_minus) for m in images)
+        stack = np.stack(images)
+        norms = spectral_norm(stack)
+        _check_homomorphism(table, stack, norms, rep_tol)
+        self.eta_defect = float(
+            eta_defect(stack, signature.n_plus, signature.n_minus).max())
         self.signature = signature
         self.table = table
         self.images = images
-        self.bound = max(spectral_norm(m) for m in images)
+        self.bound = float(norms.max())
         self.identity_index = ident
 
     @property
@@ -417,10 +461,9 @@ def unitarize(rep: Representation, fp_tol: float = FP_TOL,
     d = result.point
     u = unitarizer_matrix(sig, d)
     u_inv = np.linalg.inv(u)
-    tau = [u @ m @ u_inv for m in rep.images]
+    tau = u @ np.stack(rep.images) @ u_inv
     unitary_rep = Representation(sig, rep.table, tau, rep_tol=rep_tol)
-    eye = np.eye(sig.dim)
-    defect = max(spectral_norm(adjoint(m) @ m - eye) for m in tau)
+    defect = max_unitarity_defect(tau)
     if defect > unit_tol:
         raise FixedPointFailed(f"unitarity defect {defect:.3e} > {unit_tol!r}")
     return UnitarizationResult(similarity=u, unitary_rep=unitary_rep,

@@ -45,3 +45,33 @@ def test_element_file_name_without_an_index(repdir, capsys):
                        "elem_x.json")
     assert_parse_error(capsys, ["fixpoint", "--group", str(repdir)],
                        "elem_x.json")
+
+
+def _double_element_1(repdir):
+    doc = json.loads((repdir / "elem_1.json").read_text())
+    doc["data"] = [[2 * re, 2 * im] for re, im in doc["data"]]
+    (repdir / "elem_1.json").write_text(json.dumps(doc))
+
+
+@pytest.mark.parametrize("command", ["unitarize", "dualpair"])
+@pytest.mark.parametrize("table, edit, fragment", [
+    ([[0, 0], [1, 1]], None, "row 0 of the table is not a permutation"),
+    ([[1, 0], [0, 1]], None, "identity element"),
+    ([[0, 1], [1, 0]], _double_element_1, "homomorphism defect"),
+], ids=["not-a-permutation", "identity-not-mapped-to-1", "not-a-homomorphism"])
+def test_directory_that_is_not_a_representation(repdir, capsys, command,
+                                                 table, edit, fragment):
+    (repdir / "table.json").write_text(json.dumps({"table": table}))
+    if edit is not None:
+        edit(repdir)
+    assert_parse_error(capsys, [command, "--rep", str(repdir)], fragment)
+
+
+@pytest.mark.parametrize("argv", [["check", "--trials", "3"],
+                                  ["gen", "--group", "C2", "--sig", "2,1"]],
+                         ids=["check", "gen"])
+def test_seed_that_is_not_an_integer(tmp_path, capsys, monkeypatch, argv):
+    monkeypatch.setenv("OPBALL_SEED", "abc")
+    if argv[0] == "gen":
+        argv = argv + ["--out", str(tmp_path / "rep")]
+    assert_parse_error(capsys, argv, "OPBALL_SEED")

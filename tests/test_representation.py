@@ -1,0 +1,115 @@
+"""The checks and measurements of ``Representation`` against their
+per-pair and per-image formulas."""
+
+import re
+
+import numpy as np
+import pytest
+
+from opball.mobius import eta_defect
+from opball.opcore import adjoint, spectral_norm
+from opball.pontryagin import (
+    REP_TOL,
+    PontryaginSignature,
+    Representation,
+    group_table,
+    make_test_representation,
+    max_unitarity_defect,
+    unitarize,
+)
+from opball.sampling import complex_gaussian, rng_from
+
+CASES = [("C4", 2, 1), ("S3", 4, 2), ("Q8", 5, 2), ("C12", 6, 3)]
+
+
+def reference_homomorphism_error(table, images, rep_tol):
+    """The pair furthest over rep_tol * max(1, ||pi(g)|| ||pi(h)||), one
+    spectral norm per pair, as the error message quotes it; None if no pair
+    is over."""
+    norms = [spectral_norm(m) for m in images]
+    worst = None
+    for g in range(len(table)):
+        for h in range(len(table)):
+            defect = spectral_norm(images[int(table[g][h])]
+                                   - images[g] @ images[h])
+            allowed = rep_tol * max(1.0, norms[g] * norms[h])
+            if defect > allowed and (
+                    worst is None or defect / allowed > worst[0] / worst[1]):
+                worst = (defect, allowed, g, h)
+    if worst is None:
+        return None
+    defect, allowed, g, h = worst
+    return f"homomorphism defect {defect:.3e} > {allowed:.3e} at ({g}, {h})"
+
+
+def _involution_rep(defect):
+    """C2 on (2, 1) with pi(1) = J + E, E = diag(e, e, 0) chosen so that the
+    one perturbed product has pi(0) - pi(1)^2 = -diag(defect, defect, 0):
+    rank 2, spectral norm ``defect``, Frobenius norm sqrt(2) ``defect``."""
+    e = np.sqrt(1.0 + defect) - 1.0
+    flip = np.diag([1.0 + e, 1.0 + e, -1.0])
+    return [np.eye(3), flip]
+
+
+def test_screen_accepts_a_defect_below_tolerance_in_spectral_norm():
+    images = _involution_rep(0.9 * REP_TOL)
+    diff = images[0] - images[1] @ images[1]
+    assert spectral_norm(diff) < REP_TOL < np.linalg.norm(diff)
+    Representation(PontryaginSignature(2, 1), group_table("C2"), images)
+
+
+def test_screen_rejects_a_defect_above_tolerance_and_quotes_it():
+    images = _involution_rep(1.05 * REP_TOL)
+    measured = spectral_norm(images[0] - images[1] @ images[1])
+    allowed = REP_TOL * spectral_norm(images[1]) ** 2
+    with pytest.raises(ValueError, match=re.escape(
+            f"homomorphism defect {measured:.3e} > {allowed:.3e} at (1, 1)")):
+        Representation(PontryaginSignature(2, 1), group_table("C2"), images)
+
+
+def test_non_homomorphism_is_rejected():
+    with pytest.raises(ValueError, match=re.escape(
+            "homomorphism defect 3.000e+00 > 4.000e-08 at (1, 1)")):
+        Representation(PontryaginSignature(2, 1), group_table("C2"),
+                       [np.eye(3), 2 * np.eye(3)])
+
+
+@pytest.mark.parametrize("name, p, q", CASES)
+def test_homomorphism_check_matches_the_per_pair_loop(name, p, q):
+    rep = make_test_representation(name, PontryaginSignature(p, q),
+                                   conditioning=10.0, seed=2)
+    rng = rng_from(3)
+    for scale in np.geomspace(1e-10, 1e-7, 10):
+        images = list(rep.images)
+        k = int(rng.integers(1, len(images)))
+        images[k] = images[k] + scale * complex_gaussian(rng, p + q, p + q)
+        expected = reference_homomorphism_error(rep.table, images, REP_TOL)
+        if expected is None:
+            Representation(rep.signature, rep.table, images)
+        else:
+            with pytest.raises(ValueError, match=re.escape(expected)):
+                Representation(rep.signature, rep.table, images)
+
+
+@pytest.mark.parametrize("name, p, q", CASES)
+def test_ill_conditioned_representations_construct(name, p, q):
+    # forming pi(g) pi(h) costs about eps ||pi(g)|| ||pi(h)||; at cond 1e4
+    # an absolute 1e-8 rejected 9 of these 24 exact representations
+    for seed in range(6):
+        make_test_representation(name, PontryaginSignature(p, q),
+                                 conditioning=1e4, seed=seed)
+
+
+@pytest.mark.parametrize("name, p, q", CASES)
+def test_stacked_measurements_are_the_per_image_formulas(name, p, q):
+    rep = make_test_representation(name, PontryaginSignature(p, q),
+                                   conditioning=10.0, seed=4)
+    assert rep.bound == max(spectral_norm(m) for m in rep.images)
+    assert rep.eta_defect == max(eta_defect(m, p, q) for m in rep.images)
+    res = unitarize(rep)
+    u_inv = np.linalg.inv(res.similarity)
+    eye = np.eye(p + q)
+    for m, tau in zip(rep.images, res.unitary_rep.images):
+        assert np.array_equal(tau, res.similarity @ m @ u_inv)
+    assert max_unitarity_defect(res.unitary_rep.images) == max(
+        spectral_norm(adjoint(m) @ m - eye) for m in res.unitary_rep.images)
