@@ -96,19 +96,24 @@ def save_matrix(m: np.ndarray, path):
     Path(path).write_text(json.dumps(matrix_document(m), sort_keys=True) + "\n")
 
 
+def _parse_sig(text: str) -> PontryaginSignature:
+    """The ``--sig P,Q`` option; both must be positive integers."""
+    try:
+        p, q = (int(x) for x in text.split(","))
+        return PontryaginSignature(p, q)
+    except ValueError as exc:
+        raise ParseError(
+            f"--sig must be positive integers P,Q: {text!r} ({exc})") from exc
+
+
 def _load_sig(dirpath: Path, override: str | None) -> PontryaginSignature:
     if override:
-        try:
-            p, q = (int(x) for x in override.split(","))
-        except ValueError as exc:
-            raise ParseError(f"--sig must be P,Q integers: {override!r}") from exc
-        return PontryaginSignature(p, q)
+        return _parse_sig(override)
     sig_file = dirpath / "sig.json"
     if not sig_file.exists():
         raise ParseError(f"{dirpath}: no sig.json and no --sig given")
-    p, q = _read_json(
-        sig_file, lambda doc: (int(doc["n_plus"]), int(doc["n_minus"])))
-    return PontryaginSignature(p, q)
+    return _read_json(sig_file, lambda doc: PontryaginSignature(
+        int(doc["n_plus"]), int(doc["n_minus"])))
 
 
 def _element_index(path: Path) -> int:
@@ -238,11 +243,7 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_gen(args) -> int:
-    try:
-        p, q = (int(x) for x in args.sig.split(","))
-    except ValueError as exc:
-        raise ParseError(f"--sig must be P,Q integers: {args.sig!r}") from exc
-    sig = PontryaginSignature(p, q)
+    sig = _parse_sig(args.sig)
     seed = _seed(args)
     rep = make_test_representation(args.group, sig, conditioning=args.cond,
                                    seed=seed)

@@ -14,7 +14,7 @@ center: a bracketing grid, each round one batched rho evaluation
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -56,6 +56,7 @@ FP_TOL = 1e-9
 CHEB_TOL = 1e-7
 MAX_ELEMENTS = 256
 MAX_ITER = 5000
+CHEB_MAX_ITER = 300
 # Chebyshev line search: grid values per round (the bracket shrinks 16-fold
 # per round), and the bracket width at which it stops
 LINE_GRID = 33
@@ -67,13 +68,11 @@ class AutomorphismGroup:
     """A finite set of automorphisms closed under composition.
 
     ``table[i][j]`` indexes the element acting like elements[i] after
-    elements[j]; ``generated_from`` records which elements were the
-    closure seeds.
+    elements[j].
     """
 
     elements: list
     table: Optional[np.ndarray] = None
-    generated_from: Sequence[int] = field(default_factory=list)
 
     def __post_init__(self):
         if not self.elements:
@@ -106,8 +105,7 @@ def _action_signature(t: BallAutomorphism, probe_mats) -> Optional[np.ndarray]:
 
 
 def group_closure(generators: Sequence[BallAutomorphism],
-                  max_elements: int = MAX_ELEMENTS,
-                  group_tol: float = GROUP_TOL) -> AutomorphismGroup:
+                  max_elements: int = MAX_ELEMENTS) -> AutomorphismGroup:
     """Close a generator set under composition.
 
     Elements are deduplicated by the rho-distance of their action on a
@@ -128,11 +126,16 @@ def group_closure(generators: Sequence[BallAutomorphism],
     sigs = np.empty((0, n_probes, p, q), dtype=np.complex128)
     healthy = np.empty(0, dtype=bool)
 
-    def find(sig) -> Optional[int]:
-        if sig is None or len(elements) == 0:
-            return None
+    def probe(t: BallAutomorphism):
+        """The probe signature of t, and whether rho can compare it."""
+        sig = _action_signature(t, probe_mats)
+        if sig is None:
+            return np.zeros((n_probes, p, q), dtype=np.complex128), False
         margins = 1.0 - np.linalg.svd(sig, compute_uv=False)[:, 0]
-        if margins.min() < _PROBE_MARGIN_FLOOR:
+        return sig, bool(margins.min() >= _PROBE_MARGIN_FLOOR)
+
+    def find(sig, ok: bool) -> Optional[int]:
+        if not ok or len(elements) == 0:
             return None
         # per known element e, the worst over the probes k of
         # rho(sig[k], sigs[e, k]): one kernel call
@@ -141,35 +144,24 @@ def group_closure(generators: Sequence[BallAutomorphism],
             _rho_batch(sig, sigs.swapaxes(0, 1), saturate=True, max_axis=0),
             np.inf)
         hit = int(np.argmin(worst))
-        return hit if worst[hit] < group_tol else None
+        return hit if worst[hit] < GROUP_TOL else None
 
-    def add(t: BallAutomorphism, sig) -> int:
+    def lookup_or_add(t: BallAutomorphism):
         nonlocal sigs, healthy
+        sig, ok = probe(t)
+        idx = find(sig, ok)
+        if idx is not None:
+            return idx, False
         if len(elements) >= max_elements:
             raise ClosureExceeded(max_elements)
         elements.append(t)
-        if sig is None:
-            sig = np.zeros((n_probes, p, q), dtype=np.complex128)
-            ok = False
-        else:
-            margins = 1.0 - np.linalg.svd(sig, compute_uv=False)[:, 0]
-            ok = bool(margins.min() >= _PROBE_MARGIN_FLOOR)
         sigs = np.concatenate([sigs, sig[None]])
         healthy = np.append(healthy, ok)
-        return len(elements) - 1
-
-    def lookup_or_add(t: BallAutomorphism):
-        sig = _action_signature(t, probe_mats)
-        idx = find(sig)
-        if idx is not None:
-            return idx, False
-        return add(t, sig), True
+        return len(elements) - 1, True
 
     lookup_or_add(BallAutomorphism.identity(p, q))
-    gen_indices = []
     for g in generators:
-        idx, _ = lookup_or_add(g)
-        gen_indices.append(idx)
+        lookup_or_add(g)
         lookup_or_add(g.inverse())
 
     products = {}
@@ -204,14 +196,13 @@ def group_closure(generators: Sequence[BallAutomorphism],
             idx = products.get((i, j))
             if idx is None:
                 comp = automorphism_compose(elements[i], elements[j])
-                idx = find(_action_signature(comp, probe_mats))
+                idx = find(*probe(comp))
             if idx is None:
                 raise ArithmeticError(
                     f"closure inconsistent: product ({i}, {j}) matches no "
-                    f"element at group_tol = {group_tol!r}")
+                    f"element at GROUP_TOL = {GROUP_TOL!r}")
             table[i, j] = idx
-    return AutomorphismGroup(elements=elements, table=table,
-                             generated_from=gen_indices)
+    return AutomorphismGroup(elements=elements, table=table)
 
 
 def orbit(group: AutomorphismGroup, x0: BallPoint) -> MetricSample:
@@ -309,8 +300,7 @@ def _descent_step(lifted, u, vh, top, active, hi):
     return (t / ds[0]) * w, fun
 
 
-def chebyshev_center(sample: MetricSample, cheb_tol: float = CHEB_TOL,
-                     max_iter: int = 300):
+def chebyshev_center(sample: MetricSample, cheb_tol: float = CHEB_TOL):
     """Center and radius of the minimal enclosing rho-ball of the sample.
 
     Descends R(X) = max_i rho(X, p_i) along the minimum-norm element of the
@@ -334,7 +324,7 @@ def chebyshev_center(sample: MetricSample, cheb_tol: float = CHEB_TOL,
     x = barycenter_sequence(pts)
     r = float(distances_from(x.matrix, mats).max())
     floor = 10.0 * cheb_tol
-    for _ in range(max_iter):
+    for _ in range(CHEB_MAX_ITER):
         lifted = _lift_batch(x.matrix[None], mats[None])[0]
         u, s, vh = np.linalg.svd(lifted, full_matrices=False)
         rho = _atanh_all(s[:, 0])
@@ -359,13 +349,11 @@ def chebyshev_center(sample: MetricSample, cheb_tol: float = CHEB_TOL,
             slack = max(floor, slack / 8.0)
         x = BallPoint(mobius_matrix(x.matrix, th_map(step)), boundary_tol=0.0)
         r = min(fun, r)
-    raise MaxIterations(f"no convergence in {max_iter} center iterations")
+    raise MaxIterations(f"no convergence in {CHEB_MAX_ITER} center iterations")
 
 
 def find_fixed_point(group: AutomorphismGroup, x0: Optional[BallPoint] = None,
-                     fp_tol: float = FP_TOL, max_iter: int = MAX_ITER,
-                     mode: str = "midpoint-descent",
-                     elliptic_margin: float = ELLIPTIC_MARGIN,
+                     fp_tol: float = FP_TOL, mode: str = "midpoint-descent",
                      record_history: bool = False) -> FixedPointResult:
     """Common fixed point of an elliptic automorphism group.
 
@@ -378,10 +366,10 @@ def find_fixed_point(group: AutomorphismGroup, x0: Optional[BallPoint] = None,
         raise ValueError(f"unknown mode {mode!r}")
     if x0 is None:
         x0 = zero_point(group.dim_h, group.dim_k)
-    elliptic, sup_norm = is_elliptic(group, x0, elliptic_margin)
+    elliptic, sup_norm = is_elliptic(group, x0)
     if not elliptic:
         raise NotElliptic(f"orbit sup-norm {sup_norm!r} within "
-                          f"{elliptic_margin!r} of the boundary")
+                          f"{ELLIPTIC_MARGIN!r} of the boundary")
 
     x = barycenter_sequence(
         [BallPoint(m, boundary_tol=0.0) for m in group.apply_all(x0)])
@@ -389,7 +377,7 @@ def find_fixed_point(group: AutomorphismGroup, x0: Optional[BallPoint] = None,
     history = [f]
     iterations = 0
 
-    while f > fp_tol and iterations < max_iter:
+    while f > fp_tol and iterations < MAX_ITER:
         iterations += 1
         if mode == "chebyshev-iterate":
             cand, _ = chebyshev_center(orbit(group, x),

@@ -49,11 +49,10 @@ def _atanh(u: float) -> float:
     return math.atanh(u)
 
 
-def poincare_scalar(z1: complex, z2: complex,
-                    boundary_tol: float = BOUNDARY_TOL) -> float:
+def poincare_scalar(z1: complex, z2: complex) -> float:
     """Poincare distance on the unit disc; the 1x1 oracle for ``distance``."""
     z1, z2 = complex(z1), complex(z2)
-    if abs(z1) >= 1.0 - boundary_tol or abs(z2) >= 1.0 - boundary_tol:
+    if abs(z1) >= 1.0 - BOUNDARY_TOL or abs(z2) >= 1.0 - BOUNDARY_TOL:
         raise BoundaryProximity("disc points must stay inside the unit circle")
     return _atanh(abs((z1 - z2) / (1.0 - z1.conjugate() * z2)))
 
@@ -73,17 +72,15 @@ def distance(a: BallPoint, b: BallPoint) -> float:
     return _chart_lift(a, b)[1]
 
 
-def distances_from(base: np.ndarray, others: np.ndarray,
-                   saturate: bool = False) -> np.ndarray:
+def distances_from(base: np.ndarray, others: np.ndarray) -> np.ndarray:
     """Batched rho(base, others[i]) for a stack of matrices (n, p, q).
 
     Shares the Mobius factors of the base point across the stack; the
-    solver hot loops live on this.  With ``saturate`` a boundary-collapsed
-    pair yields ``inf`` instead of raising.
+    solver hot loops live on this.
     """
     base = np.asarray(base, dtype=np.complex128)
     others = np.asarray(others, dtype=np.complex128)
-    return _rho_batch(base[None], others[None], saturate=saturate)[0]
+    return _rho_batch(base[None], others[None])[0]
 
 
 def _lift_batch(bases: np.ndarray, others: np.ndarray) -> np.ndarray:
@@ -166,13 +163,13 @@ class GeodesicLine:
 
     __slots__ = ("base", "direction")
 
-    def __init__(self, base: BallPoint, direction, dir_tol: float = DIR_TOL):
+    def __init__(self, base: BallPoint, direction):
         d = np.asarray(direction, dtype=np.complex128)
         if d.shape != base.shape:
             raise ValueError(f"direction shape {d.shape} != base {base.shape}")
         norm = spectral_norm(d)
-        if abs(norm - 1.0) > dir_tol:
-            raise ValueError(f"direction norm {norm!r} not 1 within {dir_tol!r}")
+        if abs(norm - 1.0) > DIR_TOL:
+            raise ValueError(f"direction norm {norm!r} not 1 within {DIR_TOL!r}")
         d = d.copy()
         d.setflags(write=False)
         self.base = base
@@ -200,18 +197,16 @@ def geodesic_velocity(line: GeodesicLine, t: float) -> np.ndarray:
     return mobius_differential(line.base, BallPoint(g, boundary_tol=0.0), gdot)
 
 
-def line_through(a: BallPoint, b: BallPoint,
-                 line_tol: float = LINE_TOL) -> GeodesicLine:
+def line_through(a: BallPoint, b: BallPoint) -> GeodesicLine:
     """The unique line with gamma(0) = A and gamma(rho(A,B)) = B."""
     moved, rho = _chart_lift(a, b)
-    if rho <= line_tol:
+    if rho <= LINE_TOL:
         raise CoincidentPoints(f"points at distance {rho!r} define no line")
     direction, _ = th_inverse(BallPoint(moved, boundary_tol=0.0))
     return GeodesicLine(a, direction)
 
 
-def convex_combination(x: BallPoint, y: BallPoint, t: float,
-                       line_tol: float = LINE_TOL) -> BallPoint:
+def convex_combination(x: BallPoint, y: BallPoint, t: float) -> BallPoint:
     """z = (1-t)x (+) ty: the point of [x, y] with rho(z, x) = t rho(x, y)."""
     if not 0.0 <= t <= 1.0:
         raise ValueError(f"t must lie in [0, 1], got {t!r}")
@@ -220,7 +215,7 @@ def convex_combination(x: BallPoint, y: BallPoint, t: float,
     if t == 1.0:
         return y
     moved, rho = _chart_lift(x, y)
-    if rho <= line_tol:
+    if rho <= LINE_TOL:
         return x
     direction, _ = th_inverse(BallPoint(moved, boundary_tol=0.0))
     return geodesic_point(GeodesicLine(x, direction), t * rho)
@@ -262,7 +257,7 @@ class MetricSample:
 
     __slots__ = ("points", "pairwise")
 
-    def __init__(self, points: Sequence[BallPoint], validate: bool = True):
+    def __init__(self, points: Sequence[BallPoint]):
         points = list(points)
         if not points:
             raise ValueError("sample must contain at least one point")
@@ -272,7 +267,7 @@ class MetricSample:
         full = _rho_batch(mats, np.broadcast_to(mats, (n,) + mats.shape))
         upper = np.triu(full, 1)
         table = upper + upper.T
-        if validate and n >= 3:
+        if n >= 3:
             slack = (table[:, :, None] + table[None, :, :]).min(axis=1) - table
             worst = float(slack.min())
             if worst < -1e-9:
@@ -295,14 +290,13 @@ def diameter(sample: MetricSample):
     return float(sample.pairwise[i, j]), (min(i, j), max(i, j))
 
 
-def diametral_check(sample: MetricSample, index: int,
-                    diam_tol: float = DIAM_TOL):
+def diametral_check(sample: MetricSample, index: int):
     """Whether the point's farthest in-sample distance attains the diameter."""
     if not 0 <= index < len(sample):
         raise IndexError(f"index {index} out of range")
     radius = float(sample.pairwise[index].max())
     diam, _ = diameter(sample)
-    return radius >= diam - diam_tol, radius
+    return radius >= diam - DIAM_TOL, radius
 
 
 def barycenter_sequence(points: Sequence[BallPoint]) -> BallPoint:

@@ -59,12 +59,6 @@ def zero_point(p: int, q: int) -> BallPoint:
     return BallPoint(np.zeros((p, q)))
 
 
-def _check_margin(*points: BallPoint, boundary_tol: float = 0.0):
-    for pt in points:
-        if pt.margin < boundary_tol:
-            raise BoundaryProximity(f"margin {pt.margin!r} below {boundary_tol!r}")
-
-
 def _min_singular(a: np.ndarray) -> float:
     return float(np.linalg.svd(a, compute_uv=False)[-1])
 
@@ -93,12 +87,10 @@ def mobius_matrix(a: np.ndarray, x: np.ndarray) -> np.ndarray:
     return mobius_batch(a, x)
 
 
-def mobius_apply(a: BallPoint, x: BallPoint,
-                 boundary_tol: float = 0.0) -> BallPoint:
+def mobius_apply(a: BallPoint, x: BallPoint) -> BallPoint:
     """Evaluate M_A(X).  Both arguments must lie strictly inside the ball."""
     if a.shape != x.shape:
         raise ValueError(f"shape mismatch {a.shape} vs {x.shape}")
-    _check_margin(a, x, boundary_tol=boundary_tol)
     return BallPoint(mobius_matrix(a.matrix, x.matrix), boundary_tol=0.0)
 
 
@@ -184,23 +176,31 @@ def eta_defect(t: np.ndarray, dim_h: int, dim_k: int):
     return spectral_norm(adjoint(t) @ j @ t - j)
 
 
+def _mobius_block(a: np.ndarray) -> np.ndarray:
+    """The block of T_A before normalization:
+    [[(1-AA*)^{-1/2}, (1-AA*)^{-1/2} A], [(1-A*A)^{-1/2} A*, (1-A*A)^{-1/2}]]."""
+    left, right = defect_roots(a, -0.5, -0.5)
+    return np.block([[left, left @ a], [right @ adjoint(a), right]])
+
+
 def mobius_as_block(a: BallPoint) -> BallAutomorphism:
     """Block matrix T_A whose fractional-linear action equals M_A."""
-    am = a.matrix
-    p, q = am.shape
-    left, right = defect_roots(am, -0.5, -0.5)
-    block = np.block([[left, left @ am], [right @ adjoint(am), right]])
-    return BallAutomorphism(block, p, q)
+    return BallAutomorphism(_mobius_block(a.matrix), *a.shape)
 
 
 def frac_linear(blocks: np.ndarray, x: np.ndarray) -> np.ndarray:
     """w_T(X) = (T11 X + T12)(T21 X + T22)^{-1} without checks, for block
     matrices and points, or stacks of them, that broadcast against each
     other; the split is read from the rows of ``x``."""
-    p = x.shape[-2]
-    num = blocks[..., :p, :p] @ x + blocks[..., :p, p:]
-    den = blocks[..., p:, :p] @ x + blocks[..., p:, p:]
+    num, den = _frac_parts(blocks, x)
     return num @ np.linalg.inv(den)
+
+
+def _frac_parts(blocks: np.ndarray, x: np.ndarray):
+    """The numerator T11 X + T12 and denominator T21 X + T22 of w_T(X)."""
+    p = x.shape[-2]
+    return (blocks[..., :p, :p] @ x + blocks[..., :p, p:],
+            blocks[..., p:, :p] @ x + blocks[..., p:, p:])
 
 
 def automorphism_apply(t: BallAutomorphism, a: BallPoint) -> BallPoint:
@@ -208,11 +208,11 @@ def automorphism_apply(t: BallAutomorphism, a: BallPoint) -> BallPoint:
     if a.shape != (t.dim_h, t.dim_k):
         raise ValueError(f"point shape {a.shape} does not match split "
                          f"({t.dim_h}, {t.dim_k})")
-    _, _, t21, t22 = t.blocks()
-    sig = np.linalg.svd(t21 @ a.matrix + t22, compute_uv=False)
+    num, den = _frac_parts(t.block, a.matrix)
+    sig = np.linalg.svd(den, compute_uv=False)
     if sig[-1] < COND_TOL * max(sig[0], 1.0):
         raise SingularDenominator("T21 A + T22 singular; T not eta-preserving")
-    return BallPoint(frac_linear(t.block, a.matrix), boundary_tol=0.0)
+    return BallPoint(num @ np.linalg.inv(den), boundary_tol=0.0)
 
 
 def automorphism_compose(t1: BallAutomorphism,

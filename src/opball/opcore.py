@@ -45,35 +45,34 @@ def spectral_norm(a):
     return float(norms) if a.ndim == 2 else norms
 
 
-def hermitian_eig(s, herm_tol: float = HERM_TOL):
+def hermitian_eig(s):
     """Eigendecomposition of a Hermitian matrix.
 
     Returns ``(lam, v)`` with ``lam`` ascending and ``s = v diag(lam) v*``.
     The input is symmetrized before the solve to absorb floating-point
-    drift from products like ``A* A``; asymmetry beyond ``herm_tol``
-    raises ``NotHermitian``.
+    drift from products like ``A* A``; asymmetry beyond ``HERM_TOL``
+    (relative to ``1 + ||s||``) raises ``NotHermitian``.
     """
     s = np.asarray(s, dtype=np.complex128)
     if s.ndim != 2 or s.shape[0] != s.shape[1]:
         raise NotHermitian(f"expected a square matrix, got shape {s.shape}")
     defect = spectral_norm(s - adjoint(s))
-    if defect > herm_tol * (1.0 + spectral_norm(s)):
+    if defect > HERM_TOL * (1.0 + spectral_norm(s)):
         raise NotHermitian(f"asymmetry {defect:.3e} exceeds tolerance")
     lam, v = np.linalg.eigh((s + adjoint(s)) / 2.0)
     return lam, v
 
 
-def psd_apply(s, f: Callable[[float], float], psd_tol: float = PSD_TOL,
-              herm_tol: float = HERM_TOL) -> np.ndarray:
+def psd_apply(s, f: Callable[[float], float]) -> np.ndarray:
     """Apply a scalar function to a PSD matrix through its eigenvalues.
 
-    Tiny negative eigenvalues (within ``psd_tol``) are clamped to zero
+    Tiny negative eigenvalues (within ``PSD_TOL``) are clamped to zero
     before ``f`` is evaluated; ``f`` producing a non-finite value raises
     ``DomainError``.
     """
-    lam, v = hermitian_eig(s, herm_tol=herm_tol)
-    if lam.size and lam[0] < -psd_tol:
-        raise NotPSD(f"eigenvalue {lam[0]:.3e} below -psd_tol")
+    lam, v = hermitian_eig(s)
+    if lam.size and lam[0] < -PSD_TOL:
+        raise NotPSD(f"eigenvalue {lam[0]:.3e} below -PSD_TOL")
     clamped = np.maximum(lam, 0.0)
     with np.errstate(all="ignore"):
         try:
@@ -124,13 +123,13 @@ class PolarDecomposition:
     rank: int
 
 
-def polar_decompose(d, rank_tol: float = RANK_TOL) -> PolarDecomposition:
+def polar_decompose(d) -> PolarDecomposition:
     """Polar decomposition via SVD, with the partial isometry restricted to
-    singular values above ``rank_tol * sigma_max``."""
+    singular values above ``RANK_TOL * sigma_max``."""
     d = np.asarray(d, dtype=np.complex128)
     w, sig, vh = np.linalg.svd(d, full_matrices=False)
     smax = sig[0] if sig.size else 0.0
-    r = int(np.sum(sig > rank_tol * smax)) if smax > 0 else 0
+    r = int(np.sum(sig > RANK_TOL * smax)) if smax > 0 else 0
     isometry = w[:, :r] @ vh[:r, :]
     modulus = (adjoint(vh) * sig) @ vh
     modulus = (modulus + adjoint(modulus)) / 2.0

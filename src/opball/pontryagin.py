@@ -28,11 +28,11 @@ from .errors import (
     ShapeMismatch,
     UnknownGroup,
 )
-from .fixedpoint import FP_TOL, MAX_ITER, AutomorphismGroup, find_fixed_point
+from .fixedpoint import FP_TOL, AutomorphismGroup, find_fixed_point
 from .mobius import (
     BallAutomorphism,
     BallPoint,
-    defect_roots,
+    _mobius_block,
     eta_defect,
     eta_matrix,
 )
@@ -42,6 +42,9 @@ from .sampling import random_eta_preserving, random_unitary, rng_from
 REP_TOL = 1e-8
 UNIT_TOL = 1e-7
 SPLIT_TOL = 1e-10
+# invariance quality of a dual pair tracks the fixed-point residual, so
+# dual_pair solves tighter than the unitarization default
+DUAL_FP_TOL = 1e-11
 
 
 @dataclass(frozen=True)
@@ -131,28 +134,26 @@ def negativeness_degree(sig: PontryaginSignature, a: BallPoint) -> float:
     return (1.0 - beta_sq) / (1.0 + beta_sq)
 
 
-def induced_automorphism(sig: PontryaginSignature, t,
-                         rep_tol: float = REP_TOL) -> BallAutomorphism:
+def induced_automorphism(sig: PontryaginSignature, t) -> BallAutomorphism:
     """Wrap an eta-preserving matrix as the ball automorphism w_T."""
-    ok, defect = is_J_unitary(sig, t, tol=rep_tol)
+    ok, defect = is_J_unitary(sig, t)
     if not ok:
-        raise NotEtaPreserving(f"||T*JT - J|| = {defect:.3e} > {rep_tol!r}")
+        raise NotEtaPreserving(f"||T*JT - J|| = {defect:.3e} > {REP_TOL!r}")
     return BallAutomorphism(t, sig.n_plus, sig.n_minus,
-                            aut_tol=max(rep_tol, 10 * defect))
+                            aut_tol=max(REP_TOL, 10 * defect))
 
 
 def unitarizer_matrix(sig: PontryaginSignature, d: BallPoint) -> np.ndarray:
-    """The eta-preserving U mapping L(D) onto the K component:
+    """The eta-preserving U mapping L(D) onto the K component: the block
+    T_{-D} of the Mobius transform M_{-D}, without its normalization,
 
-    U = [[ (1-DD*)^{-1/2},      -D (1-D*D)^{-1/2} ],
-         [ -D* (1-DD*)^{-1/2},   (1-D*D)^{-1/2}   ]]
+    U = [[ (1-DD*)^{-1/2},      -(1-DD*)^{-1/2} D ],
+         [ -(1-D*D)^{-1/2} D*,   (1-D*D)^{-1/2}   ]]
     """
     if d.shape != (sig.n_plus, sig.n_minus):
         raise ShapeMismatch(f"point shape {d.shape} != "
                             f"{(sig.n_plus, sig.n_minus)}")
-    dm = d.matrix
-    left, right = defect_roots(dm, -0.5, -0.5)
-    return np.block([[left, -dm @ right], [-adjoint(dm) @ left, right]])
+    return _mobius_block(-d.matrix)
 
 
 # --- finite groups and their representations --------------------------------
@@ -296,13 +297,13 @@ def _assemble_block(classes, dim: int, allowed, rng) -> Optional[list]:
 
 
 def _check_homomorphism(table: np.ndarray, stack: np.ndarray,
-                        norms: np.ndarray, rep_tol: float):
+                        norms: np.ndarray):
     """The homomorphism check of ``Representation``, given the norms of the
     images; a failure names the pair furthest over its tolerance."""
     worst = None
     for g in range(len(table)):
         diff = stack[table[g]] - stack[g] @ stack
-        allowed = rep_tol * np.maximum(1.0, norms[g] * norms)
+        allowed = REP_TOL * np.maximum(1.0, norms[g] * norms)
         # rounding in either norm cannot carry a difference across the
         # factor 2, so the screen never decides a pair the SVD would not
         frobenius = np.linalg.norm(diff, axis=(-2, -1))
@@ -324,13 +325,13 @@ class Representation:
     matrix per element.
 
     The constructor checks that the identity maps to the identity matrix
-    (to ``rep_tol``, absolute) and that pi is a homomorphism:
-    ``||pi(gh) - pi(g) pi(h)|| <= rep_tol * max(1, ||pi(g)|| ||pi(h)||)``
+    (to ``REP_TOL``, absolute) and that pi is a homomorphism:
+    ``||pi(gh) - pi(g) pi(h)|| <= REP_TOL * max(1, ||pi(g)|| ||pi(h)||)``
     for every pair, since forming pi(g) pi(h) in floating point already
     costs about eps ||pi(g)|| ||pi(h)||.  It records ``bound``, the largest
     ||pi(g)||, and ``eta_defect``, the largest ||pi(g)* J pi(g) - J||, each
     from one stacked SVD over the images; eta preservation is checked by
-    whoever needs it (``eta_preserving``, ``unitarize``).
+    whoever needs it (``unitarize``).
 
     The homomorphism check takes one row of the table at a time: one
     stacked product ``pi(table[g]) - pi(g) pi`` per row, screened by
@@ -342,8 +343,7 @@ class Representation:
     __slots__ = ("signature", "table", "images", "bound", "eta_defect",
                  "identity_index")
 
-    def __init__(self, signature: PontryaginSignature, table, images,
-                 rep_tol: float = REP_TOL):
+    def __init__(self, signature: PontryaginSignature, table, images):
         table = np.asarray(table, dtype=int)
         ident = _validate_table(table)
         images = [as_matrix(m, name=f"image {k}") for k, m in enumerate(images)]
@@ -354,11 +354,11 @@ class Representation:
         for m in images:
             if m.shape != (dim, dim):
                 raise ShapeMismatch(f"image shape {m.shape} != {(dim, dim)}")
-        if spectral_norm(images[ident] - np.eye(dim)) > rep_tol:
+        if spectral_norm(images[ident] - np.eye(dim)) > REP_TOL:
             raise ValueError("identity element must map to the identity matrix")
         stack = np.stack(images)
         norms = spectral_norm(stack)
-        _check_homomorphism(table, stack, norms, rep_tol)
+        _check_homomorphism(table, stack, norms)
         self.eta_defect = float(
             eta_defect(stack, signature.n_plus, signature.n_minus).max())
         self.signature = signature
@@ -370,9 +370,6 @@ class Representation:
     @property
     def group_order(self) -> int:
         return len(self.images)
-
-    def eta_preserving(self, rep_tol: float = REP_TOL) -> bool:
-        return self.eta_defect <= rep_tol
 
     def __repr__(self):
         return (f"Representation(order={self.group_order}, "
@@ -434,8 +431,6 @@ class UnitarizationResult(NamedTuple):
 
 
 def unitarize(rep: Representation, fp_tol: float = FP_TOL,
-              unit_tol: float = UNIT_TOL, rep_tol: float = REP_TOL,
-              max_iter: int = MAX_ITER,
               mode: str = "midpoint-descent") -> UnitarizationResult:
     """Similarity onto a unitary representation.
 
@@ -444,15 +439,14 @@ def unitarize(rep: Representation, fp_tol: float = FP_TOL,
     tau preserves eta and leaves the K component invariant, hence is
     unitary.
     """
-    if rep.eta_defect > rep_tol:
+    if rep.eta_defect > REP_TOL:
         raise NotEtaPreserving(
-            f"representation eta-defect {rep.eta_defect:.3e} > {rep_tol!r}")
+            f"representation eta-defect {rep.eta_defect:.3e} > {REP_TOL!r}")
     sig = rep.signature
-    autos = [induced_automorphism(sig, m, rep_tol=rep_tol) for m in rep.images]
+    autos = [induced_automorphism(sig, m) for m in rep.images]
     group = AutomorphismGroup(elements=autos, table=rep.table)
     try:
-        result = find_fixed_point(group, fp_tol=fp_tol, max_iter=max_iter,
-                                  mode=mode)
+        result = find_fixed_point(group, fp_tol=fp_tol, mode=mode)
     except NotElliptic as exc:
         raise FixedPointFailed(str(exc)) from exc
     if not result.converged:
@@ -462,10 +456,10 @@ def unitarize(rep: Representation, fp_tol: float = FP_TOL,
     u = unitarizer_matrix(sig, d)
     u_inv = np.linalg.inv(u)
     tau = u @ np.stack(rep.images) @ u_inv
-    unitary_rep = Representation(sig, rep.table, tau, rep_tol=rep_tol)
+    unitary_rep = Representation(sig, rep.table, tau)
     defect = max_unitarity_defect(tau)
-    if defect > unit_tol:
-        raise FixedPointFailed(f"unitarity defect {defect:.3e} > {unit_tol!r}")
+    if defect > UNIT_TOL:
+        raise FixedPointFailed(f"unitarity defect {defect:.3e} > {UNIT_TOL!r}")
     return UnitarizationResult(similarity=u, unitary_rep=unitary_rep,
                                fixed_point=d)
 
@@ -493,8 +487,7 @@ def _orthonormal_columns(b: np.ndarray) -> np.ndarray:
     return qmat
 
 
-def dual_pair(rep: Representation, split_tol: float = SPLIT_TOL,
-              **unitarize_kwargs) -> DualPair:
+def dual_pair(rep: Representation) -> DualPair:
     """Invariant dual pair for a bounded group of J-unitary matrices.
 
     With T = U^{-1} (the similarity onto the unitary representation), the
@@ -502,15 +495,12 @@ def dual_pair(rep: Representation, split_tol: float = SPLIT_TOL,
     positive and negative spectral subspaces push forward through T to the
     invariant pair.
     """
-    # invariance quality of the pair tracks the fixed-point residual, so
-    # solve tighter than the unitarization default unless told otherwise
-    unitarize_kwargs.setdefault("fp_tol", 1e-11)
-    res = unitarize(rep, **unitarize_kwargs)
+    res = unitarize(rep, fp_tol=DUAL_FP_TOL)
     sig = rep.signature
     t = np.linalg.inv(res.similarity)
     r = adjoint(t) @ sig.j @ t
     lam, vecs = hermitian_eig(r)
-    if np.any(np.abs(lam) < split_tol):
+    if np.any(np.abs(lam) < SPLIT_TOL):
         raise DegenerateSplit(
             f"eigenvalue {lam[np.abs(lam).argmin()]!r} too close to 0")
     neg = vecs[:, lam < 0.0]

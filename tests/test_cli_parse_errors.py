@@ -1,5 +1,5 @@
-"""A malformed representation directory is a ParseError document with exit
-code 1, not a traceback."""
+"""A malformed representation directory or signature is a ParseError
+document with exit code 1, not a traceback."""
 
 import json
 
@@ -75,3 +75,20 @@ def test_seed_that_is_not_an_integer(tmp_path, capsys, monkeypatch, argv):
     if argv[0] == "gen":
         argv = argv + ["--out", str(tmp_path / "rep")]
     assert_parse_error(capsys, argv, "OPBALL_SEED")
+
+
+@pytest.mark.parametrize("argv, fragment", [
+    (["gen", "--group", "C2", "--sig", "0,1"], "--sig"),
+    (["unitarize", "--sig", "1,0"], "--sig"),
+    (["dualpair"], "sig.json"),
+], ids=["gen-sig-0,1", "unitarize-sig-1,0", "sig.json-n_plus-0"])
+def test_signature_with_a_zero_dimension(repdir, tmp_path, capsys, argv,
+                                         fragment):
+    (repdir / "sig.json").write_text(json.dumps({"n_plus": 0, "n_minus": 1}))
+    if argv[0] == "gen":
+        argv = argv + ["--out", str(tmp_path / "out")]
+    else:
+        argv = argv + ["--rep", str(repdir)]
+    assert_parse_error(capsys, argv, fragment)
+    assert_parse_error(capsys, argv, "positive dimension")
+    assert not (tmp_path / "out").exists()

@@ -121,6 +121,34 @@ def test_closure_order_and_table_are_pinned(name, gens, sig, rows):
     assert ["".join(map(str, row)) for row in group.table.tolist()] == rows
 
 
+def test_closure_takes_one_margin_svd_per_probe_signature(monkeypatch):
+    import opball.fixedpoint as fixedpoint
+
+    signatures, margin_svds = [], []
+    action_signature, svd = fixedpoint._action_signature, np.linalg.svd
+
+    def counted_signature(t, probes):
+        signatures.append(1)
+        return action_signature(t, probes)
+
+    def counted_svd(a, *args, **kwargs):
+        # the probe stack's margins are the only 3-D SVD of the closure;
+        # its rho comparisons decompose 4-D stacks
+        if np.ndim(a) == 3:
+            margin_svds.append(1)
+        return svd(a, *args, **kwargs)
+
+    rep = make_test_representation("S3", PontryaginSignature(4, 2), 10.0,
+                                   seed=3)
+    gens = [BallAutomorphism(rep.images[i], 4, 2) for i in (1, 2)]
+    monkeypatch.setattr(fixedpoint, "_action_signature", counted_signature)
+    monkeypatch.setattr(np.linalg, "svd", counted_svd)
+    group = group_closure(gens)
+    monkeypatch.undo()
+    assert len(group) == 6
+    assert len(margin_svds) == len(signatures) > 6
+
+
 # --- orbits and ellipticity ----------------------------------------------------
 
 

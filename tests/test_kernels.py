@@ -2,6 +2,8 @@
 fractional-linear action and the eta defect, against the functions they
 replaced and against their defining formulas."""
 
+import itertools
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -11,15 +13,18 @@ from opball.fixedpoint import _action_signature
 from opball.hyperbolic import MetricSample, convex_combination, distance
 from opball.mobius import (
     BallAutomorphism,
+    BallPoint,
     automorphism_apply,
     defect_roots,
     eta_defect,
     eta_matrix,
     frac_linear,
+    mobius_as_block,
     mobius_batch,
     mobius_matrix,
 )
-from opball.opcore import adjoint, inv_sqrtm_psd, sqrtm_psd
+from opball.opcore import adjoint, inv_sqrtm_psd, spectral_norm, sqrtm_psd
+from opball.pontryagin import PontryaginSignature, unitarizer_matrix
 from opball.sampling import random_ball_point, random_eta_preserving, rng_from
 
 SHAPES = [(1, 1), (2, 1), (1, 3), (3, 2), (4, 4)]
@@ -142,3 +147,16 @@ def test_metric_sample_table_matches_pairwise_distance():
         for j in range(i + 1, 7):
             assert table[i, j] == pytest.approx(
                 distance(points[i], points[j]), rel=1e-12)
+
+
+def test_unitarizer_is_the_mobius_block_of_minus_d():
+    # equal up to rounding and the positive scalar BallAutomorphism divides by
+    rng = rng_from(19)
+    for (p, q), margin in itertools.product(
+            itertools.product(range(1, 9), repeat=2),
+            (0.5, 1e-2, 1e-3, 1e-4, 1e-5)):
+        d = random_ball_point(rng, p, q, 1.0 - margin, 1.0 - margin)
+        u = unitarizer_matrix(PontryaginSignature(p, q), d)
+        block = mobius_as_block(BallPoint(-d.matrix)).block
+        assert spectral_norm(u - block) <= 1e-11 * spectral_norm(block), \
+            (p, q, margin)
