@@ -29,7 +29,6 @@ from .errors import (
 from .hyperbolic import (
     MetricSample,
     _atanh_all,
-    _lift_batch,
     _rho_batch,
     barycenter_sequence,
     convex_combination,
@@ -44,6 +43,7 @@ from .mobius import (
     automorphism_compose,
     frac_linear,
     mobius_as_block,
+    mobius_batch,
     mobius_matrix,
     zero_point,
 )
@@ -189,19 +189,9 @@ def group_closure(generators: Sequence[BallAutomorphism],
             products[(i, j)] = idx
         frontier = fresh
 
+    # each element met every other in the frontier round of the later one
     n = len(elements)
-    table = np.zeros((n, n), dtype=int)
-    for i in range(n):
-        for j in range(n):
-            idx = products.get((i, j))
-            if idx is None:
-                comp = automorphism_compose(elements[i], elements[j])
-                idx = find(*probe(comp))
-            if idx is None:
-                raise ArithmeticError(
-                    f"closure inconsistent: product ({i}, {j}) matches no "
-                    f"element at GROUP_TOL = {GROUP_TOL!r}")
-            table[i, j] = idx
+    table = np.array([[products[i, j] for j in range(n)] for i in range(n)])
     return AutomorphismGroup(elements=elements, table=table)
 
 
@@ -231,7 +221,7 @@ class FixedPointResult:
     displacement: float
     iterations: int
     converged: bool
-    history: Optional[list] = None
+    history: list
 
 
 def _min_norm_combination(grads):
@@ -325,7 +315,7 @@ def chebyshev_center(sample: MetricSample, cheb_tol: float = CHEB_TOL):
     r = float(distances_from(x.matrix, mats).max())
     floor = 10.0 * cheb_tol
     for _ in range(CHEB_MAX_ITER):
-        lifted = _lift_batch(x.matrix[None], mats[None])[0]
+        lifted = mobius_batch(-x.matrix[None], mats)
         u, s, vh = np.linalg.svd(lifted, full_matrices=False)
         rho = _atanh_all(s[:, 0])
         big = rho.max()
@@ -353,14 +343,16 @@ def chebyshev_center(sample: MetricSample, cheb_tol: float = CHEB_TOL):
 
 
 def find_fixed_point(group: AutomorphismGroup, x0: Optional[BallPoint] = None,
-                     fp_tol: float = FP_TOL, mode: str = "midpoint-descent",
-                     record_history: bool = False) -> FixedPointResult:
+                     fp_tol: float = FP_TOL,
+                     mode: str = "midpoint-descent") -> FixedPointResult:
     """Common fixed point of an elliptic automorphism group.
 
     Starts from the running barycenter of the orbit of ``x0`` (default 0)
     and descends the displacement.  ``mode`` selects midpoint descent with
     backtracking or Chebyshev-center iteration.  Which point of a
     non-trivial fixed-point set is returned is implementation-defined.
+    ``history`` holds the displacement at the start and after each
+    iteration.
     """
     if mode not in ("midpoint-descent", "chebyshev-iterate"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -405,8 +397,7 @@ def find_fixed_point(group: AutomorphismGroup, x0: Optional[BallPoint] = None,
         history.append(f)
 
     return FixedPointResult(point=x, displacement=f, iterations=iterations,
-                            converged=f <= fp_tol,
-                            history=history if record_history else None)
+                            converged=f <= fp_tol, history=history)
 
 
 class EquicontinuityWitness(NamedTuple):

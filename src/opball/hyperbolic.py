@@ -83,19 +83,15 @@ def distances_from(base: np.ndarray, others: np.ndarray) -> np.ndarray:
     return _rho_batch(base[None], others[None])[0]
 
 
-def _lift_batch(bases: np.ndarray, others: np.ndarray) -> np.ndarray:
-    """Batched M_{-B_k}(O_ki) for bases (m, p, q) and others (m, n, p, q).
-
-    Moves each ``others[k]`` stack into the chart centred at ``bases[k]``:
-    one stacked ``eigh`` per defect operator, one stacked solve.
-    """
-    return mobius_batch(-bases[:, None], others)
-
-
 def _atanh_all(norms: np.ndarray, saturate: bool = False) -> np.ndarray:
     """``_atanh`` over an array; ``inf`` at norms >= 1 with ``saturate``."""
-    return np.array([np.inf if saturate and u >= 1.0 else _atanh(u)
-                     for u in norms.ravel().tolist()]).reshape(norms.shape)
+    hit = norms >= 1.0
+    if not saturate and hit.any():
+        raise BoundaryProximity(
+            f"atanh argument {float(norms[hit][0])!r} reached 1")
+    with np.errstate(divide="ignore", invalid="ignore"):
+        rho = np.where(norms < 1e-8, norms + norms ** 3 / 3.0, np.arctanh(norms))
+    return np.where(hit, np.inf, rho)
 
 
 def _rho_batch(bases: np.ndarray, others: np.ndarray, saturate: bool = False,
@@ -104,7 +100,8 @@ def _rho_batch(bases: np.ndarray, others: np.ndarray, saturate: bool = False,
     of the lifted stack.  With ``saturate`` a boundary-collapsed pair yields
     ``inf`` instead of raising ``BoundaryProximity``.  ``max_axis`` reduces
     by the maximum over that axis before ``atanh``, which is increasing."""
-    norms = np.linalg.svd(_lift_batch(bases, others), compute_uv=False)[..., 0]
+    lifted = mobius_batch(-bases[:, None], others)
+    norms = np.linalg.svd(lifted, compute_uv=False)[..., 0]
     if max_axis is not None:
         norms = norms.max(axis=max_axis)
     return _atanh_all(norms, saturate)

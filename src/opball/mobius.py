@@ -18,11 +18,12 @@ import numpy as np
 
 from .errors import (
     BoundaryProximity,
+    DomainError,
     NotEtaPreserving,
     SingularDenominator,
     SingularResolvent,
 )
-from .opcore import adjoint, as_matrix, inv_sqrtm_psd, spectral_norm, sqrtm_psd
+from .opcore import adjoint, as_matrix, spectral_norm
 
 BOUNDARY_TOL = 1e-8
 AUT_TOL = 1e-8
@@ -65,11 +66,20 @@ def _min_singular(a: np.ndarray) -> float:
 
 def defect_roots(a: np.ndarray, left: float, right: float):
     """The defect roots ``((1 - A A*)^left, (1 - A* A)^right)`` of a matrix,
-    or of each matrix in a stack; the exponents are 1/2 or -1/2."""
+    or of each matrix in a stack, from one SVD ``A = W S V*``:
+    ``(1 - A A*)^e = I + W (g^e - 1) W*`` and ``(1 - A* A)^e = I + V (g^e - 1) V*``
+    with ``g = (1 - s)(1 + s)``, which keeps its relative accuracy as s
+    nears 1.  The exponents are 1/2 or -1/2; ``g`` is clamped at 0, where a
+    negative exponent raises ``DomainError`` (a boundary breach)."""
+    w, s, vh = np.linalg.svd(a, full_matrices=False)
+    g = np.maximum((1.0 - s) * (1.0 + s), 0.0)[..., None, :]
+    with np.errstate(divide="ignore"):
+        gl, gr = g ** left - 1.0, g ** right - 1.0
+    if not (np.all(np.isfinite(gl)) and np.all(np.isfinite(gr))):
+        raise DomainError("matrix function undefined at an eigenvalue near 0")
     p, q = a.shape[-2:]
-    root = {0.5: sqrtm_psd, -0.5: inv_sqrtm_psd}
-    return (root[left](np.eye(p) - a @ adjoint(a)),
-            root[right](np.eye(q) - adjoint(a) @ a))
+    return (np.eye(p) + (w * gl) @ adjoint(w),
+            np.eye(q) + (adjoint(vh) * gr) @ vh)
 
 
 def mobius_batch(a: np.ndarray, x: np.ndarray) -> np.ndarray:

@@ -1,9 +1,10 @@
 """Dense complex matrix arithmetic and the Hermitian functional calculus.
 
-Everything downstream (Mobius maps, the hyperbolic metric, unitarization)
-is built from the four operations here: spectral norm, Hermitian
-eigendecomposition, scalar functions of PSD matrices, and the polar
-decomposition.  All functions are pure and operate on immutable inputs.
+The checked building blocks: input coercion, the adjoint, the spectral
+norm, Hermitian eigendecomposition, scalar functions of PSD matrices
+(``psd_apply``) and the polar decomposition.  The defect roots of a ball
+point are not taken here but from its SVD (``mobius.defect_roots``).  All
+functions are pure and operate on immutable inputs.
 """
 
 from __future__ import annotations
@@ -86,31 +87,6 @@ def psd_apply(s, f: Callable[[float], float]) -> np.ndarray:
         raise DomainError(f"function undefined at eigenvalue {bad!r}")
     out = (v * vals) @ adjoint(v)
     return (out + adjoint(out)) / 2.0
-
-
-def _psd_apply_fast(s: np.ndarray, fvec) -> np.ndarray:
-    """Internal hot path: symmetrize and apply a vectorized scalar function,
-    skipping the hermiticity-defect check (callers construct Hermitian
-    inputs such as 1 - A A* directly).  ``s`` may be a stack of matrices;
-    the stack takes one batched ``eigh``."""
-    lam, v = np.linalg.eigh((s + adjoint(s)) / 2.0)
-    vals = fvec(np.maximum(lam, 0.0))
-    if not np.all(np.isfinite(vals)):
-        raise DomainError("matrix function undefined at an eigenvalue near 0")
-    if v.ndim > 2:
-        vals = vals[..., None, :]
-    return (v * vals) @ adjoint(v)
-
-
-def sqrtm_psd(s) -> np.ndarray:
-    return _psd_apply_fast(np.asarray(s, dtype=np.complex128), np.sqrt)
-
-
-def inv_sqrtm_psd(s) -> np.ndarray:
-    # 1/sqrt blows up at 0; DomainError there signals a boundary breach.
-    with np.errstate(all="ignore"):
-        return _psd_apply_fast(np.asarray(s, dtype=np.complex128),
-                               lambda t: t ** -0.5)
 
 
 @dataclass(frozen=True)

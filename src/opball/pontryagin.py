@@ -41,7 +41,6 @@ from .sampling import random_eta_preserving, random_unitary, rng_from
 
 REP_TOL = 1e-8
 UNIT_TOL = 1e-7
-SPLIT_TOL = 1e-10
 # invariance quality of a dual pair tracks the fixed-point residual, so
 # dual_pair solves tighter than the unitarization default
 DUAL_FP_TOL = 1e-11
@@ -490,26 +489,16 @@ def _orthonormal_columns(b: np.ndarray) -> np.ndarray:
 def dual_pair(rep: Representation) -> DualPair:
     """Invariant dual pair for a bounded group of J-unitary matrices.
 
-    With T = U^{-1} (the similarity onto the unitary representation), the
-    invertible Hermitian R = T*JT commutes with the unitarized group; its
-    positive and negative spectral subspaces push forward through T to the
-    invariant pair.
+    The unitarized group tau(g) = U pi(g) U^{-1} is unitary and J-unitary,
+    so it leaves H and K invariant; T = U^{-1} pushes them forward to the
+    invariant pair, spanned by the first n_plus and the last n_minus
+    columns of T.
     """
     res = unitarize(rep, fp_tol=DUAL_FP_TOL)
     sig = rep.signature
     t = np.linalg.inv(res.similarity)
-    r = adjoint(t) @ sig.j @ t
-    lam, vecs = hermitian_eig(r)
-    if np.any(np.abs(lam) < SPLIT_TOL):
-        raise DegenerateSplit(
-            f"eigenvalue {lam[np.abs(lam).argmin()]!r} too close to 0")
-    neg = vecs[:, lam < 0.0]
-    pos = vecs[:, lam > 0.0]
-    if neg.shape[1] != sig.n_minus:
-        raise DegenerateSplit(
-            f"negative spectral dimension {neg.shape[1]} != {sig.n_minus}")
-    positive = _orthonormal_columns(t @ pos)
-    negative = _orthonormal_columns(t @ neg)
+    positive = _orthonormal_columns(t[:, :sig.n_plus])
+    negative = _orthonormal_columns(t[:, sig.n_plus:])
     for basis, sign, label in ((positive, 1.0, "positive"),
                                (negative, -1.0, "negative")):
         gram = adjoint(basis) @ sig.j @ basis

@@ -19,7 +19,6 @@ from opball.fixedpoint import (
 )
 from opball.hyperbolic import (
     MetricSample,
-    _lift_batch,
     convex_combination,
     distance,
     poincare_scalar,
@@ -31,6 +30,7 @@ from opball.mobius import (
     automorphism_apply,
     automorphism_compose,
     mobius_as_block,
+    mobius_batch,
     mobius_matrix,
     zero_point,
 )
@@ -299,7 +299,7 @@ def test_line_radius_matches_mobius_evaluation():
     x = random_ball_point(rng, 2, 2, 0.6)
     d = complex_gaussian(rng, 2, 2)
     d = d / spectral_norm(d)
-    lifted = _lift_batch(x.matrix[None], mats[None])[0]
+    lifted = mobius_batch(-x.matrix[None], mats)
     ts = np.linspace(0.0, 2.0, 9)
     got = _line_radius(lifted, np.linalg.svd(d, full_matrices=False), ts)
     for t, value in zip(ts, got):
@@ -314,7 +314,7 @@ def test_grid_line_search_matches_brute_force():
     # radius is smallest at the origin, t = atanh(0.3), with value atanh(0.5)
     pts = np.array([[[0.5]], [[-0.5]], [[0.5j]]])
     x = np.array([[0.3]], dtype=np.complex128)
-    lifted = _lift_batch(x[None], pts[None])[0]
+    lifted = mobius_batch(-x[None], pts)
     svd = np.linalg.svd(np.array([[-1.0 + 0j]]), full_matrices=False)
     t, value = _grid_line_search(lambda ts: _line_radius(lifted, svd, ts), 1.0)
     assert t == pytest.approx(math.atanh(0.3), abs=1e-10)
@@ -324,7 +324,7 @@ def test_grid_line_search_matches_brute_force():
     mats = np.stack([random_ball_point(rng, 2, 2, 0.8).matrix for _ in range(3)])
     x = random_ball_point(rng, 2, 2, 0.5).matrix
     d = complex_gaussian(rng, 2, 2)
-    lifted = _lift_batch(x[None], mats[None])[0]
+    lifted = mobius_batch(-x[None], mats)
     svd = np.linalg.svd(d / spectral_norm(d), full_matrices=False)
     t, value = _grid_line_search(lambda ts: _line_radius(lifted, svd, ts), 3.0)
     grid = np.linspace(0.0, 3.0, 20001)
@@ -390,7 +390,7 @@ def test_solver_descent_is_monotone():
     sig = PontryaginSignature(4, 2)
     autos = [induced_automorphism(sig, m) for m in rep.images]
     group = AutomorphismGroup(elements=autos, table=rep.table)
-    result = find_fixed_point(group, record_history=True)
+    result = find_fixed_point(group)
     assert result.converged
     hist = np.array(result.history)
     assert np.all(np.diff(hist) <= 1e-15)

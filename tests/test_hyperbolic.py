@@ -16,6 +16,8 @@ from opball.errors import (
 )
 from opball.hyperbolic import (
     GeodesicLine,
+    _atanh,
+    _atanh_all,
     _rho_batch,
     MetricSample,
     alpha_metric,
@@ -39,7 +41,7 @@ from opball.mobius import (
     automorphism_apply,
     zero_point,
 )
-from opball.opcore import adjoint, inv_sqrtm_psd, spectral_norm
+from opball.opcore import adjoint, psd_apply, spectral_norm
 from opball.sampling import (
     complex_gaussian,
     random_ball_point,
@@ -125,6 +127,20 @@ def test_rho_batch_saturates_on_the_boundary():
                                                BallPoint([[0.2]])), rel=1e-12)
     with pytest.raises(BoundaryProximity):
         _rho_batch(bases, others)
+
+
+def test_atanh_all_matches_the_scalar_loop():
+    # numpy's arctanh and math.atanh may differ in the last bit
+    norms = np.concatenate([[0.0, 1e-12, 5e-9, 2e-8, 0.3, 0.5],
+                            1.0 - np.geomspace(1e-1, 1e-15, 8)]).reshape(2, 7)
+    want = np.array([_atanh(u) for u in norms.ravel()]).reshape(norms.shape)
+    assert_allclose(_atanh_all(norms), want, rtol=4 * np.finfo(float).eps,
+                    atol=0)
+    past = np.array([0.3, 1.0, 1.5])
+    assert _atanh_all(past, saturate=True).tolist() == [
+        pytest.approx(math.atanh(0.3), rel=1e-15), math.inf, math.inf]
+    with pytest.raises(BoundaryProximity, match="1.0"):
+        _atanh_all(past)
 
 
 # --- Th and its inverse --------------------------------------------------------
@@ -358,8 +374,8 @@ def test_met_lemma_identity():
     for _ in range(10):
         d = random_direction(rng, 3, 3)
         g = th_map(float(rng.uniform(-2, 2)) * d)
-        left = inv_sqrtm_psd(np.eye(3) - g @ adjoint(g))
-        right = inv_sqrtm_psd(np.eye(3) - adjoint(g) @ g)
+        left = psd_apply(np.eye(3) - g @ adjoint(g), lambda t: t ** -0.5)
+        right = psd_apply(np.eye(3) - adjoint(g) @ g, lambda t: t ** -0.5)
         assert spectral_norm(
             left @ (d - g @ adjoint(d) @ g) @ right - d) < 1e-8
 
@@ -369,8 +385,8 @@ def test_key_inequality():
     for _ in range(50):
         a = random_ball_point(rng, 4, 2, 0.95).matrix
         b = random_ball_point(rng, 4, 2, 0.95).matrix
-        left = inv_sqrtm_psd(np.eye(4) - b @ adjoint(b))
-        right = inv_sqrtm_psd(np.eye(2) - adjoint(b) @ b)
+        left = psd_apply(np.eye(4) - b @ adjoint(b), lambda t: t ** -0.5)
+        right = psd_apply(np.eye(2) - adjoint(b) @ b, lambda t: t ** -0.5)
         rhs = spectral_norm(left @ (a - b @ adjoint(a) @ b) @ right)
         assert spectral_norm(a) <= rhs + 1e-9
 

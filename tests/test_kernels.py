@@ -9,6 +9,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 import opball.hyperbolic as hyperbolic
+from opball.errors import DomainError
 from opball.fixedpoint import _action_signature
 from opball.hyperbolic import MetricSample, convex_combination, distance
 from opball.mobius import (
@@ -23,18 +24,26 @@ from opball.mobius import (
     mobius_batch,
     mobius_matrix,
 )
-from opball.opcore import adjoint, inv_sqrtm_psd, spectral_norm, sqrtm_psd
+from opball.opcore import adjoint, psd_apply, spectral_norm
 from opball.pontryagin import PontryaginSignature, unitarizer_matrix
 from opball.sampling import random_ball_point, random_eta_preserving, rng_from
 
 SHAPES = [(1, 1), (2, 1), (1, 3), (3, 2), (4, 4)]
 
 
+def sqrtm(s):
+    return psd_apply(s, np.sqrt)
+
+
+def inv_sqrtm(s):
+    return psd_apply(s, lambda t: t ** -0.5)
+
+
 @pytest.mark.parametrize("p, q", SHAPES)
 def test_defect_roots_match_psd_functions(p, q):
     rng = rng_from(11)
     a = random_ball_point(rng, p, q, 0.95).matrix
-    roots = {0.5: sqrtm_psd, -0.5: inv_sqrtm_psd}
+    roots = {0.5: sqrtm, -0.5: inv_sqrtm}
     for left in (0.5, -0.5):
         for right in (0.5, -0.5):
             got_l, got_r = defect_roots(a, left, right)
@@ -52,10 +61,23 @@ def test_defect_roots_on_a_stack(p, q):
     left, right = defect_roots(stack, -0.5, 0.5)
     assert left.shape == (5, p, p) and right.shape == (5, q, q)
     for k, a in enumerate(stack):
-        assert_allclose(left[k], inv_sqrtm_psd(np.eye(p) - a @ adjoint(a)),
+        assert_allclose(left[k], inv_sqrtm(np.eye(p) - a @ adjoint(a)),
                         rtol=0, atol=1e-13)
-        assert_allclose(right[k], sqrtm_psd(np.eye(q) - adjoint(a) @ a),
+        assert_allclose(right[k], sqrtm(np.eye(q) - adjoint(a) @ a),
                         rtol=0, atol=1e-13)
+
+
+def test_defect_roots_on_the_boundary():
+    # a singular value 1: the square roots clamp to 0, the inverse raises
+    a = np.array([[1.0, 0.0], [0.0, 0.5]], dtype=np.complex128)
+    left, right = defect_roots(a, 0.5, 0.5)
+    assert_allclose(left, np.diag([0.0, np.sqrt(0.75)]), rtol=0, atol=1e-15)
+    assert_allclose(right, left, rtol=0, atol=1e-15)
+    for exponents in ((-0.5, 0.5), (0.5, -0.5)):
+        with pytest.raises(DomainError):
+            defect_roots(a, *exponents)
+        with pytest.raises(DomainError):
+            defect_roots(np.stack([0.5 * a, a]), *exponents)
 
 
 def test_mobius_batch_broadcasts_like_mobius_matrix():

@@ -362,3 +362,17 @@ def test_degree_transport_bound():
         lhs = negativeness_degree(sig, automorphism_apply(t, a))
         rhs = negativeness_degree(sig, a) * spectral_norm(tmat) ** -2
         assert lhs >= rhs - 1e-9
+
+
+@pytest.mark.parametrize("group, n_plus, n_minus", [
+    ("C4", 2, 1), ("S3", 4, 2), ("Q8", 5, 2), ("C12", 6, 3)])
+def test_dual_pair_bases_are_stable_under_rounding(group, n_plus, n_minus):
+    # a relative rescale of 2e-15 moves the similarity by rounding only,
+    # so the bases may move by no more than rounding amplified by cond
+    sig = PontryaginSignature(n_plus, n_minus)
+    rep = make_test_representation(group, sig, conditioning=10.0, seed=0)
+    moved = Representation(sig, rep.table,
+                           [m * (1.0 + 2e-15) for m in rep.images])
+    base, other = dual_pair(rep), dual_pair(moved)
+    assert spectral_norm(base.positive_basis - other.positive_basis) < 1e-8
+    assert spectral_norm(base.negative_basis - other.negative_basis) < 1e-8
