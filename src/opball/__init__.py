@@ -61,6 +61,7 @@ from .pontryagin import (
     PontryaginSignature,
     Representation,
     UnitarizationResult,
+    averaged_fixed_point,
     dual_pair,
     eta_value,
     graph_subspace,

@@ -205,7 +205,11 @@ def is_elliptic(group: AutomorphismGroup, x0: BallPoint,
                 elliptic_margin: float = ELLIPTIC_MARGIN):
     """Whether the orbit of x0 stays norm-separated from the boundary.
     Returns ``(elliptic, sup_norm)``."""
-    images = group.apply_all(x0)
+    return _elliptic_orbit(group.apply_all(x0), elliptic_margin)
+
+
+def _elliptic_orbit(images: np.ndarray, elliptic_margin: float):
+    """``is_elliptic`` on an orbit's stacked images."""
     sup_norm = float(np.linalg.svd(images, compute_uv=False)[:, 0].max())
     return sup_norm <= 1.0 - elliptic_margin, sup_norm
 
@@ -347,10 +351,12 @@ def find_fixed_point(group: AutomorphismGroup, x0: Optional[BallPoint] = None,
                      mode: str = "midpoint-descent") -> FixedPointResult:
     """Common fixed point of an elliptic automorphism group.
 
-    Starts from the running barycenter of the orbit of ``x0`` (default 0)
-    and descends the displacement.  ``mode`` selects midpoint descent with
-    backtracking or Chebyshev-center iteration.  Which point of a
-    non-trivial fixed-point set is returned is implementation-defined.
+    Measures the displacement at ``x0`` (default 0) first: a start point
+    already within ``fp_tol`` is returned as it is, after 0 iterations.
+    Otherwise the solve starts from the running barycenter of the orbit of
+    ``x0`` and descends the displacement.  ``mode`` selects midpoint
+    descent with backtracking or Chebyshev-center iteration.  Which point
+    of a non-trivial fixed-point set is returned is implementation-defined.
     ``history`` holds the displacement at the start and after each
     iteration.
     """
@@ -358,14 +364,18 @@ def find_fixed_point(group: AutomorphismGroup, x0: Optional[BallPoint] = None,
         raise ValueError(f"unknown mode {mode!r}")
     if x0 is None:
         x0 = zero_point(group.dim_h, group.dim_k)
-    elliptic, sup_norm = is_elliptic(group, x0)
+    images = group.apply_all(x0)
+    elliptic, sup_norm = _elliptic_orbit(images, ELLIPTIC_MARGIN)
     if not elliptic:
         raise NotElliptic(f"orbit sup-norm {sup_norm!r} within "
                           f"{ELLIPTIC_MARGIN!r} of the boundary")
 
-    x = barycenter_sequence(
-        [BallPoint(m, boundary_tol=0.0) for m in group.apply_all(x0)])
-    f = displacement(group, x)
+    x = x0
+    f = float(distances_from(x0.matrix, images).max())
+    if f > fp_tol:
+        x = barycenter_sequence(
+            [BallPoint(m, boundary_tol=0.0) for m in images])
+        f = displacement(group, x)
     history = [f]
     iterations = 0
 

@@ -139,19 +139,14 @@ class BallAutomorphism:
         if t.shape != (n, n):
             raise ValueError(f"block must be {n}x{n}, got {t.shape}")
         if normalize:
-            j = eta_matrix(dim_h, dim_k)
-            scale = float(np.trace(j @ (adjoint(t) @ j @ t)).real) / n
-            if scale <= 0.0:
-                raise NotEtaPreserving("T*JT has non-positive alignment with J")
-            t = t / np.sqrt(scale)
-        # forming T*JT already loses ||T||^2 eps, so the check scales with it
-        defect = eta_defect(t, dim_h, dim_k)
-        allowed = aut_tol * max(1.0, spectral_norm(t) ** 2)
-        if defect > allowed:
-            raise NotEtaPreserving(f"||T*JT - J|| = {defect:.3e} > {allowed!r}")
+            t = _eta_normalized(t, dim_h, dim_k)
+        defect = float(_checked_eta_defect(t, dim_h, dim_k, aut_tol))
         t = t.copy()
         t.setflags(write=False)
-        self.block = t
+        self._set(t, dim_h, dim_k, defect)
+
+    def _set(self, block, dim_h, dim_k, defect):
+        self.block = block
         self.dim_h = dim_h
         self.dim_k = dim_k
         self.defect = defect
@@ -184,6 +179,47 @@ def eta_defect(t: np.ndarray, dim_h: int, dim_k: int):
     an array with one value per matrix for a stack."""
     j = eta_matrix(dim_h, dim_k)
     return spectral_norm(adjoint(t) @ j @ t - j)
+
+
+def _eta_normalized(t: np.ndarray, dim_h: int, dim_k: int) -> np.ndarray:
+    """T over the positive scalar that best fits ``T*JT`` to J (Frobenius
+    Rayleigh estimate), for a matrix or each matrix of a stack."""
+    j = eta_matrix(dim_h, dim_k)
+    scale = np.trace(j @ (adjoint(t) @ j @ t), axis1=-2, axis2=-1).real / (
+        dim_h + dim_k)
+    if np.any(scale <= 0.0):
+        raise NotEtaPreserving("T*JT has non-positive alignment with J")
+    return t / np.sqrt(scale)[..., None, None]
+
+
+def _checked_eta_defect(t: np.ndarray, dim_h: int, dim_k: int, aut_tol):
+    """``||T*JT - J||`` for a matrix or each matrix of a stack, checked
+    against ``aut_tol * max(1, ||T||^2)``: forming T*JT already loses
+    ``||T||^2`` eps.  ``aut_tol`` may hold one value per matrix."""
+    defect = eta_defect(t, dim_h, dim_k)
+    allowed = aut_tol * np.maximum(1.0, spectral_norm(t) ** 2)
+    if np.any(defect > allowed):
+        k = int(np.argmax(np.ravel(defect / allowed)))
+        raise NotEtaPreserving(
+            f"||T*JT - J|| = {float(np.ravel(defect)[k]):.3e} > "
+            f"{float(np.ravel(allowed)[k])!r}")
+    return defect
+
+
+def _automorphism_stack(blocks: np.ndarray, dim_h: int, dim_k: int,
+                        aut_tol) -> list:
+    """One ``BallAutomorphism`` per block of a stack, normalized and checked
+    as the constructor does, with one stacked eta defect and one stacked
+    norm for the whole stack."""
+    t = _eta_normalized(np.asarray(blocks, dtype=np.complex128), dim_h, dim_k)
+    defects = _checked_eta_defect(t, dim_h, dim_k, aut_tol)
+    t.setflags(write=False)
+    out = []
+    for block, defect in zip(t, defects):
+        aut = object.__new__(BallAutomorphism)
+        aut._set(block, dim_h, dim_k, float(defect))
+        out.append(aut)
+    return out
 
 
 def _mobius_block(a: np.ndarray) -> np.ndarray:

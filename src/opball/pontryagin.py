@@ -32,6 +32,7 @@ from .fixedpoint import FP_TOL, AutomorphismGroup, find_fixed_point
 from .mobius import (
     BallAutomorphism,
     BallPoint,
+    _automorphism_stack,
     _mobius_block,
     eta_defect,
     eta_matrix,
@@ -330,7 +331,8 @@ class Representation:
     costs about eps ||pi(g)|| ||pi(h)||.  It records ``bound``, the largest
     ||pi(g)||, and ``eta_defect``, the largest ||pi(g)* J pi(g) - J||, each
     from one stacked SVD over the images; eta preservation is checked by
-    whoever needs it (``unitarize``).
+    whoever needs it (``unitarize``), which also reads the defect of each
+    image.
 
     The homomorphism check takes one row of the table at a time: one
     stacked product ``pi(table[g]) - pi(g) pi`` per row, screened by
@@ -340,7 +342,7 @@ class Representation:
     """
 
     __slots__ = ("signature", "table", "images", "bound", "eta_defect",
-                 "identity_index")
+                 "identity_index", "_eta_defects")
 
     def __init__(self, signature: PontryaginSignature, table, images):
         table = np.asarray(table, dtype=int)
@@ -358,8 +360,9 @@ class Representation:
         stack = np.stack(images)
         norms = spectral_norm(stack)
         _check_homomorphism(table, stack, norms)
-        self.eta_defect = float(
-            eta_defect(stack, signature.n_plus, signature.n_minus).max())
+        self._eta_defects = eta_defect(stack, signature.n_plus,
+                                       signature.n_minus)
+        self.eta_defect = float(self._eta_defects.max())
         self.signature = signature
         self.table = table
         self.images = images
@@ -429,6 +432,36 @@ class UnitarizationResult(NamedTuple):
     fixed_point: BallPoint
 
 
+def _require_eta_preserving(rep: Representation):
+    if rep.eta_defect > REP_TOL:
+        raise NotEtaPreserving(
+            f"representation eta-defect {rep.eta_defect:.3e} > {REP_TOL!r}")
+
+
+def averaged_fixed_point(rep: Representation) -> BallPoint:
+    """The fixed point of the induced automorphisms read off the averaged
+    form R = mean_g pi(g)* pi(g) of an eta-preserving representation.
+
+    R is invariant (Weyl's unitarian trick), so R^{-1} J commutes with pi
+    and its negative spectral subspace, of dimension n_minus by Sylvester's
+    law of inertia, is an invariant maximal negative subspace L(D).  With
+    R = L L* that subspace is spanned by X = L^{-*} Y, Y the eigenvectors
+    of the Hermitian ``L^{-1} J L^{-*}`` with negative eigenvalues, and
+    D = X_H X_K^{-1}: one stacked product, one Cholesky factorization and
+    one ``eigh``.  Where H and K share an irreducible class the fixed
+    points form a set and this is one of them.
+    """
+    _require_eta_preserving(rep)
+    sig = rep.signature
+    stack = np.stack(rep.images)
+    form = np.mean(adjoint(stack) @ stack, axis=0)
+    l_inv = np.linalg.inv(np.linalg.cholesky(form))
+    _, vecs = np.linalg.eigh(l_inv @ sig.j @ adjoint(l_inv))
+    basis = adjoint(l_inv) @ vecs[:, :sig.n_minus]
+    top, bottom = basis[:sig.n_plus], basis[sig.n_plus:]
+    return BallPoint(np.linalg.solve(bottom.T, top.T).T, boundary_tol=0.0)
+
+
 def unitarize(rep: Representation, fp_tol: float = FP_TOL,
               mode: str = "midpoint-descent") -> UnitarizationResult:
     """Similarity onto a unitary representation.
@@ -436,16 +469,22 @@ def unitarize(rep: Representation, fp_tol: float = FP_TOL,
     Finds a common fixed point D of the induced automorphisms w_{pi(g)},
     builds U = unitarizer_matrix(D), and returns tau(g) = U pi(g) U^{-1};
     tau preserves eta and leaves the K component invariant, hence is
-    unitary.
+    unitary.  The solve starts at ``averaged_fixed_point(rep)``, which for
+    a finite group is already fixed up to rounding, and ``find_fixed_point``
+    certifies the result by its displacement, descending from there only
+    when that start point is not yet within ``fp_tol``.
     """
-    if rep.eta_defect > REP_TOL:
-        raise NotEtaPreserving(
-            f"representation eta-defect {rep.eta_defect:.3e} > {REP_TOL!r}")
+    _require_eta_preserving(rep)
     sig = rep.signature
-    autos = [induced_automorphism(sig, m) for m in rep.images]
+    stack = np.stack(rep.images)
+    # each image's bound is induced_automorphism's, from the defects the
+    # representation has measured
+    autos = _automorphism_stack(stack, sig.n_plus, sig.n_minus,
+                                np.maximum(REP_TOL, 10 * rep._eta_defects))
     group = AutomorphismGroup(elements=autos, table=rep.table)
     try:
-        result = find_fixed_point(group, fp_tol=fp_tol, mode=mode)
+        result = find_fixed_point(group, x0=averaged_fixed_point(rep),
+                                  fp_tol=fp_tol, mode=mode)
     except NotElliptic as exc:
         raise FixedPointFailed(str(exc)) from exc
     if not result.converged:
@@ -454,7 +493,7 @@ def unitarize(rep: Representation, fp_tol: float = FP_TOL,
     d = result.point
     u = unitarizer_matrix(sig, d)
     u_inv = np.linalg.inv(u)
-    tau = u @ np.stack(rep.images) @ u_inv
+    tau = u @ stack @ u_inv
     unitary_rep = Representation(sig, rep.table, tau)
     defect = max_unitarity_defect(tau)
     if defect > UNIT_TOL:

@@ -396,6 +396,21 @@ def test_solver_descent_is_monotone():
     assert np.all(np.diff(hist) <= 1e-15)
 
 
+@pytest.mark.parametrize("mode", ["midpoint-descent", "chebyshev-iterate"])
+def test_solver_returns_a_fixed_start_point_as_it_is(mode):
+    gen, _ = conjugated_cyclic(4, 3, 1, 4.0, seed=13)
+    group = group_closure([gen])
+    # fixed up to fp_tol but not exactly, so that its orbit is not one point
+    fixed = find_fixed_point(group).point.matrix
+    x0 = BallPoint(fixed + 1e-12 * np.ones_like(fixed), boundary_tol=0.0)
+    result = find_fixed_point(group, x0=x0, mode=mode)
+    assert result.iterations == 0
+    assert result.converged
+    assert result.history == [result.displacement]
+    assert result.displacement == displacement(group, x0)
+    assert result.point.matrix.tobytes() == x0.matrix.tobytes()
+
+
 def test_chebyshev_iterate_mode():
     gen, v_aut = conjugated_cyclic(3, 2, 1, 4.0, seed=15)
     group = group_closure([gen])

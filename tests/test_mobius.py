@@ -6,6 +6,7 @@ from opball.errors import BoundaryProximity, NotEtaPreserving
 from opball.mobius import (
     BallAutomorphism,
     BallPoint,
+    _automorphism_stack,
     automorphism_apply,
     automorphism_compose,
     eta_matrix,
@@ -226,6 +227,39 @@ def test_non_eta_preserving_rejected():
     # swap flips the form's sign: also rejected
     with pytest.raises(NotEtaPreserving):
         BallAutomorphism(np.array([[0.0, 1.0], [1.0, 0.0]]), 1, 1)
+
+
+def test_automorphism_stack_matches_the_constructor():
+    rng = rng_from(31)
+    blocks = np.stack([3.0 * random_eta_preserving(rng, 3, 2, c)
+                       for c in (1.0, 10.0, 300.0)])
+    stacked = _automorphism_stack(blocks, 3, 2, 1e-8)
+    for block, aut in zip(blocks, stacked):
+        single = BallAutomorphism(block, 3, 2)
+        assert_allclose(aut.block, single.block, rtol=1e-13, atol=1e-13)
+        assert abs(aut.defect - single.defect) <= 1e-12
+        assert (aut.dim_h, aut.dim_k) == (3, 2)
+        assert not aut.block.flags.writeable
+
+
+def test_automorphism_stack_checks_each_block():
+    rng = rng_from(32)
+    good = random_eta_preserving(rng, 2, 1, 5.0)
+    stretched = np.diag([1.0, 2.0, 3.0])
+    with pytest.raises(NotEtaPreserving):
+        _automorphism_stack(np.stack([good, stretched]), 2, 1, 1e-8)
+    # the bound may differ per block
+    defect = BallAutomorphism(stretched, 2, 1, aut_tol=10.0).defect
+    _automorphism_stack(np.stack([good, stretched]), 2, 1,
+                        np.array([1e-8, 2.0 * defect]))
+    with pytest.raises(NotEtaPreserving):
+        _automorphism_stack(np.stack([good, stretched]), 2, 1,
+                            np.array([2.0 * defect, 1e-8]))
+    # swap flips the form's sign
+    with pytest.raises(NotEtaPreserving):
+        _automorphism_stack(np.stack([np.eye(2), np.array([[0.0, 1.0],
+                                                           [1.0, 0.0]])]),
+                            1, 1, 1e-8)
 
 
 def test_singular_resolvent_on_raw_matrices():

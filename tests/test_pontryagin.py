@@ -8,6 +8,13 @@ from opball.errors import (
     ShapeMismatch,
     UnknownGroup,
 )
+from opball.fixedpoint import (
+    FP_TOL,
+    AutomorphismGroup,
+    displacement,
+    find_fixed_point,
+)
+from opball.hyperbolic import distance
 from opball.mobius import (
     BallPoint,
     automorphism_apply,
@@ -15,8 +22,10 @@ from opball.mobius import (
 )
 from opball.opcore import adjoint, spectral_norm
 from opball.pontryagin import (
+    UNIT_TOL,
     PontryaginSignature,
     Representation,
+    averaged_fixed_point,
     dual_pair,
     eta_value,
     graph_subspace,
@@ -25,6 +34,7 @@ from opball.pontryagin import (
     is_J_unitary,
     make_test_representation,
     max_principal_angle,
+    max_unitarity_defect,
     negativeness_degree,
     regular_representation,
     subspace_to_ball,
@@ -260,6 +270,7 @@ def test_unitarize_already_unitary():
     res = unitarize(rep)
     assert spectral_norm(res.fixed_point.matrix) < 1e-9
     assert_allclose(res.similarity, np.eye(4), atol=1e-8)
+    assert spectral_norm(averaged_fixed_point(rep).matrix) < 1e-12
 
 
 def test_unitarize_conjugated_representation():
@@ -289,6 +300,60 @@ def test_unitarize_rejects_non_eta_preserving():
     assert rep.eta_defect > 0.1
     with pytest.raises(NotEtaPreserving):
         unitarize(rep)
+    with pytest.raises(NotEtaPreserving):
+        averaged_fixed_point(rep)
+
+
+# one group per family the generator knows, each at a split where H and K
+# draw from disjoint irreducible classes, so the fixed point is unique
+UNIQUE_CASES = [("C4", 2, 1), ("S3", 4, 2), ("Q8", 5, 2), ("C12", 6, 3)]
+
+
+@pytest.mark.parametrize("group, n_plus, n_minus", UNIQUE_CASES)
+def test_unitarize_at_conditioning_3e3(group, n_plus, n_minus):
+    # the orbit of 0 comes within 1e-6 of the boundary here, so a solve
+    # started at 0 fails its ellipticity test
+    rep = make_test_representation(group, PontryaginSignature(n_plus, n_minus),
+                                   conditioning=3e3, seed=0)
+    res = unitarize(rep)
+    assert max_unitarity_defect(res.unitary_rep.images) <= UNIT_TOL
+
+
+# --- the averaged fixed point ---------------------------------------------------------
+
+
+def _induced_group(rep):
+    autos = [induced_automorphism(rep.signature, m) for m in rep.images]
+    return AutomorphismGroup(elements=autos, table=rep.table)
+
+
+@pytest.mark.parametrize("cond", [50.0, 1e3])
+@pytest.mark.parametrize("group, n_plus, n_minus", UNIQUE_CASES)
+def test_averaged_fixed_point_is_the_solved_fixed_point(group, n_plus, n_minus,
+                                                        cond):
+    rep = make_test_representation(group, PontryaginSignature(n_plus, n_minus),
+                                   conditioning=cond, seed=0)
+    point = averaged_fixed_point(rep)
+    autos = _induced_group(rep)
+    cold = find_fixed_point(autos)
+    assert cold.converged
+    assert distance(point, cold.point) <= 1e-8
+    assert displacement(autos, point) <= FP_TOL
+
+
+def test_averaged_fixed_point_with_a_shared_class():
+    # H carries the characters 1, i, -1 of C4 and K carries i, -i; the
+    # shared character i makes the fixed points a disc, not a point
+    chars = np.array([1.0, 1j, -1.0, -1j])
+    powers = np.array([0, 1, 2, 1, 3])
+    v = random_eta_preserving(rng_from(21), 3, 2, 50.0)
+    v_inv = np.linalg.inv(v)
+    images = [v @ np.diag(chars[(g * powers) % 4]) @ v_inv for g in range(4)]
+    rep = Representation(SIG32, group_table("C4"), images)
+    point = averaged_fixed_point(rep)
+    assert displacement(_induced_group(rep), point) <= FP_TOL
+    res = unitarize(rep)
+    assert max_unitarity_defect(res.unitary_rep.images) <= UNIT_TOL
 
 
 # --- dual pairs ----------------------------------------------------------------------
