@@ -1,10 +1,10 @@
 """opball: hyperbolic geometry of the operator ball.
 
-Mobius transforms and the invariant metric rho(A, B) = atanh ||M_{-A}(B)||
-on the open unit ball of p x q complex matrices, Th-geodesics with their
-convexity toolkit, fixed points of elliptic automorphism groups, and
-unitarization of representations preserving an indefinite form with
-finitely many negative squares.
+Mobius transforms and the invariant metric rho (tanh rho(A, B) =
+||M_{-A}(B)||) on the open unit ball of p x q complex matrices,
+Th-geodesics with their convexity toolkit, fixed points of elliptic
+automorphism groups, and unitarization of representations preserving an
+indefinite form with finitely many negative squares.
 """
 
 from . import errors

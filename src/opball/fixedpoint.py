@@ -7,8 +7,7 @@ set.  The default mode steps toward the rho-midpoint of X and the image
 under the worst group element, with backtracking; the alternative mode
 iterates the Chebyshev center of the orbit.  That center is found by
 subgradient descent whose line search runs in the chart at the current
-center: a bracketing grid, each round one batched rho evaluation
-(``hyperbolic._rho_batch``) over every grid value and orbit point.
+center on a bracketing grid, one batched rho evaluation per round.
 """
 
 from __future__ import annotations
@@ -28,8 +27,7 @@ from .errors import (
 )
 from .hyperbolic import (
     MetricSample,
-    _atanh_all,
-    _rho_batch,
+    _rho,
     barycenter_sequence,
     convex_combination,
     distance,
@@ -137,12 +135,11 @@ def group_closure(generators: Sequence[BallAutomorphism],
     def find(sig, ok: bool) -> Optional[int]:
         if not ok or len(elements) == 0:
             return None
-        # per known element e, the worst over the probes k of
-        # rho(sig[k], sigs[e, k]): one kernel call
-        worst = np.where(
-            healthy,
-            _rho_batch(sig, sigs.swapaxes(0, 1), saturate=True, max_axis=0),
-            np.inf)
+        # the worst rho over the probes for each known element near sig;
+        # sinh rho >= ||B - A|| >= max |B - A| rules out the rest unevaluated
+        near = healthy & (abs(sigs - sig).max(axis=(1, 2, 3)) < np.sinh(GROUP_TOL))
+        worst = np.full(len(elements), np.inf)
+        worst[near] = _rho(sig[None], sigs[near]).max(axis=1)
         hit = int(np.argmin(worst))
         return hit if worst[hit] < GROUP_TOL else None
 
@@ -252,13 +249,16 @@ def _min_norm_combination(grads):
 
 
 def _line_radius(lifted, direction_svd, ts):
-    """max_i rho(Th(t D), lifted_i) for each t, in one kernel call; by
-    invariance this is the radius at M_X(Th(t D)) of the orbit whose lift
-    to the chart at X is ``lifted``."""
+    """max_i rho(Th(t D), lifted_i) for each t, in one kernel call, or inf
+    where Th(t D) rounds onto the boundary; by invariance the radius at
+    M_X(Th(t D)) of the orbit whose lift to the chart at X is ``lifted``."""
     w, sig, vh = direction_svd
-    bases = (w * np.tanh(np.multiply.outer(ts, sig))[:, None, :]) @ vh
-    others = np.broadcast_to(lifted, (len(ts),) + lifted.shape)
-    return _rho_batch(bases, others, saturate=True, max_axis=1)
+    th = np.tanh(np.multiply.outer(ts, sig))
+    inside = th[:, 0] < 1.0
+    radius = np.full(len(ts), np.inf)
+    bases = (w * th[inside][:, None, :]) @ vh
+    radius[inside] = _rho(bases[:, None], lifted).max(axis=1)
+    return radius
 
 
 def _grid_line_search(radius, hi):
@@ -321,7 +321,7 @@ def chebyshev_center(sample: MetricSample, cheb_tol: float = CHEB_TOL):
     for _ in range(CHEB_MAX_ITER):
         lifted = mobius_batch(-x.matrix[None], mats)
         u, s, vh = np.linalg.svd(lifted, full_matrices=False)
-        rho = _atanh_all(s[:, 0])
+        rho = distances_from(x.matrix, mats)
         big = rho.max()
         if big <= cheb_tol:
             return x, big

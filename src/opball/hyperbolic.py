@@ -1,10 +1,14 @@
 """The invariant hyperbolic metric on the operator ball and its geodesics.
 
-The distance is rho(A, B) = atanh ||M_{-A}(B)||, the Caratheodory metric
-of the ball.  Lines are the curves gamma_{A,D}(t) = M_A(Th(t D)) with D of
-unit norm, where Th is the odd operator extension of tanh; they are
-isometric copies of the real line, and the convex-combination operator
-(1-t)x (+) ty moves along them.
+The distance rho(A, B), tanh rho = ||M_{-A}(B)||, is the Caratheodory
+metric of the ball.  It is taken as rho = asinh ||K|| with
+K = (1 - AA*)^{-1/2} (B - A) (1 - B*B)^{-1/2}, which by Harris' identity
+has singular values sinh rho_i where M_{-A}(B) has tanh rho_i, and the
+same left singular vectors; K subtracts no numbers near 1.  On the disc,
+sinh rho = |z - w| / sqrt((1 - |z|^2)(1 - |w|^2)).  Lines are the curves
+gamma_{A,D}(t) = M_A(Th(t D)) with D of unit norm, where Th is the odd
+operator extension of tanh; they are isometric copies of the real line,
+and the convex-combination operator (1-t)x (+) ty moves along them.
 """
 
 from __future__ import annotations
@@ -25,8 +29,8 @@ from .errors import (
 from .mobius import (
     BOUNDARY_TOL,
     BallPoint,
+    _mobius_rooted,
     defect_roots,
-    mobius_batch,
     mobius_differential,
     mobius_matrix,
 )
@@ -40,71 +44,45 @@ DIAM_TOL = 1e-9
 PARAM_MAX = 18.0
 
 
-def _atanh(u: float) -> float:
-    # series fallback keeps relative accuracy for near-identical points
-    if u < 1e-8:
-        return u + u ** 3 / 3.0
-    if u >= 1.0:
-        raise BoundaryProximity(f"atanh argument {u!r} reached 1")
-    return math.atanh(u)
-
-
 def poincare_scalar(z1: complex, z2: complex) -> float:
     """Poincare distance on the unit disc; the 1x1 oracle for ``distance``."""
     z1, z2 = complex(z1), complex(z2)
     if abs(z1) >= 1.0 - BOUNDARY_TOL or abs(z2) >= 1.0 - BOUNDARY_TOL:
         raise BoundaryProximity("disc points must stay inside the unit circle")
-    return _atanh(abs((z1 - z2) / (1.0 - z1.conjugate() * z2)))
+    u = abs((z1 - z2) / (1.0 - z1.conjugate() * z2))
+    if u >= 1.0:
+        raise BoundaryProximity(f"disc distance argument {u!r} rounded to 1")
+    return math.atanh(u)
 
 
-def _chart_lift(a: BallPoint, b: BallPoint):
-    """M_{-A}(B), B seen from the chart centred at A, and rho(A, B) = atanh
-    of its norm."""
-    if a.shape != b.shape:
+def _sinh_form(a: np.ndarray, b: np.ndarray):
+    """K for matrices or stacks that broadcast, with A's roots (1 - AA*)^{-1/2}
+    and (1 - A*A)^{1/2} for M_{-A} and M_A; one shape takes one stacked call."""
+    if a.shape[-2:] != b.shape[-2:]:
         raise ValueError(f"shape mismatch {a.shape} vs {b.shape}")
-    moved = mobius_matrix(-a.matrix, b.matrix)
-    return moved, _atanh(spectral_norm(moved))
+    if a.shape != b.shape:
+        roots = defect_roots(a, -0.5, 0.5)
+        return roots[0] @ (b - a) @ defect_roots(b, -0.5, -0.5)[1], roots
+    exponents = np.array([0.5, -0.5]).reshape((2,) + (1,) * a.ndim)
+    left, right = defect_roots(np.stack([a, b]), -0.5, exponents)
+    return left[0] @ (b - a) @ right[1], (left[0], right[0])
+
+
+def _rho(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """rho(A, B) = asinh ||K||: the one rho kernel."""
+    return np.arcsinh(np.linalg.svd(_sinh_form(a, b)[0], compute_uv=False)[..., 0])
 
 
 def distance(a: BallPoint, b: BallPoint) -> float:
-    """rho(A, B) = atanh ||M_{-A}(B)||; invariant under all eta-preserving
-    fractional-linear automorphisms."""
-    return _chart_lift(a, b)[1]
+    """rho(A, B), tanh rho = ||M_{-A}(B)||; invariant under all
+    eta-preserving fractional-linear automorphisms."""
+    return float(_rho(a.matrix, b.matrix))
 
 
 def distances_from(base: np.ndarray, others: np.ndarray) -> np.ndarray:
-    """Batched rho(base, others[i]) for a stack of matrices (n, p, q).
-
-    Shares the Mobius factors of the base point across the stack; the
-    solver hot loops live on this.
-    """
-    base = np.asarray(base, dtype=np.complex128)
-    others = np.asarray(others, dtype=np.complex128)
-    return _rho_batch(base[None], others[None])[0]
-
-
-def _atanh_all(norms: np.ndarray, saturate: bool = False) -> np.ndarray:
-    """``_atanh`` over an array; ``inf`` at norms >= 1 with ``saturate``."""
-    hit = norms >= 1.0
-    if not saturate and hit.any():
-        raise BoundaryProximity(
-            f"atanh argument {float(norms[hit][0])!r} reached 1")
-    with np.errstate(divide="ignore", invalid="ignore"):
-        rho = np.where(norms < 1e-8, norms + norms ** 3 / 3.0, np.arctanh(norms))
-    return np.where(hit, np.inf, rho)
-
-
-def _rho_batch(bases: np.ndarray, others: np.ndarray, saturate: bool = False,
-               max_axis=None) -> np.ndarray:
-    """rho(bases[k], others[k, i]) as an (m, n) array, from one stacked SVD
-    of the lifted stack.  With ``saturate`` a boundary-collapsed pair yields
-    ``inf`` instead of raising ``BoundaryProximity``.  ``max_axis`` reduces
-    by the maximum over that axis before ``atanh``, which is increasing."""
-    lifted = mobius_batch(-bases[:, None], others)
-    norms = np.linalg.svd(lifted, compute_uv=False)[..., 0]
-    if max_axis is not None:
-        norms = norms.max(axis=max_axis)
-    return _atanh_all(norms, saturate)
+    """Batched rho(base, others[i]) for a stack of matrices (n, p, q); the
+    solver hot loops live on this."""
+    return _rho(np.asarray(base, dtype=complex), np.asarray(others, dtype=complex))
 
 
 def th_map(d) -> np.ndarray:
@@ -194,28 +172,41 @@ def geodesic_velocity(line: GeodesicLine, t: float) -> np.ndarray:
     return mobius_differential(line.base, BallPoint(g, boundary_tol=0.0), gdot)
 
 
+def _segment(x: BallPoint, y: BallPoint):
+    """The polar form M_{-x}(y) = W diag(tanh rho_i) V*, with rho_i and W
+    read off K: ``(rho_i, W, V*, roots)``, and the roots of x that M_x takes."""
+    k, roots = _sinh_form(x.matrix, y.matrix)
+    w, sinh_rho, _ = np.linalg.svd(k, full_matrices=False)
+    rhos = np.arcsinh(sinh_rho)
+    wm = adjoint(w) @ _mobius_rooted(-x.matrix, y.matrix, *roots)
+    vh = np.divide(wm, np.tanh(rhos)[:, None], out=np.zeros_like(wm),
+                   where=rhos[:, None] > 0.0)
+    return rhos, w, vh, roots
+
+
 def line_through(a: BallPoint, b: BallPoint) -> GeodesicLine:
     """The unique line with gamma(0) = A and gamma(rho(A,B)) = B."""
-    moved, rho = _chart_lift(a, b)
-    if rho <= LINE_TOL:
-        raise CoincidentPoints(f"points at distance {rho!r} define no line")
-    direction, _ = th_inverse(BallPoint(moved, boundary_tol=0.0))
-    return GeodesicLine(a, direction)
+    rhos, w, vh, _ = _segment(a, b)
+    if rhos[0] <= LINE_TOL:
+        raise CoincidentPoints(f"points at distance {rhos[0]!r} define no line")
+    return GeodesicLine(a, (w * (rhos / rhos[0])) @ vh)
 
 
 def convex_combination(x: BallPoint, y: BallPoint, t: float) -> BallPoint:
-    """z = (1-t)x (+) ty: the point of [x, y] with rho(z, x) = t rho(x, y)."""
+    """z = (1-t)x (+) ty = M_x(W diag(tanh(t rho_i)) V*), rho(z, x) = t rho."""
     if not 0.0 <= t <= 1.0:
         raise ValueError(f"t must lie in [0, 1], got {t!r}")
     if t == 0.0:
         return x
     if t == 1.0:
         return y
-    moved, rho = _chart_lift(x, y)
-    if rho <= LINE_TOL:
+    if t > 0.5:  # from the nearer end, so tanh(t rho) stays below 1
+        return convex_combination(y, x, 1.0 - t)
+    rhos, w, vh, roots = _segment(x, y)
+    if rhos[0] <= LINE_TOL:
         return x
-    direction, _ = th_inverse(BallPoint(moved, boundary_tol=0.0))
-    return geodesic_point(GeodesicLine(x, direction), t * rho)
+    inner = (w * np.tanh(t * rhos)) @ vh
+    return BallPoint(_mobius_rooted(x.matrix, inner, *roots), boundary_tol=0.0)
 
 
 def alpha_metric(a: BallPoint, v) -> float:
@@ -258,13 +249,12 @@ class MetricSample:
         points = list(points)
         if not points:
             raise ValueError("sample must contain at least one point")
-        n = len(points)
         mats = np.stack([pt.matrix for pt in points])
         # rho(points[i], points[j]) for i < j, from one kernel call
-        full = _rho_batch(mats, np.broadcast_to(mats, (n,) + mats.shape))
+        full = _rho(mats[:, None], mats[None])
         upper = np.triu(full, 1)
         table = upper + upper.T
-        if n >= 3:
+        if len(points) >= 3:
             slack = (table[:, :, None] + table[None, :, :]).min(axis=1) - table
             worst = float(slack.min())
             if worst < -1e-9:

@@ -69,8 +69,8 @@ def defect_roots(a: np.ndarray, left: float, right: float):
     or of each matrix in a stack, from one SVD ``A = W S V*``:
     ``(1 - A A*)^e = I + W (g^e - 1) W*`` and ``(1 - A* A)^e = I + V (g^e - 1) V*``
     with ``g = (1 - s)(1 + s)``, which keeps its relative accuracy as s
-    nears 1.  The exponents are 1/2 or -1/2; ``g`` is clamped at 0, where a
-    negative exponent raises ``DomainError`` (a boundary breach)."""
+    nears 1.  The exponents are 1/2 or -1/2, or per-matrix arrays of them;
+    ``g`` is clamped at 0, where a negative one raises ``DomainError``."""
     w, s, vh = np.linalg.svd(a, full_matrices=False)
     g = np.maximum((1.0 - s) * (1.0 + s), 0.0)[..., None, :]
     with np.errstate(divide="ignore"):
@@ -84,8 +84,13 @@ def defect_roots(a: np.ndarray, left: float, right: float):
 
 def mobius_batch(a: np.ndarray, x: np.ndarray) -> np.ndarray:
     """M_A(X) without checks, for matrices or stacks of them that broadcast
-    against each other; the one implementation of the formula."""
-    left, right = defect_roots(a, -0.5, 0.5)
+    against each other."""
+    return _mobius_rooted(a, x, *defect_roots(a, -0.5, 0.5))
+
+
+def _mobius_rooted(a, x, left, right):
+    """M_A(X) from A's roots ``(1 - AA*)^{-1/2}`` and ``(1 - A*A)^{1/2}``;
+    the one implementation of the formula."""
     resolvent = np.eye(a.shape[-1]) + adjoint(a) @ x
     return left @ (a + x) @ np.linalg.solve(resolvent, right)
 

@@ -232,6 +232,31 @@ def test_cli_import_loads_no_scipy():
     assert result.stdout.strip() == "[]"
 
 
+def test_module_entry_runs_the_cli(tmp_path):
+    import opball
+
+    src = os.path.dirname(os.path.dirname(opball.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p])
+    write_scalar(tmp_path / "x.json", complex(0.5))
+    write_scalar(tmp_path / "y.json", complex(-0.5))
+
+    def module_run(*argv):
+        return subprocess.run([sys.executable, "-m", "opball.cli", *argv],
+                              env=env, capture_output=True, text=True)
+
+    ok = module_run("distance", str(tmp_path / "x.json"),
+                    str(tmp_path / "y.json"))
+    assert ok.returncode == 0
+    assert json.loads(ok.stdout) == {"rho": pytest.approx(math.log(3.0),
+                                                          rel=1e-14)}
+    missing = module_run("distance", str(tmp_path / "x.json"),
+                         str(tmp_path / "missing.json"))
+    assert missing.returncode == 1
+    assert json.loads(missing.stdout)["error"] == "ParseError"
+
+
 def test_fixpoint_chebyshev_iterate_mode(tmp_path, capsys):
     repdir = tmp_path / "rep"
     invoke(capsys, "gen", "--group", "C2", "--sig", "2,1",

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -14,11 +15,9 @@ from opball.errors import (
     ParameterOverflow,
     ZeroInput,
 )
+from opball.fixedpoint import _line_radius
 from opball.hyperbolic import (
     GeodesicLine,
-    _atanh,
-    _atanh_all,
-    _rho_batch,
     MetricSample,
     alpha_metric,
     barycenter_sequence,
@@ -27,6 +26,7 @@ from opball.hyperbolic import (
     diameter,
     diametral_check,
     distance,
+    distances_from,
     geodesic_point,
     geodesic_velocity,
     line_through,
@@ -84,6 +84,17 @@ def test_poincare_examples():
     assert poincare_scalar(0.5, -0.5) == pytest.approx(LN3, abs=1e-15)
     with pytest.raises(BoundaryProximity):
         poincare_scalar(1.0, 0.0)
+    # opposite points at margin 1.01e-8: the atanh argument rounds to 1
+    r = 1.0 - 1.01e-8
+    with pytest.raises(BoundaryProximity):
+        poincare_scalar(r, -r)
+
+
+def test_disc_distance_at_margin_1e_8_matches_the_closed_form():
+    # rho(r, -r) = 2 atanh r = log((1 + r) / (1 - r)), with 1 - r exact
+    r = 1.0 - 1.01e-8
+    want = math.log((1.0 + r) / (1.0 - r))
+    assert distance(scalar(r), scalar(-r)) == pytest.approx(want, rel=1e-14)
 
 
 @settings(max_examples=200, deadline=None)
@@ -98,49 +109,45 @@ def test_scalar_distance_matches_poincare_oracle(z1, z2):
     assert abs(got - distance(scalar(z2), scalar(z1))) < 1e-12
 
 
-def test_rho_batch_matches_distance_pairwise():
+def test_batched_rho_matches_distance_pairwise():
     rng = rng_from(40)
     for p, q in ((1, 1), (3, 2), (2, 4)):
-        bases = [random_ball_point(rng, p, q, 0.95) for _ in range(3)]
-        others = [[random_ball_point(rng, p, q, 0.95) for _ in range(4)]
-                  for _ in range(3)]
-        got = _rho_batch(np.stack([b.matrix for b in bases]),
-                         np.stack([[o.matrix for o in row] for row in others]))
-        assert got.shape == (3, 4)
-        for k, base in enumerate(bases):
-            for i, other in enumerate(others[k]):
-                assert got[k, i] == pytest.approx(distance(base, other),
-                                                  rel=1e-12)
-        reduced = _rho_batch(np.stack([b.matrix for b in bases]),
-                             np.stack([[o.matrix for o in row] for row in others]),
-                             max_axis=1)
-        assert_allclose(reduced, got.max(axis=1), rtol=0, atol=0)
+        base = random_ball_point(rng, p, q, 0.95)
+        points = [random_ball_point(rng, p, q, 0.95) for _ in range(4)]
+        got = distances_from(base.matrix, np.stack([pt.matrix for pt in points]))
+        assert got.shape == (4,)
+        for value, pt in zip(got, points):
+            assert value == pytest.approx(distance(base, pt), rel=1e-12)
+        table = MetricSample(points).pairwise
+        for i in range(4):
+            for j in range(i + 1, 4):
+                assert table[i, j] == pytest.approx(
+                    distance(points[i], points[j]), rel=1e-12)
 
 
-def test_rho_batch_saturates_on_the_boundary():
-    bases = np.array([[[0.5]]], dtype=np.complex128)
-    # a point rounded just past the boundary lifts to norm >= 1
-    others = np.array([[[[1.0 + 1e-12]], [[0.2]]]], dtype=np.complex128)
-    got = _rho_batch(bases, others, saturate=True)
-    assert got[0, 0] == math.inf
-    assert got[0, 1] == pytest.approx(distance(BallPoint([[0.5]]),
-                                               BallPoint([[0.2]])), rel=1e-12)
-    with pytest.raises(BoundaryProximity):
-        _rho_batch(bases, others)
+def test_distance_is_symmetric_near_the_boundary():
+    rng = rng_from(43)
+    for p, q in ((1, 1), (3, 2), (2, 4)):
+        for _ in range(5):
+            a, b = (random_ball_point(rng, p, q, 1.0 - 1e-6, 1.0 - 1e-6)
+                    for _ in range(2))
+            assert distance(a, b) == pytest.approx(distance(b, a), rel=1e-12)
 
 
-def test_atanh_all_matches_the_scalar_loop():
-    # numpy's arctanh and math.atanh may differ in the last bit
-    norms = np.concatenate([[0.0, 1e-12, 5e-9, 2e-8, 0.3, 0.5],
-                            1.0 - np.geomspace(1e-1, 1e-15, 8)]).reshape(2, 7)
-    want = np.array([_atanh(u) for u in norms.ravel()]).reshape(norms.shape)
-    assert_allclose(_atanh_all(norms), want, rtol=4 * np.finfo(float).eps,
-                    atol=0)
-    past = np.array([0.3, 1.0, 1.5])
-    assert _atanh_all(past, saturate=True).tolist() == [
-        pytest.approx(math.atanh(0.3), rel=1e-15), math.inf, math.inf]
-    with pytest.raises(BoundaryProximity, match="1.0"):
-        _atanh_all(past)
+def test_line_radius_is_infinite_past_tanh_saturation():
+    rng = rng_from(44)
+    lifted = np.stack([random_ball_point(rng, 3, 2, 0.9).matrix
+                       for _ in range(3)])
+    d = complex_gaussian(rng, 3, 2)
+    svd = np.linalg.svd(d / spectral_norm(d), full_matrices=False)
+    # tanh(t) rounds to 1 from about t = 19.1: Th(tD) is on the boundary
+    ts = np.array([0.0, 0.7, 19.5, 40.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = _line_radius(lifted, svd, ts)
+        assert got[2:].tolist() == [math.inf, math.inf]
+        assert np.all(np.isfinite(got[:2]))
+        assert _line_radius(lifted, svd, ts[2:]).tolist() == [math.inf] * 2
 
 
 # --- Th and its inverse --------------------------------------------------------

@@ -146,13 +146,14 @@ def test_convex_combination_makes_two_mobius_evaluations(monkeypatch):
     x = random_ball_point(rng, 3, 2, 0.8)
     y = random_ball_point(rng, 3, 2, 0.8)
     calls = []
-    original = hyperbolic.mobius_matrix
+    original = hyperbolic._mobius_rooted
 
-    def counted(a, b):
+    # M_{-x}(y) and M_x of the inner point, both from the roots of x
+    def counted(*args):
         calls.append(1)
-        return original(a, b)
+        return original(*args)
 
-    monkeypatch.setattr(hyperbolic, "mobius_matrix", counted)
+    monkeypatch.setattr(hyperbolic, "_mobius_rooted", counted)
     z = convex_combination(x, y, 0.3)
     assert len(calls) == 2
     monkeypatch.undo()
