@@ -1,6 +1,11 @@
 """Orbits, ellipticity certification, and common fixed points of finite
 groups of ball automorphisms.
 
+A group is closed from its generators one frontier round at a time: the
+elements found in the last round are multiplied with every known element
+in stacked kernel calls, and products are told apart by their action on
+a few seeded probe points.
+
 The solver minimizes the displacement f(X) = max_g rho(X, w_g(X)), which
 is convex along geodesics and vanishes exactly on the common fixed-point
 set.  The default mode steps toward the rho-midpoint of X and the image
@@ -12,8 +17,9 @@ center on a bracketing grid, one batched rho evaluation per round.
 
 from __future__ import annotations
 
-import itertools
+import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -35,8 +41,10 @@ from .hyperbolic import (
     th_map,
 )
 from .mobius import (
+    AUT_TOL,
     BallAutomorphism,
     BallPoint,
+    _automorphism_stack,
     automorphism_apply,
     automorphism_compose,
     frac_linear,
@@ -53,6 +61,9 @@ ELLIPTIC_MARGIN = 1e-6
 FP_TOL = 1e-9
 CHEB_TOL = 1e-7
 MAX_ELEMENTS = 256
+# entries a closure round puts in one stacked temporary at most; its
+# products are taken in chunks that keep to it
+CLOSURE_CHUNK = 1 << 17
 MAX_ITER = 5000
 CHEB_MAX_ITER = 300
 # Chebyshev line search: grid values per round (the bracket shrinks 16-fold
@@ -93,6 +104,14 @@ class AutomorphismGroup:
 _PROBE_MARGIN_FLOOR = 1e-10
 
 
+@lru_cache(maxsize=None)
+def _probe_matrices(p: int, q: int) -> np.ndarray:
+    """The stacked probe points of a split, made once."""
+    mats = np.stack([pt.matrix for pt in probe_points(p, q)])
+    mats.setflags(write=False)
+    return mats
+
+
 def _action_signature(t: BallAutomorphism, probe_mats) -> Optional[np.ndarray]:
     """Raw w_T images of the probe stack, or None when the action
     degenerates."""
@@ -102,14 +121,62 @@ def _action_signature(t: BallAutomorphism, probe_mats) -> Optional[np.ndarray]:
         return None
 
 
+def _probe(auts: list, probe_mats):
+    """The probe signatures of a list of automorphisms, in one stacked
+    fractional-linear evaluation and one stacked margin SVD, and which of
+    them rho can compare.  A degenerate action in the stack sends it
+    through ``_action_signature`` one element at a time; that element gets
+    zeros and is not comparable."""
+    blocks = np.stack([t.block for t in auts])
+    try:
+        sigs = frac_linear(blocks[:, None], probe_mats)
+        ok = np.ones(len(auts), dtype=bool)
+    except np.linalg.LinAlgError:
+        each = [_action_signature(t, probe_mats) for t in auts]
+        ok = np.array([s is not None for s in each])
+        sigs = np.stack([np.zeros_like(probe_mats) if s is None else s
+                         for s in each])
+    margins = 1.0 - spectral_norm(sigs)
+    return sigs, ok & (margins.min(axis=1) >= _PROBE_MARGIN_FLOOR)
+
+
+def _worst_rho(sigs, ok, refs, refs_ok, mask=True):
+    """The worst rho over the probes from each signature to each reference,
+    inf where either cannot be compared, ``mask`` is False, or the screen
+    rules the pair out: sinh rho >= ||B - A|| >= max |B - A|, so only pairs
+    within ``sinh(GROUP_TOL)`` entrywise take a rho, all in one stacked
+    call."""
+    near = mask & ok[:, None] & refs_ok & (
+        abs(sigs[:, None] - refs).max(axis=(2, 3, 4)) < np.sinh(GROUP_TOL))
+    worst = np.full(near.shape, np.inf)
+    c, r = np.nonzero(near)
+    if len(c):
+        worst[c, r] = _rho(sigs[c], refs[r]).max(axis=1)
+    return worst
+
+
 def group_closure(generators: Sequence[BallAutomorphism],
                   max_elements: int = MAX_ELEMENTS) -> AutomorphismGroup:
     """Close a generator set under composition.
 
-    Elements are deduplicated by the rho-distance of their action on a
-    fixed seeded probe set (block matrices are only defined up to a scalar;
-    the action is the semantic identity).  Raises ``ClosureExceeded`` when
-    the group is infinite or larger than ``max_elements``.
+    The elements are the identity, each generator and its inverse, then the
+    products of the elements found so far, one frontier round at a time:
+    round r multiplies the elements that round r - 1 found with every
+    element known when round r starts, on both sides.  Two automorphisms
+    are the same element when the worst rho between their actions on a
+    fixed seeded probe set is below ``GROUP_TOL`` (block matrices are only
+    defined up to a scalar; the action is the semantic identity).
+
+    Each round runs as a few stacked kernel calls over its products, taken
+    in chunks that keep every stacked temporary within ``CLOSURE_CHUNK``
+    entries: one block product, one normalization and eta check, one probe
+    evaluation and margin SVD, one screened rho against the elements found
+    so far and one among the chunk's products that match none of them.
+    Then, in order, a product that matches no earlier element starts a new
+    one; where several match, the nearest is taken, the earliest of equals.
+    Elements and table are thus those of a closure that takes the products
+    one at a time.  Raises ``ClosureExceeded`` when the group is infinite
+    or larger than ``max_elements``.
     """
     if not generators:
         raise ValueError("need at least one generator")
@@ -117,62 +184,80 @@ def group_closure(generators: Sequence[BallAutomorphism],
     for g in generators:
         if (g.dim_h, g.dim_k) != (p, q):
             raise ValueError("generators must share one split")
-    probe_mats = np.stack([pt.matrix for pt in probe_points(p, q)])
-    n_probes = len(probe_mats)
+    probe_mats = _probe_matrices(p, q)
+    width = probe_mats.size
 
     elements: list = []
-    sigs = np.empty((0, n_probes, p, q), dtype=np.complex128)
+    sigs = np.empty((0,) + probe_mats.shape, dtype=np.complex128)
     healthy = np.empty(0, dtype=bool)
 
-    def probe(t: BallAutomorphism):
-        """The probe signature of t, and whether rho can compare it."""
-        sig = _action_signature(t, probe_mats)
-        if sig is None:
-            return np.zeros((n_probes, p, q), dtype=np.complex128), False
-        margins = 1.0 - np.linalg.svd(sig, compute_uv=False)[:, 0]
-        return sig, bool(margins.min() >= _PROBE_MARGIN_FLOOR)
+    def chunks(count: int):
+        """Slices of ``count`` products; the screens against the elements
+        and within a chunk are the largest temporaries."""
+        at = 0
+        while at < count:
+            rows = max(1, min(CLOSURE_CHUNK // (max(len(elements), 1) * width),
+                              math.isqrt(CLOSURE_CHUNK // width),
+                              CLOSURE_CHUNK // (p + q) ** 2))
+            yield slice(at, at + rows)
+            at += rows
 
-    def find(sig, ok: bool) -> Optional[int]:
-        if not ok or len(elements) == 0:
-            return None
-        # the worst rho over the probes for each known element near sig;
-        # sinh rho >= ||B - A|| >= max |B - A| rules out the rest unevaluated
-        near = healthy & (abs(sigs - sig).max(axis=(1, 2, 3)) < np.sinh(GROUP_TOL))
-        worst = np.full(len(elements), np.inf)
-        worst[near] = _rho(sig[None], sigs[near]).max(axis=1)
-        hit = int(np.argmin(worst))
-        return hit if worst[hit] < GROUP_TOL else None
-
-    def lookup_or_add(t: BallAutomorphism):
+    def settle(auts: list) -> np.ndarray:
+        """The index of the element each automorphism acts as; one that
+        acts as no earlier one is appended."""
         nonlocal sigs, healthy
-        sig, ok = probe(t)
-        idx = find(sig, ok)
-        if idx is not None:
-            return idx, False
-        if len(elements) >= max_elements:
-            raise ClosureExceeded(max_elements)
-        elements.append(t)
-        sigs = np.concatenate([sigs, sig[None]])
-        healthy = np.append(healthy, ok)
-        return len(elements) - 1, True
-
-    lookup_or_add(BallAutomorphism.identity(p, q))
-    for g in generators:
-        lookup_or_add(g)
-        lookup_or_add(g.inverse())
-
-    products = {}
-    frontier = list(range(len(elements)))
-    while frontier:
+        cand, ok = _probe(auts, probe_mats)
+        worst = _worst_rho(cand, ok, sigs, healthy)
+        best = worst.min(axis=1, initial=np.inf)
+        index = worst.argmin(axis=1) if len(elements) else np.zeros(
+            len(auts), dtype=int)
+        # only a product that matches no known element can start one; the
+        # later products of the chunk are compared with each of those
+        open_ = np.flatnonzero(best >= GROUP_TOL)
+        later = _worst_rho(cand, ok, cand[open_], ok[open_],
+                           np.arange(len(auts))[:, None] > open_)
         fresh = []
-        known = len(elements)
-        for i, j in itertools.chain(
-                itertools.product(frontier, range(known)),
-                itertools.product(range(known), frontier)):
-            if (i, j) in products:
+        for col, k in enumerate(open_):
+            if best[k] < GROUP_TOL:
                 continue
+            if len(elements) >= max_elements:
+                raise ClosureExceeded(max_elements)
+            index[k] = len(elements)
+            elements.append(auts[k])
+            fresh.append(k)
+            closer = later[:, col] < best
+            best[closer], index[closer] = later[closer, col], index[k]
+        sigs = np.concatenate([sigs, cand[fresh]])
+        healthy = np.concatenate([healthy, ok[fresh]])
+        return index
+
+    # the identity and each generator's inverse are normalized and checked
+    # in one stack
+    firsts = _automorphism_stack(
+        np.concatenate([np.eye(p + q)[None],
+                        np.linalg.inv(np.stack([g.block for g in generators]))]),
+        p, q, AUT_TOL)
+    seeds = [firsts[0]]
+    for g, g_inv in zip(generators, firsts[1:]):
+        seeds += [g, g_inv]
+    for part in chunks(len(seeds)):
+        settle(seeds[part])
+
+    # a round's frontier [start, known) is what the previous round found;
+    # it takes frontier x [0, known), then [0, start) x frontier
+    start, known = 0, len(elements)
+    table_parts = []
+    while start < known:
+        frontier = np.arange(start, known)
+        left = np.concatenate([np.repeat(frontier, known),
+                               np.repeat(np.arange(start), len(frontier))])
+        right = np.concatenate([np.tile(np.arange(known), len(frontier)),
+                                np.tile(frontier, start)])
+        stack = np.stack([t.block for t in elements[:known]])
+        for part in chunks(len(left)):
+            i, j = left[part], right[part]
             try:
-                comp = automorphism_compose(elements[i], elements[j])
+                auts = _automorphism_stack(stack[i] @ stack[j], p, q, AUT_TOL)
             except NotEtaPreserving as exc:
                 # products of an elliptic finite set never saturate double
                 # precision; losing eta mid-closure means unbounded growth
@@ -180,15 +265,14 @@ def group_closure(generators: Sequence[BallAutomorphism],
                     max_elements,
                     "composition chain saturated floating point; group "
                     "closure does not terminate") from exc
-            idx, is_new = lookup_or_add(comp)
-            if is_new:
-                fresh.append(idx)
-            products[(i, j)] = idx
-        frontier = fresh
+            table_parts.append((i, j, settle(auts)))
+        start, known = known, len(elements)
 
     # each element met every other in the frontier round of the later one
     n = len(elements)
-    table = np.array([[products[i, j] for j in range(n)] for i in range(n)])
+    table = np.empty((n, n), dtype=int)
+    for i, j, index in table_parts:
+        table[i, j] = index
     return AutomorphismGroup(elements=elements, table=table)
 
 

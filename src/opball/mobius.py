@@ -216,7 +216,10 @@ def _automorphism_stack(blocks: np.ndarray, dim_h: int, dim_k: int,
     """One ``BallAutomorphism`` per block of a stack, normalized and checked
     as the constructor does, with one stacked eta defect and one stacked
     norm for the whole stack."""
-    t = _eta_normalized(np.asarray(blocks, dtype=np.complex128), dim_h, dim_k)
+    t = np.asarray(blocks, dtype=np.complex128)
+    if not np.all(np.isfinite(t)):
+        raise ValueError("automorphism block contains non-finite entries")
+    t = _eta_normalized(t, dim_h, dim_k)
     defects = _checked_eta_defect(t, dim_h, dim_k, aut_tol)
     t.setflags(write=False)
     out = []

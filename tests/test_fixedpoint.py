@@ -9,6 +9,7 @@ from opball.fixedpoint import (
     AutomorphismGroup,
     _grid_line_search,
     _line_radius,
+    _probe,
     chebyshev_center,
     displacement,
     equicontinuity_witness,
@@ -100,53 +101,101 @@ def test_closure_contains_inverses():
         assert spectral_norm(roundtrip.matrix - x.matrix) < 1e-8
 
 
-# element order and multiplication table of the closures below, pinned:
-# the deduplication must reproduce them exactly
-# (group, generator indices, signature, table rows)
+def representation_generators(name, gens, sig):
+    rep = make_test_representation(name, PontryaginSignature(*sig), 10.0,
+                                   seed=3)
+    return [BallAutomorphism(rep.images[i], *sig) for i in gens]
+
+
+# element order and multiplication table of the closures below, pinned as
+# base-36 digits: the deduplication must reproduce them exactly
+# (name, generators, table rows)
 PINNED_CLOSURES = [
-    ("C4", (1,), (2, 1), ["0123", "1302", "2031", "3210"]),
-    ("S3", (1, 2), (4, 2), ["012345", "103254", "240513", "351402", "425031",
-                            "534120"]),
-    ("Q8", (2, 4), (5, 2), ["01234567", "15067243", "20576134", "37650412",
-                            "46705321", "52143076", "63421750", "74312605"]),
+    ("C4", lambda: representation_generators("C4", (1,), (2, 1)),
+     ["0123", "1302", "2031", "3210"]),
+    ("S3", lambda: representation_generators("S3", (1, 2), (4, 2)),
+     ["012345", "103254", "240513", "351402", "425031", "534120"]),
+    ("Q8", lambda: representation_generators("Q8", (2, 4), (5, 2)),
+     ["01234567", "15067243", "20576134", "37650412", "46705321", "52143076",
+      "63421750", "74312605"]),
+    # several products of one round land on the same new element
+    ("C12", lambda: [conjugated_cyclic(12, 2, 1, 10.0, seed=3)[0]],
+     ["0123456789ab", "130526947ab8", "20417358b69a", "351609a24b87",
+      "4270813ba569", "56391ab02874", "695a3b810742", "7482b01a9356",
+      "87b4a2096135", "9a6b58731420", "ab9867453201", "b8a794265013"]),
 ]
 
 
-@pytest.mark.parametrize("name,gens,sig,rows", PINNED_CLOSURES,
+@pytest.mark.parametrize("generators,rows", [c[1:] for c in PINNED_CLOSURES],
                          ids=[c[0] for c in PINNED_CLOSURES])
-def test_closure_order_and_table_are_pinned(name, gens, sig, rows):
-    rep = make_test_representation(name, PontryaginSignature(*sig), 10.0,
-                                   seed=3)
-    group = group_closure([BallAutomorphism(rep.images[i], *sig) for i in gens])
-    assert ["".join(map(str, row)) for row in group.table.tolist()] == rows
+def test_closure_order_and_table_are_pinned(generators, rows):
+    group = group_closure(generators())
+    digits = "0123456789abcdefghijklmnopqrstuvwxyz"
+    assert ["".join(digits[k] for k in row)
+            for row in group.table.tolist()] == rows
 
 
-def test_closure_takes_one_margin_svd_per_probe_signature(monkeypatch):
+def test_closure_takes_one_stacked_probe_per_round(monkeypatch):
     import opball.fixedpoint as fixedpoint
 
-    signatures, margin_svds = [], []
-    action_signature, svd = fixedpoint._action_signature, np.linalg.svd
+    calls = {"stack": 0, "probe": 0, "margin": 0}
 
-    def counted_signature(t, probes):
-        signatures.append(1)
-        return action_signature(t, probes)
+    def counted(name, kernel):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return kernel(*args, **kwargs)
+        return wrapper
 
-    def counted_svd(a, *args, **kwargs):
-        # the probe stack's margins are the only 3-D SVD of the closure;
-        # its rho comparisons decompose 4-D stacks
-        if np.ndim(a) == 3:
-            margin_svds.append(1)
-        return svd(a, *args, **kwargs)
-
-    rep = make_test_representation("S3", PontryaginSignature(4, 2), 10.0,
-                                   seed=3)
-    gens = [BallAutomorphism(rep.images[i], 4, 2) for i in (1, 2)]
-    monkeypatch.setattr(fixedpoint, "_action_signature", counted_signature)
-    monkeypatch.setattr(np.linalg, "svd", counted_svd)
+    gens = representation_generators("S3", (1, 2), (4, 2))
+    # the seeding and each frontier round normalize one stack of blocks;
+    # probing them takes one fractional-linear evaluation and one margin SVD
+    monkeypatch.setattr(fixedpoint, "_automorphism_stack",
+                        counted("stack", fixedpoint._automorphism_stack))
+    monkeypatch.setattr(fixedpoint, "frac_linear",
+                        counted("probe", fixedpoint.frac_linear))
+    monkeypatch.setattr(fixedpoint, "spectral_norm",
+                        counted("margin", fixedpoint.spectral_norm))
     group = group_closure(gens)
     monkeypatch.undo()
     assert len(group) == 6
-    assert len(margin_svds) == len(signatures) > 6
+    assert calls == {"stack": 4, "probe": 4, "margin": 4}
+
+
+def test_probe_takes_a_degenerate_action_one_element_at_a_time():
+    # T21 X + T22 = 2X - 1 vanishes at the first probe
+    bad = BallAutomorphism(np.array([[1.0, 0.0], [2.0, -1.0]]), 1, 1,
+                           normalize=False, aut_tol=10.0)
+    probes = np.array([[[0.5]], [[0.3]]], dtype=np.complex128)
+    sigs, ok = _probe([BallAutomorphism.identity(1, 1), bad], probes)
+    assert ok.tolist() == [True, False]
+    assert_allclose(sigs[0], probes, rtol=0, atol=1e-15)
+    assert not np.any(sigs[1])
+
+
+def test_closure_stops_at_the_element_limit_inside_a_round():
+    # 3 elements after seeding, 5 after the first round; the second round
+    # finds the sixth and then the seventh
+    gen = rotation_block(2 * np.pi / 7)
+    assert len(group_closure([gen], max_elements=7)) == 7
+    with pytest.raises(ClosureExceeded):
+        group_closure([gen], max_elements=6)
+
+
+def test_closure_memory_stays_bounded():
+    import tracemalloc
+
+    gen = BallAutomorphism(np.diag([np.exp(2j * np.pi / 64)] * 2 + [1.0] * 2),
+                           2, 2)
+    tracemalloc.start()
+    try:
+        group = group_closure([gen])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(group) == 64
+    # the stacked temporaries are chunked: with whole rounds in one chunk
+    # this closure peaks at about 60 MB
+    assert peak < 16 * 2**20
 
 
 # --- orbits and ellipticity ----------------------------------------------------

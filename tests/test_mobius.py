@@ -260,6 +260,10 @@ def test_automorphism_stack_checks_each_block():
         _automorphism_stack(np.stack([np.eye(2), np.array([[0.0, 1.0],
                                                            [1.0, 0.0]])]),
                             1, 1, 1e-8)
+    # as in the constructor, a non-finite entry is refused
+    with pytest.raises(ValueError, match="non-finite"):
+        _automorphism_stack(np.stack([np.eye(2), np.full((2, 2), np.nan)]),
+                            1, 1, 1e-8)
 
 
 def test_singular_resolvent_on_raw_matrices():
