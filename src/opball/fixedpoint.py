@@ -8,7 +8,9 @@ a few seeded probe points.
 
 The solver minimizes the displacement f(X) = max_g rho(X, w_g(X)), which
 is convex along geodesics and vanishes exactly on the common fixed-point
-set.  The default mode steps toward the rho-midpoint of X and the image
+set.  A group with a table starts at the point read off its averaged form
+R = mean_g T_g* T_g, which is fixed up to rounding; a generator set starts
+at 0.  The default mode steps toward the rho-midpoint of X and the image
 under the worst group element, with backtracking; the alternative mode
 iterates the Chebyshev center of the orbit.  That center is found by
 subgradient descent whose line search runs in the chart at the current
@@ -47,6 +49,7 @@ from .mobius import (
     _automorphism_stack,
     automorphism_apply,
     automorphism_compose,
+    eta_matrix,
     frac_linear,
     mobius_as_block,
     mobius_batch,
@@ -430,14 +433,34 @@ def chebyshev_center(sample: MetricSample, cheb_tol: float = CHEB_TOL):
     raise MaxIterations(f"no convergence in {CHEB_MAX_ITER} center iterations")
 
 
+def _averaged_point(blocks: np.ndarray, p: int, q: int) -> BallPoint:
+    """The common fixed point of a finite group, read off the averaged form
+    R = mean_g T_g* T_g of its stacked blocks (Weyl's unitarian trick: R is
+    invariant, and a unimodular factor of a block cancels in T*T).
+
+    With R = L L*, the negative eigenvectors Y of the Hermitian
+    ``L^{-1} J L^{-*}`` give X = L^{-*} Y, a basis of the invariant maximal
+    negative subspace L(D) (of dimension q by Sylvester's law of inertia),
+    and D = X_H X_K^{-1}.  Where H and K share an irreducible class the
+    fixed points form a set and this is one of them.
+    """
+    form = np.mean(adjoint(blocks) @ blocks, axis=0)
+    l_inv = np.linalg.inv(np.linalg.cholesky(form))
+    _, vecs = np.linalg.eigh(l_inv @ eta_matrix(p, q) @ adjoint(l_inv))
+    basis = adjoint(l_inv) @ vecs[:, :q]
+    return BallPoint(np.linalg.solve(basis[p:].T, basis[:p].T).T,
+                     boundary_tol=0.0)
+
+
 def find_fixed_point(group: AutomorphismGroup, x0: Optional[BallPoint] = None,
                      fp_tol: float = FP_TOL,
                      mode: str = "midpoint-descent") -> FixedPointResult:
     """Common fixed point of an elliptic automorphism group.
 
-    Measures the displacement at ``x0`` (default 0) first: a start point
-    already within ``fp_tol`` is returned as it is, after 0 iterations.
-    Otherwise the solve starts from the running barycenter of the orbit of
+    The default ``x0`` is the averaged point (``_averaged_point``) of a
+    group with a table, and 0 for a generator set without one.  Measures
+    the displacement at ``x0`` first: a start point already within
+    ``fp_tol`` is returned as it is, after 0 iterations.  Otherwise the solve starts from the running barycenter of the orbit of
     ``x0`` and descends the displacement.  ``mode`` selects midpoint
     descent with backtracking or Chebyshev-center iteration.  Which point
     of a non-trivial fixed-point set is returned is implementation-defined.
@@ -447,7 +470,8 @@ def find_fixed_point(group: AutomorphismGroup, x0: Optional[BallPoint] = None,
     if mode not in ("midpoint-descent", "chebyshev-iterate"):
         raise ValueError(f"unknown mode {mode!r}")
     if x0 is None:
-        x0 = zero_point(group.dim_h, group.dim_k)
+        x0 = (zero_point(group.dim_h, group.dim_k) if group.table is None
+              else _averaged_point(group._blocks, group.dim_h, group.dim_k))
     images = group.apply_all(x0)
     elliptic, sup_norm = _elliptic_orbit(images, ELLIPTIC_MARGIN)
     if not elliptic:

@@ -28,7 +28,8 @@ from .errors import (
     ShapeMismatch,
     UnknownGroup,
 )
-from .fixedpoint import FP_TOL, AutomorphismGroup, find_fixed_point
+from .fixedpoint import (FP_TOL, AutomorphismGroup, _averaged_point,
+                         find_fixed_point)
 from .mobius import (
     BallAutomorphism,
     BallPoint,
@@ -440,26 +441,11 @@ def _require_eta_preserving(rep: Representation):
 
 def averaged_fixed_point(rep: Representation) -> BallPoint:
     """The fixed point of the induced automorphisms read off the averaged
-    form R = mean_g pi(g)* pi(g) of an eta-preserving representation.
-
-    R is invariant (Weyl's unitarian trick), so R^{-1} J commutes with pi
-    and its negative spectral subspace, of dimension n_minus by Sylvester's
-    law of inertia, is an invariant maximal negative subspace L(D).  With
-    R = L L* that subspace is spanned by X = L^{-*} Y, Y the eigenvectors
-    of the Hermitian ``L^{-1} J L^{-*}`` with negative eigenvalues, and
-    D = X_H X_K^{-1}: one stacked product, one Cholesky factorization and
-    one ``eigh``.  Where H and K share an irreducible class the fixed
-    points form a set and this is one of them.
-    """
+    form R = mean_g pi(g)* pi(g) of an eta-preserving representation
+    (``fixedpoint._averaged_point``)."""
     _require_eta_preserving(rep)
     sig = rep.signature
-    stack = np.stack(rep.images)
-    form = np.mean(adjoint(stack) @ stack, axis=0)
-    l_inv = np.linalg.inv(np.linalg.cholesky(form))
-    _, vecs = np.linalg.eigh(l_inv @ sig.j @ adjoint(l_inv))
-    basis = adjoint(l_inv) @ vecs[:, :sig.n_minus]
-    top, bottom = basis[:sig.n_plus], basis[sig.n_plus:]
-    return BallPoint(np.linalg.solve(bottom.T, top.T).T, boundary_tol=0.0)
+    return _averaged_point(np.stack(rep.images), sig.n_plus, sig.n_minus)
 
 
 def unitarize(rep: Representation, fp_tol: float = FP_TOL,
@@ -469,10 +455,9 @@ def unitarize(rep: Representation, fp_tol: float = FP_TOL,
     Finds a common fixed point D of the induced automorphisms w_{pi(g)},
     builds U = unitarizer_matrix(D), and returns tau(g) = U pi(g) U^{-1};
     tau preserves eta and leaves the K component invariant, hence is
-    unitary.  The solve starts at ``averaged_fixed_point(rep)``, which for
-    a finite group is already fixed up to rounding, and ``find_fixed_point``
-    certifies the result by its displacement, descending from there only
-    when that start point is not yet within ``fp_tol``.
+    unitary.  ``find_fixed_point`` starts at the group's averaged point,
+    fixed up to rounding, and certifies it by its displacement, descending
+    only from a start that misses ``fp_tol``.
     """
     _require_eta_preserving(rep)
     sig = rep.signature
@@ -483,8 +468,7 @@ def unitarize(rep: Representation, fp_tol: float = FP_TOL,
                                 np.maximum(REP_TOL, 10 * rep._eta_defects))
     group = AutomorphismGroup(elements=autos, table=rep.table)
     try:
-        result = find_fixed_point(group, x0=averaged_fixed_point(rep),
-                                  fp_tol=fp_tol, mode=mode)
+        result = find_fixed_point(group, fp_tol=fp_tol, mode=mode)
     except NotElliptic as exc:
         raise FixedPointFailed(str(exc)) from exc
     if not result.converged:

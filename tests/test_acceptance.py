@@ -232,6 +232,11 @@ def test_criterion_09_fixed_points(generated_reps):
                 assert result.converged, (name, cond)
                 assert result.displacement <= 1e-9
                 assert result.iterations <= 5000
+                # the same solve from 0, which descends
+                cold = find_fixed_point(group, x0=zero_point(p, q))
+                assert cold.converged, (name, cond)
+                assert cold.displacement <= 1e-9
+                assert distance(cold.point, result.point) <= 1e-7
 
         # analytic cyclic case: unique fixed point w_V(0)
         for k, cond in enumerate(_CONDS):

@@ -439,8 +439,10 @@ def test_solver_descent_is_monotone():
     sig = PontryaginSignature(4, 2)
     autos = [induced_automorphism(sig, m) for m in rep.images]
     group = AutomorphismGroup(elements=autos, table=rep.table)
-    result = find_fixed_point(group)
+    # from 0: the default start of a tabled group is already fixed
+    result = find_fixed_point(group, x0=zero_point(4, 2))
     assert result.converged
+    assert result.iterations > 0
     hist = np.array(result.history)
     assert np.all(np.diff(hist) <= 1e-15)
 
@@ -463,10 +465,61 @@ def test_solver_returns_a_fixed_start_point_as_it_is(mode):
 def test_chebyshev_iterate_mode():
     gen, v_aut = conjugated_cyclic(3, 2, 1, 4.0, seed=15)
     group = group_closure([gen])
-    result = find_fixed_point(group, mode="chebyshev-iterate", fp_tol=1e-8)
+    result = find_fixed_point(group, x0=zero_point(2, 1),
+                              mode="chebyshev-iterate", fp_tol=1e-8)
     assert result.converged
+    assert result.iterations > 0
     target = automorphism_apply(v_aut, zero_point(2, 1))
     assert distance(result.point, target) < 1e-6
+
+
+# one group per family at a split where the fixed point is unique
+AVERAGED_START_CASES = [("C4", 2, 1), ("S3", 4, 2), ("C12", 6, 3)]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("cond", [50.0, 100.0])
+@pytest.mark.parametrize("name, p, q", AVERAGED_START_CASES)
+def test_closed_group_starts_at_its_averaged_point(name, p, q, cond, seed):
+    rep = make_test_representation(name, PontryaginSignature(p, q),
+                                   conditioning=cond, seed=seed)
+    # the closure holds the group's projective image, which can be smaller
+    group = group_closure([BallAutomorphism(m, p, q) for m in rep.images])
+    result = find_fixed_point(group)
+    assert result.iterations == 0
+    assert result.converged
+    cold = find_fixed_point(group, x0=zero_point(p, q))
+    assert cold.converged
+    assert distance(result.point, cold.point) <= 1e-8
+
+
+@pytest.mark.parametrize("name, p, q", AVERAGED_START_CASES)
+def test_averaged_start_ignores_the_phase_of_each_block(name, p, q):
+    rep = make_test_representation(name, PontryaginSignature(p, q),
+                                   conditioning=50.0, seed=4)
+    phases = np.exp(2j * np.pi * rng_from(5).random(rep.group_order))
+    plain = AutomorphismGroup(
+        elements=[BallAutomorphism(m, p, q) for m in rep.images],
+        table=rep.table)
+    phased = AutomorphismGroup(
+        elements=[BallAutomorphism(c * m, p, q)
+                  for c, m in zip(phases, rep.images)],
+        table=rep.table)
+    moved = (find_fixed_point(phased).point.matrix
+             - find_fixed_point(plain).point.matrix)
+    assert spectral_norm(moved) <= 1e-12
+
+
+def test_group_without_a_table_starts_at_zero():
+    rep = make_test_representation("S3", PontryaginSignature(4, 2),
+                                   conditioning=10.0, seed=3)
+    group = AutomorphismGroup(
+        elements=[BallAutomorphism(m, 4, 2) for m in rep.images])
+    default = find_fixed_point(group)
+    cold = find_fixed_point(group, x0=zero_point(4, 2))
+    assert default.point.matrix.tobytes() == cold.point.matrix.tobytes()
+    assert (default.displacement, default.iterations, default.history) == (
+        cold.displacement, cold.iterations, cold.history)
 
 
 def test_not_elliptic_raises():

@@ -335,7 +335,7 @@ def test_averaged_fixed_point_is_the_solved_fixed_point(group, n_plus, n_minus,
                                    conditioning=cond, seed=0)
     point = averaged_fixed_point(rep)
     autos = _induced_group(rep)
-    cold = find_fixed_point(autos)
+    cold = find_fixed_point(autos, x0=zero_point(n_plus, n_minus))
     assert cold.converged
     assert distance(point, cold.point) <= 1e-8
     assert displacement(autos, point) <= FP_TOL
@@ -411,6 +411,16 @@ def test_dual_pair_rebuilt_product_is_invariant():
     assert np.linalg.eigvalsh((rebuilt + adjoint(rebuilt)) / 2).min() > 0
     for m in rep.images:
         assert spectral_norm(adjoint(m) @ rebuilt @ m - rebuilt) < 1e-8
+
+
+@pytest.mark.parametrize("group, n_plus, n_minus", UNIQUE_CASES)
+def test_dual_pair_negative_component_is_the_averaged_graph(group, n_plus,
+                                                           n_minus):
+    sig = PontryaginSignature(n_plus, n_minus)
+    rep = make_test_representation(group, sig, conditioning=50.0, seed=0)
+    pair = dual_pair(rep)
+    graph = graph_subspace(sig, averaged_fixed_point(rep))
+    assert np.sin(max_principal_angle(pair.negative_basis, graph)) <= 1e-9
 
 
 # --- transport bounds ----------------------------------------------------------------
