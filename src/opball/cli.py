@@ -220,13 +220,9 @@ def _cmd_unitarize(args) -> int:
 def _cmd_dualpair(args) -> int:
     rep = load_representation(args.rep, args.sig)
     pair = dual_pair(rep)
-    angle = 0.0
-    for m in rep.images:
-        angle = max(angle,
-                    max_principal_angle(pair.positive_basis,
-                                        m @ pair.positive_basis),
-                    max_principal_angle(pair.negative_basis,
-                                        m @ pair.negative_basis))
+    images = np.stack(rep.images)
+    angle = max(float(max_principal_angle(b, images @ b).max())
+                for b in (pair.positive_basis, pair.negative_basis))
     return _emit({
         "positive_basis": matrix_document(pair.positive_basis),
         "negative_basis": matrix_document(pair.negative_basis),

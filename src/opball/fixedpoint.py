@@ -101,6 +101,9 @@ class AutomorphismGroup:
         return frac_linear(self._blocks, x.matrix)
 
 
+# a product whose bound on sinh rho to its one near element is below this
+# matches it without a rho; the factor 2 to sinh(GROUP_TOL) absorbs rounding
+_SETTLE_BOUND = 0.5 * math.sinh(GROUP_TOL)
 # probe images closer to the boundary than this cannot be compared reliably
 # in rho; such automorphisms are treated as distinct from everything (only
 # runaway, non-elliptic sequences produce them)
@@ -126,10 +129,10 @@ def _action_signature(t: BallAutomorphism, probe_mats) -> Optional[np.ndarray]:
 
 def _probe(auts: list, probe_mats):
     """The probe signatures of a list of automorphisms, in one stacked
-    fractional-linear evaluation and one stacked margin SVD, and which of
-    them rho can compare.  A degenerate action in the stack sends it
-    through ``_action_signature`` one element at a time; that element gets
-    zeros and is not comparable."""
+    fractional-linear evaluation and one stacked margin SVD, which of them
+    rho can compare, and the room 1 - ||A||^2 of each probe image A.  A
+    degenerate action in the stack sends it through ``_action_signature``
+    one element at a time; that element gets zeros and is not comparable."""
     blocks = np.stack([t.block for t in auts])
     try:
         sigs = frac_linear(blocks[:, None], probe_mats)
@@ -140,22 +143,35 @@ def _probe(auts: list, probe_mats):
         sigs = np.stack([np.zeros_like(probe_mats) if s is None else s
                          for s in each])
     margins = 1.0 - spectral_norm(sigs)
-    return sigs, ok & (margins.min(axis=1) >= _PROBE_MARGIN_FLOOR)
+    ok &= margins.min(axis=1) >= _PROBE_MARGIN_FLOOR
+    return sigs, ok, margins * (2.0 - margins)
 
 
-def _worst_rho(sigs, ok, refs, refs_ok, mask=True):
-    """The worst rho over the probes from each signature to each reference,
-    inf where either cannot be compared, ``mask`` is False, or the screen
-    rules the pair out: sinh rho >= ||B - A|| >= max |B - A|, so only pairs
-    within ``sinh(GROUP_TOL)`` entrywise take a rho, all in one stacked
-    call."""
-    near = mask & ok[:, None] & refs_ok & (
-        abs(sigs[:, None] - refs).max(axis=(2, 3, 4)) < np.sinh(GROUP_TOL))
+def _worst_rho(cand, refs, settle, mask=True):
+    """The worst rho over the probes from each candidate to each reference
+    (``(signatures, ok, room)`` from ``_probe``); inf where either cannot be
+    compared, ``mask`` is False, or the screen sinh rho >= ||B - A|| >=
+    max |B - A| rules the pair out: only pairs within ``sinh(GROUP_TOL)``
+    entrywise are near.  As ||(1 - AA*)^{-1/2}|| = (1 - ||A||^2)^{-1/2},
+    sinh rho <= ||B - A||_F / sqrt(room_A room_B); a row that may ``settle``
+    (a flag, or one per row) with one near reference bounded below
+    ``_SETTLE_BOUND`` holds the asinh of that bound, the other near pairs
+    their rho from one stacked call.  Returns these and the bounded rows."""
+    (sigs, ok, room), (ref, ref_ok, ref_room) = cand, refs
+    near = mask & ok[:, None] & ref_ok & (
+        abs(sigs[:, None] - ref).max(axis=(2, 3, 4)) < np.sinh(GROUP_TOL))
     worst = np.full(near.shape, np.inf)
     c, r = np.nonzero(near)
+    if not len(c):
+        return worst, c
+    upper = (np.linalg.norm(sigs[c] - ref[r], axis=(2, 3))
+             / np.sqrt(room[c] * ref_room[r])).max(axis=1)
+    bounded = (upper < _SETTLE_BOUND) & ((near.sum(axis=1) == 1) & settle)[c]
+    worst[c, r] = np.arcsinh(upper)
+    settled, c, r = c[bounded], c[~bounded], r[~bounded]
     if len(c):
-        worst[c, r] = _rho(sigs[c], refs[r]).max(axis=1)
-    return worst
+        worst[c, r] = _rho(sigs[c], ref[r]).max(axis=1)
+    return worst, settled
 
 
 def group_closure(generators: Sequence[BallAutomorphism],
@@ -173,10 +189,14 @@ def group_closure(generators: Sequence[BallAutomorphism],
     Each round runs as a few stacked kernel calls over its products, taken
     in chunks that keep every stacked temporary within ``CLOSURE_CHUNK``
     entries: one block product, one normalization and eta check, one probe
-    evaluation and margin SVD, one screened rho against the elements found
-    so far and one among the chunk's products that match none of them.
-    Then, in order, a product that matches no earlier element starts a new
-    one; where several match, the nearest is taken, the earliest of equals.
+    evaluation and margin SVD, then a two-sided screen against the elements
+    found so far and among the chunk's products that match none of them.
+    A pair more than ``sinh(GROUP_TOL)`` apart in some entry is distinct; a
+    product with one near element and no other match to weigh is that
+    element when its Frobenius bound on sinh rho is below half of
+    ``sinh(GROUP_TOL)``; the other near pairs take one stacked rho.  Then,
+    in order, a product that matches no earlier element starts a new one;
+    where several match, the nearest is taken, the earliest of equals.
     Elements and table are thus those of a closure that takes the products
     one at a time.  Raises ``ClosureExceeded`` when the group is infinite
     or larger than ``max_elements``.
@@ -191,8 +211,9 @@ def group_closure(generators: Sequence[BallAutomorphism],
     width = probe_mats.size
 
     elements: list = []
-    sigs = np.empty((0,) + probe_mats.shape, dtype=np.complex128)
-    healthy = np.empty(0, dtype=bool)
+    # the elements' probe signatures, comparability and room (``_probe``)
+    probed = (np.empty((0,) + probe_mats.shape, dtype=np.complex128),
+              np.empty(0, dtype=bool), np.empty((0, len(probe_mats))))
 
     def chunks(count: int):
         """Slices of ``count`` products; the screens against the elements
@@ -208,17 +229,22 @@ def group_closure(generators: Sequence[BallAutomorphism],
     def settle(auts: list) -> np.ndarray:
         """The index of the element each automorphism acts as; one that
         acts as no earlier one is appended."""
-        nonlocal sigs, healthy
-        cand, ok = _probe(auts, probe_mats)
-        worst = _worst_rho(cand, ok, sigs, healthy)
+        nonlocal probed
+        cand = _probe(auts, probe_mats)
+        worst, bounded = _worst_rho(cand, probed, True)
         best = worst.min(axis=1, initial=np.inf)
         index = worst.argmin(axis=1) if len(elements) else np.zeros(
             len(auts), dtype=int)
         # only a product that matches no known element can start one; the
-        # later products of the chunk are compared with each of those
+        # later products of the chunk are compared with each of those.  A
+        # bound stands only where no other match is weighed against it: a
+        # matched product takes rho to the new elements and to its match
         open_ = np.flatnonzero(best >= GROUP_TOL)
-        later = _worst_rho(cand, ok, cand[open_], ok[open_],
-                           np.arange(len(auts))[:, None] > open_)
+        later, _ = _worst_rho(cand, [x[open_] for x in cand], np.isinf(best),
+                              np.arange(len(auts))[:, None] > open_)
+        redo = bounded[np.isfinite(later[bounded]).any(axis=1)]
+        if len(redo):
+            best[redo] = _rho(cand[0][redo], probed[0][index[redo]]).max(axis=1)
         fresh = []
         for col, k in enumerate(open_):
             if best[k] < GROUP_TOL:
@@ -230,8 +256,8 @@ def group_closure(generators: Sequence[BallAutomorphism],
             fresh.append(k)
             closer = later[:, col] < best
             best[closer], index[closer] = later[closer, col], index[k]
-        sigs = np.concatenate([sigs, cand[fresh]])
-        healthy = np.concatenate([healthy, ok[fresh]])
+        probed = tuple(np.concatenate([k, x[fresh]])
+                       for k, x in zip(probed, cand))
         return index
 
     # the identity and each generator's inverse are normalized and checked

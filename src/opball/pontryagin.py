@@ -203,21 +203,23 @@ def group_table(name: str) -> np.ndarray:
 
 
 def _validate_table(table: np.ndarray) -> int:
-    """Check group-table sanity and return the identity index."""
+    """Check group-table sanity and return the identity index; the first
+    index whose row or column is no permutation is reported, row first."""
     n = len(table)
     if table.shape != (n, n) or table.min() < 0 or table.max() >= n:
         raise ValueError("multiplication table must be square over 0..n-1")
-    for g in range(n):
-        if len(set(int(x) for x in table[g])) != n:
-            raise ValueError(f"row {g} of the table is not a permutation")
-        if len(set(int(table[h][g]) for h in range(n))) != n:
-            raise ValueError(f"column {g} of the table is not a permutation")
-    ident = [g for g in range(n)
-             if all(int(table[g][h]) == h and int(table[h][g]) == h
-                    for h in range(n))]
+    every = np.arange(n)
+    rows = (np.sort(table, axis=1) != every).any(axis=1)
+    cols = (np.sort(table, axis=0) != every[:, None]).any(axis=0)
+    bad = np.flatnonzero(rows | cols)
+    if len(bad):
+        kind = "row" if rows[bad[0]] else "column"
+        raise ValueError(f"{kind} {bad[0]} of the table is not a permutation")
+    ident = np.flatnonzero((table == every).all(axis=1)
+                           & (table.T == every).all(axis=1))
     if len(ident) != 1:
         raise ValueError("table has no two-sided identity")
-    return ident[0]
+    return int(ident[0])
 
 
 def regular_representation(table: np.ndarray) -> list:
@@ -504,11 +506,6 @@ class DualPair:
             raise DegenerateSplit("components do not span the space")
 
 
-def _orthonormal_columns(b: np.ndarray) -> np.ndarray:
-    qmat, _ = np.linalg.qr(b)
-    return qmat
-
-
 def dual_pair(rep: Representation) -> DualPair:
     """Invariant dual pair for a bounded group of J-unitary matrices.
 
@@ -520,8 +517,8 @@ def dual_pair(rep: Representation) -> DualPair:
     res = unitarize(rep, fp_tol=DUAL_FP_TOL)
     sig = rep.signature
     t = np.linalg.inv(res.similarity)
-    positive = _orthonormal_columns(t[:, :sig.n_plus])
-    negative = _orthonormal_columns(t[:, sig.n_plus:])
+    positive = np.linalg.qr(t[:, :sig.n_plus])[0]
+    negative = np.linalg.qr(t[:, sig.n_plus:])[0]
     for basis, sign, label in ((positive, 1.0, "positive"),
                                (negative, -1.0, "negative")):
         gram = adjoint(basis) @ sig.j @ basis
@@ -531,8 +528,18 @@ def dual_pair(rep: Representation) -> DualPair:
     return DualPair(positive_basis=positive, negative_basis=negative)
 
 
-def max_principal_angle(b1: np.ndarray, b2: np.ndarray) -> float:
-    """Largest principal angle between the column spans (radians)."""
-    from scipy.linalg import subspace_angles
-
-    return float(np.max(subspace_angles(b1, b2)))
+def max_principal_angle(b1: np.ndarray, b2: np.ndarray):
+    """Largest principal angle between the column spans (radians), a float,
+    or an array for stacks of bases that broadcast.  With QR bases Q1 of
+    the wider span and Q2, its sine is ||Q2 - Q1 Q1* Q2|| and its cosine the
+    least singular value of Q1* Q2; each form is taken where it is accurate,
+    the sine below pi/4 (Knyazev & Argentati 2002)."""
+    q1, q2 = np.linalg.qr(b1)[0], np.linalg.qr(b2)[0]
+    if q1.shape[-1] < q2.shape[-1]:
+        q1, q2 = q2, q1
+    overlap = adjoint(q1) @ q2
+    cos = np.linalg.svd(overlap, compute_uv=False)[..., -1]
+    angle = np.where(cos * cos >= 0.5,
+                     np.arcsin(np.minimum(spectral_norm(q2 - q1 @ overlap), 1.0)),
+                     np.arccos(np.minimum(cos, 1.0)))
+    return float(angle) if angle.ndim == 0 else angle

@@ -232,6 +232,27 @@ def test_cli_import_loads_no_scipy():
     assert result.stdout.strip() == "[]"
 
 
+def test_dualpair_loads_no_scipy(tmp_path):
+    import opball
+
+    repdir = tmp_path / "rep"
+    save_representation(make_test_representation(
+        "S3", PontryaginSignature(4, 2), conditioning=10.0, seed=0), repdir)
+    src = os.path.dirname(os.path.dirname(opball.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p])
+    probe = ("import sys\n"
+             "from opball.cli import run\n"
+             f"assert run(['dualpair', '--rep', {str(repdir)!r}]) == 0\n"
+             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'),"
+             " file=sys.stderr)")
+    result = subprocess.run([sys.executable, "-c", probe], env=env,
+                            capture_output=True, text=True, check=True)
+    assert json.loads(result.stdout)["max_invariance_angle"] < 1e-7
+    assert result.stderr.strip() == "[]"
+
+
 def test_module_entry_runs_the_cli(tmp_path):
     import opball
 

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from opball.errors import ClosureExceeded, NotElliptic, PreconditionUnmet
@@ -10,6 +12,7 @@ from opball.fixedpoint import (
     _grid_line_search,
     _line_radius,
     _probe,
+    _worst_rho,
     chebyshev_center,
     displacement,
     equicontinuity_witness,
@@ -20,6 +23,7 @@ from opball.fixedpoint import (
 )
 from opball.hyperbolic import (
     MetricSample,
+    _rho,
     convex_combination,
     distance,
     poincare_scalar,
@@ -135,6 +139,72 @@ def test_closure_order_and_table_are_pinned(generators, rows):
             for row in group.table.tolist()] == rows
 
 
+def closure_outcome(generators, monkeypatch):
+    """The blocks and table of a closure, or the exception it raises, with
+    the element count that each screen against the elements started from."""
+    import opball.fixedpoint as fixedpoint
+
+    known = []
+
+    def traced(cand, refs, *args):
+        known.append(len(refs[0]))
+        return screen(cand, refs, *args)
+
+    screen = fixedpoint._worst_rho
+    monkeypatch.setattr(fixedpoint, "_worst_rho", traced)
+    try:
+        group = group_closure(generators)
+        outcome = ([t.block.tobytes() for t in group.elements],
+                   group.table.tobytes())
+    except ClosureExceeded as exc:
+        outcome = (type(exc), str(exc))
+    monkeypatch.setattr(fixedpoint, "_worst_rho", screen)
+    return outcome, known
+
+
+# two generators of each pinned family, up to conditioning 1e3, where
+# closures begin to fail: 18 of these 72 raise ClosureExceeded
+CONDITIONED_CLOSURES = [
+    (name, sig, cond, seed)
+    for name, sig in (("C4", (2, 1)), ("S3", (4, 2)), ("Q8", (5, 2)),
+                      ("C12", (6, 3)))
+    for cond in (30.0, 300.0, 1e3) for seed in range(6)]
+
+
+def test_closure_is_the_same_without_the_rho_bound(monkeypatch):
+    import opball.fixedpoint as fixedpoint
+
+    cases = [make for _, make, _ in PINNED_CLOSURES]
+    for name, sig, cond, seed in CONDITIONED_CLOSURES:
+        rep = make_test_representation(name, PontryaginSignature(*sig), cond,
+                                       seed=seed)
+        cases.append(lambda rep=rep, sig=sig: [
+            BallAutomorphism(rep.images[i], *sig) for i in (1, 2)])
+    bounded = [closure_outcome(make(), monkeypatch) for make in cases]
+    # with a zero bound every near pair takes its rho, as before the bound
+    monkeypatch.setattr(fixedpoint, "_SETTLE_BOUND", 0.0)
+    exact = [closure_outcome(make(), monkeypatch) for make in cases]
+    assert bounded == exact
+    assert sum(isinstance(o[0], type) for o, _ in bounded) == 18
+
+
+def test_closure_settles_most_matches_by_the_rho_bound(monkeypatch):
+    import opball.fixedpoint as fixedpoint
+
+    calls = []
+    rho = fixedpoint._rho
+    monkeypatch.setattr(fixedpoint, "_rho",
+                        lambda a, b: calls.append(len(a)) or rho(a, b))
+    counts = []
+    for _, make, _ in PINNED_CLOSURES:
+        calls.clear()
+        group_closure(make())
+        counts.append(len(calls))
+    # a stacked rho for every near pair took 3, 5, 3 and 6 calls; what is
+    # left are products near several new elements of their own chunk
+    assert counts == [0, 1, 1, 1]
+
+
 def test_closure_takes_one_stacked_probe_per_round(monkeypatch):
     import opball.fixedpoint as fixedpoint
 
@@ -166,10 +236,35 @@ def test_probe_takes_a_degenerate_action_one_element_at_a_time():
     bad = BallAutomorphism(np.array([[1.0, 0.0], [2.0, -1.0]]), 1, 1,
                            normalize=False, aut_tol=10.0)
     probes = np.array([[[0.5]], [[0.3]]], dtype=np.complex128)
-    sigs, ok = _probe([BallAutomorphism.identity(1, 1), bad], probes)
+    sigs, ok, _ = _probe([BallAutomorphism.identity(1, 1), bad], probes)
     assert ok.tolist() == [True, False]
     assert_allclose(sigs[0], probes, rtol=0, atol=1e-15)
     assert not np.any(sigs[1])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 4), st.integers(1, 3), st.integers(0, 2**32 - 1),
+       st.lists(st.floats(-8.0, -0.05), min_size=1, max_size=3),
+       st.floats(-16.0, -8.5))
+def test_worst_rho_bound_is_above_sinh_rho(p, q, seed, log_margins, log_step):
+    import opball.fixedpoint as fixedpoint
+
+    # m probe images A_k with 1 - ||A_k|| = 10^log_margin, and B_k within
+    # 10^log_step of them, so every entry is within the screen's reach
+    rng = rng_from(seed)
+    a = np.stack([random_ball_point(rng, p, q).matrix for _ in log_margins])
+    a *= ((1.0 - 10.0 ** np.array(log_margins)) / spectral_norm(a))[:, None, None]
+    step = complex_gaussian(rng, len(a) * p, q).reshape(a.shape)
+    b = a + step * (10.0 ** log_step / spectral_norm(step))[:, None, None]
+    identity = [BallAutomorphism.identity(p, q)]
+    cand, refs = _probe(identity, a), _probe(identity, b)
+    # every bound settles its pair here, so the bound itself is returned
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(fixedpoint, "_SETTLE_BOUND", np.inf)
+        worst, settled = _worst_rho(cand, refs, True)
+    assert settled.tolist() == [0]
+    exact = np.sinh(_rho(cand[0][0], refs[0][0])).max()
+    assert np.sinh(worst[0, 0]) >= exact * (1.0 - 1e-12)
 
 
 def test_closure_stops_at_the_element_limit_inside_a_round():

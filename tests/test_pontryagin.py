@@ -261,6 +261,66 @@ def test_representation_validation():
         Representation(SIG21, bad_table, [np.eye(3), np.eye(3)])
 
 
+@pytest.mark.parametrize("table, message", [
+    ([[0, 1]], "multiplication table must be square over 0..n-1"),
+    ([[0, 2], [1, 0]], "multiplication table must be square over 0..n-1"),
+    ([[0, -1], [1, 0]], "multiplication table must be square over 0..n-1"),
+    ([[0, 0], [1, 1]], "row 0 of the table is not a permutation"),
+    ([[0, 1], [0, 1]], "column 0 of the table is not a permutation"),
+    # row 1 and column 1 both fail: the row is reported
+    ([[0, 1, 2], [1, 1, 0], [2, 0, 1]], "row 1 of the table is not a permutation"),
+    # column 1 fails before row 2
+    ([[0, 1, 2], [1, 2, 0], [2, 1, 1]],
+     "column 1 of the table is not a permutation"),
+    # a Latin square without an identity, and one with a left identity only
+    ([[0, 2, 1], [2, 1, 0], [1, 0, 2]], "table has no two-sided identity"),
+    ([[0, 1, 2], [2, 0, 1], [1, 2, 0]], "table has no two-sided identity"),
+], ids=["not-square", "out-of-range", "negative", "row", "column",
+        "row-before-column", "first-index-first", "no-identity",
+        "left-identity-only"])
+def test_representation_table_errors(table, message):
+    table = np.array(table)
+    with pytest.raises(ValueError) as excinfo:
+        Representation(SIG21, table, [np.eye(3)] * len(table))
+    assert str(excinfo.value) == message
+
+
+def _table_error_by_loops(table):
+    """The table check written out element by element: the reference the
+    vectorized check must agree with, message for message."""
+    n = len(table)
+    if table.shape != (n, n) or table.min() < 0 or table.max() >= n:
+        return "multiplication table must be square over 0..n-1"
+    for g in range(n):
+        if len(set(int(x) for x in table[g])) != n:
+            return f"row {g} of the table is not a permutation"
+        if len(set(int(table[h][g]) for h in range(n))) != n:
+            return f"column {g} of the table is not a permutation"
+    ident = [g for g in range(n)
+             if all(int(table[g][h]) == h and int(table[h][g]) == h
+                    for h in range(n))]
+    return None if len(ident) == 1 else "table has no two-sided identity"
+
+
+def test_representation_table_errors_match_the_loop_check():
+    rng = rng_from(4)
+    for k in range(300):
+        table = group_table(["C4", "S3", "C6", "Q8"][k % 4]).copy()
+        n = len(table)
+        # relabel, then overwrite a few entries
+        perm = rng.permutation(n)
+        table = np.argsort(perm)[table[np.ix_(perm, perm)]]
+        for _ in range(int(rng.integers(0, 3))):
+            table[tuple(rng.integers(0, n, size=2))] = rng.integers(0, n)
+        expected = _table_error_by_loops(table)
+        if expected is None:
+            assert Representation(SIG21, table, [np.eye(3)] * n).group_order == n
+            continue
+        with pytest.raises(ValueError) as excinfo:
+            Representation(SIG21, table, [np.eye(3)] * n)
+        assert str(excinfo.value) == expected
+
+
 # --- unitarization ------------------------------------------------------------------
 
 
@@ -451,3 +511,55 @@ def test_dual_pair_bases_are_stable_under_rounding(group, n_plus, n_minus):
     base, other = dual_pair(rep), dual_pair(moved)
     assert spectral_norm(base.positive_basis - other.positive_basis) < 1e-8
     assert spectral_norm(base.negative_basis - other.negative_basis) < 1e-8
+
+
+# --- principal angles -----------------------------------------------------------
+
+
+def _angle_cases(rng, count):
+    """Pairs of bases: random ones of any widths, real or complex, and
+    nearly coincident ones, b1 G plus noise of norm 1e-14 to 1e-2."""
+    for k in range(count):
+        n = int(rng.integers(2, 9))
+        k1, k2 = (int(x) for x in rng.integers(1, n + 1, size=2))
+        draw = ((lambda *s: rng.standard_normal(s)) if k % 2 else
+                (lambda *s: rng.standard_normal(s) + 1j * rng.standard_normal(s)))
+        b1 = draw(n, k1)
+        if k % 4 < 2:
+            yield b1, draw(n, k2)
+        else:
+            noise = draw(n, k1)
+            yield b1, b1 @ draw(k1, k1) + noise * (
+                10.0 ** rng.uniform(-14, -2) / np.linalg.norm(noise))
+
+
+def test_max_principal_angle_matches_scipy():
+    from scipy.linalg import subspace_angles
+
+    for b1, b2 in _angle_cases(rng_from(11), 400):
+        assert abs(max_principal_angle(b1, b2)
+                   - np.max(subspace_angles(b1, b2))) <= 1e-12
+
+
+def test_max_principal_angle_near_a_right_angle():
+    # span(e1, e2) against span(cos a e1 + sin a e3, cos b e2 + sin b e4):
+    # the angles are a and b; near pi/2 the cosine form keeps them exact
+    for gap in (1e-3, 1e-7, 1e-10):
+        a, b = np.pi / 2 - gap, 0.3
+        b1 = np.eye(4)[:, :2]
+        b2 = np.array([[np.cos(a), 0.0], [0.0, np.cos(b)],
+                       [np.sin(a), 0.0], [0.0, np.sin(b)]])
+        expected = np.arctan2(np.sin(a), np.cos(a))
+        assert abs(max_principal_angle(b1, b2) - expected) <= 1e-15
+        assert abs(max_principal_angle(b2, b1) - expected) <= 1e-15
+
+
+def test_max_principal_angle_takes_stacks():
+    rep = make_test_representation("S3", PontryaginSignature(4, 2),
+                                   conditioning=10.0, seed=2)
+    basis = rng_from(3).standard_normal((6, 2))
+    images = np.stack(rep.images)
+    stacked = max_principal_angle(basis, images @ basis)
+    assert stacked.shape == (6,)
+    assert_allclose(stacked, [max_principal_angle(basis, m @ basis)
+                              for m in images], rtol=0, atol=1e-15)
