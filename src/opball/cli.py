@@ -213,15 +213,14 @@ def _cmd_unitarize(args) -> int:
         "fixed_point": matrix_document(res.fixed_point.matrix),
         "similarity": matrix_document(res.similarity),
         "unitary_images": [matrix_document(m) for m in res.unitary_rep.images],
-        "max_unitarity_defect": max_unitarity_defect(res.unitary_rep.images),
+        "max_unitarity_defect": max_unitarity_defect(res.unitary_rep._stack),
     })
 
 
 def _cmd_dualpair(args) -> int:
     rep = load_representation(args.rep, args.sig)
     pair = dual_pair(rep)
-    images = np.stack(rep.images)
-    angle = max(float(max_principal_angle(b, images @ b).max())
+    angle = max(float(max_principal_angle(b, rep._stack @ b).max())
                 for b in (pair.positive_basis, pair.negative_basis))
     return _emit({
         "positive_basis": matrix_document(pair.positive_basis),

@@ -331,11 +331,12 @@ class Representation:
     (to ``REP_TOL``, absolute) and that pi is a homomorphism:
     ``||pi(gh) - pi(g) pi(h)|| <= REP_TOL * max(1, ||pi(g)|| ||pi(h)||)``
     for every pair, since forming pi(g) pi(h) in floating point already
-    costs about eps ||pi(g)|| ||pi(h)||.  It records ``bound``, the largest
-    ||pi(g)||, and ``eta_defect``, the largest ||pi(g)* J pi(g) - J||, each
-    from one stacked SVD over the images; eta preservation is checked by
-    whoever needs it (``unitarize``), which also reads the defect of each
-    image.
+    costs about eps ||pi(g)|| ||pi(h)||.  ``_measure`` keeps the images as
+    one read-only stack, of which ``images`` lists the rows, and records
+    ``bound``, the largest ||pi(g)||, and ``eta_defect``, the largest
+    ||pi(g)* J pi(g) - J||, each from one stacked SVD; eta preservation is
+    checked by whoever needs it (``unitarize``), which also reads the
+    defect of each image and runs only ``_measure`` on its tau.
 
     The homomorphism check takes one row of the table at a time: one
     stacked product ``pi(table[g]) - pi(g) pi`` per row, screened by
@@ -345,7 +346,7 @@ class Representation:
     """
 
     __slots__ = ("signature", "table", "images", "bound", "eta_defect",
-                 "identity_index", "_eta_defects")
+                 "identity_index", "_stack", "_norms", "_eta_defects")
 
     def __init__(self, signature: PontryaginSignature, table, images):
         table = np.asarray(table, dtype=int)
@@ -360,17 +361,23 @@ class Representation:
                 raise ShapeMismatch(f"image shape {m.shape} != {(dim, dim)}")
         if spectral_norm(images[ident] - np.eye(dim)) > REP_TOL:
             raise ValueError("identity element must map to the identity matrix")
-        stack = np.stack(images)
-        norms = spectral_norm(stack)
-        _check_homomorphism(table, stack, norms)
+        self._measure(signature, table, ident, np.stack(images))
+        _check_homomorphism(table, self._stack, self._norms)
+
+    def _measure(self, signature, table, identity_index, stack):
+        """Set the slots from a valid table and its stack of images (kept
+        read-only), with one stacked SVD each for the norms and eta defects."""
+        stack.setflags(write=False)
+        self.signature = signature
+        self.table = table
+        self.identity_index = identity_index
+        self._stack = stack
+        self.images = list(stack)
+        self._norms = spectral_norm(stack)
+        self.bound = float(self._norms.max())
         self._eta_defects = eta_defect(stack, signature.n_plus,
                                        signature.n_minus)
         self.eta_defect = float(self._eta_defects.max())
-        self.signature = signature
-        self.table = table
-        self.images = images
-        self.bound = float(norms.max())
-        self.identity_index = ident
 
     @property
     def group_order(self) -> int:
@@ -447,7 +454,7 @@ def averaged_fixed_point(rep: Representation) -> BallPoint:
     (``fixedpoint._averaged_point``)."""
     _require_eta_preserving(rep)
     sig = rep.signature
-    return _averaged_point(np.stack(rep.images), sig.n_plus, sig.n_minus)
+    return _averaged_point(rep._stack, sig.n_plus, sig.n_minus)
 
 
 def unitarize(rep: Representation, fp_tol: float = FP_TOL,
@@ -460,13 +467,18 @@ def unitarize(rep: Representation, fp_tol: float = FP_TOL,
     unitary.  ``find_fixed_point`` starts at the group's averaged point,
     fixed up to rounding, and certifies it by its displacement, descending
     only from a start that misses ``fp_tol``.
+
+    tau is measured (``bound``, eta defects), not checked again as a
+    representation: it has pi's table, tau(e) = U U^{-1}, and
+    ||tau(gh) - tau(g) tau(h)|| <= ||U|| ||U^{-1}|| ||pi(gh) - pi(g) pi(h)||
+    up to the rounding of U pi U^{-1}.  The one check on tau is the one
+    that certifies it, max ||tau(g)* tau(g) - 1|| <= ``UNIT_TOL``.
     """
     _require_eta_preserving(rep)
     sig = rep.signature
-    stack = np.stack(rep.images)
     # each image's bound is induced_automorphism's, from the defects the
     # representation has measured
-    autos = _automorphism_stack(stack, sig.n_plus, sig.n_minus,
+    autos = _automorphism_stack(rep._stack, sig.n_plus, sig.n_minus,
                                 np.maximum(REP_TOL, 10 * rep._eta_defects))
     group = AutomorphismGroup(elements=autos, table=rep.table)
     try:
@@ -479,8 +491,9 @@ def unitarize(rep: Representation, fp_tol: float = FP_TOL,
     d = result.point
     u = unitarizer_matrix(sig, d)
     u_inv = np.linalg.inv(u)
-    tau = u @ stack @ u_inv
-    unitary_rep = Representation(sig, rep.table, tau)
+    tau = u @ rep._stack @ u_inv
+    unitary_rep = object.__new__(Representation)
+    unitary_rep._measure(sig, rep.table, rep.identity_index, tau)
     defect = max_unitarity_defect(tau)
     if defect > UNIT_TOL:
         raise FixedPointFailed(f"unitarity defect {defect:.3e} > {UNIT_TOL!r}")

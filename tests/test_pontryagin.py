@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from opball import pontryagin
 from opball.errors import (
+    FixedPointFailed,
     NotEtaPreserving,
     NotNegative,
     ShapeMismatch,
@@ -379,6 +381,20 @@ def test_unitarize_at_conditioning_3e3(group, n_plus, n_minus):
     assert max_unitarity_defect(res.unitary_rep.images) <= UNIT_TOL
 
 
+def test_unitarize_certifies_tau_by_its_unitarity_defect(monkeypatch):
+    # tau's unitarity defect is about 1e-11 here, and the check on it is the
+    # one check unitarize runs on tau; dual_pair converges on this seed
+    rep = make_test_representation("C4", SIG21, conditioning=1e3, seed=2)
+    defect = max_unitarity_defect(unitarize(rep).unitary_rep.images)
+    assert 1e-16 < defect <= UNIT_TOL
+    monkeypatch.setattr(pontryagin, "UNIT_TOL", 1e-16)
+    message = f"unitarity defect {defect:.3e} > 1e-16"
+    with pytest.raises(FixedPointFailed, match=message):
+        unitarize(rep)
+    with pytest.raises(FixedPointFailed, match="unitarity defect .* > 1e-16"):
+        dual_pair(rep)
+
+
 # --- the averaged fixed point ---------------------------------------------------------
 
 
@@ -414,6 +430,20 @@ def test_averaged_fixed_point_with_a_shared_class():
     assert displacement(_induced_group(rep), point) <= FP_TOL
     res = unitarize(rep)
     assert max_unitarity_defect(res.unitary_rep.images) <= UNIT_TOL
+
+
+def test_unitarize_certifies_tau_by_its_unitarity_defect(monkeypatch):
+    # tau's unitarity defect is about 1e-11 here, and the check on it is the
+    # one check unitarize runs on tau; dual_pair converges on this seed
+    rep = make_test_representation("C4", SIG21, conditioning=1e3, seed=2)
+    defect = max_unitarity_defect(unitarize(rep).unitary_rep.images)
+    assert 1e-16 < defect <= UNIT_TOL
+    monkeypatch.setattr(pontryagin, "UNIT_TOL", 1e-16)
+    message = f"unitarity defect {defect:.3e} > 1e-16"
+    with pytest.raises(FixedPointFailed, match=message):
+        unitarize(rep)
+    with pytest.raises(FixedPointFailed, match="unitarity defect .* > 1e-16"):
+        dual_pair(rep)
 
 
 # --- dual pairs ----------------------------------------------------------------------

@@ -113,3 +113,34 @@ def test_stacked_measurements_are_the_per_image_formulas(name, p, q):
         assert np.array_equal(tau, res.similarity @ m @ u_inv)
     assert max_unitarity_defect(res.unitary_rep.images) == max(
         spectral_norm(adjoint(m) @ m - eye) for m in res.unitary_rep.images)
+
+
+@pytest.mark.parametrize("cond", [50.0, 1e3])
+@pytest.mark.parametrize("name, p, q", CASES)
+def test_unitarized_representation_passes_the_constructor_checks(name, p, q,
+                                                                 cond):
+    # unitarize measures tau without checking it as a representation; the
+    # checks it leaves out still pass, and rebuilding measures the same
+    for seed in range(3):
+        rep = make_test_representation(name, PontryaginSignature(p, q),
+                                       conditioning=cond, seed=seed)
+        tau = unitarize(rep).unitary_rep
+        rebuilt = Representation(rep.signature, rep.table, tau.images)
+        assert rebuilt.bound == tau.bound
+        assert rebuilt.eta_defect == tau.eta_defect
+        assert rebuilt.identity_index == tau.identity_index
+        assert np.array_equal(rebuilt.table, tau.table)
+        assert np.stack(rebuilt.images).tobytes() == np.stack(
+            tau.images).tobytes()
+
+
+def test_images_are_the_read_only_rows_of_one_stack():
+    rep = make_test_representation("S3", PontryaginSignature(4, 2),
+                                   conditioning=10.0, seed=0)
+    assert len(rep.images) == rep.group_order == 6
+    for m in rep.images:
+        assert not m.flags.writeable
+        with pytest.raises(ValueError):
+            m[0, 0] = 0.0
+    stack = rep.images[0].base
+    assert stack is not None and all(m.base is stack for m in rep.images)
