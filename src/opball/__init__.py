@@ -12,13 +12,11 @@ from .fixedpoint import (
     AutomorphismGroup,
     EquicontinuityWitness,
     FixedPointResult,
-    chebyshev_center,
     displacement,
     equicontinuity_witness,
     find_fixed_point,
     group_closure,
     is_elliptic,
-    orbit,
 )
 from .hyperbolic import (
     GeodesicLine,

@@ -31,7 +31,6 @@ from .pontryagin import (
     dual_pair,
     make_test_representation,
     max_principal_angle,
-    max_unitarity_defect,
     unitarize,
 )
 
@@ -196,7 +195,7 @@ def _cmd_fixpoint(args) -> int:
     gens = [BallAutomorphism(m, sig.n_plus, sig.n_minus)
             for m in _load_elements(dirpath)]
     group = group_closure(gens)
-    result = find_fixed_point(group, mode=args.mode)
+    result = find_fixed_point(group)
     return _emit({
         "group_order": len(group),
         "fixed_point": matrix_document(result.point.matrix),
@@ -213,7 +212,7 @@ def _cmd_unitarize(args) -> int:
         "fixed_point": matrix_document(res.fixed_point.matrix),
         "similarity": matrix_document(res.similarity),
         "unitary_images": [matrix_document(m) for m in res.unitary_rep.images],
-        "max_unitarity_defect": max_unitarity_defect(res.unitary_rep._stack),
+        "max_unitarity_defect": res.unitarity_defect,
     })
 
 
@@ -283,8 +282,6 @@ def _build_parser() -> argparse.ArgumentParser:
                             "the block matrices in a directory")
     f.add_argument("--group", required=True)
     f.add_argument("--sig", help="P,Q when the directory has no sig.json")
-    f.add_argument("--mode", choices=["midpoint-descent", "chebyshev-iterate"],
-                   default="midpoint-descent")
 
     u = sub.add_parser("unitarize",
                        help="similarity of an eta-preserving representation "

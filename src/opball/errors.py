@@ -72,10 +72,6 @@ class NotElliptic(OperatorBallError):
     pass
 
 
-class MaxIterations(OperatorBallError):
-    pass
-
-
 class PreconditionUnmet(OperatorBallError):
     pass
 

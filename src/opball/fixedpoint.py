@@ -10,11 +10,11 @@ The solver minimizes the displacement f(X) = max_g rho(X, w_g(X)), which
 is convex along geodesics and vanishes exactly on the common fixed-point
 set.  A group with a table starts at the point read off its averaged form
 R = mean_g T_g* T_g, which is fixed up to rounding; a generator set starts
-at 0.  The default mode steps toward the rho-midpoint of X and the image
-under the worst group element, with backtracking; the alternative mode
-iterates the Chebyshev center of the orbit.  That center is found by
-subgradient descent whose line search runs in the chart at the current
-center on a bracketing grid, one batched rho evaluation per round.
+at 0.  From a start that misses the tolerance, each step moves toward the
+rho-midpoint of X and the image under the worst group element, with
+backtracking.  The displacement certifies the point; the minimal
+enclosing ball of the orbit, whose center the paper's normal-structure
+argument fixes, is never formed.
 """
 
 from __future__ import annotations
@@ -28,19 +28,15 @@ import numpy as np
 
 from .errors import (
     ClosureExceeded,
-    MaxIterations,
     NotElliptic,
     NotEtaPreserving,
     PreconditionUnmet,
 )
 from .hyperbolic import (
-    MetricSample,
     _rho,
     barycenter_sequence,
     convex_combination,
-    distance,
     distances_from,
-    th_map,
 )
 from .mobius import (
     AUT_TOL,
@@ -52,8 +48,6 @@ from .mobius import (
     eta_matrix,
     frac_linear,
     mobius_as_block,
-    mobius_batch,
-    mobius_matrix,
     zero_point,
 )
 from .opcore import adjoint, hermitian_eig, spectral_norm
@@ -62,17 +56,11 @@ from .sampling import probe_points
 GROUP_TOL = 1e-8
 ELLIPTIC_MARGIN = 1e-6
 FP_TOL = 1e-9
-CHEB_TOL = 1e-7
 MAX_ELEMENTS = 256
 # entries a closure round puts in one stacked temporary at most; its
 # products are taken in chunks that keep to it
 CLOSURE_CHUNK = 1 << 17
 MAX_ITER = 5000
-CHEB_MAX_ITER = 300
-# Chebyshev line search: grid values per round (the bracket shrinks 16-fold
-# per round), and the bracket width at which it stops
-LINE_GRID = 33
-LINE_XTOL = 4e-13
 
 
 @dataclass
@@ -305,12 +293,6 @@ def group_closure(generators: Sequence[BallAutomorphism],
     return AutomorphismGroup(elements=elements, table=table)
 
 
-def orbit(group: AutomorphismGroup, x0: BallPoint) -> MetricSample:
-    """The sample {w_g(x0) : g in group} with its pairwise rho-table."""
-    images = group.apply_all(x0)
-    return MetricSample([BallPoint(m, boundary_tol=0.0) for m in images])
-
-
 def is_elliptic(group: AutomorphismGroup, x0: BallPoint,
                 elliptic_margin: float = ELLIPTIC_MARGIN):
     """Whether the orbit of x0 stays norm-separated from the boundary.
@@ -336,127 +318,6 @@ class FixedPointResult:
     iterations: int
     converged: bool
     history: list
-
-
-def _min_norm_combination(grads):
-    """Minimum-norm point of the convex hull of the flattened matrices;
-    a tiny simplex QP solved with SLSQP."""
-    k = len(grads)
-    if k == 1:
-        return grads[0]
-    # imported here: scipy.optimize takes longer to load than all of opball
-    from scipy.optimize import minimize
-
-    g = np.stack([x.ravel() for x in grads])
-    q = np.real(g @ g.conj().T)
-    res = minimize(lambda lam: lam @ q @ lam, np.full(k, 1.0 / k),
-                   jac=lambda lam: 2.0 * q @ lam, method="SLSQP",
-                   bounds=[(0.0, 1.0)] * k,
-                   constraints=[{"type": "eq",
-                                 "fun": lambda lam: lam.sum() - 1.0,
-                                 "jac": lambda lam: np.ones_like(lam)}],
-                   options={"maxiter": 300, "ftol": 1e-18})
-    lam = np.clip(res.x, 0.0, None)
-    lam /= lam.sum()
-    return sum(l * x for l, x in zip(lam, grads))
-
-
-def _line_radius(lifted, direction_svd, ts):
-    """max_i rho(Th(t D), lifted_i) for each t, in one kernel call, or inf
-    where Th(t D) rounds onto the boundary; by invariance the radius at
-    M_X(Th(t D)) of the orbit whose lift to the chart at X is ``lifted``."""
-    w, sig, vh = direction_svd
-    th = np.tanh(np.multiply.outer(ts, sig))
-    inside = th[:, 0] < 1.0
-    radius = np.full(len(ts), np.inf)
-    bases = (w * th[inside][:, None, :]) @ vh
-    radius[inside] = _rho(bases[:, None], lifted).max(axis=1)
-    return radius
-
-
-def _grid_line_search(radius, hi):
-    """Minimize a convex function of t on [0, hi] with a bracketing grid.
-
-    Each round evaluates ``LINE_GRID`` equally spaced values of t in one
-    call of ``radius`` and shrinks the bracket to the neighbours of the
-    best one, until the bracket is at most ``LINE_XTOL`` wide.  Returns
-    ``(t, radius(t))``.
-    """
-    lo = 0.0
-    while True:
-        ts = np.linspace(lo, hi, LINE_GRID)
-        vals = radius(ts)
-        k = int(np.argmin(vals))
-        lo, hi = ts[max(k - 1, 0)], ts[min(k + 1, LINE_GRID - 1)]
-        if hi - lo <= LINE_XTOL:
-            return float(ts[k]), float(vals[k])
-
-
-def _descent_step(lifted, u, vh, top, active, hi):
-    """Best step ``t D`` along the minimum-norm combination D of the active
-    lifts' top singular pairs, t in [0, hi], with the radius it reaches;
-    ``(None, inf)`` when that combination vanishes."""
-    grads = [np.outer(u[i, :, k], vh[i, k, :])
-             for i in active for k in np.flatnonzero(top[i])]
-    w = _min_norm_combination(grads)
-    if float(np.linalg.norm(w)) < 1e-9:
-        return None, np.inf
-    dw, ds, dvh = np.linalg.svd(w, full_matrices=False)
-    t, fun = _grid_line_search(
-        lambda ts: _line_radius(lifted, (dw, ds / ds[0], dvh), ts), hi)
-    return (t / ds[0]) * w, fun
-
-
-def chebyshev_center(sample: MetricSample, cheb_tol: float = CHEB_TOL):
-    """Center and radius of the minimal enclosing rho-ball of the sample.
-
-    Descends R(X) = max_i rho(X, p_i) along the minimum-norm element of the
-    eps-active subdifferential, lifted to the chart at the current center
-    X.  The line search stays in that chart: by invariance the radius at
-    M_X(Th(tD)) is max_i rho(Th(tD), M_{-X}(p_i)), so each round of a
-    bracketing grid search (``_grid_line_search``) costs one batched rho
-    call, and only the accepted step is mapped back through M_X.  R is
-    rho-convex, so the no-descent-direction condition certifies
-    (eps-)optimality.
-    """
-    pts = list(sample.points)
-    n = len(pts)
-    if n == 1:
-        return pts[0], 0.0
-    if n == 2:
-        center = convex_combination(pts[0], pts[1], 0.5)
-        return center, float(max(distance(center, p) for p in pts))
-    mats = np.stack([p.matrix for p in pts])
-
-    x = barycenter_sequence(pts)
-    r = float(distances_from(x.matrix, mats).max())
-    floor = 10.0 * cheb_tol
-    for _ in range(CHEB_MAX_ITER):
-        lifted = mobius_batch(-x.matrix[None], mats)
-        u, s, vh = np.linalg.svd(lifted, full_matrices=False)
-        rho = distances_from(x.matrix, mats)
-        big = rho.max()
-        if big <= cheb_tol:
-            return x, big
-        # singular pairs near the top of each lift: their outer products
-        # u v* span the subdifferential of the spectral norm there
-        top = s >= s[:, :1] - 1e-9 * np.maximum(s[:, :1], 1.0)
-        slack = max(floor, 0.05 * big)
-        tried = None
-        while True:
-            active = tuple(np.flatnonzero(rho >= big - slack))
-            # with the same active set a smaller slack repeats a failed step
-            if active != tried:
-                tried = active
-                step, fun = _descent_step(lifted, u, vh, top, active, big)
-                if fun < r - max(cheb_tol * 1e-3, 1e-15):
-                    break
-            if slack <= floor:
-                return x, r
-            slack = max(floor, slack / 8.0)
-        x = BallPoint(mobius_matrix(x.matrix, th_map(step)), boundary_tol=0.0)
-        r = min(fun, r)
-    raise MaxIterations(f"no convergence in {CHEB_MAX_ITER} center iterations")
 
 
 def _averaged_point(blocks: np.ndarray, p: int, q: int) -> BallPoint:
@@ -486,12 +347,15 @@ def find_fixed_point(group: AutomorphismGroup, x0: Optional[BallPoint] = None,
     The default ``x0`` is the averaged point (``_averaged_point``) of a
     group with a table, and 0 for a generator set without one.  Measures
     the displacement at ``x0`` first: a start point already within
-    ``fp_tol`` is returned as it is, after 0 iterations.  Otherwise the solve starts from the running barycenter of the orbit of
-    ``x0`` and descends the displacement.  ``mode`` selects midpoint
-    descent with backtracking or Chebyshev-center iteration.  Which point
-    of a non-trivial fixed-point set is returned is implementation-defined.
-    ``history`` holds the displacement at the start and after each
-    iteration.
+    ``fp_tol`` is returned as it is, after 0 iterations.  Otherwise the
+    solve starts from the running barycenter of the orbit of ``x0`` and
+    descends the displacement by midpoint steps with backtracking.
+    ``mode`` selects nothing: it accepts ``"midpoint-descent"`` and, for
+    callers written before the Chebyshev-center solver was removed,
+    ``"chebyshev-iterate"``, and both run the one descent; any other
+    value raises ``ValueError``.  Which point of a non-trivial fixed-point
+    set is returned is implementation-defined.  ``history`` holds the
+    displacement at the start and after each iteration.
     """
     if mode not in ("midpoint-descent", "chebyshev-iterate"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -515,29 +379,19 @@ def find_fixed_point(group: AutomorphismGroup, x0: Optional[BallPoint] = None,
 
     while f > fp_tol and iterations < MAX_ITER:
         iterations += 1
-        if mode == "chebyshev-iterate":
-            cand, _ = chebyshev_center(orbit(group, x),
-                                       cheb_tol=max(fp_tol * 0.1, 1e-12))
+        images = group.apply_all(x)
+        worst = int(np.argmax(distances_from(x.matrix, images)))
+        target = BallPoint(images[worst], boundary_tol=0.0)
+        lam = 1.0
+        while lam > 1e-4:
+            cand = convex_combination(x, target, 0.5 * lam)
             fc = displacement(group, cand)
-            if fc >= f:
+            if fc < f:
                 break
-            x, f = cand, fc
+            lam /= 2.0
         else:
-            images = group.apply_all(x)
-            worst = int(np.argmax(distances_from(x.matrix, images)))
-            target = BallPoint(images[worst], boundary_tol=0.0)
-            lam = 1.0
-            improved = False
-            while lam > 1e-4:
-                cand = convex_combination(x, target, 0.5 * lam)
-                fc = displacement(group, cand)
-                if fc < f:
-                    x, f = cand, fc
-                    improved = True
-                    break
-                lam /= 2.0
-            if not improved:
-                break
+            break
+        x, f = cand, fc
         history.append(f)
 
     return FixedPointResult(point=x, displacement=f, iterations=iterations,

@@ -224,8 +224,6 @@ def curve_length(ts, points: Sequence[BallPoint], velocities=None) -> float:
     ``velocities`` may give the derivative matrix at each node; when absent
     it is approximated by second-order differences of the sample.
     """
-    from scipy.integrate import simpson
-
     ts = np.asarray(ts, dtype=np.float64)
     if ts.ndim != 1 or len(ts) != len(points):
         raise ValueError("parameter grid and points must align")
@@ -237,7 +235,30 @@ def curve_length(ts, points: Sequence[BallPoint], velocities=None) -> float:
         stack = np.stack([pt.matrix for pt in points])
         velocities = list(np.gradient(stack, ts, axis=0))
     speeds = [alpha_metric(pt, v) for pt, v in zip(points, velocities)]
-    return float(simpson(speeds, x=ts))
+    return _simpson(np.asarray(speeds), ts)
+
+
+def _simpson(y: np.ndarray, x: np.ndarray) -> float:
+    """Composite Simpson's rule for samples y on an increasing grid x of at
+    least 3 nodes, spaced evenly or not.  Each pair of intervals (h0, h1)
+    integrates the parabola through its three nodes; with an even node
+    count the last interval, left over, integrates the parabola through
+    the last three nodes (Cartwright 2017).
+    """
+    h = np.diff(x)
+    # the pairs cover the first ``odd`` nodes: all of them, or all but one
+    odd = len(y) - 1 + len(y) % 2
+    h0, h1 = h[:odd - 2:2], h[1:odd - 1:2]
+    y0, y1, y2 = y[:odd - 2:2], y[1:odd - 1:2], y[2:odd:2]
+    total = np.sum((h0 + h1) / 6.0 * (y0 * (2.0 - h1 / h0)
+                                      + y1 * (h0 + h1) ** 2 / (h0 * h1)
+                                      + y2 * (2.0 - h0 / h1)))
+    if odd < len(y):
+        h0, h1 = h[-2], h[-1]
+        total += ((2.0 * h1 + 3.0 * h0) * h1 / (6.0 * (h0 + h1)) * y[-1]
+                  + (h1 + 3.0 * h0) * h1 / (6.0 * h0) * y[-2]
+                  - h1 ** 3 / (6.0 * h0 * (h0 + h1)) * y[-3])
+    return float(total)
 
 
 class MetricSample:

@@ -440,6 +440,8 @@ class UnitarizationResult(NamedTuple):
     similarity: np.ndarray
     unitary_rep: Representation
     fixed_point: BallPoint
+    # max ||tau(g)* tau(g) - 1||, the value checked against UNIT_TOL
+    unitarity_defect: float
 
 
 def _require_eta_preserving(rep: Representation):
@@ -472,7 +474,9 @@ def unitarize(rep: Representation, fp_tol: float = FP_TOL,
     representation: it has pi's table, tau(e) = U U^{-1}, and
     ||tau(gh) - tau(g) tau(h)|| <= ||U|| ||U^{-1}|| ||pi(gh) - pi(g) pi(h)||
     up to the rounding of U pi U^{-1}.  The one check on tau is the one
-    that certifies it, max ||tau(g)* tau(g) - 1|| <= ``UNIT_TOL``.
+    that certifies it, max ||tau(g)* tau(g) - 1|| <= ``UNIT_TOL``; the
+    result keeps that defect.  ``mode`` is passed to ``find_fixed_point``,
+    where both accepted names run the one descent.
     """
     _require_eta_preserving(rep)
     sig = rep.signature
@@ -498,7 +502,7 @@ def unitarize(rep: Representation, fp_tol: float = FP_TOL,
     if defect > UNIT_TOL:
         raise FixedPointFailed(f"unitarity defect {defect:.3e} > {UNIT_TOL!r}")
     return UnitarizationResult(similarity=u, unitary_rep=unitary_rep,
-                               fixed_point=d)
+                               fixed_point=d, unitarity_defect=defect)
 
 
 @dataclass(frozen=True)

@@ -20,7 +20,6 @@ OPTIONAL = {
     "fixedpoint.AutomorphismGroup": ["table"],
     "fixedpoint.group_closure": ["max_elements"],
     "fixedpoint.is_elliptic": ["elliptic_margin"],
-    "fixedpoint.chebyshev_center": ["cheb_tol"],
     "fixedpoint.find_fixed_point": ["x0", "fp_tol", "mode"],
     "pontryagin.is_J_unitary": ["tol"],
     "pontryagin.make_test_representation": ["conditioning", "seed"],
@@ -61,5 +60,5 @@ def test_optional_parameters_are_pinned():
     assert _optional_parameters() == OPTIONAL
 
 
-def test_eighteen_optional_parameters():
-    assert sum(len(names) for names in OPTIONAL.values()) == 18
+def test_seventeen_optional_parameters():
+    assert sum(len(names) for names in OPTIONAL.values()) == 17

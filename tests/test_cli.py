@@ -278,12 +278,16 @@ def test_module_entry_runs_the_cli(tmp_path):
     assert json.loads(missing.stdout)["error"] == "ParseError"
 
 
-def test_fixpoint_chebyshev_iterate_mode(tmp_path, capsys):
+def test_fixpoint_rejects_the_mode_option(tmp_path, capsys):
+    # the command runs the one solver; the option is gone from the parser
     repdir = tmp_path / "rep"
     invoke(capsys, "gen", "--group", "C2", "--sig", "2,1",
            "--cond", "3", "--seed", "4", "--out", str(repdir))
-    code, out = invoke(capsys, "fixpoint", "--group", str(repdir),
-                       "--mode", "chebyshev-iterate")
+    with pytest.raises(SystemExit) as exc:
+        run(["fixpoint", "--group", str(repdir), "--mode", "chebyshev-iterate"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --mode" in capsys.readouterr().err
+    code, out = invoke(capsys, "fixpoint", "--group", str(repdir))
     assert code == 0
     doc = json.loads(out)
     assert doc["converged"]

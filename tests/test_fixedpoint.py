@@ -9,25 +9,19 @@ from numpy.testing import assert_allclose
 from opball.errors import ClosureExceeded, NotElliptic, PreconditionUnmet
 from opball.fixedpoint import (
     AutomorphismGroup,
-    _grid_line_search,
-    _line_radius,
     _probe,
     _worst_rho,
-    chebyshev_center,
     displacement,
     equicontinuity_witness,
     find_fixed_point,
     group_closure,
     is_elliptic,
-    orbit,
 )
 from opball.hyperbolic import (
-    MetricSample,
     _rho,
     convex_combination,
     distance,
     poincare_scalar,
-    th_map,
 )
 from opball.mobius import (
     BallAutomorphism,
@@ -35,8 +29,6 @@ from opball.mobius import (
     automorphism_apply,
     automorphism_compose,
     mobius_as_block,
-    mobius_batch,
-    mobius_matrix,
     zero_point,
 )
 from opball.opcore import spectral_norm
@@ -299,23 +291,22 @@ def test_closure_memory_stays_bounded():
 def test_orbit_of_identity_group():
     group = group_closure([BallAutomorphism.identity(2, 1)])
     x = random_ball_point(rng_from(1), 2, 1, 0.5)
-    sample = orbit(group, x)
-    assert len(sample) == 1
-    assert spectral_norm(sample.points[0].matrix - x.matrix) < 1e-14
+    images = group.apply_all(x)
+    assert len(images) == 1
+    assert spectral_norm(images[0] - x.matrix) < 1e-14
 
 
 def test_orbit_of_zero_under_rotations():
     group = group_closure([rotation_block(2 * np.pi / 3)])
-    sample = orbit(group, zero_point(1, 1))
-    assert all(spectral_norm(p.matrix) < 1e-14 for p in sample.points)
+    images = group.apply_all(zero_point(1, 1))
+    assert np.all(spectral_norm(images) < 1e-14)
 
 
 def test_orbit_of_five_cycle_preserves_norm():
     group = group_closure([rotation_block(2 * np.pi / 5)])
-    sample = orbit(group, BallPoint([[0.3]]))
-    assert len(sample) == 5
-    for p in sample.points:
-        assert spectral_norm(p.matrix) == pytest.approx(0.3, abs=1e-12)
+    images = group.apply_all(BallPoint([[0.3]]))
+    assert len(images) == 5
+    assert_allclose(spectral_norm(images), 0.3, rtol=0, atol=1e-12)
 
 
 def test_finite_group_is_elliptic():
@@ -390,92 +381,6 @@ def test_displacement_convex_along_segments():
         mixed = displacement(group, convex_combination(x, y, t))
         bound = (1 - t) * displacement(group, x) + t * displacement(group, y)
         assert mixed <= bound + 1e-7
-
-
-# --- Chebyshev centers ------------------------------------------------------------
-
-
-def test_chebyshev_singleton():
-    x = BallPoint([[0.4]])
-    center, radius = chebyshev_center(MetricSample([x]))
-    assert center is x
-    assert radius == 0.0
-
-
-def test_chebyshev_two_points():
-    rng = rng_from(5)
-    x = random_ball_point(rng, 2, 2, 0.7)
-    y = random_ball_point(rng, 2, 2, 0.7)
-    center, radius = chebyshev_center(MetricSample([x, y]))
-    assert radius == pytest.approx(distance(x, y) / 2, abs=1e-9)
-    assert distance(center, x) == pytest.approx(radius, abs=1e-8)
-
-
-def test_chebyshev_symmetric_scalar_triple():
-    pts = [BallPoint([[0.5]]), BallPoint([[-0.5]]), BallPoint([[0.5j]])]
-    center, radius = chebyshev_center(MetricSample(pts))
-    assert abs(center.matrix[0, 0]) < 1e-7  # 0 by symmetry
-    assert radius == pytest.approx(math.atanh(0.5), abs=1e-8)
-    # brute-force grid oracle confirms no grid point does better
-    grid = np.linspace(-0.6, 0.6, 61)
-    best = min(max(poincare_scalar(complex(re, im), z.matrix[0, 0])
-                   for z in pts)
-               for re in grid for im in grid if abs(complex(re, im)) < 0.9)
-    assert radius <= best + 1e-8
-
-
-def test_chebyshev_radius_is_orbit_invariant():
-    gen, _ = conjugated_cyclic(4, 3, 1, 6.0, seed=7)
-    group = group_closure([gen])
-    x0 = random_ball_point(rng_from(6), 3, 1, 0.5)
-    sample = orbit(group, x0)
-    _, radius = chebyshev_center(sample)
-    for g in group.elements[1:]:
-        moved = MetricSample([automorphism_apply(g, p) for p in sample.points])
-        _, radius_g = chebyshev_center(moved)
-        assert abs(radius - radius_g) <= 1e-7
-
-
-def test_line_radius_matches_mobius_evaluation():
-    rng = rng_from(41)
-    pts = [random_ball_point(rng, 2, 2, 0.8) for _ in range(4)]
-    mats = np.stack([pt.matrix for pt in pts])
-    x = random_ball_point(rng, 2, 2, 0.6)
-    d = complex_gaussian(rng, 2, 2)
-    d = d / spectral_norm(d)
-    lifted = mobius_batch(-x.matrix[None], mats)
-    ts = np.linspace(0.0, 2.0, 9)
-    got = _line_radius(lifted, np.linalg.svd(d, full_matrices=False), ts)
-    for t, value in zip(ts, got):
-        moved = BallPoint(mobius_matrix(x.matrix, th_map(t * d)),
-                          boundary_tol=0.0)
-        want = max(distance(moved, pt) for pt in pts)
-        assert value == pytest.approx(want, rel=1e-12)
-
-
-def test_grid_line_search_matches_brute_force():
-    # the scalar triple 0.5, -0.5, 0.5i seen from x = 0.3 along -1: the
-    # radius is smallest at the origin, t = atanh(0.3), with value atanh(0.5)
-    pts = np.array([[[0.5]], [[-0.5]], [[0.5j]]])
-    x = np.array([[0.3]], dtype=np.complex128)
-    lifted = mobius_batch(-x[None], pts)
-    svd = np.linalg.svd(np.array([[-1.0 + 0j]]), full_matrices=False)
-    t, value = _grid_line_search(lambda ts: _line_radius(lifted, svd, ts), 1.0)
-    assert t == pytest.approx(math.atanh(0.3), abs=1e-10)
-    assert value == pytest.approx(math.atanh(0.5), abs=1e-10)
-    # three random 2x2 points: no value of a dense grid does better
-    rng = rng_from(42)
-    mats = np.stack([random_ball_point(rng, 2, 2, 0.8).matrix for _ in range(3)])
-    x = random_ball_point(rng, 2, 2, 0.5).matrix
-    d = complex_gaussian(rng, 2, 2)
-    lifted = mobius_batch(-x[None], mats)
-    svd = np.linalg.svd(d / spectral_norm(d), full_matrices=False)
-    t, value = _grid_line_search(lambda ts: _line_radius(lifted, svd, ts), 3.0)
-    grid = np.linspace(0.0, 3.0, 20001)
-    dense = _line_radius(lifted, svd, grid)
-    best = int(np.argmin(dense))
-    assert value <= dense[best] + 1e-10
-    assert abs(t - grid[best]) <= grid[1] - grid[0]
 
 
 # --- the fixed-point solver --------------------------------------------------------
@@ -557,15 +462,39 @@ def test_solver_returns_a_fixed_start_point_as_it_is(mode):
     assert result.point.matrix.tobytes() == x0.matrix.tobytes()
 
 
-def test_chebyshev_iterate_mode():
+def _same_result(a, b):
+    return (a.point.matrix.tobytes() == b.point.matrix.tobytes()
+            and (a.displacement, a.iterations, a.converged, a.history)
+            == (b.displacement, b.iterations, b.converged, b.history))
+
+
+def test_mode_names_run_the_same_descent():
+    # a generator set without a table, solved from 0
+    rep = make_test_representation("S3", PontryaginSignature(4, 2),
+                                   conditioning=10.0, seed=3)
+    gens = AutomorphismGroup(
+        elements=[BallAutomorphism(m, 4, 2) for m in rep.images])
+    descent = find_fixed_point(gens, mode="midpoint-descent")
+    assert descent.converged
+    assert descent.iterations > 0
+    assert _same_result(find_fixed_point(gens, mode="chebyshev-iterate"),
+                        descent)
+    # a tabled group, from its averaged point and from 0
     gen, v_aut = conjugated_cyclic(3, 2, 1, 4.0, seed=15)
     group = group_closure([gen])
-    result = find_fixed_point(group, x0=zero_point(2, 1),
-                              mode="chebyshev-iterate", fp_tol=1e-8)
-    assert result.converged
-    assert result.iterations > 0
     target = automorphism_apply(v_aut, zero_point(2, 1))
-    assert distance(result.point, target) < 1e-6
+    for x0 in (None, zero_point(2, 1)):
+        descent = find_fixed_point(group, x0=x0, mode="midpoint-descent")
+        assert descent.converged
+        assert distance(descent.point, target) < 1e-6
+        assert _same_result(
+            find_fixed_point(group, x0=x0, mode="chebyshev-iterate"), descent)
+
+
+def test_unknown_mode_raises():
+    group = group_closure([rotation_block(2 * np.pi / 5)])
+    with pytest.raises(ValueError, match="bogus"):
+        find_fixed_point(group, mode="bogus")
 
 
 # one group per family at a split where the fixed point is unique

@@ -1,5 +1,4 @@
 import math
-import warnings
 
 import numpy as np
 import pytest
@@ -15,7 +14,6 @@ from opball.errors import (
     ParameterOverflow,
     ZeroInput,
 )
-from opball.fixedpoint import _line_radius
 from opball.hyperbolic import (
     GeodesicLine,
     MetricSample,
@@ -132,22 +130,6 @@ def test_distance_is_symmetric_near_the_boundary():
             a, b = (random_ball_point(rng, p, q, 1.0 - 1e-6, 1.0 - 1e-6)
                     for _ in range(2))
             assert distance(a, b) == pytest.approx(distance(b, a), rel=1e-12)
-
-
-def test_line_radius_is_infinite_past_tanh_saturation():
-    rng = rng_from(44)
-    lifted = np.stack([random_ball_point(rng, 3, 2, 0.9).matrix
-                       for _ in range(3)])
-    d = complex_gaussian(rng, 3, 2)
-    svd = np.linalg.svd(d / spectral_norm(d), full_matrices=False)
-    # tanh(t) rounds to 1 from about t = 19.1: Th(tD) is on the boundary
-    ts = np.array([0.0, 0.7, 19.5, 40.0])
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        got = _line_radius(lifted, svd, ts)
-        assert got[2:].tolist() == [math.inf, math.inf]
-        assert np.all(np.isfinite(got[:2]))
-        assert _line_radius(lifted, svd, ts[2:]).tolist() == [math.inf] * 2
 
 
 # --- Th and its inverse --------------------------------------------------------
@@ -478,6 +460,25 @@ def test_curve_length_grid_too_coarse():
     a, b = scalar(0.1), scalar(0.2)
     with pytest.raises(GridTooCoarse):
         curve_length([0.0, 1.0], [a, b])
+
+
+@pytest.mark.parametrize("nodes", [3, 4, 11, 12, 101, 102])
+@pytest.mark.parametrize("uniform", [True, False])
+def test_curve_length_matches_scipy_simpson(nodes, uniform):
+    from scipy.integrate import simpson
+
+    rng = rng_from(25)
+    x = random_ball_point(rng, 3, 2, 0.6)
+    y = random_ball_point(rng, 3, 2, 0.6)
+    ts = (np.linspace(0.0, 1.0, nodes) if uniform
+          else np.concatenate([[0.0], np.sort(rng.uniform(0, 1, nodes - 2)), [1.0]]))
+    # a curve whose speed varies: a straight segment run at t^2
+    pts = [BallPoint(x.matrix + t * t * (y.matrix - x.matrix), boundary_tol=0.0)
+           for t in ts]
+    vels = [2.0 * t * (y.matrix - x.matrix) for t in ts]
+    speeds = [alpha_metric(pt, v) for pt, v in zip(pts, vels)]
+    assert curve_length(ts, pts, vels) == pytest.approx(
+        simpson(speeds, x=ts), rel=1e-13)
 
 
 # --- diameter machinery ----------------------------------------------------------

@@ -381,6 +381,14 @@ def test_unitarize_at_conditioning_3e3(group, n_plus, n_minus):
     assert max_unitarity_defect(res.unitary_rep.images) <= UNIT_TOL
 
 
+def test_unitarize_keeps_the_unitarity_defect_it_checks():
+    rep = make_test_representation("Q8", PontryaginSignature(5, 2),
+                                   conditioning=50.0, seed=1)
+    res = unitarize(rep)
+    assert res.unitarity_defect == max_unitarity_defect(res.unitary_rep.images)
+    assert res.unitarity_defect <= UNIT_TOL
+
+
 def test_unitarize_certifies_tau_by_its_unitarity_defect(monkeypatch):
     # tau's unitarity defect is about 1e-11 here, and the check on it is the
     # one check unitarize runs on tau; dual_pair converges on this seed
@@ -430,6 +438,14 @@ def test_averaged_fixed_point_with_a_shared_class():
     assert displacement(_induced_group(rep), point) <= FP_TOL
     res = unitarize(rep)
     assert max_unitarity_defect(res.unitary_rep.images) <= UNIT_TOL
+
+
+def test_unitarize_keeps_the_unitarity_defect_it_checks():
+    rep = make_test_representation("Q8", PontryaginSignature(5, 2),
+                                   conditioning=50.0, seed=1)
+    res = unitarize(rep)
+    assert res.unitarity_defect == max_unitarity_defect(res.unitary_rep.images)
+    assert res.unitarity_defect <= UNIT_TOL
 
 
 def test_unitarize_certifies_tau_by_its_unitarity_defect(monkeypatch):
