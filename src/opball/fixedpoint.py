@@ -3,8 +3,8 @@ groups of ball automorphisms.
 
 A group is closed from its generators one frontier round at a time: the
 elements found in the last round are multiplied with every known element
-in stacked kernel calls, and products are told apart by their action on
-a few seeded probe points.
+in stacked kernel calls, and products are told apart by their normalized
+blocks, aligned by the unimodular scalar a block is defined up to.
 
 The solver minimizes the displacement f(X) = max_g rho(X, w_g(X)), which
 is convex along geodesics and vanishes exactly on the common fixed-point
@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -33,7 +32,6 @@ from .errors import (
     PreconditionUnmet,
 )
 from .hyperbolic import (
-    _rho,
     barycenter_sequence,
     convex_combination,
     distances_from,
@@ -51,7 +49,6 @@ from .mobius import (
     zero_point,
 )
 from .opcore import adjoint, hermitian_eig, spectral_norm
-from .sampling import probe_points
 
 GROUP_TOL = 1e-8
 ELLIPTIC_MARGIN = 1e-6
@@ -89,77 +86,18 @@ class AutomorphismGroup:
         return frac_linear(self._blocks, x.matrix)
 
 
-# a product whose bound on sinh rho to its one near element is below this
-# matches it without a rho; the factor 2 to sinh(GROUP_TOL) absorbs rounding
-_SETTLE_BOUND = 0.5 * math.sinh(GROUP_TOL)
-# probe images closer to the boundary than this cannot be compared reliably
-# in rho; such automorphisms are treated as distinct from everything (only
-# runaway, non-elliptic sequences produce them)
-_PROBE_MARGIN_FLOOR = 1e-10
-
-
-@lru_cache(maxsize=None)
-def _probe_matrices(p: int, q: int) -> np.ndarray:
-    """The stacked probe points of a split, made once."""
-    mats = np.stack([pt.matrix for pt in probe_points(p, q)])
-    mats.setflags(write=False)
-    return mats
-
-
-def _action_signature(t: BallAutomorphism, probe_mats) -> Optional[np.ndarray]:
-    """Raw w_T images of the probe stack, or None when the action
-    degenerates."""
-    try:
-        return frac_linear(t.block, probe_mats)
-    except np.linalg.LinAlgError:
-        return None
-
-
-def _probe(auts: list, probe_mats):
-    """The probe signatures of a list of automorphisms, in one stacked
-    fractional-linear evaluation and one stacked margin SVD, which of them
-    rho can compare, and the room 1 - ||A||^2 of each probe image A.  A
-    degenerate action in the stack sends it through ``_action_signature``
-    one element at a time; that element gets zeros and is not comparable."""
-    blocks = np.stack([t.block for t in auts])
-    try:
-        sigs = frac_linear(blocks[:, None], probe_mats)
-        ok = np.ones(len(auts), dtype=bool)
-    except np.linalg.LinAlgError:
-        each = [_action_signature(t, probe_mats) for t in auts]
-        ok = np.array([s is not None for s in each])
-        sigs = np.stack([np.zeros_like(probe_mats) if s is None else s
-                         for s in each])
-    margins = 1.0 - spectral_norm(sigs)
-    ok &= margins.min(axis=1) >= _PROBE_MARGIN_FLOOR
-    return sigs, ok, margins * (2.0 - margins)
-
-
-def _worst_rho(cand, refs, settle, mask=True):
-    """The worst rho over the probes from each candidate to each reference
-    (``(signatures, ok, room)`` from ``_probe``); inf where either cannot be
-    compared, ``mask`` is False, or the screen sinh rho >= ||B - A|| >=
-    max |B - A| rules the pair out: only pairs within ``sinh(GROUP_TOL)``
-    entrywise are near.  As ||(1 - AA*)^{-1/2}|| = (1 - ||A||^2)^{-1/2},
-    sinh rho <= ||B - A||_F / sqrt(room_A room_B); a row that may ``settle``
-    (a flag, or one per row) with one near reference bounded below
-    ``_SETTLE_BOUND`` holds the asinh of that bound, the other near pairs
-    their rho from one stacked call.  Returns these and the bounded rows."""
-    (sigs, ok, room), (ref, ref_ok, ref_room) = cand, refs
-    near = mask & ok[:, None] & ref_ok & (
-        abs(sigs[:, None] - ref).max(axis=(2, 3, 4)) < np.sinh(GROUP_TOL))
-    worst = np.full(near.shape, np.inf)
-    c, r = np.nonzero(near)
-    if not len(c):
-        return worst, c
-    upper = (np.linalg.norm(sigs[c] - ref[r], axis=(2, 3))
-             / np.sqrt(room[c] * ref_room[r])).max(axis=1)
-    bounded = (upper < _SETTLE_BOUND) & ((near.sum(axis=1) == 1) & settle)[c]
-    worst[c, r] = np.arcsinh(upper)
-    settled, c, r = c[bounded], c[~bounded], r[~bounded]
-    if len(c):
-        worst[c, r] = _rho(sigs[c], ref[r]).max(axis=1)
-    return worst, settled
+def _block_distance(prods: np.ndarray, elems: np.ndarray) -> np.ndarray:
+    """The relative phase-aligned distance ||P - cE||_F / (||P||_F ||E||_F)
+    from each flattened block P of one stack to each block E of another,
+    with c = <E, P> / |<E, P>| (1 where <E, P> = 0), the unimodular scalar
+    that brings E nearest to P: a normalized block is defined only up to
+    such a scalar."""
+    inner = prods @ adjoint(elems)
+    size = abs(inner)
+    phase = np.divide(inner, size, out=np.ones_like(inner), where=size > 0)
+    gap = np.linalg.norm(prods[:, None] - phase[..., None] * elems, axis=2)
+    return gap / np.outer(np.linalg.norm(prods, axis=1),
+                          np.linalg.norm(elems, axis=1))
 
 
 def group_closure(generators: Sequence[BallAutomorphism],
@@ -170,24 +108,19 @@ def group_closure(generators: Sequence[BallAutomorphism],
     products of the elements found so far, one frontier round at a time:
     round r multiplies the elements that round r - 1 found with every
     element known when round r starts, on both sides.  Two automorphisms
-    are the same element when the worst rho between their actions on a
-    fixed seeded probe set is below ``GROUP_TOL`` (block matrices are only
-    defined up to a scalar; the action is the semantic identity).
+    are the same element when their normalized blocks, aligned by the
+    unimodular scalar they are defined up to, are within a relative
+    Frobenius distance ``GROUP_TOL`` (``_block_distance``).
 
     Each round runs as a few stacked kernel calls over its products, taken
     in chunks that keep every stacked temporary within ``CLOSURE_CHUNK``
-    entries: one block product, one normalization and eta check, one probe
-    evaluation and margin SVD, then a two-sided screen against the elements
-    found so far and among the chunk's products that match none of them.
-    A pair more than ``sinh(GROUP_TOL)`` apart in some entry is distinct; a
-    product with one near element and no other match to weigh is that
-    element when its Frobenius bound on sinh rho is below half of
-    ``sinh(GROUP_TOL)``; the other near pairs take one stacked rho.  Then,
-    in order, a product that matches no earlier element starts a new one;
-    where several match, the nearest is taken, the earliest of equals.
-    Elements and table are thus those of a closure that takes the products
-    one at a time.  Raises ``ClosureExceeded`` when the group is infinite
-    or larger than ``max_elements``.
+    entries: one block product, one normalization and eta check, and one
+    distance from each product to the elements found so far and to the
+    chunk's products.  Then, in order, a product that matches no earlier
+    element starts a new one; where several match, the nearest is taken,
+    the earliest of equals.  Elements and table are thus those of a closure
+    that takes the products one at a time.  Raises ``ClosureExceeded`` when
+    the group is infinite or larger than ``max_elements``.
     """
     if not generators:
         raise ValueError("need at least one generator")
@@ -195,47 +128,42 @@ def group_closure(generators: Sequence[BallAutomorphism],
     for g in generators:
         if (g.dim_h, g.dim_k) != (p, q):
             raise ValueError("generators must share one split")
-    probe_mats = _probe_matrices(p, q)
-    width = probe_mats.size
+    width = (p + q) ** 2
 
     elements: list = []
-    # the elements' probe signatures, comparability and room (``_probe``)
-    probed = (np.empty((0,) + probe_mats.shape, dtype=np.complex128),
-              np.empty(0, dtype=bool), np.empty((0, len(probe_mats))))
+    # the elements' blocks, flattened
+    blocks = np.empty((0, width), dtype=np.complex128)
 
     def chunks(count: int):
-        """Slices of ``count`` products; the screens against the elements
-        and within a chunk are the largest temporaries."""
+        """Slices of ``count`` products; the distances from a chunk's rows to
+        the elements and to the chunk, rows x (elements + rows) blocks, are
+        the largest temporaries."""
         at = 0
         while at < count:
-            rows = max(1, min(CLOSURE_CHUNK // (max(len(elements), 1) * width),
-                              math.isqrt(CLOSURE_CHUNK // width),
-                              CLOSURE_CHUNK // (p + q) ** 2))
+            found = len(elements)
+            rows = max(1, (math.isqrt(found * found + 4 * (CLOSURE_CHUNK // width))
+                           - found) // 2)
             yield slice(at, at + rows)
             at += rows
 
     def settle(auts: list) -> np.ndarray:
-        """The index of the element each automorphism acts as; one that
-        acts as no earlier one is appended."""
-        nonlocal probed
-        cand = _probe(auts, probe_mats)
-        worst, bounded = _worst_rho(cand, probed, True)
-        best = worst.min(axis=1, initial=np.inf)
-        index = worst.argmin(axis=1) if len(elements) else np.zeros(
+        """The index of the element each automorphism is; one that matches
+        no earlier one is appended."""
+        nonlocal blocks
+        cand = np.stack([t.block for t in auts]).reshape(len(auts), width)
+        gap = _block_distance(cand, np.concatenate([blocks, cand]))
+        known, own = gap[:, :len(elements)], gap[:, len(elements):]
+        best = known.min(axis=1, initial=np.inf)
+        index = known.argmin(axis=1) if len(elements) else np.zeros(
             len(auts), dtype=int)
         # only a product that matches no known element can start one; the
-        # later products of the chunk are compared with each of those.  A
-        # bound stands only where no other match is weighed against it: a
-        # matched product takes rho to the new elements and to its match
-        open_ = np.flatnonzero(best >= GROUP_TOL)
-        later, _ = _worst_rho(cand, [x[open_] for x in cand], np.isinf(best),
-                              np.arange(len(auts))[:, None] > open_)
-        redo = bounded[np.isfinite(later[bounded]).any(axis=1)]
-        if len(redo):
-            best[redo] = _rho(cand[0][redo], probed[0][index[redo]]).max(axis=1)
+        # later products of the chunk are compared with each of those
+        open_ = np.flatnonzero(best > GROUP_TOL)
+        later = np.where(np.arange(len(auts))[:, None] > open_,
+                         own[:, open_], np.inf)
         fresh = []
         for col, k in enumerate(open_):
-            if best[k] < GROUP_TOL:
+            if best[k] <= GROUP_TOL:
                 continue
             if len(elements) >= max_elements:
                 raise ClosureExceeded(max_elements)
@@ -244,8 +172,7 @@ def group_closure(generators: Sequence[BallAutomorphism],
             fresh.append(k)
             closer = later[:, col] < best
             best[closer], index[closer] = later[closer, col], index[k]
-        probed = tuple(np.concatenate([k, x[fresh]])
-                       for k, x in zip(probed, cand))
+        blocks = np.concatenate([blocks, cand[fresh]])
         return index
 
     # the identity and each generator's inverse are normalized and checked
@@ -270,7 +197,7 @@ def group_closure(generators: Sequence[BallAutomorphism],
                                np.repeat(np.arange(start), len(frontier))])
         right = np.concatenate([np.tile(np.arange(known), len(frontier)),
                                 np.tile(frontier, start)])
-        stack = np.stack([t.block for t in elements[:known]])
+        stack = blocks[:known].reshape(known, p + q, p + q)
         for part in chunks(len(left)):
             i, j = left[part], right[part]
             try:

@@ -1,6 +1,7 @@
 """Seeded random generators shared by the test suites, the property-check
-runner, and the representation builder.  Determinism contract: identical
-seeds produce identical values."""
+runner, and the test-representation builder.  Determinism contract:
+identical seeds produce identical values.  No result of the library's
+solvers or of its group closure depends on a seed drawn here."""
 
 from __future__ import annotations
 
@@ -8,10 +9,6 @@ import numpy as np
 
 from .mobius import BallPoint
 from .opcore import spectral_norm
-
-# probe points used for deduplicating automorphisms by their action
-_PROBE_SEED = 20259
-
 
 def rng_from(seed) -> np.random.Generator:
     return np.random.default_rng(seed)
@@ -68,11 +65,3 @@ def random_eta_preserving(rng: np.random.Generator, p: int, q: int,
     j = int(rng.integers(q))
     core = hyperbolic_plane_rotation(p, q, i, j, s)
     return random_block_unitary(rng, p, q) @ core @ random_block_unitary(rng, p, q)
-
-
-def probe_points(p: int, q: int, count: int = 3) -> list[BallPoint]:
-    """Fixed pseudo-random ball points used as the semantic identity of an
-    automorphism (block matrices are only defined up to scalar)."""
-    rng = rng_from(_PROBE_SEED)
-    return [random_ball_point(rng, p, q, max_norm=0.5, min_norm=0.2)
-            for _ in range(count)]

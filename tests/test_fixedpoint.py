@@ -1,16 +1,19 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from opball.errors import ClosureExceeded, NotElliptic, PreconditionUnmet
+from opball.errors import (
+    ClosureExceeded,
+    NotElliptic,
+    NotEtaPreserving,
+    PreconditionUnmet,
+)
 from opball.fixedpoint import (
     AutomorphismGroup,
-    _probe,
-    _worst_rho,
+    _block_distance,
     displacement,
     equicontinuity_witness,
     find_fixed_point,
@@ -18,7 +21,6 @@ from opball.fixedpoint import (
     is_elliptic,
 )
 from opball.hyperbolic import (
-    _rho,
     convex_combination,
     distance,
     poincare_scalar,
@@ -34,7 +36,6 @@ from opball.mobius import (
 from opball.opcore import spectral_norm
 from opball.pontryagin import PontryaginSignature, make_test_representation
 from opball.sampling import (
-    complex_gaussian,
     random_ball_point,
     random_eta_preserving,
     rng_from,
@@ -131,76 +132,91 @@ def test_closure_order_and_table_are_pinned(generators, rows):
             for row in group.table.tolist()] == rows
 
 
-def closure_outcome(generators, monkeypatch):
-    """The blocks and table of a closure, or the exception it raises, with
-    the element count that each screen against the elements started from."""
-    import opball.fixedpoint as fixedpoint
+def test_block_distance_aligns_the_phase():
+    rng = rng_from(21)
+    blocks = np.stack([random_eta_preserving(rng, 2, 1, 5.0)
+                       for _ in range(3)]).reshape(3, 9)
+    phased = blocks * np.exp(1j * np.array([0.3, -2.0, np.pi]))[:, None]
+    gap = _block_distance(phased, blocks)
+    assert np.all(np.diag(gap) < 1e-15)
+    assert np.all(gap[~np.eye(3, dtype=bool)] > 1e-3)
+    # <E, P> = 0 takes the phase 1, without a warning
+    e = np.eye(3).reshape(1, 9)
+    p = np.diag([1.0, -1.0, 0.0]).reshape(1, 9)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        gap = _block_distance(p, e)
+    assert gap[0, 0] == pytest.approx(
+        np.linalg.norm(p - e) / (np.linalg.norm(p) * np.linalg.norm(e)),
+        rel=1e-15)
 
-    known = []
 
-    def traced(cand, refs, *args):
-        known.append(len(refs[0]))
-        return screen(cand, refs, *args)
+@pytest.mark.parametrize("generators,rows", [c[1:] for c in PINNED_CLOSURES],
+                         ids=[c[0] for c in PINNED_CLOSURES])
+def test_closure_table_ignores_a_phase_on_the_generators(generators, rows):
+    phased = [BallAutomorphism(np.exp(1j * (0.4 + 1.3 * k)) * g.block,
+                               g.dim_h, g.dim_k)
+              for k, g in enumerate(generators())]
+    test_closure_order_and_table_are_pinned(lambda: phased, rows)
 
-    screen = fixedpoint._worst_rho
-    monkeypatch.setattr(fixedpoint, "_worst_rho", traced)
+
+# every image as a generator, as ``opball fixpoint`` closes a directory, at
+# conditioning 1e3: (name, split, seed, order of the image group).  The last
+# two representations have a kernel; their images form a group of order 2
+ALL_IMAGES_AT_COND_1E3 = (
+    [("C4", (2, 1), seed, 4) for seed in range(4)]
+    + [("S3", (4, 2), seed, 6) for seed in (0, 1, 3)]
+    + [("Q8", (5, 2), seed, 8) for seed in (1, 3)]
+    + [("S3", (4, 2), 2, 2), ("C8", (2, 2), 3, 2)])
+
+
+@pytest.mark.parametrize("name, sig, seed, order", ALL_IMAGES_AT_COND_1E3,
+                         ids=[f"{c[0]}-seed{c[2]}" for c in ALL_IMAGES_AT_COND_1E3])
+def test_closure_of_all_images_at_conditioning_1e3(name, sig, seed, order):
+    rep = make_test_representation(name, PontryaginSignature(*sig), 1e3,
+                                   seed=seed)
+    group = group_closure([BallAutomorphism(m, *sig) for m in rep.images])
+    assert len(group) == order
+    for row in group.table:
+        assert sorted(row.tolist()) == list(range(order))
+
+
+def two_generator_closure(name, sig, seed, cond):
+    """The order of the closure of images 1 and 2, or the exception."""
+    rep = make_test_representation(name, PontryaginSignature(*sig), cond,
+                                   seed=seed)
     try:
-        group = group_closure(generators)
-        outcome = ([t.block.tobytes() for t in group.elements],
-                   group.table.tobytes())
+        return len(group_closure([BallAutomorphism(rep.images[i], *sig)
+                                  for i in (1, 2)]))
     except ClosureExceeded as exc:
-        outcome = (type(exc), str(exc))
-    monkeypatch.setattr(fixedpoint, "_worst_rho", screen)
-    return outcome, known
+        return exc
 
 
-# two generators of each pinned family, up to conditioning 1e3, where
-# closures begin to fail: 18 of these 72 raise ClosureExceeded
-CONDITIONED_CLOSURES = [
-    (name, sig, cond, seed)
-    for name, sig in (("C4", (2, 1)), ("S3", (4, 2)), ("Q8", (5, 2)),
-                      ("C12", (6, 3)))
-    for cond in (30.0, 300.0, 1e3) for seed in range(6)]
-
-
-def test_closure_is_the_same_without_the_rho_bound(monkeypatch):
-    import opball.fixedpoint as fixedpoint
-
-    cases = [make for _, make, _ in PINNED_CLOSURES]
-    for name, sig, cond, seed in CONDITIONED_CLOSURES:
-        rep = make_test_representation(name, PontryaginSignature(*sig), cond,
-                                       seed=seed)
-        cases.append(lambda rep=rep, sig=sig: [
-            BallAutomorphism(rep.images[i], *sig) for i in (1, 2)])
-    bounded = [closure_outcome(make(), monkeypatch) for make in cases]
-    # with a zero bound every near pair takes its rho, as before the bound
-    monkeypatch.setattr(fixedpoint, "_SETTLE_BOUND", 0.0)
-    exact = [closure_outcome(make(), monkeypatch) for make in cases]
-    assert bounded == exact
-    assert sum(isinstance(o[0], type) for o, _ in bounded) == 18
-
-
-def test_closure_settles_most_matches_by_the_rho_bound(monkeypatch):
-    import opball.fixedpoint as fixedpoint
-
-    calls = []
-    rho = fixedpoint._rho
-    monkeypatch.setattr(fixedpoint, "_rho",
-                        lambda a, b: calls.append(len(a)) or rho(a, b))
-    counts = []
-    for _, make, _ in PINNED_CLOSURES:
-        calls.clear()
-        group_closure(make())
-        counts.append(len(calls))
-    # a stacked rho for every near pair took 3, 5, 3 and 6 calls; what is
-    # left are products near several new elements of their own chunk
-    assert counts == [0, 1, 1, 1]
+def test_conditioned_two_generator_closures():
+    families = (("C4", (2, 1)), ("S3", (4, 2)), ("Q8", (5, 2)),
+                ("C12", (6, 3)))
+    cases = [(name, sig, seed) for name, sig in families for seed in range(6)]
+    orders = [two_generator_closure(*case, 30.0) for case in cases]
+    assert all(isinstance(order, int) for order in orders)
+    closed = {}
+    for cond in (300.0, 1e3):
+        outcomes = [two_generator_closure(*case, cond) for case in cases]
+        closed[cond] = 0
+        for outcome, order in zip(outcomes, orders):
+            if isinstance(outcome, int):
+                assert outcome == order
+                closed[cond] += 1
+            else:
+                # what fails is the eta check of a product, not the match
+                assert isinstance(outcome.__cause__, NotEtaPreserving)
+    assert closed[300.0] >= 23
+    assert closed[1e3] >= 21
 
 
 def test_closure_takes_one_stacked_probe_per_round(monkeypatch):
     import opball.fixedpoint as fixedpoint
 
-    calls = {"stack": 0, "probe": 0, "margin": 0}
+    calls = {"stack": 0, "distance": 0}
 
     def counted(name, kernel):
         def wrapper(*args, **kwargs):
@@ -209,54 +225,16 @@ def test_closure_takes_one_stacked_probe_per_round(monkeypatch):
         return wrapper
 
     gens = representation_generators("S3", (1, 2), (4, 2))
-    # the seeding and each frontier round normalize one stack of blocks;
-    # probing them takes one fractional-linear evaluation and one margin SVD
+    # the seeding and each frontier round normalize one stack of blocks and
+    # take one stacked distance from it to the elements and to itself
     monkeypatch.setattr(fixedpoint, "_automorphism_stack",
                         counted("stack", fixedpoint._automorphism_stack))
-    monkeypatch.setattr(fixedpoint, "frac_linear",
-                        counted("probe", fixedpoint.frac_linear))
-    monkeypatch.setattr(fixedpoint, "spectral_norm",
-                        counted("margin", fixedpoint.spectral_norm))
+    monkeypatch.setattr(fixedpoint, "_block_distance",
+                        counted("distance", fixedpoint._block_distance))
     group = group_closure(gens)
     monkeypatch.undo()
     assert len(group) == 6
-    assert calls == {"stack": 4, "probe": 4, "margin": 4}
-
-
-def test_probe_takes_a_degenerate_action_one_element_at_a_time():
-    # T21 X + T22 = 2X - 1 vanishes at the first probe
-    bad = BallAutomorphism(np.array([[1.0, 0.0], [2.0, -1.0]]), 1, 1,
-                           normalize=False, aut_tol=10.0)
-    probes = np.array([[[0.5]], [[0.3]]], dtype=np.complex128)
-    sigs, ok, _ = _probe([BallAutomorphism.identity(1, 1), bad], probes)
-    assert ok.tolist() == [True, False]
-    assert_allclose(sigs[0], probes, rtol=0, atol=1e-15)
-    assert not np.any(sigs[1])
-
-
-@settings(max_examples=300, deadline=None)
-@given(st.integers(1, 4), st.integers(1, 3), st.integers(0, 2**32 - 1),
-       st.lists(st.floats(-8.0, -0.05), min_size=1, max_size=3),
-       st.floats(-16.0, -8.5))
-def test_worst_rho_bound_is_above_sinh_rho(p, q, seed, log_margins, log_step):
-    import opball.fixedpoint as fixedpoint
-
-    # m probe images A_k with 1 - ||A_k|| = 10^log_margin, and B_k within
-    # 10^log_step of them, so every entry is within the screen's reach
-    rng = rng_from(seed)
-    a = np.stack([random_ball_point(rng, p, q).matrix for _ in log_margins])
-    a *= ((1.0 - 10.0 ** np.array(log_margins)) / spectral_norm(a))[:, None, None]
-    step = complex_gaussian(rng, len(a) * p, q).reshape(a.shape)
-    b = a + step * (10.0 ** log_step / spectral_norm(step))[:, None, None]
-    identity = [BallAutomorphism.identity(p, q)]
-    cand, refs = _probe(identity, a), _probe(identity, b)
-    # every bound settles its pair here, so the bound itself is returned
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(fixedpoint, "_SETTLE_BOUND", np.inf)
-        worst, settled = _worst_rho(cand, refs, True)
-    assert settled.tolist() == [0]
-    exact = np.sinh(_rho(cand[0][0], refs[0][0])).max()
-    assert np.sinh(worst[0, 0]) >= exact * (1.0 - 1e-12)
+    assert calls == {"stack": 4, "distance": 4}
 
 
 def test_closure_stops_at_the_element_limit_inside_a_round():

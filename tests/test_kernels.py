@@ -10,7 +10,6 @@ from numpy.testing import assert_allclose
 
 import opball.hyperbolic as hyperbolic
 from opball.errors import DomainError
-from opball.fixedpoint import _action_signature
 from opball.hyperbolic import MetricSample, convex_combination, distance
 from opball.mobius import (
     BallAutomorphism,
@@ -117,15 +116,6 @@ def test_frac_linear_maps_a_probe_stack_through_one_block():
     for pt, img in zip(probes, images):
         assert_allclose(img, automorphism_apply(t, pt).matrix,
                         rtol=0, atol=1e-13)
-
-
-def test_action_signature_is_none_on_a_singular_denominator():
-    # T21 X + T22 = 0 at X = 1 for this (not eta-preserving) block
-    block = np.array([[1.0, 0.0], [1.0, -1.0]], dtype=np.complex128)
-    t = BallAutomorphism(block, 1, 1, normalize=False, aut_tol=10.0)
-    probes = np.array([[[0.5]], [[1.0]]], dtype=np.complex128)
-    assert _action_signature(t, probes) is None
-    assert _action_signature(t, probes[:1]) is not None
 
 
 @pytest.mark.parametrize("p, q", SHAPES)
