@@ -1,10 +1,10 @@
 """Orbits, ellipticity certification, and common fixed points of finite
 groups of ball automorphisms.
 
-A group is closed from its generators one frontier round at a time: the
-elements found in the last round are multiplied with every known element
-in stacked kernel calls, and products are told apart by their normalized
-blocks, aligned by the unimodular scalar a block is defined up to.
+A group is closed from its generators along the Cayley graph: the
+elements found in the last layer are multiplied by each generator and
+inverse in stacked kernel calls, and products are told apart by their
+normalized blocks, aligned by the unimodular scalar they are defined up to.
 
 The solver minimizes the displacement f(X) = max_g rho(X, w_g(X)), which
 is convex along geodesics and vanishes exactly on the common fixed-point
@@ -54,7 +54,7 @@ GROUP_TOL = 1e-8
 ELLIPTIC_MARGIN = 1e-6
 FP_TOL = 1e-9
 MAX_ELEMENTS = 256
-# entries a closure round puts in one stacked temporary at most; its
+# entries a closure layer puts in one stacked temporary at most; its
 # products are taken in chunks that keep to it
 CLOSURE_CHUNK = 1 << 17
 MAX_ITER = 5000
@@ -105,22 +105,23 @@ def group_closure(generators: Sequence[BallAutomorphism],
     """Close a generator set under composition.
 
     The elements are the identity, each generator and its inverse, then the
-    products of the elements found so far, one frontier round at a time:
-    round r multiplies the elements that round r - 1 found with every
-    element known when round r starts, on both sides.  Two automorphisms
+    products found breadth first along the Cayley graph: each layer takes
+    the elements the last one found times every step, a distinct generator
+    or inverse, so every product has one exact factor.  Two automorphisms
     are the same element when their normalized blocks, aligned by the
     unimodular scalar they are defined up to, are within a relative
     Frobenius distance ``GROUP_TOL`` (``_block_distance``).
 
-    Each round runs as a few stacked kernel calls over its products, taken
+    Each layer runs as a few stacked kernel calls over its products, taken
     in chunks that keep every stacked temporary within ``CLOSURE_CHUNK``
     entries: one block product, one normalization and eta check, and one
     distance from each product to the elements found so far and to the
     chunk's products.  Then, in order, a product that matches no earlier
     element starts a new one; where several match, the nearest is taken,
-    the earliest of equals.  Elements and table are thus those of a closure
-    that takes the products one at a time.  Raises ``ClosureExceeded`` when
-    the group is infinite or larger than ``max_elements``.
+    the earliest of equals.  The table is gathered from the permutations
+    the steps make of the elements.  Raises ``ClosureExceeded`` when the
+    group is infinite or larger than ``max_elements``, or when a step is
+    not a permutation.
     """
     if not generators:
         raise ValueError("need at least one generator")
@@ -134,16 +135,15 @@ def group_closure(generators: Sequence[BallAutomorphism],
     # the elements' blocks, flattened
     blocks = np.empty((0, width), dtype=np.complex128)
 
-    def chunks(count: int):
-        """Slices of ``count`` products; the distances from a chunk's rows to
-        the elements and to the chunk, rows x (elements + rows) blocks, are
-        the largest temporaries."""
-        at = 0
-        while at < count:
+    def chunks(at: int, stop: int):
+        """Slices of the products [at, stop); the distances from a chunk's
+        rows to the elements and to the chunk, rows x (elements + rows)
+        blocks, are the largest temporaries."""
+        while at < stop:
             found = len(elements)
             rows = max(1, (math.isqrt(found * found + 4 * (CLOSURE_CHUNK // width))
                            - found) // 2)
-            yield slice(at, at + rows)
+            yield slice(at, min(at + rows, stop))
             at += rows
 
     def settle(auts: list) -> np.ndarray:
@@ -184,24 +184,20 @@ def group_closure(generators: Sequence[BallAutomorphism],
     seeds = [firsts[0]]
     for g, g_inv in zip(generators, firsts[1:]):
         seeds += [g, g_inv]
-    for part in chunks(len(seeds)):
+    for part in chunks(0, len(seeds)):
         settle(seeds[part])
 
-    # a round's frontier [start, known) is what the previous round found;
-    # it takes frontier x [0, known), then [0, start) x frontier
+    # element 0 is the identity and the other distinct seeds are the steps;
+    # a layer finds by_step[i, k], the element i s_k, for i in [start, known)
+    steps = blocks[1:].reshape(-1, p + q, p + q)
+    by_step = [np.empty(0, dtype=int)]
     start, known = 0, len(elements)
-    table_parts = []
     while start < known:
-        frontier = np.arange(start, known)
-        left = np.concatenate([np.repeat(frontier, known),
-                               np.repeat(np.arange(start), len(frontier))])
-        right = np.concatenate([np.tile(np.arange(known), len(frontier)),
-                                np.tile(frontier, start)])
-        stack = blocks[:known].reshape(known, p + q, p + q)
-        for part in chunks(len(left)):
-            i, j = left[part], right[part]
+        stack = blocks.reshape(-1, p + q, p + q)
+        for part in chunks(start * len(steps), known * len(steps)):
+            i, k = np.divmod(np.arange(part.start, part.stop), len(steps))
             try:
-                auts = _automorphism_stack(stack[i] @ stack[j], p, q, AUT_TOL)
+                auts = _automorphism_stack(stack[i] @ steps[k], p, q, AUT_TOL)
             except NotEtaPreserving as exc:
                 # products of an elliptic finite set never saturate double
                 # precision; losing eta mid-closure means unbounded growth
@@ -209,14 +205,22 @@ def group_closure(generators: Sequence[BallAutomorphism],
                     max_elements,
                     "composition chain saturated floating point; group "
                     "closure does not terminate") from exc
-            table_parts.append((i, j, settle(auts)))
+            by_step.append(settle(auts))
         start, known = known, len(elements)
 
-    # each element met every other in the frontier round of the later one
     n = len(elements)
+    by_step = np.concatenate(by_step).reshape(n, len(steps))
+    # each step permutes a group; one that does not shows a false match
+    if np.any(np.sort(by_step, axis=0) != np.arange(n)[:, None]):
+        raise ClosureExceeded(max_elements, "the closure steps do not permute "
+                              "the elements found; they form no group")
+    # element j, first found as i s_k, has x j = (x i) s_k for every x
+    parent, step = np.divmod(np.unique(by_step, return_index=True)[1],
+                             len(steps))
     table = np.empty((n, n), dtype=int)
-    for i, j, index in table_parts:
-        table[i, j] = index
+    table[:, 0] = np.arange(n)
+    for j in range(1, n):
+        table[:, j] = by_step[table[:, parent[j]], step[j]]
     return AutomorphismGroup(elements=elements, table=table)
 
 
