@@ -143,12 +143,9 @@ class BallAutomorphism:
         n = dim_h + dim_k
         if t.shape != (n, n):
             raise ValueError(f"block must be {n}x{n}, got {t.shape}")
-        if normalize:
-            t = _eta_normalized(t, dim_h, dim_k)
-        defect = float(_checked_eta_defect(t, dim_h, dim_k, aut_tol))
-        t = t.copy()
+        t, defect = _eta_checked(t, dim_h, dim_k, aut_tol, normalize)
         t.setflags(write=False)
-        self._set(t, dim_h, dim_k, defect)
+        self._set(t, dim_h, dim_k, float(defect))
 
     def _set(self, block, dim_h, dim_k, defect):
         self.block = block
@@ -183,44 +180,52 @@ def eta_defect(t: np.ndarray, dim_h: int, dim_k: int):
     """||T*JT - J||: how far T is from preserving eta; a float for a matrix,
     an array with one value per matrix for a stack."""
     j = eta_matrix(dim_h, dim_k)
-    return spectral_norm(adjoint(t) @ j @ t - j)
+    defect, _ = _eta_spectra(adjoint(t) @ j @ t - j)
+    return float(defect) if np.ndim(defect) == 0 else defect
 
 
-def _eta_normalized(t: np.ndarray, dim_h: int, dim_k: int) -> np.ndarray:
-    """T over the positive scalar that best fits ``T*JT`` to J (Frobenius
-    Rayleigh estimate), for a matrix or each matrix of a stack."""
+def _eta_spectra(gap: np.ndarray, t=None):
+    """||gap|| = max |eigenvalue| of the Hermitian T*JT/s - J of a matrix or
+    a stack and, given T, the ascending eigenvalues of T*T, from one eigvalsh."""
+    if t is None:
+        return np.abs(np.linalg.eigvalsh(gap)).max(axis=-1), None
+    lam = np.linalg.eigvalsh(np.stack([gap, adjoint(t) @ t]))
+    return np.abs(lam[0]).max(axis=-1), lam[1]
+
+
+def _eta_checked(t: np.ndarray, dim_h: int, dim_k: int, aut_tol,
+                 normalize: bool = True, form=None, tops=None):
+    """T over the scalar s > 0 that best fits T*JT to J (Frobenius Rayleigh
+    estimate; s = 1 without ``normalize``), for a matrix or a stack, checked
+    by ``||T*JT/s - J|| <= aut_tol max(1, ||T||^2/s)``, since forming T*JT
+    loses ||T||^2 eps; ``form`` = T*JT and ``tops`` = ||T||^2 if measured."""
     j = eta_matrix(dim_h, dim_k)
-    scale = np.trace(j @ (adjoint(t) @ j @ t), axis1=-2, axis2=-1).real / (
-        dim_h + dim_k)
+    form = adjoint(t) @ j @ t if form is None else form
+    scale = (np.trace(j @ form, axis1=-2, axis2=-1).real / (dim_h + dim_k)
+             if normalize else np.ones(t.shape[:-2]))
     if np.any(scale <= 0.0):
         raise NotEtaPreserving("T*JT has non-positive alignment with J")
-    return t / np.sqrt(scale)[..., None, None]
-
-
-def _checked_eta_defect(t: np.ndarray, dim_h: int, dim_k: int, aut_tol):
-    """``||T*JT - J||`` for a matrix or each matrix of a stack, checked
-    against ``aut_tol * max(1, ||T||^2)``: forming T*JT already loses
-    ``||T||^2`` eps.  ``aut_tol`` may hold one value per matrix."""
-    defect = eta_defect(t, dim_h, dim_k)
-    allowed = aut_tol * np.maximum(1.0, spectral_norm(t) ** 2)
+    defect, gram = _eta_spectra(form / scale[..., None, None] - j,
+                                t if tops is None else None)
+    tops = gram[..., -1] if tops is None else tops
+    allowed = aut_tol * np.maximum(1.0, tops / scale)
     if np.any(defect > allowed):
         k = int(np.argmax(np.ravel(defect / allowed)))
         raise NotEtaPreserving(
             f"||T*JT - J|| = {float(np.ravel(defect)[k]):.3e} > "
             f"{float(np.ravel(allowed)[k])!r}")
-    return defect
+    return t / np.sqrt(scale)[..., None, None], defect
 
 
 def _automorphism_stack(blocks: np.ndarray, dim_h: int, dim_k: int,
-                        aut_tol) -> list:
+                        aut_tol, form=None, tops=None) -> list:
     """One ``BallAutomorphism`` per block of a stack, normalized and checked
-    as the constructor does, with one stacked eta defect and one stacked
-    norm for the whole stack."""
+    as the constructor does, with one batched eigvalsh for the whole stack;
+    a caller that has measured the blocks passes ``form`` and ``tops``."""
     t = np.asarray(blocks, dtype=np.complex128)
     if not np.all(np.isfinite(t)):
         raise ValueError("automorphism block contains non-finite entries")
-    t = _eta_normalized(t, dim_h, dim_k)
-    defects = _checked_eta_defect(t, dim_h, dim_k, aut_tol)
+    t, defects = _eta_checked(t, dim_h, dim_k, aut_tol, form=form, tops=tops)
     t.setflags(write=False)
     out = []
     for block, defect in zip(t, defects):

@@ -34,6 +34,7 @@ from .mobius import (
     BallAutomorphism,
     BallPoint,
     _automorphism_stack,
+    _eta_spectra,
     _mobius_block,
     eta_defect,
     eta_matrix,
@@ -88,10 +89,14 @@ def is_J_unitary(sig: PontryaginSignature, t, tol: float = REP_TOL):
 
 def max_unitarity_defect(images) -> float:
     """The largest ||T*T - 1|| over a stack (or list) of square matrices,
-    from one stacked SVD."""
+    read off the eigenvalues of each T*T from one batched eigvalsh."""
     stack = np.asarray(images, dtype=np.complex128)
-    return float(spectral_norm(
-        adjoint(stack) @ stack - np.eye(stack.shape[-1])).max())
+    return _unitarity_defect(np.linalg.eigvalsh(adjoint(stack) @ stack))
+
+
+def _unitarity_defect(gram) -> float:
+    """Max over a stack of ||T*T - 1|| = max(lambda_max - 1, 1 - lambda_min)."""
+    return float(np.maximum(gram[..., -1] - 1.0, 1.0 - gram[..., 0]).max())
 
 
 def graph_subspace(sig: PontryaginSignature, a: BallPoint) -> np.ndarray:
@@ -334,9 +339,9 @@ class Representation:
     costs about eps ||pi(g)|| ||pi(h)||.  ``_measure`` keeps the images as
     one read-only stack, of which ``images`` lists the rows, and records
     ``bound``, the largest ||pi(g)||, and ``eta_defect``, the largest
-    ||pi(g)* J pi(g) - J||, each from one stacked SVD; eta preservation is
-    checked by whoever needs it (``unitarize``), which also reads the
-    defect of each image and runs only ``_measure`` on its tau.
+    ||pi(g)* J pi(g) - J||, both from one batched eigvalsh; eta preservation
+    is checked by whoever needs it (``unitarize``), which also reads each
+    image's form, norm and defect and runs only ``_measure`` on its tau.
 
     The homomorphism check takes one row of the table at a time: one
     stacked product ``pi(table[g]) - pi(g) pi`` per row, screened by
@@ -346,7 +351,7 @@ class Representation:
     """
 
     __slots__ = ("signature", "table", "images", "bound", "eta_defect",
-                 "identity_index", "_stack", "_norms", "_eta_defects")
+                 "identity_index", "_stack", "_form", "_tops", "_eta_defects")
 
     def __init__(self, signature: PontryaginSignature, table, images):
         table = np.asarray(table, dtype=int)
@@ -362,22 +367,26 @@ class Representation:
         if spectral_norm(images[ident] - np.eye(dim)) > REP_TOL:
             raise ValueError("identity element must map to the identity matrix")
         self._measure(signature, table, ident, np.stack(images))
-        _check_homomorphism(table, self._stack, self._norms)
+        _check_homomorphism(table, self._stack, np.sqrt(self._tops))
 
     def _measure(self, signature, table, identity_index, stack):
-        """Set the slots from a valid table and its stack of images (kept
-        read-only), with one stacked SVD each for the norms and eta defects."""
-        stack.setflags(write=False)
+        """Set the slots from a valid table and its stack of images, with one
+        batched eigvalsh, and return the ascending eigenvalues of each T*T."""
+        j = signature.j
+        form = adjoint(stack) @ j @ stack
+        self._eta_defects, gram = _eta_spectra(form - j, stack)
+        for kept in (stack, form, gram):
+            kept.setflags(write=False)
         self.signature = signature
         self.table = table
         self.identity_index = identity_index
         self._stack = stack
         self.images = list(stack)
-        self._norms = spectral_norm(stack)
-        self.bound = float(self._norms.max())
-        self._eta_defects = eta_defect(stack, signature.n_plus,
-                                       signature.n_minus)
+        self._form = form
+        self._tops = gram[:, -1]
+        self.bound = float(np.sqrt(self._tops.max()))
         self.eta_defect = float(self._eta_defects.max())
+        return gram
 
     @property
     def group_order(self) -> int:
@@ -481,9 +490,10 @@ def unitarize(rep: Representation, fp_tol: float = FP_TOL,
     _require_eta_preserving(rep)
     sig = rep.signature
     # each image's bound is induced_automorphism's, from the defects the
-    # representation has measured
+    # representation has measured, as are the forms and norms
     autos = _automorphism_stack(rep._stack, sig.n_plus, sig.n_minus,
-                                np.maximum(REP_TOL, 10 * rep._eta_defects))
+                                np.maximum(REP_TOL, 10 * rep._eta_defects),
+                                rep._form, rep._tops)
     group = AutomorphismGroup(elements=autos, table=rep.table)
     try:
         result = find_fixed_point(group, fp_tol=fp_tol, mode=mode)
@@ -497,8 +507,8 @@ def unitarize(rep: Representation, fp_tol: float = FP_TOL,
     u_inv = np.linalg.inv(u)
     tau = u @ rep._stack @ u_inv
     unitary_rep = object.__new__(Representation)
-    unitary_rep._measure(sig, rep.table, rep.identity_index, tau)
-    defect = max_unitarity_defect(tau)
+    defect = _unitarity_defect(
+        unitary_rep._measure(sig, rep.table, rep.identity_index, tau))
     if defect > UNIT_TOL:
         raise FixedPointFailed(f"unitarity defect {defect:.3e} > {UNIT_TOL!r}")
     return UnitarizationResult(similarity=u, unitary_rep=unitary_rep,

@@ -440,28 +440,6 @@ def test_averaged_fixed_point_with_a_shared_class():
     assert max_unitarity_defect(res.unitary_rep.images) <= UNIT_TOL
 
 
-def test_unitarize_keeps_the_unitarity_defect_it_checks():
-    rep = make_test_representation("Q8", PontryaginSignature(5, 2),
-                                   conditioning=50.0, seed=1)
-    res = unitarize(rep)
-    assert res.unitarity_defect == max_unitarity_defect(res.unitary_rep.images)
-    assert res.unitarity_defect <= UNIT_TOL
-
-
-def test_unitarize_certifies_tau_by_its_unitarity_defect(monkeypatch):
-    # tau's unitarity defect is about 1e-11 here, and the check on it is the
-    # one check unitarize runs on tau; dual_pair converges on this seed
-    rep = make_test_representation("C4", SIG21, conditioning=1e3, seed=2)
-    defect = max_unitarity_defect(unitarize(rep).unitary_rep.images)
-    assert 1e-16 < defect <= UNIT_TOL
-    monkeypatch.setattr(pontryagin, "UNIT_TOL", 1e-16)
-    message = f"unitarity defect {defect:.3e} > 1e-16"
-    with pytest.raises(FixedPointFailed, match=message):
-        unitarize(rep)
-    with pytest.raises(FixedPointFailed, match="unitarity defect .* > 1e-16"):
-        dual_pair(rep)
-
-
 # --- dual pairs ----------------------------------------------------------------------
 
 

@@ -6,7 +6,7 @@ import re
 import numpy as np
 import pytest
 
-from opball.mobius import eta_defect
+from opball.mobius import _eta_spectra, eta_defect, eta_matrix
 from opball.opcore import adjoint, spectral_norm
 from opball.pontryagin import (
     REP_TOL,
@@ -100,19 +100,30 @@ def test_ill_conditioned_representations_construct(name, p, q):
                                  conditioning=1e4, seed=seed)
 
 
+def _alone(m, p, q):
+    """The eta defect and the T*T eigenvalues of one image, from the
+    measuring kernel applied to that image alone."""
+    j = eta_matrix(p, q)
+    return _eta_spectra(adjoint(m) @ j @ m - j, m)
+
+
 @pytest.mark.parametrize("name, p, q", CASES)
 def test_stacked_measurements_are_the_per_image_formulas(name, p, q):
+    # stacking the images changes no value of any measurement
     rep = make_test_representation(name, PontryaginSignature(p, q),
                                    conditioning=10.0, seed=4)
-    assert rep.bound == max(spectral_norm(m) for m in rep.images)
+    alone = [_alone(m, p, q) for m in rep.images]
+    assert rep.bound == max(np.sqrt(gram[-1]) for _, gram in alone)
+    assert rep.eta_defect == max(defect for defect, _ in alone)
     assert rep.eta_defect == max(eta_defect(m, p, q) for m in rep.images)
     res = unitarize(rep)
     u_inv = np.linalg.inv(res.similarity)
-    eye = np.eye(p + q)
     for m, tau in zip(rep.images, res.unitary_rep.images):
         assert np.array_equal(tau, res.similarity @ m @ u_inv)
-    assert max_unitarity_defect(res.unitary_rep.images) == max(
-        spectral_norm(adjoint(m) @ m - eye) for m in res.unitary_rep.images)
+    grams = [_alone(m, p, q)[1] for m in res.unitary_rep.images]
+    defect = max(max(gram[-1] - 1.0, 1.0 - gram[0]) for gram in grams)
+    assert res.unitarity_defect == defect
+    assert max_unitarity_defect(res.unitary_rep.images) == defect
 
 
 @pytest.mark.parametrize("cond", [50.0, 1e3])
@@ -144,3 +155,40 @@ def test_images_are_the_read_only_rows_of_one_stack():
             m[0, 0] = 0.0
     stack = rep.images[0].base
     assert stack is not None and all(m.base is stack for m in rep.images)
+
+
+def test_unitarize_measures_each_stack_with_one_eigvalsh(monkeypatch):
+    import opball.mobius as mobius
+
+    images = make_test_representation("C32", PontryaginSignature(8, 8),
+                                      conditioning=20.0, seed=0).images
+    calls = {"svd": [], "eigvalsh": [], "handed": []}
+
+    def counted(name, kernel):
+        def wrapper(*args, **kwargs):
+            calls[name].append(np.shape(args[0]))
+            return kernel(*args, **kwargs)
+        return wrapper
+
+    def handed(*args, **kwargs):
+        calls["handed"].append((kwargs.get("form") is rep._form,
+                                kwargs.get("tops") is rep._tops))
+        return checked(*args, **kwargs)
+
+    checked = mobius._eta_checked
+    monkeypatch.setattr(np.linalg, "svd", counted("svd", np.linalg.svd))
+    monkeypatch.setattr(np.linalg, "eigvalsh",
+                        counted("eigvalsh", np.linalg.eigvalsh))
+    monkeypatch.setattr(mobius, "_eta_checked", handed)
+    rep = Representation(PontryaginSignature(8, 8), group_table("C32"),
+                         images)
+    res = unitarize(rep)
+    monkeypatch.undo()
+    assert res.unitarity_defect <= 1e-7
+    # pi's pair (T*JT - J, T*T), its normalized gap, and tau's pair; the
+    # normalization is handed pi's form and squared norms, so pi's T*JT is
+    # formed once, and no stack of images takes an SVD
+    assert [s for s in calls["eigvalsh"] if s[-2:] == (16, 16)] == [
+        (2, 32, 16, 16), (32, 16, 16), (2, 32, 16, 16)]
+    assert calls["handed"] == [(True, True)]
+    assert (32, 16, 16) not in calls["svd"]
