@@ -179,11 +179,14 @@ def _cmd_mobius(args) -> int:
 
 def _cmd_geodesic(args) -> int:
     base = BallPoint(load_matrix(args.a))
-    direction = load_matrix(args.d)
-    norm = spectral_norm(direction)
-    if norm == 0.0:
+    # by the largest part first, on the real view (a complex divide takes the
+    # reciprocal), so that the spectral norm neither overflows nor underflows
+    parts = load_matrix(args.d).view(np.float64)
+    largest = np.abs(parts).max()
+    if largest == 0.0:
         raise ZeroInput("direction matrix is zero")
-    line = GeodesicLine(base, direction / norm)
+    direction = (parts / largest).view(np.complex128)
+    line = GeodesicLine(base, direction / spectral_norm(direction))
     ts = [float(t) for t in args.t]
     points = [matrix_document(geodesic_point(line, t).matrix) for t in ts]
     return _emit({"t": ts, "points": points})

@@ -30,11 +30,11 @@ from .mobius import (
     BOUNDARY_TOL,
     BallPoint,
     _mobius_rooted,
+    _require_resolvent,
     defect_roots,
     mobius_differential,
-    mobius_matrix,
 )
-from .opcore import adjoint, spectral_norm
+from .opcore import adjoint, as_matrix, spectral_norm
 
 DIR_TOL = 1e-8
 LINE_TOL = 1e-12
@@ -85,11 +85,15 @@ def distances_from(base: np.ndarray, others: np.ndarray) -> np.ndarray:
     return _rho(np.asarray(base, dtype=complex), np.asarray(others, dtype=complex))
 
 
+def _polar_tanh(w, sig, vh, t) -> np.ndarray:
+    """Th(t D) = W tanh(t S) V* from the thin SVD D = W S V*."""
+    return (w * np.tanh(t * sig)) @ vh
+
+
 def th_map(d) -> np.ndarray:
     """Odd tanh extension: Th(D) = J tanh|D| in polar form, via SVD."""
     d = np.asarray(d, dtype=np.complex128)
-    w, sig, vh = np.linalg.svd(d, full_matrices=False)
-    return (w * np.tanh(sig)) @ vh
+    return _polar_tanh(*np.linalg.svd(d, full_matrices=False), 1.0)
 
 
 @lru_cache(maxsize=None)
@@ -134,31 +138,45 @@ def th_inverse(b: BallPoint):
 
 
 class GeodesicLine:
-    """The line t -> M_A(Th(t D)) through ``base`` with unit direction."""
+    """The line t -> M_A(Th(t D)) through ``base`` with unit direction D; it
+    keeps, read-only, the thin SVD D = W S V* that its norm check takes and
+    the base's roots (1 - AA*)^{-1/2} and (1 - A*A)^{1/2} that M_A takes."""
 
-    __slots__ = ("base", "direction")
+    __slots__ = ("base", "direction", "_polar", "_roots")
 
     def __init__(self, base: BallPoint, direction):
-        d = np.asarray(direction, dtype=np.complex128)
+        self._set(base, direction, None)
+
+    def _set(self, base, direction, roots):
+        d = as_matrix(direction, name="direction")
         if d.shape != base.shape:
             raise ValueError(f"direction shape {d.shape} != base {base.shape}")
-        norm = spectral_norm(d)
+        polar = np.linalg.svd(d, full_matrices=False)
+        norm = float(polar.S[0])
         if abs(norm - 1.0) > DIR_TOL:
             raise ValueError(f"direction norm {norm!r} not 1 within {DIR_TOL!r}")
-        d = d.copy()
-        d.setflags(write=False)
+        roots = defect_roots(base.matrix, -0.5, 0.5) if roots is None else roots
+        for kept in (*polar, *roots):
+            kept.setflags(write=False)
         self.base = base
         self.direction = d
+        self._polar = polar
+        self._roots = roots
+        return self
 
     def __repr__(self):
         return f"GeodesicLine(base={self.base!r})"
 
 
 def geodesic_point(line: GeodesicLine, t: float) -> BallPoint:
+    """gamma(t) = M_A(W tanh(tS) V*) from the line's kept factors and roots:
+    two SVDs (the resolvent check and the point's norm) and one solve."""
     if abs(t) > PARAM_MAX:
         raise ParameterOverflow(f"|t| = {abs(t)!r} beyond tanh saturation")
-    inner = th_map(t * line.direction)
-    return BallPoint(mobius_matrix(line.base.matrix, inner), boundary_tol=0.0)
+    a = line.base.matrix
+    inner = _polar_tanh(*line._polar, t)
+    _require_resolvent(a, inner)
+    return BallPoint(_mobius_rooted(a, inner, *line._roots), boundary_tol=0.0)
 
 
 def geodesic_velocity(line: GeodesicLine, t: float) -> np.ndarray:
@@ -167,7 +185,7 @@ def geodesic_velocity(line: GeodesicLine, t: float) -> np.ndarray:
     if abs(t) > PARAM_MAX:
         raise ParameterOverflow(f"|t| = {abs(t)!r} beyond tanh saturation")
     d = line.direction
-    g = th_map(t * d)
+    g = _polar_tanh(*line._polar, t)
     gdot = d - g @ adjoint(d) @ g
     return mobius_differential(line.base, BallPoint(g, boundary_tol=0.0), gdot)
 
@@ -186,10 +204,10 @@ def _segment(x: BallPoint, y: BallPoint):
 
 def line_through(a: BallPoint, b: BallPoint) -> GeodesicLine:
     """The unique line with gamma(0) = A and gamma(rho(A,B)) = B."""
-    rhos, w, vh, _ = _segment(a, b)
+    rhos, w, vh, roots = _segment(a, b)
     if rhos[0] <= LINE_TOL:
         raise CoincidentPoints(f"points at distance {rhos[0]!r} define no line")
-    return GeodesicLine(a, (w * (rhos / rhos[0])) @ vh)
+    return object.__new__(GeodesicLine)._set(a, (w * (rhos / rhos[0])) @ vh, roots)
 
 
 def convex_combination(x: BallPoint, y: BallPoint, t: float) -> BallPoint:
@@ -205,7 +223,7 @@ def convex_combination(x: BallPoint, y: BallPoint, t: float) -> BallPoint:
     rhos, w, vh, roots = _segment(x, y)
     if rhos[0] <= LINE_TOL:
         return x
-    inner = (w * np.tanh(t * rhos)) @ vh
+    inner = _polar_tanh(w, rhos, vh, t)
     return BallPoint(_mobius_rooted(x.matrix, inner, *roots), boundary_tol=0.0)
 
 

@@ -95,10 +95,15 @@ def _mobius_rooted(a, x, left, right):
     return left @ (a + x) @ np.linalg.solve(resolvent, right)
 
 
-def mobius_matrix(a: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Core formula on raw matrices; see ``mobius_apply`` for the checked API."""
+def _require_resolvent(a, x):
+    """Raise ``SingularResolvent`` where 1 + A*X is numerically singular."""
     if _min_singular(np.eye(a.shape[1]) + adjoint(a) @ x) < COND_TOL:
         raise SingularResolvent("1 + A*X numerically singular")
+
+
+def mobius_matrix(a: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Core formula on raw matrices; see ``mobius_apply`` for the checked API."""
+    _require_resolvent(a, x)
     return mobius_batch(a, x)
 
 

@@ -170,29 +170,23 @@ def _cyclic_table(n: int) -> np.ndarray:
 
 
 def _symmetric3_table() -> np.ndarray:
-    elems = list(itertools.permutations(range(3)))
-    index = {e: k for k, e in enumerate(elems)}
-    n = len(elems)
-    table = np.zeros((n, n), dtype=int)
-    for ai, a in enumerate(elems):
-        for bi, b in enumerate(elems):
-            table[ai, bi] = index[tuple(a[b[x]] for x in range(3))]
-    return table
+    """The table of the permutations of 0, 1, 2 in lexicographic order,
+    (ab)(x) = a(b(x)), from one stacked composition and one comparison."""
+    perms = np.array(list(itertools.permutations(range(3))))
+    composed = np.take_along_axis(perms[:, None], perms[None], axis=-1)
+    return (composed[:, :, None] == perms).all(axis=-1).argmax(axis=-1)
 
 
 def _quaternion_table() -> np.ndarray:
-    eye = np.eye(2, dtype=np.complex128)
+    """The table of the units 1, -1, i, -i, j, -j, k, -k as 2x2 matrices,
+    from one stacked product and one exact comparison: the entries are 0,
+    +-1 and +-i, so every product is exactly one unit."""
     i = np.array([[1j, 0], [0, -1j]])
     j = np.array([[0, 1], [-1, 0]], dtype=np.complex128)
-    k = i @ j
-    units = [eye, -eye, i, -i, j, -j, k, -k]
-    table = np.zeros((8, 8), dtype=int)
-    for a in range(8):
-        for b in range(8):
-            prod = units[a] @ units[b]
-            table[a, b] = next(c for c in range(8)
-                               if np.allclose(prod, units[c]))
-    return table
+    units = np.stack([sign * u for u in (np.eye(2), i, j, i @ j)
+                      for sign in (1, -1)])
+    prods = units[:, None] @ units[None]
+    return (prods[:, :, None] == units).all(axis=(-2, -1)).argmax(axis=-1)
 
 
 def group_table(name: str) -> np.ndarray:

@@ -1,13 +1,18 @@
-"""Accuracy of ``distance``, ``line_through`` and ``convex_combination``
-near the boundary against a 40-digit mpmath oracle, and the one-SVD cost
-of the defect roots that carry them."""
+"""Accuracy of ``distance``, ``line_through``, ``geodesic_point`` and
+``convex_combination`` near the boundary against a 40-digit mpmath oracle,
+and the one-SVD cost of the defect roots that carry them."""
 
 import mpmath as mp
 import numpy as np
 import pytest
 
 from opball.errors import OperatorBallError
-from opball.hyperbolic import convex_combination, distance, line_through
+from opball.hyperbolic import (
+    convex_combination,
+    distance,
+    geodesic_point,
+    line_through,
+)
 from opball.mobius import BallPoint, defect_roots
 from opball.sampling import complex_gaussian, rng_from
 
@@ -76,8 +81,8 @@ def test_distance_near_the_boundary_matches_the_oracle(margin, bound):
 
 
 # Input-rounding model: rounding the inputs by eps moves their margin by
-# eps / margin relative, and rho, the line and the segment follow the
-# margin; 2e-16 / margin is about that.
+# eps / margin relative, and rho, the line, its points and the segment
+# follow the margin; 2e-16 / margin is about that.
 @pytest.mark.parametrize("margin", [1e-2, 1e-4, 1e-6, 1.01e-8])
 def test_rho_line_and_segment_near_the_boundary_match_the_oracle(margin):
     bound = 2e-16 / margin
@@ -90,9 +95,12 @@ def test_rho_line_and_segment_near_the_boundary_match_the_oracle(margin):
             try:
                 x, y = BallPoint(a), BallPoint(b)
                 errors.append(float(abs(distance(x, y) - rho) / rho))
-                errors.append(_relative(line_through(x, y).direction, direction))
+                line = line_through(x, y)
+                errors.append(_relative(line.direction, direction))
                 errors.append(_relative(
                     convex_combination(x, y, CONVEX_T).matrix, point))
+                errors.append(_relative(
+                    geodesic_point(line, CONVEX_T * float(rho)).matrix, point))
             except OperatorBallError as exc:
                 raised.append(type(exc).__name__)
     assert raised == []

@@ -110,6 +110,34 @@ def test_geodesic_command(tmp_path, capsys):
     assert doc["points"][1]["data"][0][0] == 0.0
 
 
+def write_matrix(path, rows):
+    path.write_text(json.dumps({
+        "rows": len(rows), "cols": len(rows[0]),
+        "data": [[complex(z).real, complex(z).imag] for row in rows for z in row]}))
+
+
+@pytest.mark.parametrize("extreme, unit", [
+    # direction / norm would overflow to inf and NaN
+    ([[5e-324, 5e-324], [1e-323, 0.0]], [[1.0, 1.0], [2.0, 0.0]]),
+    # the spectral norm would overflow to inf
+    ([[1e308, 1e308], [1e308, 1e308]], [[1.0, 1.0], [1.0, 1.0]]),
+    # so would each |entry|
+    ([[1.5e308 + 1.5e308j] * 2] * 2, [[1.0 + 1.0j] * 2] * 2),
+])
+def test_geodesic_command_with_extreme_directions(tmp_path, capsys, extreme, unit):
+    write_matrix(tmp_path / "zero.json", [[0.0, 0.0], [0.0, 0.0]])
+    docs = []
+    for name, rows in (("extreme", extreme), ("unit", unit)):
+        write_matrix(tmp_path / f"{name}.json", rows)
+        code, out = invoke(capsys, "geodesic", str(tmp_path / "zero.json"),
+                           str(tmp_path / f"{name}.json"),
+                           "--t", "-1.5", "--t", "0.5", "--t", "3")
+        assert code == 0
+        docs.append(json.loads(out)["points"])
+    for got, want in zip(*docs):
+        assert_allclose(got["data"], want["data"], rtol=0, atol=1e-15)
+
+
 def test_domain_error_carries_class_name(tmp_path, capsys):
     write_scalar(tmp_path / "a.json", complex(0.5))
     write_scalar(tmp_path / "big.json", complex(2.0))

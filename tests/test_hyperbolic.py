@@ -225,6 +225,14 @@ def test_geodesic_parameter_overflow():
         geodesic_velocity(line, -18.5)
 
 
+def test_geodesic_line_rejects_bad_directions():
+    base = zero_point(2, 2)
+    for bad in ([[np.inf, 0.0], [0.0, 0.0]], [[np.nan, 0.0], [0.0, 1.0]],
+                [[2.0, 0.0], [0.0, 0.0]], [[1.0, 0.0]]):
+        with pytest.raises(ValueError):
+            GeodesicLine(base, bad)
+
+
 def test_line_through_scalar():
     line = line_through(scalar(0.0), scalar(0.5))
     assert_allclose(line.direction, [[1.0]], atol=1e-14)

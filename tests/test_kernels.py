@@ -11,7 +11,14 @@ from numpy.testing import assert_allclose
 
 import opball.hyperbolic as hyperbolic
 from opball.errors import DomainError
-from opball.hyperbolic import MetricSample, convex_combination, distance
+from opball.hyperbolic import (
+    GeodesicLine,
+    MetricSample,
+    convex_combination,
+    distance,
+    geodesic_point,
+    line_through,
+)
 from opball.mobius import (
     BallAutomorphism,
     BallPoint,
@@ -35,6 +42,7 @@ from opball.pontryagin import (
 from opball.sampling import (
     complex_gaussian,
     random_ball_point,
+    random_direction,
     random_eta_preserving,
     rng_from,
 )
@@ -242,3 +250,61 @@ def test_unitarizer_is_the_mobius_block_of_minus_d():
         block = mobius_as_block(BallPoint(-d.matrix)).block
         assert spectral_norm(u - block) <= 1e-11 * spectral_norm(block), \
             (p, q, margin)
+
+
+def _count_calls(monkeypatch, module, names):
+    """Wrap ``module.<name>`` for each name and return the per-name counts."""
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+        original = getattr(module, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_a_line_keeps_its_polar_factors_and_base_roots(monkeypatch):
+    rng = rng_from(20)
+    base = random_ball_point(rng, 4, 3, 0.8)
+    direction = random_direction(rng, 4, 3)
+    ts = (-2.0, -0.5, 0.0, 1.0, 3.0)
+    # the line takes the SVD of its norm check and the base's roots once;
+    # each point then takes the resolvent check's SVD and its norm's SVD
+    calls = _count_calls(monkeypatch, hyperbolic, ["defect_roots", "th_map"])
+    svd = _count_calls(monkeypatch, np.linalg, ["svd"])
+    line = GeodesicLine(base, direction)
+    points = [geodesic_point(line, t) for t in ts]
+    assert calls == {"defect_roots": 1, "th_map": 0}
+    assert svd == {"svd": 12}
+    other = random_ball_point(rng, 4, 3, 0.8)
+    calls.update(defect_roots=0)
+    through = line_through(base, other)
+    [geodesic_point(through, t) for t in ts]
+    assert calls["defect_roots"] == 1
+    monkeypatch.undo()
+    for kept in (*line._polar, *line._roots, *through._polar, *through._roots):
+        assert not kept.flags.writeable
+    for t, point in zip(ts, points):
+        assert_allclose(point.matrix,
+                        mobius_matrix(base.matrix, hyperbolic.th_map(t * direction)),
+                        rtol=0, atol=1e-14)
+
+
+# Backward-error model of the kept factors: W tanh(tS) V* and the Th of a
+# fresh SVD of tD are both Th(tD) up to eps |t| in the inner point, and M_A
+# amplifies that by at most about 1 / margin(A); at |t| <= 9 and base
+# margins >= 0.1 the two agree to 1e-13 relative.
+@pytest.mark.parametrize("p, q", SHAPES + [(6, 3), (16, 3)])
+def test_geodesic_point_matches_mobius_of_th_map(p, q):
+    rng = rng_from(21)
+    for margin in (0.5, 0.1):
+        base = random_ball_point(rng, p, q, 1.0 - margin, 1.0 - margin)
+        for line in (GeodesicLine(base, random_direction(rng, p, q)),
+                     line_through(base, random_ball_point(rng, p, q, 0.9))):
+            for t in np.linspace(-9.0, 9.0, 19):
+                want = mobius_matrix(base.matrix, hyperbolic.th_map(t * line.direction))
+                got = geodesic_point(line, t).matrix
+                assert spectral_norm(got - want) <= 1e-13 * spectral_norm(want)

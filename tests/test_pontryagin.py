@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -203,6 +205,26 @@ def test_group_tables():
         assert len(table) == order
     with pytest.raises(UnknownGroup):
         group_table("E8")
+
+
+def test_group_tables_are_the_groups():
+    # Q8 as the 2x2 units 1, -1, i, -i, j, -j, k, -k: products are exact
+    i = np.array([[1j, 0], [0, -1j]])
+    j = np.array([[0, 1], [-1, 0]], dtype=np.complex128)
+    units = [sign * u for u in (np.eye(2), i, j, i @ j) for sign in (1, -1)]
+    table = group_table("Q8")
+    for a, b in itertools.product(range(8), repeat=2):
+        assert np.array_equal(units[a] @ units[b], units[table[a, b]])
+    # S3 as the permutations of (0, 1, 2) in lexicographic order, (ab)(x) = a(b(x))
+    perms = list(itertools.permutations(range(3)))
+    table = group_table("S3")
+    for a, b in itertools.product(range(6), repeat=2):
+        assert perms[table[a, b]] == tuple(perms[a][perms[b][x]] for x in range(3))
+    for n in (1, 2, 5, 12):
+        table = group_table(f"C{n}")
+        assert np.array_equal(table, np.add.outer(np.arange(n), np.arange(n)) % n)
+    for name in ("C1", "C7", "S3", "Q8"):
+        assert pontryagin._validate_table(group_table(name)) == 0
 
 
 def test_regular_representation_is_homomorphism():
