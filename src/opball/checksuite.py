@@ -11,11 +11,14 @@ import numpy as np
 
 from .hyperbolic import (
     GeodesicLine,
+    _alpha,
+    _line_inner,
+    _line_points,
+    _rho,
     alpha_metric,
     barycenter_sequence,
     convex_combination,
     distance,
-    geodesic_point,
     geodesic_velocity,
     line_through,
     th_map,
@@ -24,10 +27,13 @@ from .hyperbolic import (
 from .mobius import (
     BallAutomorphism,
     BallPoint,
+    _frac_checked,
+    _require_inside,
     automorphism_apply,
     defect_roots,
     mobius_apply,
     mobius_differential,
+    mobius_matrix,
 )
 from .opcore import adjoint, spectral_norm
 from .pontryagin import PontryaginSignature, negativeness_degree
@@ -40,6 +46,11 @@ def _dims(rng):
     return _DIMS[int(rng.integers(len(_DIMS)))]
 
 
+def _ball_point(points, norms, k: int) -> BallPoint:
+    """The k-th point of a checked stack as a ``BallPoint``."""
+    return object.__new__(BallPoint)._set(points[k], norms[k])
+
+
 def check_metric_line(rng, trials):
     """rho(gamma(s), gamma(t)) = |s - t| along every line."""
     failures = []
@@ -48,13 +59,15 @@ def check_metric_line(rng, trials):
         p, q = _dims(rng)
         line = GeodesicLine(random_ball_point(rng, p, q, 0.8),
                             random_direction(rng, p, q))
-        pts = {t: geodesic_point(line, t) for t in grid}
-        for i, s in enumerate(grid):
-            for t in grid[i + 1:]:
-                err = abs(distance(pts[s], pts[t]) - abs(s - t))
-                if err > 1e-8:
-                    failures.append(f"trial {k}: |rho - |s-t|| = {err:.3e} "
-                                    f"at (s, t) = ({s}, {t})")
+        pts, _ = _line_points(line, grid)
+        first, second = np.triu_indices(len(grid), 1)
+        rhos = _rho(pts[first], pts[second])
+        for i, j, rho in zip(first, second, rhos):
+            s, t = grid[i], grid[j]
+            err = abs(rho - abs(s - t))
+            if err > 1e-8:
+                failures.append(f"trial {k}: |rho - |s-t|| = {err:.3e} "
+                                f"at (s, t) = ({s}, {t})")
     return failures
 
 
@@ -67,16 +80,17 @@ def check_unit_speed(rng, trials):
         d = random_direction(rng, p, q)
         base = random_ball_point(rng, p, q, 0.6)
         line = GeodesicLine(base, d)
-        for t in rng.uniform(-2.0, 2.0, size=3):
-            g = th_map(t * d)
-            vel = d - g @ adjoint(d) @ g
-            speed = alpha_metric(BallPoint(g, boundary_tol=0.0), vel)
+        ts = rng.uniform(-2.0, 2.0, size=3)
+        g = _line_inner(line, ts)
+        _require_inside(g, 0.0)
+        speeds = _alpha(g, d - g @ adjoint(d) @ g)
+        h = 1e-5
+        pts, _ = _line_points(line, np.concatenate([ts + h, ts - h]))
+        fd = (pts[:3] - pts[3:]) / (2 * h)
+        errs = spectral_norm(fd - geodesic_velocity(line, ts))
+        for speed, err in zip(speeds, errs):
             if abs(speed - 1.0) > 1e-7:
                 failures.append(f"trial {k}: |alpha - 1| = {abs(speed - 1.0):.3e}")
-            h = 1e-5
-            fd = (geodesic_point(line, t + h).matrix
-                  - geodesic_point(line, t - h).matrix) / (2 * h)
-            err = spectral_norm(fd - geodesic_velocity(line, t))
             if err > 1e-6:
                 failures.append(f"trial {k}: velocity fd gap {err:.3e}")
     return failures
@@ -121,9 +135,11 @@ def check_doubling_convexity(rng, trials):
         base = random_ball_point(rng, p, q, 0.7)
         g = GeodesicLine(base, random_direction(rng, p, q))
         e = GeodesicLine(base, random_direction(rng, p, q))
-        for s in (0.25, 0.5, 1.0):
-            lhs = 2.0 * distance(geodesic_point(g, s), geodesic_point(e, s))
-            rhs = distance(geodesic_point(g, 2 * s), geodesic_point(e, 2 * s))
+        # rho(gamma(s), eta(s)) at s = 0.25, 0.5, 1 and 2
+        params = [0.25, 0.5, 1.0, 2.0]
+        rhos = _rho(_line_points(g, params)[0], _line_points(e, params)[0])
+        for s, half, full in zip(params, rhos, rhos[1:]):
+            lhs, rhs = 2.0 * half, full
             if lhs > rhs + 1e-8:
                 failures.append(f"trial {k}: 2rho = {lhs:.6f} > {rhs:.6f} "
                                 f"at s = {s}")
@@ -140,13 +156,14 @@ def check_line_invariance(rng, trials):
         line = GeodesicLine(random_ball_point(rng, p, q, 0.6),
                             random_direction(rng, p, q))
         t = BallAutomorphism(random_eta_preserving(rng, p, q, 5.0), p, q)
-        images = [automorphism_apply(t, geodesic_point(line, s))
-                  for s in params]
-        carried = line_through(images[0], images[1])
-        base_gap = distance(images[0], images[1])
-        for m, img in enumerate(images[2:], start=2):
-            s = params[m] / params[1] * base_gap
-            err = distance(geodesic_point(carried, s), img)
+        images = _frac_checked(t.block, _line_points(line, params)[0])
+        norms = _require_inside(images, 0.0)
+        first, second = (_ball_point(images, norms, m) for m in (0, 1))
+        carried = line_through(first, second)
+        base_gap = distance(first, second)
+        along = [params[m] / params[1] * base_gap for m in range(2, len(params))]
+        errs = _rho(_line_points(carried, along)[0], images[2:])
+        for m, err in enumerate(errs, start=2):
             if err > 1e-7:
                 failures.append(f"trial {k}: image {m} off line by {err:.3e}")
     return failures
@@ -162,14 +179,15 @@ def check_mobius_differential(rng, trials):
         a = random_ball_point(rng, p, q, 0.6)
         v = random_direction(rng, p, q)
         exact = mobius_differential(b, a, v)
-
-        def central(h):
-            up = BallPoint(a.matrix + h * v, boundary_tol=0.0)
-            dn = BallPoint(a.matrix - h * v, boundary_tol=0.0)
-            return (mobius_apply(b, up).matrix - mobius_apply(b, dn).matrix) / (2 * h)
-
+        # A + hV and A - hV at h/2, then at h, as ball points and their images
         h = 1e-4
-        richardson = (4.0 * central(h / 2) - central(h)) / 3.0
+        steps = np.array([h / 2, -h / 2, h, -h])[:, None, None]
+        moved = a.matrix + steps * v
+        _require_inside(moved, 0.0)
+        images = mobius_matrix(b.matrix, moved)
+        _require_inside(images, 0.0)
+        half, full = (images[0::2] - images[1::2]) / (2 * steps[0::2])
+        richardson = (4.0 * half - full) / 3.0
         err = spectral_norm(richardson - exact)
         if err > 1e-8:
             failures.append(f"trial {k}: differential fd gap {err:.3e}")
@@ -186,10 +204,11 @@ def check_unique_line(rng, trials):
         s, t = sorted(rng.uniform(-2.0, 2.0, size=2))
         if t - s < 0.1:
             t = s + 0.1
-        rebuilt = line_through(geodesic_point(line, s), geodesic_point(line, t))
-        for u in rng.uniform(-1.5, 1.5, size=5):
-            err = distance(geodesic_point(rebuilt, u),
-                           geodesic_point(line, s + u))
+        us = rng.uniform(-1.5, 1.5, size=5)
+        pts, norms = _line_points(line, np.concatenate([[s, t], s + us]))
+        rebuilt = line_through(_ball_point(pts, norms, 0),
+                               _ball_point(pts, norms, 1))
+        for err in _rho(_line_points(rebuilt, us)[0], pts[2:]):
             if err > 1e-8:
                 failures.append(f"trial {k}: rebuilt line off by {err:.3e}")
     return failures

@@ -22,7 +22,7 @@ import numpy as np
 from . import checksuite
 from .errors import OperatorBallError, ParseError, ShapeError, ZeroInput
 from .fixedpoint import find_fixed_point, group_closure
-from .hyperbolic import GeodesicLine, distance, geodesic_point
+from .hyperbolic import GeodesicLine, _line_points, distance
 from .mobius import BallAutomorphism, BallPoint, mobius_apply
 from .opcore import spectral_norm
 from .pontryagin import (
@@ -188,8 +188,8 @@ def _cmd_geodesic(args) -> int:
     direction = (parts / largest).view(np.complex128)
     line = GeodesicLine(base, direction / spectral_norm(direction))
     ts = [float(t) for t in args.t]
-    points = [matrix_document(geodesic_point(line, t).matrix) for t in ts]
-    return _emit({"t": ts, "points": points})
+    points, _ = _line_points(line, ts)
+    return _emit({"t": ts, "points": [matrix_document(m) for m in points]})
 
 
 def _cmd_fixpoint(args) -> int:

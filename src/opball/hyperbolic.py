@@ -29,10 +29,12 @@ from .errors import (
 from .mobius import (
     BOUNDARY_TOL,
     BallPoint,
+    _differential_rooted,
     _mobius_rooted,
+    _require_each,
+    _require_inside,
     _require_resolvent,
     defect_roots,
-    mobius_differential,
 )
 from .opcore import adjoint, as_matrix, spectral_norm
 
@@ -86,7 +88,8 @@ def distances_from(base: np.ndarray, others: np.ndarray) -> np.ndarray:
 
 
 def _polar_tanh(w, sig, vh, t) -> np.ndarray:
-    """Th(t D) = W tanh(t S) V* from the thin SVD D = W S V*."""
+    """Th(t D) = W tanh(t S) V* from the thin SVD D = W S V*; an array of
+    parameters shaped (..., 1, 1) gives the stack of Th(t_i D)."""
     return (w * np.tanh(t * sig)) @ vh
 
 
@@ -168,26 +171,47 @@ class GeodesicLine:
         return f"GeodesicLine(base={self.base!r})"
 
 
+def _line_inner(line: GeodesicLine, t) -> np.ndarray:
+    """The inner points W tanh(tS) V* of the line, one matrix for a
+    parameter and a stack for a 1-D array of them, after the ``PARAM_MAX``
+    check of each parameter (NaN fails it)."""
+    t = np.asarray(t, dtype=np.float64)
+    size = np.abs(t)
+    _require_each(size <= PARAM_MAX, ParameterOverflow,
+                  "|t| = {!r} beyond tanh saturation", size)
+    return _polar_tanh(*line._polar, t[..., None, None])
+
+
+def _line_points(line: GeodesicLine, t):
+    """gamma(t) = M_A(W tanh(tS) V*) from the line's kept factors and roots,
+    for a parameter or for each parameter of a 1-D array: the points (one
+    read-only matrix or stack) and their norms.  Each point is checked as
+    ``geodesic_point`` checks it, the whole stack at once: one batched SVD
+    for the ``COND_TOL`` resolvent checks, one for the norms, one solve."""
+    a = line.base.matrix
+    inner = _line_inner(line, t)
+    _require_resolvent(a, inner)
+    points = _mobius_rooted(a, inner, *line._roots)
+    norms = _require_inside(points, 0.0)
+    points.setflags(write=False)
+    return points, norms
+
+
 def geodesic_point(line: GeodesicLine, t: float) -> BallPoint:
     """gamma(t) = M_A(W tanh(tS) V*) from the line's kept factors and roots:
     two SVDs (the resolvent check and the point's norm) and one solve."""
-    if abs(t) > PARAM_MAX:
-        raise ParameterOverflow(f"|t| = {abs(t)!r} beyond tanh saturation")
-    a = line.base.matrix
-    inner = _polar_tanh(*line._polar, t)
-    _require_resolvent(a, inner)
-    return BallPoint(_mobius_rooted(a, inner, *line._roots), boundary_tol=0.0)
+    return object.__new__(BallPoint)._set(*_line_points(line, t))
 
 
 def geodesic_velocity(line: GeodesicLine, t: float) -> np.ndarray:
-    """Derivative of the geodesic at parameter t (chain rule through M_A;
-    the inner curve Th(tD) has closed-form derivative D - g D* g)."""
-    if abs(t) > PARAM_MAX:
-        raise ParameterOverflow(f"|t| = {abs(t)!r} beyond tanh saturation")
+    """Derivative of the geodesic at parameter t, or the stack of them at
+    each parameter of a 1-D array: the differential of M_A at the inner
+    point g = Th(tD), applied to its closed-form derivative D - g D* g, from
+    the line's kept roots; the two resolvent checks are its only SVDs."""
+    g = _line_inner(line, t)
     d = line.direction
-    g = _polar_tanh(*line._polar, t)
     gdot = d - g @ adjoint(d) @ g
-    return mobius_differential(line.base, BallPoint(g, boundary_tol=0.0), gdot)
+    return _differential_rooted(line.base.matrix, g, gdot, *line._roots)
 
 
 def _segment(x: BallPoint, y: BallPoint):
@@ -232,7 +256,13 @@ def alpha_metric(a: BallPoint, v) -> float:
     v = np.asarray(v, dtype=np.complex128)
     if v.shape != a.shape:
         raise ValueError(f"shape mismatch {v.shape} vs {a.shape}")
-    left, right = defect_roots(a.matrix, -0.5, -0.5)
+    return float(_alpha(a.matrix, v))
+
+
+def _alpha(a: np.ndarray, v: np.ndarray):
+    """alpha(A, V) for a matrix pair, or for each pair of stacks that
+    broadcast, from one batched SVD of A and one of the product."""
+    left, right = defect_roots(a, -0.5, -0.5)
     return spectral_norm(left @ v @ right)
 
 

@@ -23,7 +23,7 @@ from .errors import (
     SingularDenominator,
     SingularResolvent,
 )
-from .opcore import adjoint, as_matrix, spectral_norm
+from .opcore import adjoint, as_matrix
 
 BOUNDARY_TOL = 1e-8
 AUT_TOL = 1e-8
@@ -41,12 +41,12 @@ class BallPoint:
 
     def __init__(self, matrix, boundary_tol: float = BOUNDARY_TOL):
         m = as_matrix(matrix, name="ball point")
-        norm = spectral_norm(m)
-        if not norm < 1.0 - boundary_tol:
-            raise BoundaryProximity(
-                f"norm {norm!r} not strictly below 1 - {boundary_tol!r}")
-        self.matrix = m
-        self.margin = 1.0 - norm
+        self._set(m, _require_inside(m, boundary_tol))
+
+    def _set(self, matrix, norm):
+        self.matrix = matrix
+        self.margin = 1.0 - float(norm)
+        return self
 
     @property
     def shape(self):
@@ -60,8 +60,46 @@ def zero_point(p: int, q: int) -> BallPoint:
     return BallPoint(np.zeros((p, q)))
 
 
-def _min_singular(a: np.ndarray) -> float:
-    return float(np.linalg.svd(a, compute_uv=False)[-1])
+def _require_each(ok, error, message: str, values, *args):
+    """Raise ``error`` unless ``ok`` holds for the one matrix measured, or for
+    every matrix of a stack.  The message formats the first offending
+    measured value of ``values``, then ``args``; a stack's message names the
+    index of that matrix."""
+    if not ok.ndim:
+        if ok:
+            return
+        where = ""
+    elif ok.all():
+        return
+    else:
+        k = int(np.argmin(ok.reshape(-1)))
+        values, where = values.reshape(-1)[k], f" at stack index {k}"
+    raise error(message.format(float(values), *args) + where)
+
+
+def _pick(sig: np.ndarray, k: int):
+    """The k-th of the descending singular values ``sig`` of a matrix (a
+    number: comparing a 0-d array would take a ufunc call per check), or of
+    each matrix of a stack (an array)."""
+    return sig[..., k] if sig.ndim > 1 else sig[k]
+
+
+def _require_inside(m: np.ndarray, boundary_tol: float):
+    """The spectral norm of a matrix, or of each matrix of a stack, raising
+    ``BoundaryProximity`` unless it is below ``1 - boundary_tol``."""
+    norms = _pick(np.linalg.svd(m, compute_uv=False), 0)
+    _require_each(norms < 1.0 - boundary_tol, BoundaryProximity,
+                  "norm {!r} not strictly below 1 - {!r}", norms, boundary_tol)
+    return norms
+
+
+def _require_invertible(m: np.ndarray, name: str):
+    """Raise ``SingularResolvent`` where the matrix, or a matrix of the
+    stack, has its least singular value below ``COND_TOL``."""
+    least = _pick(np.linalg.svd(m, compute_uv=False), -1)
+    _require_each(least >= COND_TOL, SingularResolvent,
+                  "{1} numerically singular: least singular value {0!r} < {2!r}",
+                  least, name, COND_TOL)
 
 
 def defect_roots(a: np.ndarray, left: float, right: float):
@@ -96,13 +134,14 @@ def _mobius_rooted(a, x, left, right):
 
 
 def _require_resolvent(a, x):
-    """Raise ``SingularResolvent`` where 1 + A*X is numerically singular."""
-    if _min_singular(np.eye(a.shape[1]) + adjoint(a) @ x) < COND_TOL:
-        raise SingularResolvent("1 + A*X numerically singular")
+    """Raise ``SingularResolvent`` where 1 + A*X, for matrices or stacks that
+    broadcast, is numerically singular."""
+    _require_invertible(np.eye(a.shape[-1]) + adjoint(a) @ x, "1 + A*X")
 
 
 def mobius_matrix(a: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Core formula on raw matrices; see ``mobius_apply`` for the checked API."""
+    """Core formula on raw matrices, or stacks that broadcast, after the
+    ``COND_TOL`` resolvent check; see ``mobius_apply`` for the checked API."""
     _require_resolvent(a, x)
     return mobius_batch(a, x)
 
@@ -122,14 +161,20 @@ def mobius_differential(b: BallPoint, a: BallPoint, v) -> np.ndarray:
     v = np.asarray(v, dtype=np.complex128)
     if v.shape != a.shape or a.shape != b.shape:
         raise ValueError("A, B, V must share one shape")
-    bm, am = b.matrix, a.matrix
-    p, q = bm.shape
-    left_res = np.eye(p) + am @ adjoint(bm)
-    right_res = np.eye(q) + adjoint(bm) @ am
-    if min(_min_singular(left_res), _min_singular(right_res)) < COND_TOL:
-        raise SingularResolvent("1 + A B* numerically singular")
-    left, right = defect_roots(bm, 0.5, 0.5)
-    return left @ np.linalg.solve(left_res, v) @ np.linalg.solve(right_res, right)
+    return _differential_rooted(b.matrix, a.matrix, v,
+                                *defect_roots(b.matrix, -0.5, 0.5))
+
+
+def _differential_rooted(b, a, v, left, right):
+    """The differential of M_B at A applied to V from B's roots
+    ``left = (1 - BB*)^{-1/2}`` and ``right = (1 - B*B)^{1/2}``, as
+    ((1 + AB*) left)^{-1} V (1 + B*A)^{-1} right, after the ``COND_TOL``
+    checks of both resolvents; A and V may be stacks."""
+    left_res = np.eye(b.shape[-2]) + a @ adjoint(b)
+    right_res = np.eye(b.shape[-1]) + adjoint(b) @ a
+    _require_invertible(left_res, "1 + AB*")
+    _require_invertible(right_res, "1 + B*A")
+    return np.linalg.solve(left_res @ left, v) @ np.linalg.solve(right_res, right)
 
 
 class BallAutomorphism:
@@ -272,11 +317,21 @@ def automorphism_apply(t: BallAutomorphism, a: BallPoint) -> BallPoint:
     if a.shape != (t.dim_h, t.dim_k):
         raise ValueError(f"point shape {a.shape} does not match split "
                          f"({t.dim_h}, {t.dim_k})")
-    num, den = _frac_parts(t.block, a.matrix)
+    return BallPoint(_frac_checked(t.block, a.matrix), boundary_tol=0.0)
+
+
+def _frac_checked(blocks: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """w_T(X) for a point or a stack of points, raising ``SingularDenominator``
+    where T21 X + T22 has its least singular value below
+    ``COND_TOL max(1, ||T21 X + T22||)``."""
+    num, den = _frac_parts(blocks, x)
     sig = np.linalg.svd(den, compute_uv=False)
-    if sig[-1] < COND_TOL * max(sig[0], 1.0):
-        raise SingularDenominator("T21 A + T22 singular; T not eta-preserving")
-    return BallPoint(num @ np.linalg.inv(den), boundary_tol=0.0)
+    least, top = _pick(sig, -1), _pick(sig, 0)
+    _require_each((least >= COND_TOL) & (least >= COND_TOL * top),
+                  SingularDenominator, "T21 A + T22 singular; T not "
+                  "eta-preserving: least singular value {!r} < {!r} max(1, norm)",
+                  least, COND_TOL)
+    return num @ np.linalg.inv(den)
 
 
 def automorphism_compose(t1: BallAutomorphism,

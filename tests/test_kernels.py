@@ -10,19 +10,29 @@ import pytest
 from numpy.testing import assert_allclose
 
 import opball.hyperbolic as hyperbolic
-from opball.errors import DomainError
+from opball.errors import (
+    BoundaryProximity,
+    DomainError,
+    ParameterOverflow,
+    SingularDenominator,
+    SingularResolvent,
+)
 from opball.hyperbolic import (
     GeodesicLine,
     MetricSample,
+    _line_points,
     convex_combination,
     distance,
     geodesic_point,
+    geodesic_velocity,
     line_through,
 )
 from opball.mobius import (
     BallAutomorphism,
     BallPoint,
     _eta_spectra,
+    _frac_checked,
+    _require_inside,
     automorphism_apply,
     defect_roots,
     eta_defect,
@@ -308,3 +318,77 @@ def test_geodesic_point_matches_mobius_of_th_map(p, q):
                 want = mobius_matrix(base.matrix, hyperbolic.th_map(t * line.direction))
                 got = geodesic_point(line, t).matrix
                 assert spectral_norm(got - want) <= 1e-13 * spectral_norm(want)
+
+
+@pytest.mark.parametrize("p, q", [(1, 1), (2, 1), (2, 2), (3, 2), (4, 3), (6, 3)])
+def test_line_points_of_a_stack_are_the_scalar_points(p, q):
+    rng = rng_from(22)
+    ts = np.array([-6.0, -2.5, -0.3, 0.0, 0.7, 4.0, 6.0])
+    for margin in (0.5, 0.1, 1e-3):
+        base = random_ball_point(rng, p, q, 1.0 - margin, 1.0 - margin)
+        for line in (GeodesicLine(base, random_direction(rng, p, q)),
+                     line_through(base, random_ball_point(rng, p, q, 0.9))):
+            points, norms = _line_points(line, ts)
+            assert points.shape == (len(ts), p, q)
+            assert not points.flags.writeable
+            for t, point, norm in zip(ts, points, norms):
+                want = geodesic_point(line, t)
+                assert spectral_norm(point - want.matrix) <= 1e-13
+                assert 1.0 - norm == want.margin
+            velocities = geodesic_velocity(line, ts)
+            for t, velocity in zip(ts, velocities):
+                assert spectral_norm(velocity - geodesic_velocity(line, t)) <= \
+                    1e-13 * spectral_norm(velocity)
+
+
+def test_line_points_check_every_parameter_of_a_stack(monkeypatch):
+    rng = rng_from(23)
+    line = GeodesicLine(random_ball_point(rng, 3, 2, 0.8), random_direction(rng, 3, 2))
+    for bad in ([0.5, 19.0, 1.0], [0.5, -19.0], [np.nan, 0.0]):
+        with pytest.raises(ParameterOverflow, match="at stack index"):
+            _line_points(line, bad)
+        with pytest.raises(ParameterOverflow):
+            geodesic_velocity(line, np.array(bad))
+    with pytest.raises(ParameterOverflow, match=r"\|t\| = 19\.0 beyond tanh saturation$"):
+        geodesic_point(line, 19.0)
+    # nine points take one batched SVD for their resolvent checks and one for
+    # their norms; nine velocities one for each of their two resolvents
+    svd = _count_calls(monkeypatch, np.linalg, ["svd"])
+    _line_points(line, np.linspace(-1.0, 1.0, 9))
+    geodesic_velocity(line, np.linspace(-1.0, 1.0, 9))
+    assert svd == {"svd": 4}
+    monkeypatch.undo()
+    # 1 + A*X = diag(1 - a tanh 18, 1 + 0.3 tanh 9): singular at t = 18 only
+    base = BallPoint(np.diag([1.0 - 1e-15, 0.3])[[0, 1, 1]] * [[1], [1], [0]],
+                     boundary_tol=0.0)
+    line = GeodesicLine(base, np.array([[-1.0, 0.0], [0.0, 0.5], [0.0, 0.0]]))
+    with pytest.raises(SingularResolvent, match="1 \\+ A\\*X .* at stack index 2$"):
+        _line_points(line, [0.0, 1.0, 18.0])
+    with pytest.raises(SingularResolvent):
+        geodesic_point(line, 18.0)
+    with pytest.raises(SingularResolvent, match="1 \\+ AB\\* .* at stack index 1$"):
+        geodesic_velocity(line, np.array([0.0, 18.0]))
+
+
+def test_checked_paths_take_stacks_and_name_the_first_offender():
+    rng = rng_from(24)
+    a = random_ball_point(rng, 3, 2, 0.8).matrix
+    xs = np.stack([random_ball_point(rng, 3, 2, 0.8).matrix for _ in range(4)])
+    images = mobius_matrix(a, xs)
+    for x, image in zip(xs, images):
+        assert spectral_norm(image - mobius_matrix(a, x)) <= 1e-14
+    singular = xs.copy()
+    singular[2] = -a @ np.linalg.pinv(adjoint(a) @ a)  # 1 + A*X = 0
+    with pytest.raises(SingularResolvent, match="at stack index 2$"):
+        mobius_matrix(a, singular)
+    norms = _require_inside(xs, 0.0)
+    assert_allclose(norms, [spectral_norm(x) for x in xs], rtol=1e-15)
+    with pytest.raises(BoundaryProximity, match="not strictly below 1 - 0.0 at stack index 1$"):
+        _require_inside(xs / norms[:, None, None] ** [[[0.5]], [[1.0]], [[2.0]], [[1.0]]], 0.0)
+    t = BallAutomorphism(random_eta_preserving(rng, 3, 2, 5.0), 3, 2)
+    for x, image in zip(xs, _frac_checked(t.block, xs)):
+        assert spectral_norm(image - automorphism_apply(t, BallPoint(x)).matrix) <= 1e-13
+    broken = BallAutomorphism(np.diag([1.0, 0.0]), 1, 1, aut_tol=10.0, normalize=False)
+    probes = np.array([[[0.5]], [[0.0]]])
+    with pytest.raises(SingularDenominator, match="at stack index 0$"):
+        _frac_checked(broken.block, probes)
