@@ -12,6 +12,7 @@ import numpy as np
 from .hyperbolic import (
     GeodesicLine,
     _alpha,
+    _line_and_gap,
     _line_inner,
     _line_points,
     _rho,
@@ -159,8 +160,7 @@ def check_line_invariance(rng, trials):
         images = _frac_checked(t.block, _line_points(line, params)[0])
         norms = _require_inside(images, 0.0)
         first, second = (_ball_point(images, norms, m) for m in (0, 1))
-        carried = line_through(first, second)
-        base_gap = distance(first, second)
+        carried, base_gap = _line_and_gap(first, second)
         along = [params[m] / params[1] * base_gap for m in range(2, len(params))]
         errs = _rho(_line_points(carried, along)[0], images[2:])
         for m, err in enumerate(errs, start=2):

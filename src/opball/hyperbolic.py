@@ -228,10 +228,17 @@ def _segment(x: BallPoint, y: BallPoint):
 
 def line_through(a: BallPoint, b: BallPoint) -> GeodesicLine:
     """The unique line with gamma(0) = A and gamma(rho(A,B)) = B."""
+    return _line_and_gap(a, b)[0]
+
+
+def _line_and_gap(a: BallPoint, b: BallPoint):
+    """``line_through(a, b)`` and rho(A, B), read off the one SVD it takes."""
     rhos, w, vh, roots = _segment(a, b)
     if rhos[0] <= LINE_TOL:
         raise CoincidentPoints(f"points at distance {rhos[0]!r} define no line")
-    return object.__new__(GeodesicLine)._set(a, (w * (rhos / rhos[0])) @ vh, roots)
+    line = object.__new__(GeodesicLine)._set(a, (w * (rhos / rhos[0])) @ vh,
+                                             roots)
+    return line, float(rhos[0])
 
 
 def convex_combination(x: BallPoint, y: BallPoint, t: float) -> BallPoint:

@@ -243,6 +243,13 @@ def _eta_spectra(gap: np.ndarray, t=None):
     return np.abs(lam[0]).max(axis=-1), lam[1]
 
 
+def _eta_scale(form: np.ndarray, dim_h: int, dim_k: int):
+    """The scalar s that best fits T*JT to J, tr(J T*JT) / dim (Frobenius
+    Rayleigh estimate), from ``form`` = T*JT of a matrix or a stack."""
+    j = eta_matrix(dim_h, dim_k)
+    return np.trace(j @ form, axis1=-2, axis2=-1).real / (dim_h + dim_k)
+
+
 def _eta_checked(t: np.ndarray, dim_h: int, dim_k: int, aut_tol,
                  normalize: bool = True, form=None, tops=None):
     """T over the scalar s > 0 that best fits T*JT to J (Frobenius Rayleigh
@@ -251,8 +258,8 @@ def _eta_checked(t: np.ndarray, dim_h: int, dim_k: int, aut_tol,
     loses ||T||^2 eps; ``form`` = T*JT and ``tops`` = ||T||^2 if measured."""
     j = eta_matrix(dim_h, dim_k)
     form = adjoint(t) @ j @ t if form is None else form
-    scale = (np.trace(j @ form, axis1=-2, axis2=-1).real / (dim_h + dim_k)
-             if normalize else np.ones(t.shape[:-2]))
+    scale = (_eta_scale(form, dim_h, dim_k) if normalize
+             else np.ones(t.shape[:-2]))
     if np.any(scale <= 0.0):
         raise NotEtaPreserving("T*JT has non-positive alignment with J")
     defect, gram = _eta_spectra(form / scale[..., None, None] - j,

@@ -13,6 +13,7 @@ w_T(A) = (T11 A + T12)(T21 A + T22)^{-1} with L(w_T(A)) = T L(A).
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import NamedTuple, Optional, Union
 
@@ -28,12 +29,13 @@ from .errors import (
     ShapeMismatch,
     UnknownGroup,
 )
-from .fixedpoint import (FP_TOL, AutomorphismGroup, _averaged_point,
-                         find_fixed_point)
+from .fixedpoint import (ELLIPTIC_MARGIN, FP_TOL, AutomorphismGroup,
+                         _averaged_point, find_fixed_point)
 from .mobius import (
     BallAutomorphism,
     BallPoint,
     _automorphism_stack,
+    _eta_scale,
     _eta_spectra,
     _mobius_block,
     eta_defect,
@@ -322,11 +324,32 @@ def _check_homomorphism(table: np.ndarray, stack: np.ndarray,
                          f"at ({g}, {h})")
 
 
+def _image_stack(images: list, n: int, dim: int) -> np.ndarray:
+    """The n images as one fresh complex stack (n, dim, dim), coerced and
+    checked finite at once; on any irregularity each image is coerced and
+    checked in turn, so the error names the first offending one."""
+    try:
+        stack = np.array(images, dtype=np.complex128)
+    except (TypeError, ValueError):
+        stack = None
+    if stack is not None and stack.shape == (n, dim, dim) and np.all(
+            np.isfinite(stack)):
+        return stack
+    images = [as_matrix(m, name=f"image {k}") for k, m in enumerate(images)]
+    if len(images) != n:
+        raise ValueError(f"need {n} images, got {len(images)}")
+    for m in images:
+        if m.shape != (dim, dim):
+            raise ShapeMismatch(f"image shape {m.shape} != {(dim, dim)}")
+    return np.stack(images)
+
+
 class Representation:
     """A finite group given by its multiplication table together with one
     matrix per element.
 
-    The constructor checks that the identity maps to the identity matrix
+    The images are coerced as one stack (``_image_stack``).  The
+    constructor checks that the identity maps to the identity matrix
     (to ``REP_TOL``, absolute) and that pi is a homomorphism:
     ``||pi(gh) - pi(g) pi(h)|| <= REP_TOL * max(1, ||pi(g)|| ||pi(h)||)``
     for every pair, since forming pi(g) pi(h) in floating point already
@@ -350,17 +373,11 @@ class Representation:
     def __init__(self, signature: PontryaginSignature, table, images):
         table = np.asarray(table, dtype=int)
         ident = _validate_table(table)
-        images = [as_matrix(m, name=f"image {k}") for k, m in enumerate(images)]
-        n = len(table)
-        if len(images) != n:
-            raise ValueError(f"need {n} images, got {len(images)}")
         dim = signature.dim
-        for m in images:
-            if m.shape != (dim, dim):
-                raise ShapeMismatch(f"image shape {m.shape} != {(dim, dim)}")
-        if spectral_norm(images[ident] - np.eye(dim)) > REP_TOL:
+        stack = _image_stack(list(images), len(table), dim)
+        if spectral_norm(stack[ident] - np.eye(dim)) > REP_TOL:
             raise ValueError("identity element must map to the identity matrix")
-        self._measure(signature, table, ident, np.stack(images))
+        self._measure(signature, table, ident, stack)
         _check_homomorphism(table, self._stack, np.sqrt(self._tops))
 
     def _measure(self, signature, table, identity_index, stack):
@@ -462,6 +479,23 @@ def averaged_fixed_point(rep: Representation) -> BallPoint:
     return _averaged_point(rep._stack, sig.n_plus, sig.n_minus)
 
 
+def _chart_displacement(tau: np.ndarray, p: int) -> float:
+    """max_g rho(D, w_g(D)) read in the chart at D, from the stack tau of
+    the conjugates U pi(g) U^{-1}, U = ``unitarizer_matrix(D)``: the
+    isometry M_{-D} takes D to 0 and w_g(D) to w_{tau(g)}(0) =
+    tau12 tau22^{-1}, and rho(0, X) = atanh ||X||.  One stacked inverse and
+    one batched SVD; inf if a corner reaches the sphere."""
+    corner = tau[:, :p, p:] @ np.linalg.inv(tau[:, p:, p:])
+    top = float(np.linalg.svd(corner, compute_uv=False)[:, 0].max())
+    return math.atanh(top) if top < 1.0 else math.inf
+
+
+def _conjugate(sig: PontryaginSignature, d: BallPoint, stack: np.ndarray):
+    """U = unitarizer_matrix(D) and the stack U pi U^{-1}."""
+    u = unitarizer_matrix(sig, d)
+    return u, u @ stack @ np.linalg.inv(u)
+
+
 def unitarize(rep: Representation, fp_tol: float = FP_TOL,
               mode: str = "midpoint-descent") -> UnitarizationResult:
     """Similarity onto a unitary representation.
@@ -469,9 +503,21 @@ def unitarize(rep: Representation, fp_tol: float = FP_TOL,
     Finds a common fixed point D of the induced automorphisms w_{pi(g)},
     builds U = unitarizer_matrix(D), and returns tau(g) = U pi(g) U^{-1};
     tau preserves eta and leaves the K component invariant, hence is
-    unitary.  ``find_fixed_point`` starts at the group's averaged point,
-    fixed up to rounding, and certifies it by its displacement, descending
-    only from a start that misses ``fp_tol``.
+    unitary.
+
+    D starts as the averaged point of the images, each normalized by the
+    scalar ``BallAutomorphism`` would divide it by, and tau is formed at
+    once.  In the chart at D the displacement is read off tau's corner
+    blocks, rho(D, w_g(D)) = atanh ||tau12(g) tau22(g)^{-1}||, so D is
+    certified without building an automorphism group: it is accepted when
+    that maximum f is within ``fp_tol`` and the orbit provably keeps
+    ``ELLIPTIC_MARGIN`` from the sphere, tanh(atanh ||D|| + f) <= 1 -
+    ``ELLIPTIC_MARGIN``, since ||w_g(D)|| = tanh rho(0, w_g(D)).  Otherwise
+    the images become a tabled ``AutomorphismGroup`` and
+    ``find_fixed_point`` starts from D: it checks ellipticity on the orbit,
+    measures the displacement again and descends if D misses ``fp_tol``.
+    The eta checks of the group's normalization are implied by pi's
+    eta check, ``||T*JT - J|| <= REP_TOL``, so the accepted path skips them.
 
     tau is measured (``bound``, eta defects), not checked again as a
     representation: it has pi's table, tau(e) = U U^{-1}, and
@@ -479,27 +525,35 @@ def unitarize(rep: Representation, fp_tol: float = FP_TOL,
     up to the rounding of U pi U^{-1}.  The one check on tau is the one
     that certifies it, max ||tau(g)* tau(g) - 1|| <= ``UNIT_TOL``; the
     result keeps that defect.  ``mode`` is passed to ``find_fixed_point``,
-    where both accepted names run the one descent.
+    where both accepted names run the one descent; any other name raises
+    ``ValueError`` on either path.
     """
     _require_eta_preserving(rep)
+    if mode not in ("midpoint-descent", "chebyshev-iterate"):
+        raise ValueError(f"unknown mode {mode!r}")
     sig = rep.signature
-    # each image's bound is induced_automorphism's, from the defects the
-    # representation has measured, as are the forms and norms
-    autos = _automorphism_stack(rep._stack, sig.n_plus, sig.n_minus,
-                                np.maximum(REP_TOL, 10 * rep._eta_defects),
-                                rep._form, rep._tops)
-    group = AutomorphismGroup(elements=autos, table=rep.table)
-    try:
-        result = find_fixed_point(group, fp_tol=fp_tol, mode=mode)
-    except NotElliptic as exc:
-        raise FixedPointFailed(str(exc)) from exc
-    if not result.converged:
-        raise FixedPointFailed(
-            f"solver stalled at displacement {result.displacement:.3e}")
-    d = result.point
-    u = unitarizer_matrix(sig, d)
-    u_inv = np.linalg.inv(u)
-    tau = u @ rep._stack @ u_inv
+    p, q = sig.n_plus, sig.n_minus
+    scale = _eta_scale(rep._form, p, q)
+    d = _averaged_point(rep._stack / np.sqrt(scale)[:, None, None], p, q)
+    u, tau = _conjugate(sig, d, rep._stack)
+    f = _chart_displacement(tau, p)
+    if not (f <= fp_tol and math.tanh(math.atanh(1.0 - d.margin) + f)
+            <= 1.0 - ELLIPTIC_MARGIN):
+        # each image's bound is induced_automorphism's, from the defects the
+        # representation has measured, as are the forms and norms
+        autos = _automorphism_stack(rep._stack, p, q,
+                                    np.maximum(REP_TOL, 10 * rep._eta_defects),
+                                    rep._form, rep._tops)
+        group = AutomorphismGroup(elements=autos, table=rep.table)
+        try:
+            result = find_fixed_point(group, x0=d, fp_tol=fp_tol, mode=mode)
+        except NotElliptic as exc:
+            raise FixedPointFailed(str(exc)) from exc
+        if not result.converged:
+            raise FixedPointFailed(
+                f"solver stalled at displacement {result.displacement:.3e}")
+        d = result.point
+        u, tau = _conjugate(sig, d, rep._stack)
     unitary_rep = object.__new__(Representation)
     defect = _unitarity_defect(
         unitary_rep._measure(sig, rep.table, rep.identity_index, tau))

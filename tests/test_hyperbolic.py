@@ -17,6 +17,7 @@ from opball.errors import (
 from opball.hyperbolic import (
     GeodesicLine,
     MetricSample,
+    _line_and_gap,
     alpha_metric,
     barycenter_sequence,
     convex_combination,
@@ -250,6 +251,23 @@ def test_line_through_passes_both_points():
         assert spectral_norm(geodesic_point(line, 0.0).matrix - a.matrix) < 1e-8
         reached = geodesic_point(line, distance(a, b))
         assert spectral_norm(reached.matrix - b.matrix) < 1e-8
+
+
+def test_line_and_gap_is_the_line_and_its_distance():
+    # the gap is rho read off the SVD that builds the line, the one the
+    # line-invariance suite spaces its points by
+    rng = rng_from(18)
+    for _ in range(15):
+        p, q = int(rng.integers(1, 7)), int(rng.integers(1, 4))
+        a = random_ball_point(rng, p, q, 0.8)
+        b = random_ball_point(rng, p, q, 0.8)
+        line, gap = _line_and_gap(a, b)
+        expected = line_through(a, b)
+        assert line.direction.tobytes() == expected.direction.tobytes()
+        assert line.base is a
+        assert gap == pytest.approx(distance(a, b), rel=1e-13)
+    with pytest.raises(CoincidentPoints):
+        _line_and_gap(a, a)
 
 
 def test_line_through_unique():

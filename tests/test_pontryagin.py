@@ -21,11 +21,13 @@ from opball.fixedpoint import (
 from opball.hyperbolic import distance
 from opball.mobius import (
     BallPoint,
+    _automorphism_stack,
     automorphism_apply,
     zero_point,
 )
 from opball.opcore import adjoint, spectral_norm
 from opball.pontryagin import (
+    REP_TOL,
     UNIT_TOL,
     PontryaginSignature,
     Representation,
@@ -423,6 +425,98 @@ def test_unitarize_certifies_tau_by_its_unitarity_defect(monkeypatch):
         unitarize(rep)
     with pytest.raises(FixedPointFailed, match="unitarity defect .* > 1e-16"):
         dual_pair(rep)
+
+
+# --- the start point certified in the chart at D ------------------------------------
+
+CHART_CASES = UNIQUE_CASES + [("C32", 8, 8)]
+
+
+def _automorphisms(rep):
+    """pi's images as the tabled group the descent runs on."""
+    sig = rep.signature
+    autos = _automorphism_stack(rep._stack, sig.n_plus, sig.n_minus,
+                                np.maximum(REP_TOL, 10 * rep._eta_defects),
+                                rep._form, rep._tops)
+    return AutomorphismGroup(elements=autos, table=rep.table)
+
+
+def _descended(rep, group, x0=None, fp_tol=FP_TOL):
+    """unitarize's result by closure and descent: the fixed point that
+    ``find_fixed_point`` returns, U and tau = U pi U^{-1} at it."""
+    result = find_fixed_point(group, x0=x0, fp_tol=fp_tol)
+    assert result.converged
+    u = unitarizer_matrix(rep.signature, result.point)
+    return result, u, u @ rep._stack @ np.linalg.inv(u)
+
+
+@pytest.mark.parametrize("cond", [2.0, 20.0, 300.0, 1e3])
+@pytest.mark.parametrize("group, n_plus, n_minus", CHART_CASES)
+def test_chart_certificate_is_the_descent_start(group, n_plus, n_minus, cond):
+    rep = make_test_representation(group, PontryaginSignature(n_plus, n_minus),
+                                   conditioning=cond, seed=0)
+    autos = _automorphisms(rep)
+    result, u, tau = _descended(rep, autos)
+    assert result.iterations == 0
+    res = unitarize(rep)
+    assert res.fixed_point.matrix.tobytes() == result.point.matrix.tobytes()
+    assert res.similarity.tobytes() == u.tobytes()
+    assert np.stack(res.unitary_rep.images).tobytes() == tau.tobytes()
+    # rho(D, w_g(D)) read in the chart at D is the sinh-form displacement
+    chart = pontryagin._chart_displacement(tau, n_plus)
+    assert abs(chart - displacement(autos, result.point)) <= 1e-11
+
+
+def _scaled(rep, c):
+    """rep with every image but the identity's multiplied by c, which adds
+    about c^2 - 1 to its eta defects."""
+    images = [m if g == rep.identity_index else c * m
+              for g, m in enumerate(rep.images)]
+    return Representation(rep.signature, rep.table, images)
+
+
+def test_eta_check_implies_the_normalized_check():
+    # ||T*JT - J|| = delta <= REP_TOL puts the normalizing scale in
+    # [1 - delta, 1 + delta], so ||T*JT/s - J|| <= 2 delta / (1 - delta),
+    # within the allowance max(REP_TOL, 10 delta) the descent path uses
+    reps = [make_test_representation(group, PontryaginSignature(p, q),
+                                     conditioning=cond, seed=seed)
+            for group, p, q in CHART_CASES for cond in (2.0, 300.0, 1e3)
+            for seed in range(2)]
+    base = make_test_representation("S3", PontryaginSignature(4, 2),
+                                    conditioning=20.0, seed=0)
+    edge = _scaled(base, np.sqrt(1.0 + 0.99 * REP_TOL - base.eta_defect))
+    assert 0.9 * REP_TOL < edge.eta_defect <= REP_TOL
+    for rep in reps + [edge]:
+        assert rep.eta_defect <= REP_TOL
+        _automorphisms(rep)
+    unitarize(edge)
+
+
+def test_a_start_point_off_the_fixed_point_descends(monkeypatch):
+    rep = make_test_representation("S3", PontryaginSignature(4, 2),
+                                   conditioning=20.0, seed=1)
+    exact = averaged_fixed_point(rep)
+    nudge = random_ball_point(rng_from(5), 4, 2, 0.5).matrix
+    off = BallPoint(exact.matrix + 1e-6 * nudge / spectral_norm(nudge),
+                    boundary_tol=0.0)
+    autos = _automorphisms(rep)
+    assert displacement(autos, off) > FP_TOL
+    # the solve moves to the orbit's barycenter, then descends if need be
+    result, u, tau = _descended(rep, autos, x0=off)
+    assert result.point is not off
+    monkeypatch.setattr(pontryagin, "_averaged_point", lambda *args: off)
+    res = unitarize(rep)
+    assert res.fixed_point.matrix.tobytes() == result.point.matrix.tobytes()
+    assert res.similarity.tobytes() == u.tobytes()
+    assert np.stack(res.unitary_rep.images).tobytes() == tau.tobytes()
+    assert res.unitarity_defect <= UNIT_TOL
+
+
+def test_unitarize_rejects_an_unknown_mode():
+    rep = make_test_representation("C4", SIG21, conditioning=2.0, seed=0)
+    with pytest.raises(ValueError, match="unknown mode 'bogus'"):
+        unitarize(rep, mode="bogus")
 
 
 # --- the averaged fixed point ---------------------------------------------------------

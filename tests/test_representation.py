@@ -6,6 +6,7 @@ import re
 import numpy as np
 import pytest
 
+from opball.errors import ShapeMismatch
 from opball.mobius import _eta_spectra, eta_defect, eta_matrix
 from opball.opcore import adjoint, spectral_norm
 from opball.pontryagin import (
@@ -145,6 +146,45 @@ def test_unitarized_representation_passes_the_constructor_checks(name, p, q,
             tau.images).tobytes()
 
 
+@pytest.mark.parametrize("images, error, message", [
+    ([np.eye(3), np.eye(3)[0]], ValueError,
+     "image 1 must be 2-D with positive shape, got (3,)"),
+    ([np.eye(3), np.eye(3)[None]], ValueError,
+     "image 1 must be 2-D with positive shape, got (1, 3, 3)"),
+    ([np.eye(3), np.zeros((0, 3))], ValueError,
+     "image 1 must be 2-D with positive shape, got (0, 3)"),
+    ([np.eye(3), np.diag([1.0, np.nan, 1.0])], ValueError,
+     "image 1 contains non-finite entries"),
+    ([np.eye(3), np.diag([1.0, 1.0, 1j * np.inf])], ValueError,
+     "image 1 contains non-finite entries"),
+    ([np.eye(3)] * 3, ValueError, "need 2 images, got 3"),
+    ([np.eye(3)], ValueError, "need 2 images, got 1"),
+    ([np.eye(4), np.eye(4)], ShapeMismatch, "image shape (4, 4) != (3, 3)"),
+    ([np.eye(3), np.eye(2)], ShapeMismatch, "image shape (2, 2) != (3, 3)"),
+])
+def test_irregular_images_are_named_as_one_by_one(images, error, message):
+    # the stacked coercion falls back to the per-image checks, whose
+    # messages name the first offending image
+    with pytest.raises(error) as excinfo:
+        Representation(PontryaginSignature(2, 1), group_table("C2"), images)
+    assert type(excinfo.value) is error
+    assert str(excinfo.value) == message
+
+
+def test_images_are_coerced_as_one_fresh_stack():
+    rep = make_test_representation("Q8", PontryaginSignature(5, 2),
+                                   conditioning=10.0, seed=0)
+    given = np.stack(rep.images)
+    given.setflags(write=True)
+    for images in (given, list(given), [m.tolist() for m in given]):
+        rebuilt = Representation(rep.signature, rep.table, images)
+        expected = np.stack([np.asarray(m, dtype=np.complex128)
+                             for m in images])
+        assert rebuilt._stack.tobytes() == expected.tobytes()
+        assert not rebuilt._stack.flags.writeable
+    assert given.flags.writeable
+
+
 def test_images_are_the_read_only_rows_of_one_stack():
     rep = make_test_representation("S3", PontryaginSignature(4, 2),
                                    conditioning=10.0, seed=0)
@@ -158,11 +198,12 @@ def test_images_are_the_read_only_rows_of_one_stack():
 
 
 def test_unitarize_measures_each_stack_with_one_eigvalsh(monkeypatch):
+    import opball.fixedpoint as fixedpoint
     import opball.mobius as mobius
 
     images = make_test_representation("C32", PontryaginSignature(8, 8),
                                       conditioning=20.0, seed=0).images
-    calls = {"svd": [], "eigvalsh": [], "handed": []}
+    calls = {"svd": [], "eigvalsh": [], "skipped": []}
 
     def counted(name, kernel):
         def wrapper(*args, **kwargs):
@@ -170,25 +211,32 @@ def test_unitarize_measures_each_stack_with_one_eigvalsh(monkeypatch):
             return kernel(*args, **kwargs)
         return wrapper
 
-    def handed(*args, **kwargs):
-        calls["handed"].append((kwargs.get("form") is rep._form,
-                                kwargs.get("tops") is rep._tops))
-        return checked(*args, **kwargs)
+    def skipped(name):
+        def fail(*args, **kwargs):
+            calls["skipped"].append(name)
+            raise AssertionError(f"{name} called")
+        return fail
 
-    checked = mobius._eta_checked
     monkeypatch.setattr(np.linalg, "svd", counted("svd", np.linalg.svd))
     monkeypatch.setattr(np.linalg, "eigvalsh",
                         counted("eigvalsh", np.linalg.eigvalsh))
-    monkeypatch.setattr(mobius, "_eta_checked", handed)
+    monkeypatch.setattr(mobius, "_eta_checked", skipped("_eta_checked"))
+    monkeypatch.setattr(fixedpoint, "distances_from", skipped("distances_from"))
+    monkeypatch.setattr(fixedpoint, "_elliptic_orbit", skipped("_elliptic_orbit"))
+    monkeypatch.setattr(fixedpoint.AutomorphismGroup, "__post_init__",
+                        skipped("AutomorphismGroup"))
+    monkeypatch.setattr(fixedpoint.AutomorphismGroup, "apply_all",
+                        skipped("apply_all"))
     rep = Representation(PontryaginSignature(8, 8), group_table("C32"),
                          images)
     res = unitarize(rep)
     monkeypatch.undo()
     assert res.unitarity_defect <= 1e-7
-    # pi's pair (T*JT - J, T*T), its normalized gap, and tau's pair; the
-    # normalization is handed pi's form and squared norms, so pi's T*JT is
-    # formed once, and no stack of images takes an SVD
+    # pi's pair (T*JT - J, T*T) and tau's pair; the start point is certified
+    # from tau's corner blocks, one (32, 8, 8) SVD, so no group is built, no
+    # orbit is measured and no stack of images takes an SVD
     assert [s for s in calls["eigvalsh"] if s[-2:] == (16, 16)] == [
-        (2, 32, 16, 16), (32, 16, 16), (2, 32, 16, 16)]
-    assert calls["handed"] == [(True, True)]
+        (2, 32, 16, 16), (2, 32, 16, 16)]
+    assert calls["svd"].count((32, 8, 8)) == 1
     assert (32, 16, 16) not in calls["svd"]
+    assert calls["skipped"] == []
