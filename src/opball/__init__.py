@@ -47,13 +47,7 @@ from .mobius import (
     mobius_differential,
     zero_point,
 )
-from .opcore import (
-    PolarDecomposition,
-    hermitian_eig,
-    polar_decompose,
-    psd_apply,
-    spectral_norm,
-)
+from .opcore import spectral_norm
 from .pontryagin import (
     DualPair,
     PontryaginSignature,

@@ -165,38 +165,46 @@ def _emit(doc) -> int:
     return 0
 
 
+def _load_pair(path_a, path_b):
+    """The matrices in two files, which must have the same shape."""
+    a, b = load_matrix(path_a), load_matrix(path_b)
+    if a.shape != b.shape:
+        raise ShapeError(f"{path_b}: shape {b.shape} != {a.shape} of {path_a}")
+    return a, b
+
+
 def _cmd_distance(args) -> int:
-    a = BallPoint(load_matrix(args.a))
-    b = BallPoint(load_matrix(args.b))
-    return _emit({"rho": distance(a, b)})
+    a, b = _load_pair(args.a, args.b)
+    return _emit({"rho": distance(BallPoint(a), BallPoint(b))})
 
 
 def _cmd_mobius(args) -> int:
-    a = BallPoint(load_matrix(args.a))
-    x = BallPoint(load_matrix(args.x))
-    return _emit(matrix_document(mobius_apply(a, x).matrix))
+    a, x = _load_pair(args.a, args.x)
+    return _emit(matrix_document(mobius_apply(BallPoint(a), BallPoint(x)).matrix))
 
 
 def _cmd_geodesic(args) -> int:
-    base = BallPoint(load_matrix(args.a))
+    a, d = _load_pair(args.a, args.d)
+    base = BallPoint(a)
     # by the largest part first, on the real view (a complex divide takes the
     # reciprocal), so that the spectral norm neither overflows nor underflows
-    parts = load_matrix(args.d).view(np.float64)
+    parts = d.view(np.float64)
     largest = np.abs(parts).max()
     if largest == 0.0:
         raise ZeroInput("direction matrix is zero")
     direction = (parts / largest).view(np.complex128)
     line = GeodesicLine(base, direction / spectral_norm(direction))
-    ts = [float(t) for t in args.t]
-    points, _ = _line_points(line, ts)
-    return _emit({"t": ts, "points": [matrix_document(m) for m in points]})
+    points, _ = _line_points(line, args.t)
+    return _emit({"t": args.t, "points": [matrix_document(m) for m in points]})
 
 
 def _cmd_fixpoint(args) -> int:
     dirpath = Path(args.group)
     sig = _load_sig(dirpath, args.sig)
-    gens = [BallAutomorphism(m, sig.n_plus, sig.n_minus)
-            for m in _load_elements(dirpath)]
+    elems = _load_elements(dirpath)
+    if any(m.shape != (sig.dim, sig.dim) for m in elems):
+        raise ShapeError(f"{dirpath}: elements are not {sig.dim}x{sig.dim}")
+    gens = [BallAutomorphism(m, sig.n_plus, sig.n_minus) for m in elems]
     group = group_closure(gens)
     result = find_fixed_point(group)
     return _emit({
@@ -241,6 +249,8 @@ def _cmd_check(args) -> int:
 
 def _cmd_gen(args) -> int:
     sig = _parse_sig(args.sig)
+    if not (math.isfinite(args.cond) and args.cond >= 1.0):
+        raise ParseError(f"--cond must be a finite number >= 1: {args.cond!r}")
     seed = _seed(args)
     rep = make_test_representation(args.group, sig, conditioning=args.cond,
                                    seed=seed)
@@ -277,7 +287,7 @@ def _build_parser() -> argparse.ArgumentParser:
                             "(D is normalized to unit spectral norm)")
     g.add_argument("a")
     g.add_argument("d")
-    g.add_argument("--t", action="append", required=True,
+    g.add_argument("--t", type=float, action="append", required=True,
                    help="parameter value; repeatable")
 
     f = sub.add_parser("fixpoint",

@@ -1,23 +1,16 @@
 """Exception hierarchy. Every domain failure carries a stable class name
-that the CLI reports verbatim in its JSON ``error`` field."""
+that the CLI reports verbatim in its JSON ``error`` field, and every subclass
+is raised by some path of the library or the CLI."""
 
 
 class OperatorBallError(Exception):
     """Base class for all domain errors raised by this package."""
 
 
-# --- functional calculus ---------------------------------------------------
-
-class NotHermitian(OperatorBallError):
-    pass
-
-
-class NotPSD(OperatorBallError):
-    pass
-
+# --- defect roots -----------------------------------------------------------
 
 class DomainError(OperatorBallError):
-    """Scalar function undefined at an eigenvalue of the operand."""
+    """Defect root undefined: a singular value of the point reaches 1."""
 
 
 # --- ball points and Mobius maps -------------------------------------------

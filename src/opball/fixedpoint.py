@@ -48,7 +48,7 @@ from .mobius import (
     mobius_as_block,
     zero_point,
 )
-from .opcore import adjoint, hermitian_eig, spectral_norm
+from .opcore import adjoint, spectral_norm
 
 GROUP_TOL = 1e-8
 ELLIPTIC_MARGIN = 1e-6
@@ -360,7 +360,7 @@ def equicontinuity_witness(g: BallAutomorphism,
     s = automorphism_compose(mobius_as_block(BallPoint(-a.matrix, 0.0)), g)
     s11, _, _, s22 = s.blocks()
     gram = adjoint(a.matrix) @ a.matrix
-    lam, vecs = hermitian_eig(gram)
+    lam, vecs = np.linalg.eigh(gram)
     top = lam >= lam[-1] - 1e-10 * (1.0 + lam[-1])
     proj = vecs[:, top] @ adjoint(vecs[:, top])
     half_slice = 0.5 * a.matrix @ proj

@@ -188,12 +188,12 @@ class BallAutomorphism:
     __slots__ = ("block", "dim_h", "dim_k", "defect")
 
     def __init__(self, block, dim_h: int, dim_k: int,
-                 aut_tol: float = AUT_TOL, normalize: bool = True):
+                 aut_tol: float = AUT_TOL):
         t = as_matrix(block, name="automorphism block")
         n = dim_h + dim_k
         if t.shape != (n, n):
             raise ValueError(f"block must be {n}x{n}, got {t.shape}")
-        t, defect = _eta_checked(t, dim_h, dim_k, aut_tol, normalize)
+        t, defect = _eta_checked(t, dim_h, dim_k, aut_tol)
         t.setflags(write=False)
         self._set(t, dim_h, dim_k, float(defect))
 
@@ -251,15 +251,14 @@ def _eta_scale(form: np.ndarray, dim_h: int, dim_k: int):
 
 
 def _eta_checked(t: np.ndarray, dim_h: int, dim_k: int, aut_tol,
-                 normalize: bool = True, form=None, tops=None):
+                 form=None, tops=None):
     """T over the scalar s > 0 that best fits T*JT to J (Frobenius Rayleigh
-    estimate; s = 1 without ``normalize``), for a matrix or a stack, checked
-    by ``||T*JT/s - J|| <= aut_tol max(1, ||T||^2/s)``, since forming T*JT
+    estimate), for a matrix or a stack, checked by
+    ``||T*JT/s - J|| <= aut_tol max(1, ||T||^2/s)``, since forming T*JT
     loses ||T||^2 eps; ``form`` = T*JT and ``tops`` = ||T||^2 if measured."""
     j = eta_matrix(dim_h, dim_k)
     form = adjoint(t) @ j @ t if form is None else form
-    scale = (_eta_scale(form, dim_h, dim_k) if normalize
-             else np.ones(t.shape[:-2]))
+    scale = _eta_scale(form, dim_h, dim_k)
     if np.any(scale <= 0.0):
         raise NotEtaPreserving("T*JT has non-positive alignment with J")
     defect, gram = _eta_spectra(form / scale[..., None, None] - j,

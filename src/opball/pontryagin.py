@@ -41,7 +41,7 @@ from .mobius import (
     eta_defect,
     eta_matrix,
 )
-from .opcore import adjoint, as_matrix, hermitian_eig, spectral_norm
+from .opcore import adjoint, as_matrix, spectral_norm
 from .sampling import random_eta_preserving, random_unitary, rng_from
 
 REP_TOL = 1e-8
@@ -80,13 +80,14 @@ def eta_value(sig: PontryaginSignature, x) -> float:
     return float(np.sum(np.abs(x[:p]) ** 2) - np.sum(np.abs(x[p:]) ** 2))
 
 
-def is_J_unitary(sig: PontryaginSignature, t, tol: float = REP_TOL):
-    """Returns ``(preserves, defect)`` with defect = ||T*JT - J||."""
+def is_J_unitary(sig: PontryaginSignature, t):
+    """Returns ``(preserves, defect)`` with defect = ||T*JT - J|| and
+    ``preserves`` = defect <= ``REP_TOL``."""
     t = np.asarray(t, dtype=np.complex128)
     if t.shape != (sig.dim, sig.dim):
         raise ShapeMismatch(f"expected {(sig.dim, sig.dim)}, got {t.shape}")
     defect = eta_defect(t, sig.n_plus, sig.n_minus)
-    return defect <= tol, defect
+    return defect <= REP_TOL, defect
 
 
 def max_unitarity_defect(images) -> float:
@@ -120,7 +121,7 @@ def subspace_to_ball(sig: PontryaginSignature, basis) -> BallPoint:
     if sing[-1] <= 1e-12 * sing[0]:
         raise ValueError("basis columns are linearly dependent")
     gram = adjoint(basis) @ sig.j @ basis
-    lam, _ = hermitian_eig(gram)
+    lam = np.linalg.eigvalsh(gram)
     if lam[-1] >= 0.0:
         raise NotNegative(f"eta Gram eigenvalue {lam[-1]!r} not negative")
     p = sig.n_plus

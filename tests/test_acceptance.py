@@ -10,6 +10,8 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
+from oracles import psd_apply
+
 from opball.errors import ClosureExceeded
 from opball.fixedpoint import (
     AutomorphismGroup,
@@ -37,7 +39,7 @@ from opball.mobius import (
     mobius_as_block,
     zero_point,
 )
-from opball.opcore import adjoint, psd_apply, spectral_norm
+from opball.opcore import adjoint, spectral_norm
 from opball.pontryagin import (
     PontryaginSignature,
     dual_pair,

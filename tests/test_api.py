@@ -14,14 +14,13 @@ MODULES = (opcore, mobius, hyperbolic, fixedpoint, pontryagin)
 OPTIONAL = {
     "opcore.as_matrix": ["name"],
     "mobius.BallPoint": ["boundary_tol"],
-    "mobius.BallAutomorphism": ["aut_tol", "normalize"],
+    "mobius.BallAutomorphism": ["aut_tol"],
     "hyperbolic.th_series": ["terms"],
     "hyperbolic.curve_length": ["velocities"],
     "fixedpoint.AutomorphismGroup": ["table"],
     "fixedpoint.group_closure": ["max_elements"],
     "fixedpoint.is_elliptic": ["elliptic_margin"],
     "fixedpoint.find_fixed_point": ["x0", "fp_tol", "mode"],
-    "pontryagin.is_J_unitary": ["tol"],
     "pontryagin.make_test_representation": ["conditioning", "seed"],
     "pontryagin.unitarize": ["fp_tol", "mode"],
 }
@@ -60,5 +59,5 @@ def test_optional_parameters_are_pinned():
     assert _optional_parameters() == OPTIONAL
 
 
-def test_seventeen_optional_parameters():
-    assert sum(len(names) for names in OPTIONAL.values()) == 17
+def test_fifteen_optional_parameters():
+    assert sum(len(names) for names in OPTIONAL.values()) == 15

@@ -1,11 +1,13 @@
-"""A malformed representation directory or signature is a ParseError
-document with exit code 1, not a traceback."""
+"""A malformed representation directory, signature or option, or matrices
+that do not fit together, give a ParseError or ShapeError document with
+exit code 1, not a traceback."""
 
 import json
 
+import numpy as np
 import pytest
 
-from opball.cli import run, save_representation
+from opball.cli import run, save_matrix, save_representation
 from opball.pontryagin import PontryaginSignature, make_test_representation
 
 
@@ -91,4 +93,32 @@ def test_signature_with_a_zero_dimension(repdir, tmp_path, capsys, argv,
         argv = argv + ["--rep", str(repdir)]
     assert_parse_error(capsys, argv, fragment)
     assert_parse_error(capsys, argv, "positive dimension")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("argv, error", [
+    ("distance a21.json b12.json", "ShapeError"),
+    ("mobius a21.json b12.json", "ShapeError"),
+    ("geodesic a21.json a22.json --t 1", "ShapeError"),
+    ("geodesic a21.json a21.json --t abc", None),
+    ("fixpoint --group rep --sig 1,1", "ShapeError"),
+    ("gen --group C2 --sig 2,1 --cond 0.5 --out out", "ParseError"),
+    ("gen --group C2 --sig 2,1 --cond nan --out out", "ParseError"),
+    ("gen --group C2 --sig 2,1 --cond inf --out out", "ParseError"),
+], ids=["distance-shapes", "mobius-shapes", "geodesic-shapes", "geodesic-t-abc",
+        "fixpoint-sig-1,1", "gen-cond-0.5", "gen-cond-nan", "gen-cond-inf"])
+def test_inputs_that_do_not_fit_together(repdir, tmp_path, capsys, monkeypatch,
+                                         argv, error):
+    # an error document with exit code 1, or argparse's usage error (exit 2)
+    for name, m in [("a21", [[0.1], [0.2]]), ("b12", [[0.1, 0.2]]),
+                    ("a22", [[0.1, 0.2], [0.0, 0.1]])]:
+        save_matrix(np.array(m), tmp_path / f"{name}.json")
+    monkeypatch.chdir(tmp_path)
+    if error is None:
+        with pytest.raises(SystemExit) as exc:
+            run(argv.split())
+        assert exc.value.code == 2
+        return
+    assert run(argv.split()) == 1
+    assert json.loads(capsys.readouterr().out)["error"] == error
     assert not (tmp_path / "out").exists()

@@ -7,6 +7,8 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy.optimize import brentq
 
+from oracles import psd_apply
+
 from opball.errors import (
     BoundaryProximity,
     CoincidentPoints,
@@ -40,7 +42,7 @@ from opball.mobius import (
     automorphism_apply,
     zero_point,
 )
-from opball.opcore import adjoint, psd_apply, spectral_norm
+from opball.opcore import adjoint, spectral_norm
 from opball.sampling import (
     complex_gaussian,
     random_ball_point,

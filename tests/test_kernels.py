@@ -9,6 +9,8 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from oracles import psd_apply
+
 import opball.hyperbolic as hyperbolic
 from opball.errors import (
     BoundaryProximity,
@@ -42,7 +44,7 @@ from opball.mobius import (
     mobius_batch,
     mobius_matrix,
 )
-from opball.opcore import adjoint, psd_apply, spectral_norm
+from opball.opcore import adjoint, spectral_norm
 from opball.pontryagin import (
     PontryaginSignature,
     make_test_representation,
@@ -388,7 +390,7 @@ def test_checked_paths_take_stacks_and_name_the_first_offender():
     t = BallAutomorphism(random_eta_preserving(rng, 3, 2, 5.0), 3, 2)
     for x, image in zip(xs, _frac_checked(t.block, xs)):
         assert spectral_norm(image - automorphism_apply(t, BallPoint(x)).matrix) <= 1e-13
-    broken = BallAutomorphism(np.diag([1.0, 0.0]), 1, 1, aut_tol=10.0, normalize=False)
+    broken = BallAutomorphism(np.diag([1.0, 0.0]), 1, 1, aut_tol=10.0)
     probes = np.array([[[0.5]], [[0.0]]])
     with pytest.raises(SingularDenominator, match="at stack index 0$"):
         _frac_checked(broken.block, probes)

@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from oracles import psd_apply
+
 from opball.errors import BoundaryProximity, NotEtaPreserving
 from opball.mobius import (
     BallAutomorphism,
@@ -15,7 +17,7 @@ from opball.mobius import (
     mobius_differential,
     zero_point,
 )
-from opball.opcore import adjoint, psd_apply, spectral_norm
+from opball.opcore import adjoint, spectral_norm
 from opball.sampling import (
     random_ball_point,
     random_direction,
@@ -277,7 +279,6 @@ def test_singular_resolvent_on_raw_matrices():
 def test_singular_denominator_flags_broken_block():
     from opball.errors import SingularDenominator
 
-    broken = BallAutomorphism(np.diag([1.0, 0.0]), 1, 1,
-                              aut_tol=10.0, normalize=False)
+    broken = BallAutomorphism(np.diag([1.0, 0.0]), 1, 1, aut_tol=10.0)
     with pytest.raises(SingularDenominator):
         automorphism_apply(broken, BallPoint([[0.0]]))

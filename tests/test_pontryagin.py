@@ -192,8 +192,8 @@ def test_unitarizer_preserves_eta_and_straightens_graph():
     for _ in range(10):
         d = random_ball_point(rng, 3, 2, 0.9)
         u = unitarizer_matrix(SIG32, d)
-        ok, defect = is_J_unitary(SIG32, u, tol=1e-10)
-        assert ok, defect
+        _, defect = is_J_unitary(SIG32, u)
+        assert defect <= 1e-10
         straightened = u @ graph_subspace(SIG32, d)
         assert spectral_norm(straightened[:3, :]) < 1e-10
 
