@@ -184,6 +184,8 @@ def _cmd_mobius(args) -> int:
 
 
 def _cmd_geodesic(args) -> int:
+    if not all(map(math.isfinite, args.t)):
+        raise ParseError(f"--t must be finite numbers: {args.t!r}")
     a, d = _load_pair(args.a, args.d)
     base = BallPoint(a)
     # by the largest part first, on the real view (a complex divide takes the

@@ -61,10 +61,6 @@ class ClosureExceeded(OperatorBallError):
         super().__init__(message or f"closure exceeded {max_elements} elements")
 
 
-class NotElliptic(OperatorBallError):
-    pass
-
-
 class PreconditionUnmet(OperatorBallError):
     pass
 

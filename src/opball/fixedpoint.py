@@ -1,20 +1,22 @@
-"""Orbits, ellipticity certification, and common fixed points of finite
-groups of ball automorphisms.
+"""Orbits, group closure, and common fixed points of finite groups of ball
+automorphisms.
 
 A group is closed from its generators along the Cayley graph: the
 elements found in the last layer are multiplied by each generator and
 inverse in stacked kernel calls, and products are told apart by their
 normalized blocks, aligned by the unimodular scalar they are defined up to.
 
-The solver minimizes the displacement f(X) = max_g rho(X, w_g(X)), which
-is convex along geodesics and vanishes exactly on the common fixed-point
-set.  A group with a table starts at the point read off its averaged form
-R = mean_g T_g* T_g, which is fixed up to rounding; a generator set starts
-at 0.  From a start that misses the tolerance, each step moves toward the
-rho-midpoint of X and the image under the worst group element, with
-backtracking.  The displacement certifies the point; the minimal
-enclosing ball of the orbit, whose center the paper's normal-structure
-argument fixes, is never formed.
+The solver drives the displacement f(X) = max_g rho(X, w_g(X)) to zero;
+f vanishes exactly on the common fixed-point set.  Everything is read in
+the chart at the iterate X (``_chart``): the block U of M_{-X} conjugates
+each element to tau = U T U^{-1}, and rho(X, w_g(X)) = atanh ||tau12
+tau22^{-1}||.  A group with a table starts at the point read off its
+averaged form R = mean_g T_g* T_g, which is fixed up to rounding; a
+generator set starts at 0.  From a start that misses the tolerance, each
+step solves the fixed-point equations of all elements, linearized in that
+chart, in least squares (Newton), and is kept only while f falls.  The
+displacement certifies the point; the minimal enclosing ball of the orbit,
+whose center the paper's normal-structure argument fixes, is never formed.
 """
 
 from __future__ import annotations
@@ -27,25 +29,21 @@ import numpy as np
 
 from .errors import (
     ClosureExceeded,
-    NotElliptic,
     NotEtaPreserving,
     PreconditionUnmet,
-)
-from .hyperbolic import (
-    barycenter_sequence,
-    convex_combination,
-    distances_from,
 )
 from .mobius import (
     AUT_TOL,
     BallAutomorphism,
     BallPoint,
     _automorphism_stack,
+    _mobius_block,
     automorphism_apply,
     automorphism_compose,
     eta_matrix,
     frac_linear,
     mobius_as_block,
+    mobius_batch,
     zero_point,
 )
 from .opcore import adjoint, spectral_norm
@@ -226,20 +224,51 @@ def group_closure(generators: Sequence[BallAutomorphism],
 
 def is_elliptic(group: AutomorphismGroup, x0: BallPoint,
                 elliptic_margin: float = ELLIPTIC_MARGIN):
-    """Whether the orbit of x0 stays norm-separated from the boundary.
-    Returns ``(elliptic, sup_norm)``."""
-    return _elliptic_orbit(group.apply_all(x0), elliptic_margin)
-
-
-def _elliptic_orbit(images: np.ndarray, elliptic_margin: float):
-    """``is_elliptic`` on an orbit's stacked images."""
-    sup_norm = float(np.linalg.svd(images, compute_uv=False)[:, 0].max())
+    """Whether the orbit of x0 stays norm-separated from the boundary, a
+    diagnostic off the solver's path.  Returns ``(elliptic, sup_norm)``."""
+    sup_norm = float(spectral_norm(group.apply_all(x0)).max())
     return sup_norm <= 1.0 - elliptic_margin, sup_norm
 
 
+def _chart(blocks: np.ndarray, x: np.ndarray):
+    """A stack of blocks T in the chart at X: ``(U, tau, tau22^{-1}, C, f)``
+    with U = ``_mobius_block(-X)``, tau = U T U^{-1}, which acts as
+    M_{-X} w_T M_X, the corners C = tau12 tau22^{-1} = M_{-X}(w_T(X)) and
+    f(X) = max_g rho(X, w_g(X)) = max atanh ||C|| (inf where a corner
+    reaches the sphere), since M_{-X} is an isometry taking X to 0.  A
+    block's scale cancels in its corner.  The one displacement kernel."""
+    p = x.shape[-2]
+    u = _mobius_block(-x)
+    tau = u @ blocks @ np.linalg.inv(u)
+    inv22 = np.linalg.inv(tau[:, p:, p:])
+    corner = tau[:, :p, p:] @ inv22
+    top = float(spectral_norm(corner).max())
+    return u, tau, inv22, corner, math.atanh(top) if top < 1.0 else math.inf
+
+
+def _newton_step(tau: np.ndarray, inv22: np.ndarray,
+                 corner: np.ndarray) -> np.ndarray:
+    """The Newton step Y in the chart, clipped at ||Y|| = 1/2.  Near 0,
+    w_tau(Y) = C + A Y B + O(||Y||^2) with A = tau11 - C tau21 and
+    B = tau22^{-1}, so each element's w_tau(Y) = Y linearizes to
+    Y - A Y B = C; in column-major vec, (I - B^T kron A) vec(Y) = vec(C),
+    stacked over all elements and solved in least squares, whose
+    minimum-norm solution suits a fixed-point set."""
+    n, p, q = corner.shape
+    a = tau[:, :p, :p] - corner @ tau[:, p:, :p]
+    kron = np.einsum("nji,nkl->nikjl", inv22, a).reshape(n, p * q, p * q)
+    system = (np.eye(p * q) - kron).reshape(n * p * q, p * q)
+    vec = np.linalg.lstsq(system, corner.swapaxes(-1, -2).reshape(-1),
+                          rcond=None)[0]
+    y = vec.reshape(q, p).T
+    norm = spectral_norm(y)
+    return y if norm <= 0.5 else y * (0.5 / norm)
+
+
 def displacement(group: AutomorphismGroup, x: BallPoint) -> float:
-    """f(X) = max_g rho(X, w_g(X)); zero exactly on common fixed points."""
-    return float(distances_from(x.matrix, group.apply_all(x)).max())
+    """f(X) = max_g rho(X, w_g(X)), read in the chart at X (``_chart``);
+    zero exactly on common fixed points."""
+    return _chart(group._blocks, x.matrix)[-1]
 
 
 @dataclass(frozen=True)
@@ -270,63 +299,52 @@ def _averaged_point(blocks: np.ndarray, p: int, q: int) -> BallPoint:
                      boundary_tol=0.0)
 
 
+def _solve(blocks: np.ndarray, x0: BallPoint, fp_tol: float, mode: str):
+    """The one solver, on a stack of blocks from ``x0`` (see
+    ``find_fixed_point``): each Newton step moves X to M_X(Y).  Returns the
+    ``FixedPointResult`` and the chart's U and tau at its point."""
+    if mode not in ("midpoint-descent", "chebyshev-iterate"):
+        raise ValueError(f"unknown mode {mode!r}")
+    x = x0.matrix
+    u, tau, inv22, corner, f = _chart(blocks, x)
+    history = [f]
+    iterations = 0
+    while f > fp_tol and iterations < MAX_ITER:
+        iterations += 1
+        moved = mobius_batch(x, _newton_step(tau, inv22, corner))
+        chart = _chart(blocks, moved)
+        if not chart[-1] < f:
+            break
+        x = moved
+        u, tau, inv22, corner, f = chart
+        history.append(f)
+    point = x0 if x is x0.matrix else BallPoint(x, boundary_tol=0.0)
+    return FixedPointResult(point=point, displacement=f, iterations=iterations,
+                            converged=f <= fp_tol, history=history), u, tau
+
+
 def find_fixed_point(group: AutomorphismGroup, x0: Optional[BallPoint] = None,
                      fp_tol: float = FP_TOL,
                      mode: str = "midpoint-descent") -> FixedPointResult:
     """Common fixed point of an elliptic automorphism group.
 
     The default ``x0`` is the averaged point (``_averaged_point``) of a
-    group with a table, and 0 for a generator set without one.  Measures
-    the displacement at ``x0`` first: a start point already within
-    ``fp_tol`` is returned as it is, after 0 iterations.  Otherwise the
-    solve starts from the running barycenter of the orbit of ``x0`` and
-    descends the displacement by midpoint steps with backtracking.
-    ``mode`` selects nothing: it accepts ``"midpoint-descent"`` and, for
-    callers written before the Chebyshev-center solver was removed,
-    ``"chebyshev-iterate"``, and both run the one descent; any other
-    value raises ``ValueError``.  Which point of a non-trivial fixed-point
-    set is returned is implementation-defined.  ``history`` holds the
-    displacement at the start and after each iteration.
+    group with a table, and 0 for a generator set without one.  The
+    displacement is measured in the chart at ``x0`` (``_chart``): a start
+    point within ``fp_tol`` is returned as it is, after 0 iterations.
+    Otherwise Newton steps (``_newton_step``) are taken while the
+    displacement falls, at most ``MAX_ITER``; a step that does not lower
+    it ends the solve with ``converged=False``, as in a group with no
+    fixed point.  ``mode`` selects nothing: ``"midpoint-descent"`` and
+    ``"chebyshev-iterate"``, names of replaced solvers, both run this one,
+    and any other value raises ``ValueError``.  Which point of a
+    non-trivial fixed-point set is returned is implementation-defined.
+    ``history`` holds the displacement at the start and after each step.
     """
-    if mode not in ("midpoint-descent", "chebyshev-iterate"):
-        raise ValueError(f"unknown mode {mode!r}")
     if x0 is None:
         x0 = (zero_point(group.dim_h, group.dim_k) if group.table is None
               else _averaged_point(group._blocks, group.dim_h, group.dim_k))
-    images = group.apply_all(x0)
-    elliptic, sup_norm = _elliptic_orbit(images, ELLIPTIC_MARGIN)
-    if not elliptic:
-        raise NotElliptic(f"orbit sup-norm {sup_norm!r} within "
-                          f"{ELLIPTIC_MARGIN!r} of the boundary")
-
-    x = x0
-    f = float(distances_from(x0.matrix, images).max())
-    if f > fp_tol:
-        x = barycenter_sequence(
-            [BallPoint(m, boundary_tol=0.0) for m in images])
-        f = displacement(group, x)
-    history = [f]
-    iterations = 0
-
-    while f > fp_tol and iterations < MAX_ITER:
-        iterations += 1
-        images = group.apply_all(x)
-        worst = int(np.argmax(distances_from(x.matrix, images)))
-        target = BallPoint(images[worst], boundary_tol=0.0)
-        lam = 1.0
-        while lam > 1e-4:
-            cand = convex_combination(x, target, 0.5 * lam)
-            fc = displacement(group, cand)
-            if fc < f:
-                break
-            lam /= 2.0
-        else:
-            break
-        x, f = cand, fc
-        history.append(f)
-
-    return FixedPointResult(point=x, displacement=f, iterations=iterations,
-                            converged=f <= fp_tol, history=history)
+    return _solve(group._blocks, x0, fp_tol, mode)[0]
 
 
 class EquicontinuityWitness(NamedTuple):

@@ -82,8 +82,8 @@ def distance(a: BallPoint, b: BallPoint) -> float:
 
 
 def distances_from(base: np.ndarray, others: np.ndarray) -> np.ndarray:
-    """Batched rho(base, others[i]) for a stack of matrices (n, p, q); the
-    solver hot loops live on this."""
+    """Batched rho(base, others[i]) for a stack of matrices (n, p, q), from
+    the one rho kernel."""
     return _rho(np.asarray(base, dtype=complex), np.asarray(others, dtype=complex))
 
 

@@ -250,21 +250,18 @@ def _eta_scale(form: np.ndarray, dim_h: int, dim_k: int):
     return np.trace(j @ form, axis1=-2, axis2=-1).real / (dim_h + dim_k)
 
 
-def _eta_checked(t: np.ndarray, dim_h: int, dim_k: int, aut_tol,
-                 form=None, tops=None):
+def _eta_checked(t: np.ndarray, dim_h: int, dim_k: int, aut_tol):
     """T over the scalar s > 0 that best fits T*JT to J (Frobenius Rayleigh
     estimate), for a matrix or a stack, checked by
     ``||T*JT/s - J|| <= aut_tol max(1, ||T||^2/s)``, since forming T*JT
-    loses ||T||^2 eps; ``form`` = T*JT and ``tops`` = ||T||^2 if measured."""
+    loses ||T||^2 eps."""
     j = eta_matrix(dim_h, dim_k)
-    form = adjoint(t) @ j @ t if form is None else form
+    form = adjoint(t) @ j @ t
     scale = _eta_scale(form, dim_h, dim_k)
     if np.any(scale <= 0.0):
         raise NotEtaPreserving("T*JT has non-positive alignment with J")
-    defect, gram = _eta_spectra(form / scale[..., None, None] - j,
-                                t if tops is None else None)
-    tops = gram[..., -1] if tops is None else tops
-    allowed = aut_tol * np.maximum(1.0, tops / scale)
+    defect, gram = _eta_spectra(form / scale[..., None, None] - j, t)
+    allowed = aut_tol * np.maximum(1.0, gram[..., -1] / scale)
     if np.any(defect > allowed):
         k = int(np.argmax(np.ravel(defect / allowed)))
         raise NotEtaPreserving(
@@ -274,14 +271,13 @@ def _eta_checked(t: np.ndarray, dim_h: int, dim_k: int, aut_tol,
 
 
 def _automorphism_stack(blocks: np.ndarray, dim_h: int, dim_k: int,
-                        aut_tol, form=None, tops=None) -> list:
+                        aut_tol) -> list:
     """One ``BallAutomorphism`` per block of a stack, normalized and checked
-    as the constructor does, with one batched eigvalsh for the whole stack;
-    a caller that has measured the blocks passes ``form`` and ``tops``."""
+    as the constructor does, with one batched eigvalsh for the whole stack."""
     t = np.asarray(blocks, dtype=np.complex128)
     if not np.all(np.isfinite(t)):
         raise ValueError("automorphism block contains non-finite entries")
-    t, defects = _eta_checked(t, dim_h, dim_k, aut_tol, form=form, tops=tops)
+    t, defects = _eta_checked(t, dim_h, dim_k, aut_tol)
     t.setflags(write=False)
     out = []
     for block, defect in zip(t, defects):

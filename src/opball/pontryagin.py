@@ -13,7 +13,6 @@ w_T(A) = (T11 A + T12)(T21 A + T22)^{-1} with L(w_T(A)) = T L(A).
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from typing import NamedTuple, Optional, Union
 
@@ -24,17 +23,14 @@ from .errors import (
     DegenerateSplit,
     FixedPointFailed,
     NotEtaPreserving,
-    NotElliptic,
     NotNegative,
     ShapeMismatch,
     UnknownGroup,
 )
-from .fixedpoint import (ELLIPTIC_MARGIN, FP_TOL, AutomorphismGroup,
-                         _averaged_point, find_fixed_point)
+from .fixedpoint import FP_TOL, _averaged_point, _solve
 from .mobius import (
     BallAutomorphism,
     BallPoint,
-    _automorphism_stack,
     _eta_scale,
     _eta_spectra,
     _mobius_block,
@@ -46,9 +42,6 @@ from .sampling import random_eta_preserving, random_unitary, rng_from
 
 REP_TOL = 1e-8
 UNIT_TOL = 1e-7
-# invariance quality of a dual pair tracks the fixed-point residual, so
-# dual_pair solves tighter than the unitarization default
-DUAL_FP_TOL = 1e-11
 
 
 @dataclass(frozen=True)
@@ -359,7 +352,8 @@ class Representation:
     ``bound``, the largest ||pi(g)||, and ``eta_defect``, the largest
     ||pi(g)* J pi(g) - J||, both from one batched eigvalsh; eta preservation
     is checked by whoever needs it (``unitarize``), which also reads each
-    image's form, norm and defect and runs only ``_measure`` on its tau.
+    image's form for its normalizing scale and runs only ``_measure`` on
+    its tau.
 
     The homomorphism check takes one row of the table at a time: one
     stacked product ``pi(table[g]) - pi(g) pi`` per row, screened by
@@ -480,23 +474,6 @@ def averaged_fixed_point(rep: Representation) -> BallPoint:
     return _averaged_point(rep._stack, sig.n_plus, sig.n_minus)
 
 
-def _chart_displacement(tau: np.ndarray, p: int) -> float:
-    """max_g rho(D, w_g(D)) read in the chart at D, from the stack tau of
-    the conjugates U pi(g) U^{-1}, U = ``unitarizer_matrix(D)``: the
-    isometry M_{-D} takes D to 0 and w_g(D) to w_{tau(g)}(0) =
-    tau12 tau22^{-1}, and rho(0, X) = atanh ||X||.  One stacked inverse and
-    one batched SVD; inf if a corner reaches the sphere."""
-    corner = tau[:, :p, p:] @ np.linalg.inv(tau[:, p:, p:])
-    top = float(np.linalg.svd(corner, compute_uv=False)[:, 0].max())
-    return math.atanh(top) if top < 1.0 else math.inf
-
-
-def _conjugate(sig: PontryaginSignature, d: BallPoint, stack: np.ndarray):
-    """U = unitarizer_matrix(D) and the stack U pi U^{-1}."""
-    u = unitarizer_matrix(sig, d)
-    return u, u @ stack @ np.linalg.inv(u)
-
-
 def unitarize(rep: Representation, fp_tol: float = FP_TOL,
               mode: str = "midpoint-descent") -> UnitarizationResult:
     """Similarity onto a unitary representation.
@@ -507,61 +484,39 @@ def unitarize(rep: Representation, fp_tol: float = FP_TOL,
     unitary.
 
     D starts as the averaged point of the images, each normalized by the
-    scalar ``BallAutomorphism`` would divide it by, and tau is formed at
-    once.  In the chart at D the displacement is read off tau's corner
-    blocks, rho(D, w_g(D)) = atanh ||tau12(g) tau22(g)^{-1}||, so D is
-    certified without building an automorphism group: it is accepted when
-    that maximum f is within ``fp_tol`` and the orbit provably keeps
-    ``ELLIPTIC_MARGIN`` from the sphere, tanh(atanh ||D|| + f) <= 1 -
-    ``ELLIPTIC_MARGIN``, since ||w_g(D)|| = tanh rho(0, w_g(D)).  Otherwise
-    the images become a tabled ``AutomorphismGroup`` and
-    ``find_fixed_point`` starts from D: it checks ellipticity on the orbit,
-    measures the displacement again and descends if D misses ``fp_tol``.
-    The eta checks of the group's normalization are implied by pi's
-    eta check, ``||T*JT - J|| <= REP_TOL``, so the accepted path skips them.
+    scalar ``BallAutomorphism`` would divide it by, so D is the point
+    ``find_fixed_point`` starts a tabled group at.  ``find_fixed_point``'s
+    solver then runs on pi's own stack from D, with no automorphism group:
+    in the chart at D, rho(D, w_g(D)) = atanh ||tau12(g) tau22(g)^{-1}||,
+    where the scale of a block cancels.  A D within ``fp_tol`` is kept
+    with its U and tau, else Newton steps move it, and a solve that stops
+    above ``fp_tol`` raises ``FixedPointFailed``.
 
     tau is measured (``bound``, eta defects), not checked again as a
     representation: it has pi's table, tau(e) = U U^{-1}, and
     ||tau(gh) - tau(g) tau(h)|| <= ||U|| ||U^{-1}|| ||pi(gh) - pi(g) pi(h)||
     up to the rounding of U pi U^{-1}.  The one check on tau is the one
     that certifies it, max ||tau(g)* tau(g) - 1|| <= ``UNIT_TOL``; the
-    result keeps that defect.  ``mode`` is passed to ``find_fixed_point``,
-    where both accepted names run the one descent; any other name raises
-    ``ValueError`` on either path.
+    result keeps that defect.  ``mode`` is checked as ``find_fixed_point``
+    checks it.
     """
     _require_eta_preserving(rep)
-    if mode not in ("midpoint-descent", "chebyshev-iterate"):
-        raise ValueError(f"unknown mode {mode!r}")
     sig = rep.signature
     p, q = sig.n_plus, sig.n_minus
     scale = _eta_scale(rep._form, p, q)
     d = _averaged_point(rep._stack / np.sqrt(scale)[:, None, None], p, q)
-    u, tau = _conjugate(sig, d, rep._stack)
-    f = _chart_displacement(tau, p)
-    if not (f <= fp_tol and math.tanh(math.atanh(1.0 - d.margin) + f)
-            <= 1.0 - ELLIPTIC_MARGIN):
-        # each image's bound is induced_automorphism's, from the defects the
-        # representation has measured, as are the forms and norms
-        autos = _automorphism_stack(rep._stack, p, q,
-                                    np.maximum(REP_TOL, 10 * rep._eta_defects),
-                                    rep._form, rep._tops)
-        group = AutomorphismGroup(elements=autos, table=rep.table)
-        try:
-            result = find_fixed_point(group, x0=d, fp_tol=fp_tol, mode=mode)
-        except NotElliptic as exc:
-            raise FixedPointFailed(str(exc)) from exc
-        if not result.converged:
-            raise FixedPointFailed(
-                f"solver stalled at displacement {result.displacement:.3e}")
-        d = result.point
-        u, tau = _conjugate(sig, d, rep._stack)
+    result, u, tau = _solve(rep._stack, d, fp_tol, mode)
+    if not result.converged:
+        raise FixedPointFailed(
+            f"solver stalled at displacement {result.displacement:.3e}")
     unitary_rep = object.__new__(Representation)
     defect = _unitarity_defect(
         unitary_rep._measure(sig, rep.table, rep.identity_index, tau))
     if defect > UNIT_TOL:
         raise FixedPointFailed(f"unitarity defect {defect:.3e} > {UNIT_TOL!r}")
     return UnitarizationResult(similarity=u, unitary_rep=unitary_rep,
-                               fixed_point=d, unitarity_defect=defect)
+                               fixed_point=result.point,
+                               unitarity_defect=defect)
 
 
 @dataclass(frozen=True)
@@ -588,9 +543,11 @@ def dual_pair(rep: Representation) -> DualPair:
     The unitarized group tau(g) = U pi(g) U^{-1} is unitary and J-unitary,
     so it leaves H and K invariant; T = U^{-1} pushes them forward to the
     invariant pair, spanned by the first n_plus and the last n_minus
-    columns of T.
+    columns of T.  ``unitarize`` runs at its default ``FP_TOL``; a tighter
+    one would lie below the displacement's rounding floor, about
+    eps ||pi||^2.
     """
-    res = unitarize(rep, fp_tol=DUAL_FP_TOL)
+    res = unitarize(rep)
     sig = rep.signature
     t = np.linalg.inv(res.similarity)
     positive = np.linalg.qr(t[:, :sig.n_plus])[0]

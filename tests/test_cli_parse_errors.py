@@ -105,8 +105,11 @@ def test_signature_with_a_zero_dimension(repdir, tmp_path, capsys, argv,
     ("gen --group C2 --sig 2,1 --cond 0.5 --out out", "ParseError"),
     ("gen --group C2 --sig 2,1 --cond nan --out out", "ParseError"),
     ("gen --group C2 --sig 2,1 --cond inf --out out", "ParseError"),
+    ("geodesic a21.json a21.json --t 0.5 --t nan", "ParseError"),
+    ("geodesic a21.json a21.json --t inf", "ParseError"),
 ], ids=["distance-shapes", "mobius-shapes", "geodesic-shapes", "geodesic-t-abc",
-        "fixpoint-sig-1,1", "gen-cond-0.5", "gen-cond-nan", "gen-cond-inf"])
+        "fixpoint-sig-1,1", "gen-cond-0.5", "gen-cond-nan", "gen-cond-inf",
+        "geodesic-t-nan", "geodesic-t-inf"])
 def test_inputs_that_do_not_fit_together(repdir, tmp_path, capsys, monkeypatch,
                                          argv, error):
     # an error document with exit code 1, or argparse's usage error (exit 2)

@@ -7,7 +7,6 @@ from numpy.testing import assert_allclose
 
 from opball.errors import (
     ClosureExceeded,
-    NotElliptic,
     PreconditionUnmet,
 )
 from opball.fixedpoint import (
@@ -38,6 +37,7 @@ from opball.opcore import spectral_norm
 from opball.pontryagin import PontryaginSignature, make_test_representation
 from opball.sampling import (
     random_ball_point,
+    random_direction,
     random_eta_preserving,
     rng_from,
 )
@@ -553,14 +553,50 @@ def test_group_without_a_table_starts_at_zero():
         cold.displacement, cold.iterations, cold.history)
 
 
+@pytest.mark.parametrize("theta", [1.0, 1e-2, 1e-4])
+def test_a_small_rotation_is_solved_in_a_few_steps(theta):
+    # V diag(e^{i theta sqrt2}, e^{i theta sqrt3}, 1) V^{-1} fixes V12 V22^{-1}
+    # only; a midpoint step towards w_g(X) contracts by about cos(theta/2)
+    rng = rng_from(0)
+    v = BallAutomorphism(random_eta_preserving(rng, 2, 1, 10.0), 2, 1)
+    turn = np.diag([np.exp(1j * theta * np.sqrt(2)),
+                    np.exp(1j * theta * np.sqrt(3)), 1.0])
+    gen = BallAutomorphism(v.block @ turn @ np.linalg.inv(v.block), 2, 1)
+    exact = automorphism_apply(v, zero_point(2, 1))
+    x0 = automorphism_apply(
+        v, BallPoint(math.tanh(0.5) * random_direction(rng, 2, 1)))
+    assert distance(x0, exact) == pytest.approx(0.5, abs=1e-12)
+    result = find_fixed_point(AutomorphismGroup(elements=[gen]), x0=x0)
+    assert result.converged
+    assert result.iterations <= 10
+    assert distance(result.point, exact) <= 1e-8
+
+
+def test_two_generator_sets_from_zero_at_conditioning_3e3():
+    # the orbit of 0 comes within 1e-6 of the sphere on most of these
+    for name, sig in (("C4", (2, 1)), ("S3", (4, 2)), ("Q8", (5, 2)),
+                      ("C12", (6, 3))):
+        for seed in range(6):
+            rep = make_test_representation(name, PontryaginSignature(*sig),
+                                           3e3, seed=seed)
+            gens = AutomorphismGroup(elements=[
+                BallAutomorphism(rep.images[i], *sig) for i in (1, 2)])
+            result = find_fixed_point(gens)
+            assert result.converged, (name, seed, result.displacement)
+            assert result.iterations <= 10
+
+
 def test_not_elliptic_raises():
     t = hyperbolic_block()
     powers = [BallAutomorphism.identity(1, 1)]
     for _ in range(12):
         powers.append(automorphism_compose(powers[-1], t))
     pseudo = AutomorphismGroup(elements=powers)
-    with pytest.raises(NotElliptic):
-        find_fixed_point(pseudo)
+    # T^12 moves every point of its axis by rho 12, and no step lowers that
+    result = find_fixed_point(pseudo)
+    assert not result.converged
+    assert result.displacement == pytest.approx(12.0, abs=1e-6)
+    assert not is_elliptic(pseudo, zero_point(1, 1))[0]
 
 
 # --- equicontinuity witnesses --------------------------------------------------------

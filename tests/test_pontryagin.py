@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from opball import pontryagin
+from opball import fixedpoint, pontryagin
 from opball.errors import (
     FixedPointFailed,
     NotEtaPreserving,
@@ -18,7 +18,7 @@ from opball.fixedpoint import (
     displacement,
     find_fixed_point,
 )
-from opball.hyperbolic import distance
+from opball.hyperbolic import distance, distances_from
 from opball.mobius import (
     BallPoint,
     _automorphism_stack,
@@ -436,8 +436,7 @@ def _automorphisms(rep):
     """pi's images as the tabled group the descent runs on."""
     sig = rep.signature
     autos = _automorphism_stack(rep._stack, sig.n_plus, sig.n_minus,
-                                np.maximum(REP_TOL, 10 * rep._eta_defects),
-                                rep._form, rep._tops)
+                                np.maximum(REP_TOL, 10 * rep._eta_defects))
     return AutomorphismGroup(elements=autos, table=rep.table)
 
 
@@ -463,8 +462,10 @@ def test_chart_certificate_is_the_descent_start(group, n_plus, n_minus, cond):
     assert res.similarity.tobytes() == u.tobytes()
     assert np.stack(res.unitary_rep.images).tobytes() == tau.tobytes()
     # rho(D, w_g(D)) read in the chart at D is the sinh-form displacement
-    chart = pontryagin._chart_displacement(tau, n_plus)
-    assert abs(chart - displacement(autos, result.point)) <= 1e-11
+    chart = fixedpoint._chart(rep._stack, result.point.matrix)[-1]
+    sinh_form = distances_from(result.point.matrix,
+                               autos.apply_all(result.point)).max()
+    assert abs(chart - sinh_form) <= 1e-11
 
 
 def _scaled(rep, c):
@@ -502,13 +503,17 @@ def test_a_start_point_off_the_fixed_point_descends(monkeypatch):
                     boundary_tol=0.0)
     autos = _automorphisms(rep)
     assert displacement(autos, off) > FP_TOL
-    # the solve moves to the orbit's barycenter, then descends if need be
-    result, u, tau = _descended(rep, autos, x0=off)
+    # the solve takes Newton steps from off
+    result, _, _ = _descended(rep, autos, x0=off)
     assert result.point is not off
     monkeypatch.setattr(pontryagin, "_averaged_point", lambda *args: off)
     res = unitarize(rep)
-    assert res.fixed_point.matrix.tobytes() == result.point.matrix.tobytes()
+    # unitarize solves on pi's stack, the group on the normalized blocks,
+    # so the two paths round apart
+    assert distance(res.fixed_point, result.point) <= 1e-12
+    u = unitarizer_matrix(rep.signature, res.fixed_point)
     assert res.similarity.tobytes() == u.tobytes()
+    tau = u @ rep._stack @ np.linalg.inv(u)
     assert np.stack(res.unitary_rep.images).tobytes() == tau.tobytes()
     assert res.unitarity_defect <= UNIT_TOL
 
@@ -621,6 +626,16 @@ def test_dual_pair_negative_component_is_the_averaged_graph(group, n_plus,
     pair = dual_pair(rep)
     graph = graph_subspace(sig, averaged_fixed_point(rep))
     assert np.sin(max_principal_angle(pair.negative_basis, graph)) <= 1e-9
+
+
+@pytest.mark.parametrize("cond", [1e3, 3e3])
+def test_dual_pair_at_high_conditioning(cond):
+    for group, n_plus, n_minus in UNIQUE_CASES:
+        for seed in range(6):
+            rep = make_test_representation(
+                group, PontryaginSignature(n_plus, n_minus),
+                conditioning=cond, seed=seed)
+            assert _invariance_angle(rep, dual_pair(rep)) <= 1e-9, (group, seed)
 
 
 # --- transport bounds ----------------------------------------------------------------

@@ -199,6 +199,7 @@ def test_images_are_the_read_only_rows_of_one_stack():
 
 def test_unitarize_measures_each_stack_with_one_eigvalsh(monkeypatch):
     import opball.fixedpoint as fixedpoint
+    import opball.hyperbolic as hyperbolic
     import opball.mobius as mobius
 
     images = make_test_representation("C32", PontryaginSignature(8, 8),
@@ -221,8 +222,7 @@ def test_unitarize_measures_each_stack_with_one_eigvalsh(monkeypatch):
     monkeypatch.setattr(np.linalg, "eigvalsh",
                         counted("eigvalsh", np.linalg.eigvalsh))
     monkeypatch.setattr(mobius, "_eta_checked", skipped("_eta_checked"))
-    monkeypatch.setattr(fixedpoint, "distances_from", skipped("distances_from"))
-    monkeypatch.setattr(fixedpoint, "_elliptic_orbit", skipped("_elliptic_orbit"))
+    monkeypatch.setattr(hyperbolic, "distances_from", skipped("distances_from"))
     monkeypatch.setattr(fixedpoint.AutomorphismGroup, "__post_init__",
                         skipped("AutomorphismGroup"))
     monkeypatch.setattr(fixedpoint.AutomorphismGroup, "apply_all",
