@@ -36,14 +36,19 @@ from .pontryagin import (
 
 
 def _seed(args) -> int:
-    """The ``--seed`` option, else ``OPBALL_SEED``, else 0."""
+    """The ``--seed`` option, else ``OPBALL_SEED``, else 0; a seed must be a
+    non-negative integer."""
     if args.seed is not None:
-        return args.seed
-    value = os.environ.get("OPBALL_SEED", "0")
-    try:
-        return int(value)
-    except ValueError as exc:
-        raise ParseError(f"OPBALL_SEED must be an integer: {value!r}") from exc
+        name, seed = "--seed", args.seed
+    else:
+        name, value = "OPBALL_SEED", os.environ.get("OPBALL_SEED", "0")
+        try:
+            seed = int(value)
+        except ValueError as exc:
+            raise ParseError(f"OPBALL_SEED must be an integer: {value!r}") from exc
+    if seed < 0:
+        raise ParseError(f"{name} must be a non-negative integer: {seed}")
+    return seed
 
 
 # --- matrix and representation I/O -------------------------------------------
@@ -116,17 +121,25 @@ def _load_sig(dirpath: Path, override: str | None) -> PontryaginSignature:
 
 
 def _element_index(path: Path) -> int:
-    try:
-        return int(path.stem.split("_")[1])
-    except ValueError as exc:
-        raise ParseError(f"{path}: file name is not elem_<k>.json") from exc
+    digits = path.stem.partition("_")[2]
+    if not (digits.isascii() and digits.isdigit()):
+        raise ParseError(f"{path}: file name is not elem_<k>.json")
+    return int(digits)
 
 
 def _load_elements(dirpath: Path) -> list:
-    elems = sorted(dirpath.glob("elem_*.json"), key=_element_index)
+    """The matrices of ``elem_0.json`` to ``elem_<n-1>.json``, one file per
+    index; the first missing or repeated index raises ``ParseError``."""
+    elems = sorted((_element_index(p), p) for p in dirpath.glob("elem_*.json"))
     if not elems:
         raise ParseError(f"{dirpath}: no elem_<k>.json files")
-    return [load_matrix(p) for p in elems]
+    for k, (index, path) in enumerate(elems):
+        if index > k:
+            raise ParseError(f"{dirpath}: no elem_{k}.json (next is {path.name})")
+        if index < k:
+            raise ParseError(f"{dirpath}: element index {index} is repeated "
+                             f"({path.name})")
+    return [load_matrix(path) for _, path in elems]
 
 
 def load_representation(dirpath, sig_override: str | None = None) -> Representation:

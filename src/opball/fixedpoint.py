@@ -222,12 +222,12 @@ def group_closure(generators: Sequence[BallAutomorphism],
     return AutomorphismGroup(elements=elements, table=table)
 
 
-def is_elliptic(group: AutomorphismGroup, x0: BallPoint,
-                elliptic_margin: float = ELLIPTIC_MARGIN):
-    """Whether the orbit of x0 stays norm-separated from the boundary, a
-    diagnostic off the solver's path.  Returns ``(elliptic, sup_norm)``."""
+def is_elliptic(group: AutomorphismGroup, x0: BallPoint):
+    """Whether the orbit of x0 stays within ``1 - ELLIPTIC_MARGIN`` of 0 in
+    norm, a diagnostic off the solver's path.  Returns
+    ``(elliptic, sup_norm)``."""
     sup_norm = float(spectral_norm(group.apply_all(x0)).max())
-    return sup_norm <= 1.0 - elliptic_margin, sup_norm
+    return sup_norm <= 1.0 - ELLIPTIC_MARGIN, sup_norm
 
 
 def _chart(blocks: np.ndarray, x: np.ndarray):
@@ -299,7 +299,7 @@ def _averaged_point(blocks: np.ndarray, p: int, q: int) -> BallPoint:
                      boundary_tol=0.0)
 
 
-def _solve(blocks: np.ndarray, x0: BallPoint, fp_tol: float, mode: str):
+def _solve(blocks: np.ndarray, x0: BallPoint, mode: str):
     """The one solver, on a stack of blocks from ``x0`` (see
     ``find_fixed_point``): each Newton step moves X to M_X(Y).  Returns the
     ``FixedPointResult`` and the chart's U and tau at its point."""
@@ -309,7 +309,7 @@ def _solve(blocks: np.ndarray, x0: BallPoint, fp_tol: float, mode: str):
     u, tau, inv22, corner, f = _chart(blocks, x)
     history = [f]
     iterations = 0
-    while f > fp_tol and iterations < MAX_ITER:
+    while f > FP_TOL and iterations < MAX_ITER:
         iterations += 1
         moved = mobius_batch(x, _newton_step(tau, inv22, corner))
         chart = _chart(blocks, moved)
@@ -320,18 +320,17 @@ def _solve(blocks: np.ndarray, x0: BallPoint, fp_tol: float, mode: str):
         history.append(f)
     point = x0 if x is x0.matrix else BallPoint(x, boundary_tol=0.0)
     return FixedPointResult(point=point, displacement=f, iterations=iterations,
-                            converged=f <= fp_tol, history=history), u, tau
+                            converged=f <= FP_TOL, history=history), u, tau
 
 
 def find_fixed_point(group: AutomorphismGroup, x0: Optional[BallPoint] = None,
-                     fp_tol: float = FP_TOL,
                      mode: str = "midpoint-descent") -> FixedPointResult:
     """Common fixed point of an elliptic automorphism group.
 
     The default ``x0`` is the averaged point (``_averaged_point``) of a
     group with a table, and 0 for a generator set without one.  The
     displacement is measured in the chart at ``x0`` (``_chart``): a start
-    point within ``fp_tol`` is returned as it is, after 0 iterations.
+    point within ``FP_TOL`` is returned as it is, after 0 iterations.
     Otherwise Newton steps (``_newton_step``) are taken while the
     displacement falls, at most ``MAX_ITER``; a step that does not lower
     it ends the solve with ``converged=False``, as in a group with no
@@ -344,7 +343,7 @@ def find_fixed_point(group: AutomorphismGroup, x0: Optional[BallPoint] = None,
     if x0 is None:
         x0 = (zero_point(group.dim_h, group.dim_k) if group.table is None
               else _averaged_point(group._blocks, group.dim_h, group.dim_k))
-    return _solve(group._blocks, x0, fp_tol, mode)[0]
+    return _solve(group._blocks, x0, mode)[0]
 
 
 class EquicontinuityWitness(NamedTuple):

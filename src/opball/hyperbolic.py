@@ -81,12 +81,6 @@ def distance(a: BallPoint, b: BallPoint) -> float:
     return float(_rho(a.matrix, b.matrix))
 
 
-def distances_from(base: np.ndarray, others: np.ndarray) -> np.ndarray:
-    """Batched rho(base, others[i]) for a stack of matrices (n, p, q), from
-    the one rho kernel."""
-    return _rho(np.asarray(base, dtype=complex), np.asarray(others, dtype=complex))
-
-
 def _polar_tanh(w, sig, vh, t) -> np.ndarray:
     """Th(t D) = W tanh(t S) V* from the thin SVD D = W S V*; an array of
     parameters shaped (..., 1, 1) gives the stack of Th(t_i D)."""

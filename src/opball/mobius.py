@@ -243,21 +243,14 @@ def _eta_spectra(gap: np.ndarray, t=None):
     return np.abs(lam[0]).max(axis=-1), lam[1]
 
 
-def _eta_scale(form: np.ndarray, dim_h: int, dim_k: int):
-    """The scalar s that best fits T*JT to J, tr(J T*JT) / dim (Frobenius
-    Rayleigh estimate), from ``form`` = T*JT of a matrix or a stack."""
-    j = eta_matrix(dim_h, dim_k)
-    return np.trace(j @ form, axis1=-2, axis2=-1).real / (dim_h + dim_k)
-
-
 def _eta_checked(t: np.ndarray, dim_h: int, dim_k: int, aut_tol):
-    """T over the scalar s > 0 that best fits T*JT to J (Frobenius Rayleigh
-    estimate), for a matrix or a stack, checked by
+    """T over the scalar s > 0 that best fits T*JT to J, s = tr(J T*JT) / dim
+    (Frobenius Rayleigh estimate), for a matrix or a stack, checked by
     ``||T*JT/s - J|| <= aut_tol max(1, ||T||^2/s)``, since forming T*JT
     loses ||T||^2 eps."""
     j = eta_matrix(dim_h, dim_k)
     form = adjoint(t) @ j @ t
-    scale = _eta_scale(form, dim_h, dim_k)
+    scale = np.trace(j @ form, axis1=-2, axis2=-1).real / (dim_h + dim_k)
     if np.any(scale <= 0.0):
         raise NotEtaPreserving("T*JT has non-positive alignment with J")
     defect, gram = _eta_spectra(form / scale[..., None, None] - j, t)

@@ -27,11 +27,10 @@ from .errors import (
     ShapeMismatch,
     UnknownGroup,
 )
-from .fixedpoint import FP_TOL, _averaged_point, _solve
+from .fixedpoint import _averaged_point, _solve
 from .mobius import (
     BallAutomorphism,
     BallPoint,
-    _eta_scale,
     _eta_spectra,
     _mobius_block,
     eta_defect,
@@ -351,9 +350,8 @@ class Representation:
     one read-only stack, of which ``images`` lists the rows, and records
     ``bound``, the largest ||pi(g)||, and ``eta_defect``, the largest
     ||pi(g)* J pi(g) - J||, both from one batched eigvalsh; eta preservation
-    is checked by whoever needs it (``unitarize``), which also reads each
-    image's form for its normalizing scale and runs only ``_measure`` on
-    its tau.
+    is checked by whoever needs it (``unitarize``), which runs only
+    ``_measure`` on its tau.
 
     The homomorphism check takes one row of the table at a time: one
     stacked product ``pi(table[g]) - pi(g) pi`` per row, screened by
@@ -363,7 +361,7 @@ class Representation:
     """
 
     __slots__ = ("signature", "table", "images", "bound", "eta_defect",
-                 "identity_index", "_stack", "_form", "_tops", "_eta_defects")
+                 "identity_index", "_stack")
 
     def __init__(self, signature: PontryaginSignature, table, images):
         table = np.asarray(table, dtype=int)
@@ -372,26 +370,22 @@ class Representation:
         stack = _image_stack(list(images), len(table), dim)
         if spectral_norm(stack[ident] - np.eye(dim)) > REP_TOL:
             raise ValueError("identity element must map to the identity matrix")
-        self._measure(signature, table, ident, stack)
-        _check_homomorphism(table, self._stack, np.sqrt(self._tops))
+        gram = self._measure(signature, table, ident, stack)
+        _check_homomorphism(table, self._stack, np.sqrt(gram[:, -1]))
 
     def _measure(self, signature, table, identity_index, stack):
         """Set the slots from a valid table and its stack of images, with one
         batched eigvalsh, and return the ascending eigenvalues of each T*T."""
         j = signature.j
-        form = adjoint(stack) @ j @ stack
-        self._eta_defects, gram = _eta_spectra(form - j, stack)
-        for kept in (stack, form, gram):
-            kept.setflags(write=False)
+        defects, gram = _eta_spectra(adjoint(stack) @ j @ stack - j, stack)
+        stack.setflags(write=False)
         self.signature = signature
         self.table = table
         self.identity_index = identity_index
         self._stack = stack
         self.images = list(stack)
-        self._form = form
-        self._tops = gram[:, -1]
-        self.bound = float(np.sqrt(self._tops.max()))
-        self.eta_defect = float(self._eta_defects.max())
+        self.bound = float(np.sqrt(gram[:, -1].max()))
+        self.eta_defect = float(defects.max())
         return gram
 
     @property
@@ -468,13 +462,14 @@ def _require_eta_preserving(rep: Representation):
 def averaged_fixed_point(rep: Representation) -> BallPoint:
     """The fixed point of the induced automorphisms read off the averaged
     form R = mean_g pi(g)* pi(g) of an eta-preserving representation
-    (``fixedpoint._averaged_point``)."""
+    (``fixedpoint._averaged_point``); R is invariant, so the point is fixed
+    up to rounding."""
     _require_eta_preserving(rep)
     sig = rep.signature
     return _averaged_point(rep._stack, sig.n_plus, sig.n_minus)
 
 
-def unitarize(rep: Representation, fp_tol: float = FP_TOL,
+def unitarize(rep: Representation,
               mode: str = "midpoint-descent") -> UnitarizationResult:
     """Similarity onto a unitary representation.
 
@@ -483,14 +478,12 @@ def unitarize(rep: Representation, fp_tol: float = FP_TOL,
     tau preserves eta and leaves the K component invariant, hence is
     unitary.
 
-    D starts as the averaged point of the images, each normalized by the
-    scalar ``BallAutomorphism`` would divide it by, so D is the point
-    ``find_fixed_point`` starts a tabled group at.  ``find_fixed_point``'s
+    D starts at ``averaged_fixed_point(rep)``.  ``find_fixed_point``'s
     solver then runs on pi's own stack from D, with no automorphism group:
-    in the chart at D, rho(D, w_g(D)) = atanh ||tau12(g) tau22(g)^{-1}||,
-    where the scale of a block cancels.  A D within ``fp_tol`` is kept
-    with its U and tau, else Newton steps move it, and a solve that stops
-    above ``fp_tol`` raises ``FixedPointFailed``.
+    in the chart at D, rho(D, w_g(D)) = atanh ||tau12(g) tau22(g)^{-1}||.
+    A D within ``FP_TOL`` is kept with its U and tau, else Newton steps
+    move it, and a solve that stops above ``FP_TOL`` raises
+    ``FixedPointFailed``.
 
     tau is measured (``bound``, eta defects), not checked again as a
     representation: it has pi's table, tau(e) = U U^{-1}, and
@@ -500,12 +493,8 @@ def unitarize(rep: Representation, fp_tol: float = FP_TOL,
     result keeps that defect.  ``mode`` is checked as ``find_fixed_point``
     checks it.
     """
-    _require_eta_preserving(rep)
     sig = rep.signature
-    p, q = sig.n_plus, sig.n_minus
-    scale = _eta_scale(rep._form, p, q)
-    d = _averaged_point(rep._stack / np.sqrt(scale)[:, None, None], p, q)
-    result, u, tau = _solve(rep._stack, d, fp_tol, mode)
+    result, u, tau = _solve(rep._stack, averaged_fixed_point(rep), mode)
     if not result.converged:
         raise FixedPointFailed(
             f"solver stalled at displacement {result.displacement:.3e}")
@@ -541,17 +530,18 @@ def dual_pair(rep: Representation) -> DualPair:
     """Invariant dual pair for a bounded group of J-unitary matrices.
 
     The unitarized group tau(g) = U pi(g) U^{-1} is unitary and J-unitary,
-    so it leaves H and K invariant; T = U^{-1} pushes them forward to the
-    invariant pair, spanned by the first n_plus and the last n_minus
-    columns of T.  ``unitarize`` runs at its default ``FP_TOL``; a tighter
-    one would lie below the displacement's rounding floor, about
-    eps ||pi||^2.
+    so it leaves H and K invariant, and pi leaves U^{-1} H and U^{-1} K
+    invariant.  U^{-1} is the block of M_D at ``unitarize``'s fixed point D:
+    its first n_plus columns are [I; D*] (1 - DD*)^{-1/2} and its last
+    n_minus columns [D; I] (1 - D*D)^{-1/2}.  So the negative component is
+    the graph L(D), and the positive one its J-orthogonal complement,
+    spanned by [I; D*]; the bases are the QR factors of the two.
     """
-    res = unitarize(rep)
     sig = rep.signature
-    t = np.linalg.inv(res.similarity)
-    positive = np.linalg.qr(t[:, :sig.n_plus])[0]
-    negative = np.linalg.qr(t[:, sig.n_plus:])[0]
+    d = unitarize(rep).fixed_point
+    cograph = np.vstack([np.eye(sig.n_plus), adjoint(d.matrix)])
+    positive = np.linalg.qr(cograph)[0]
+    negative = np.linalg.qr(graph_subspace(sig, d))[0]
     for basis, sign, label in ((positive, 1.0, "positive"),
                                (negative, -1.0, "negative")):
         gram = adjoint(basis) @ sig.j @ basis

@@ -339,7 +339,7 @@ def test_criterion_13_negative_controls():
         for _ in range(12):
             powers.append(automorphism_compose(powers[-1], hyp))
         pseudo = AutomorphismGroup(elements=powers)
-        flag, sup = is_elliptic(pseudo, zero_point(1, 1), elliptic_margin=1e-3)
+        flag, sup = is_elliptic(pseudo, zero_point(1, 1))
         assert not flag
         assert sup > 1 - 1e-3
 

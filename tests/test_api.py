@@ -19,10 +19,9 @@ OPTIONAL = {
     "hyperbolic.curve_length": ["velocities"],
     "fixedpoint.AutomorphismGroup": ["table"],
     "fixedpoint.group_closure": ["max_elements"],
-    "fixedpoint.is_elliptic": ["elliptic_margin"],
-    "fixedpoint.find_fixed_point": ["x0", "fp_tol", "mode"],
+    "fixedpoint.find_fixed_point": ["x0", "mode"],
     "pontryagin.make_test_representation": ["conditioning", "seed"],
-    "pontryagin.unitarize": ["fp_tol", "mode"],
+    "pontryagin.unitarize": ["mode"],
 }
 
 
@@ -59,5 +58,5 @@ def test_optional_parameters_are_pinned():
     assert _optional_parameters() == OPTIONAL
 
 
-def test_fifteen_optional_parameters():
-    assert sum(len(names) for names in OPTIONAL.values()) == 15
+def test_twelve_optional_parameters():
+    assert sum(len(names) for names in OPTIONAL.values()) == 12

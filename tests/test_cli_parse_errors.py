@@ -49,6 +49,36 @@ def test_element_file_name_without_an_index(repdir, capsys):
                        "elem_x.json")
 
 
+@pytest.fixture
+def c4dir(tmp_path):
+    rep = make_test_representation("C4", PontryaginSignature(2, 1),
+                                   conditioning=2.0, seed=0)
+    save_representation(rep, tmp_path / "c4")
+    return tmp_path / "c4"
+
+
+def _rename_element_3_to_7(c4dir):
+    # sorting by index alone would take elem_7.json as element 3
+    (c4dir / "elem_3.json").rename(c4dir / "elem_7.json")
+
+
+def _copy_element_1_to_01(c4dir):
+    # a second file for index 1, not a fifth element
+    (c4dir / "elem_01.json").write_text((c4dir / "elem_1.json").read_text())
+
+
+@pytest.mark.parametrize("command, option", [("unitarize", "--rep"),
+                                             ("fixpoint", "--group")])
+@pytest.mark.parametrize("edit, fragment", [
+    (_rename_element_3_to_7, "no elem_3.json (next is elem_7.json)"),
+    (_copy_element_1_to_01, "element index 1 is repeated (elem_1.json)"),
+], ids=["missing-index", "repeated-index"])
+def test_element_files_not_numbered_0_to_n_minus_1(c4dir, capsys, command,
+                                                   option, edit, fragment):
+    edit(c4dir)
+    assert_parse_error(capsys, [command, option, str(c4dir)], fragment)
+
+
 def _double_element_1(repdir):
     doc = json.loads((repdir / "elem_1.json").read_text())
     doc["data"] = [[2 * re, 2 * im] for re, im in doc["data"]]
@@ -77,6 +107,21 @@ def test_seed_that_is_not_an_integer(tmp_path, capsys, monkeypatch, argv):
     if argv[0] == "gen":
         argv = argv + ["--out", str(tmp_path / "rep")]
     assert_parse_error(capsys, argv, "OPBALL_SEED")
+
+
+@pytest.mark.parametrize("argv, env, fragment", [
+    (["check", "--trials", "3", "--seed", "-1"], None, "--seed"),
+    (["gen", "--group", "C2", "--sig", "2,1", "--seed", "-2"], None, "--seed"),
+    (["check", "--trials", "3"], "-3", "OPBALL_SEED"),
+], ids=["check-seed-1", "gen-seed-2", "OPBALL_SEED-3"])
+def test_negative_seed(tmp_path, capsys, monkeypatch, argv, env, fragment):
+    # numpy's default_rng takes no negative seed
+    if env is not None:
+        monkeypatch.setenv("OPBALL_SEED", env)
+    if argv[0] == "gen":
+        argv = argv + ["--out", str(tmp_path / "rep")]
+    assert_parse_error(capsys, argv, f"{fragment} must be a non-negative integer")
+    assert not (tmp_path / "rep").exists()
 
 
 @pytest.mark.parametrize("argv, fragment", [

@@ -329,7 +329,7 @@ def test_truncated_hyperbolic_powers_not_elliptic():
     for _ in range(12):
         powers.append(automorphism_compose(powers[-1], t))
     pseudo = AutomorphismGroup(elements=powers)
-    flag, sup = is_elliptic(pseudo, zero_point(1, 1), elliptic_margin=1e-3)
+    flag, sup = is_elliptic(pseudo, zero_point(1, 1))
     assert not flag
     assert sup > 1 - 1e-3  # w_{T^n}(0) = tanh(n) -> 1
 
@@ -458,7 +458,7 @@ def test_solver_descent_is_monotone():
 def test_solver_returns_a_fixed_start_point_as_it_is(mode):
     gen, _ = conjugated_cyclic(4, 3, 1, 4.0, seed=13)
     group = group_closure([gen])
-    # fixed up to fp_tol but not exactly, so that its orbit is not one point
+    # fixed up to FP_TOL but not exactly, so that its orbit is not one point
     fixed = find_fixed_point(group).point.matrix
     x0 = BallPoint(fixed + 1e-12 * np.ones_like(fixed), boundary_tol=0.0)
     result = find_fixed_point(group, x0=x0, mode=mode)

@@ -20,6 +20,7 @@ from opball.hyperbolic import (
     GeodesicLine,
     MetricSample,
     _line_and_gap,
+    _rho,
     alpha_metric,
     barycenter_sequence,
     convex_combination,
@@ -27,7 +28,6 @@ from opball.hyperbolic import (
     diameter,
     diametral_check,
     distance,
-    distances_from,
     geodesic_point,
     geodesic_velocity,
     line_through,
@@ -115,7 +115,7 @@ def test_batched_rho_matches_distance_pairwise():
     for p, q in ((1, 1), (3, 2), (2, 4)):
         base = random_ball_point(rng, p, q, 0.95)
         points = [random_ball_point(rng, p, q, 0.95) for _ in range(4)]
-        got = distances_from(base.matrix, np.stack([pt.matrix for pt in points]))
+        got = _rho(base.matrix, np.stack([pt.matrix for pt in points]))
         assert got.shape == (4,)
         for value, pt in zip(got, points):
             assert value == pytest.approx(distance(base, pt), rel=1e-12)

@@ -18,11 +18,12 @@ from opball.fixedpoint import (
     displacement,
     find_fixed_point,
 )
-from opball.hyperbolic import distance, distances_from
+from opball.hyperbolic import _rho, distance
 from opball.mobius import (
     BallPoint,
     _automorphism_stack,
     automorphism_apply,
+    eta_defect,
     zero_point,
 )
 from opball.opcore import adjoint, spectral_norm
@@ -435,15 +436,16 @@ CHART_CASES = UNIQUE_CASES + [("C32", 8, 8)]
 def _automorphisms(rep):
     """pi's images as the tabled group the descent runs on."""
     sig = rep.signature
+    defects = eta_defect(rep._stack, sig.n_plus, sig.n_minus)
     autos = _automorphism_stack(rep._stack, sig.n_plus, sig.n_minus,
-                                np.maximum(REP_TOL, 10 * rep._eta_defects))
+                                np.maximum(REP_TOL, 10 * defects))
     return AutomorphismGroup(elements=autos, table=rep.table)
 
 
-def _descended(rep, group, x0=None, fp_tol=FP_TOL):
-    """unitarize's result by closure and descent: the fixed point that
+def _descended(rep, group, x0=None):
+    """The result of closure and descent: the fixed point that
     ``find_fixed_point`` returns, U and tau = U pi U^{-1} at it."""
-    result = find_fixed_point(group, x0=x0, fp_tol=fp_tol)
+    result = find_fixed_point(group, x0=x0)
     assert result.converged
     u = unitarizer_matrix(rep.signature, result.point)
     return result, u, u @ rep._stack @ np.linalg.inv(u)
@@ -454,18 +456,27 @@ def _descended(rep, group, x0=None, fp_tol=FP_TOL):
 def test_chart_certificate_is_the_descent_start(group, n_plus, n_minus, cond):
     rep = make_test_representation(group, PontryaginSignature(n_plus, n_minus),
                                    conditioning=cond, seed=0)
-    autos = _automorphisms(rep)
-    result, u, tau = _descended(rep, autos)
-    assert result.iterations == 0
+    start = averaged_fixed_point(rep)
+    # the solve on pi's stack takes 0 steps from the averaged point, which
+    # unitarize keeps bit for bit
+    chart = fixedpoint._chart(rep._stack, start.matrix)[-1]
+    assert chart <= FP_TOL
     res = unitarize(rep)
-    assert res.fixed_point.matrix.tobytes() == result.point.matrix.tobytes()
+    assert res.fixed_point.matrix.tobytes() == start.matrix.tobytes()
+    u = unitarizer_matrix(rep.signature, start)
     assert res.similarity.tobytes() == u.tobytes()
+    tau = u @ rep._stack @ np.linalg.inv(u)
     assert np.stack(res.unitary_rep.images).tobytes() == tau.tobytes()
     # rho(D, w_g(D)) read in the chart at D is the sinh-form displacement
-    chart = fixedpoint._chart(rep._stack, result.point.matrix)[-1]
-    sinh_form = distances_from(result.point.matrix,
-                               autos.apply_all(result.point)).max()
+    autos = _automorphisms(rep)
+    sinh_form = _rho(start.matrix, autos.apply_all(start)).max()
     assert abs(chart - sinh_form) <= 1e-11
+    # the group descent starts at the averaged point of the normalized
+    # blocks, whose forms round apart from pi's by about eps ||pi||^2
+    result, _, _ = _descended(rep, autos)
+    assert result.iterations == 0
+    eps = np.finfo(float).eps
+    assert distance(res.fixed_point, result.point) <= 4 * eps * rep.bound ** 2
 
 
 def _scaled(rep, c):
@@ -624,8 +635,11 @@ def test_dual_pair_negative_component_is_the_averaged_graph(group, n_plus,
     sig = PontryaginSignature(n_plus, n_minus)
     rep = make_test_representation(group, sig, conditioning=50.0, seed=0)
     pair = dual_pair(rep)
-    graph = graph_subspace(sig, averaged_fixed_point(rep))
+    point = averaged_fixed_point(rep)
+    graph = graph_subspace(sig, point)
     assert np.sin(max_principal_angle(pair.negative_basis, graph)) <= 1e-9
+    cograph = np.vstack([np.eye(n_plus), adjoint(point.matrix)])
+    assert np.sin(max_principal_angle(pair.positive_basis, cograph)) <= 1e-9
 
 
 @pytest.mark.parametrize("cond", [1e3, 3e3])

@@ -222,7 +222,7 @@ def test_unitarize_measures_each_stack_with_one_eigvalsh(monkeypatch):
     monkeypatch.setattr(np.linalg, "eigvalsh",
                         counted("eigvalsh", np.linalg.eigvalsh))
     monkeypatch.setattr(mobius, "_eta_checked", skipped("_eta_checked"))
-    monkeypatch.setattr(hyperbolic, "distances_from", skipped("distances_from"))
+    monkeypatch.setattr(hyperbolic, "_rho", skipped("_rho"))
     monkeypatch.setattr(fixedpoint.AutomorphismGroup, "__post_init__",
                         skipped("AutomorphismGroup"))
     monkeypatch.setattr(fixedpoint.AutomorphismGroup, "apply_all",
