@@ -37,7 +37,12 @@ from .mobius import (
     mobius_matrix,
 )
 from .opcore import adjoint, spectral_norm
-from .pontryagin import PontryaginSignature, negativeness_degree
+from .pontryagin import (
+    PontryaginSignature,
+    graph_subspace,
+    negativeness_degree,
+    subspace_to_ball,
+)
 from .sampling import random_ball_point, random_direction, random_eta_preserving
 
 _DIMS = [(1, 1), (2, 1), (2, 2), (3, 2), (4, 3), (6, 3)]
@@ -348,8 +353,6 @@ def check_mean_inequality(rng, trials):
 
 def check_graph_roundtrip(rng, trials):
     """subspace_to_ball inverts graph_subspace."""
-    from .pontryagin import graph_subspace, subspace_to_ball
-
     failures = []
     for k in range(trials):
         p, q = _dims(rng)

@@ -127,9 +127,9 @@ def _element_index(path: Path) -> int:
     return int(digits)
 
 
-def _load_elements(dirpath: Path) -> list:
+def _load_elements(dirpath: Path, sig: PontryaginSignature) -> list:
     """The matrices of ``elem_0.json`` to ``elem_<n-1>.json``, one file per
-    index; the first missing or repeated index raises ``ParseError``."""
+    index (else ``ParseError``), each ``sig.dim`` square (else ``ShapeError``)."""
     elems = sorted((_element_index(p), p) for p in dirpath.glob("elem_*.json"))
     if not elems:
         raise ParseError(f"{dirpath}: no elem_<k>.json files")
@@ -139,7 +139,10 @@ def _load_elements(dirpath: Path) -> list:
         if index < k:
             raise ParseError(f"{dirpath}: element index {index} is repeated "
                              f"({path.name})")
-    return [load_matrix(path) for _, path in elems]
+    mats = [load_matrix(path) for _, path in elems]
+    if any(m.shape != (sig.dim, sig.dim) for m in mats):
+        raise ShapeError(f"{dirpath}: elements are not {sig.dim}x{sig.dim}")
+    return mats
 
 
 def load_representation(dirpath, sig_override: str | None = None) -> Representation:
@@ -150,7 +153,7 @@ def load_representation(dirpath, sig_override: str | None = None) -> Representat
         raise ParseError(f"{dirpath}: no table.json")
     table = _read_json(table_file,
                        lambda doc: np.asarray(doc["table"], dtype=int))
-    images = _load_elements(dirpath)
+    images = _load_elements(dirpath, sig)
     try:
         return Representation(sig, table, images)
     except ValueError as exc:
@@ -216,11 +219,8 @@ def _cmd_geodesic(args) -> int:
 def _cmd_fixpoint(args) -> int:
     dirpath = Path(args.group)
     sig = _load_sig(dirpath, args.sig)
-    elems = _load_elements(dirpath)
-    if any(m.shape != (sig.dim, sig.dim) for m in elems):
-        raise ShapeError(f"{dirpath}: elements are not {sig.dim}x{sig.dim}")
-    gens = [BallAutomorphism(m, sig.n_plus, sig.n_minus) for m in elems]
-    group = group_closure(gens)
+    group = group_closure([BallAutomorphism(m, sig.n_plus, sig.n_minus)
+                           for m in _load_elements(dirpath, sig)])
     result = find_fixed_point(group)
     return _emit({
         "group_order": len(group),

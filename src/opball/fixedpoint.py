@@ -11,7 +11,7 @@ f vanishes exactly on the common fixed-point set.  Everything is read in
 the chart at the iterate X (``_chart``): the block U of M_{-X} conjugates
 each element to tau = U T U^{-1}, and rho(X, w_g(X)) = atanh ||tau12
 tau22^{-1}||.  A group with a table starts at the point read off its
-averaged form R = mean_g T_g* T_g, which is fixed up to rounding; a
+averaged form mean_g T_g* T_g, which is fixed up to rounding; a
 generator set starts at 0.  From a start that misses the tolerance, each
 step solves the fixed-point equations of all elements, linearized in that
 chart, in least squares (Newton), and is kept only while f falls.  The
@@ -98,8 +98,7 @@ def _block_distance(prods: np.ndarray, elems: np.ndarray) -> np.ndarray:
                           np.linalg.norm(elems, axis=1))
 
 
-def group_closure(generators: Sequence[BallAutomorphism],
-                  max_elements: int = MAX_ELEMENTS) -> AutomorphismGroup:
+def group_closure(generators: Sequence[BallAutomorphism]) -> AutomorphismGroup:
     """Close a generator set under composition.
 
     The elements are the identity, each generator and its inverse, then the
@@ -118,7 +117,7 @@ def group_closure(generators: Sequence[BallAutomorphism],
     element starts a new one; where several match, the nearest is taken,
     the earliest of equals.  The table is gathered from the permutations
     the steps make of the elements.  Raises ``ClosureExceeded`` when the
-    group is infinite or larger than ``max_elements``, or when a step is
+    group is infinite or larger than ``MAX_ELEMENTS``, or when a step is
     not a permutation.
     """
     if not generators:
@@ -163,8 +162,8 @@ def group_closure(generators: Sequence[BallAutomorphism],
         for col, k in enumerate(open_):
             if best[k] <= GROUP_TOL:
                 continue
-            if len(elements) >= max_elements:
-                raise ClosureExceeded(max_elements)
+            if len(elements) >= MAX_ELEMENTS:
+                raise ClosureExceeded(MAX_ELEMENTS)
             index[k] = len(elements)
             elements.append(auts[k])
             fresh.append(k)
@@ -200,7 +199,7 @@ def group_closure(generators: Sequence[BallAutomorphism],
                 # products of an elliptic finite set never saturate double
                 # precision; losing eta mid-closure means unbounded growth
                 raise ClosureExceeded(
-                    max_elements,
+                    MAX_ELEMENTS,
                     "composition chain saturated floating point; group "
                     "closure does not terminate") from exc
             by_step.append(settle(auts))
@@ -210,7 +209,7 @@ def group_closure(generators: Sequence[BallAutomorphism],
     by_step = np.concatenate(by_step).reshape(n, len(steps))
     # each step permutes a group; one that does not shows a false match
     if np.any(np.sort(by_step, axis=0) != np.arange(n)[:, None]):
-        raise ClosureExceeded(max_elements, "the closure steps do not permute "
+        raise ClosureExceeded(MAX_ELEMENTS, "the closure steps do not permute "
                               "the elements found; they form no group")
     # element j, first found as i s_k, has x j = (x i) s_k for every x
     parent, step = np.divmod(np.unique(by_step, return_index=True)[1],
@@ -282,19 +281,19 @@ class FixedPointResult:
 
 def _averaged_point(blocks: np.ndarray, p: int, q: int) -> BallPoint:
     """The common fixed point of a finite group, read off the averaged form
-    R = mean_g T_g* T_g of its stacked blocks (Weyl's unitarian trick: R is
-    invariant, and a unimodular factor of a block cancels in T*T).
+    mean_g T_g* T_g of its stacked blocks (Weyl's unitarian trick: the form
+    is invariant, and a unimodular factor of a block cancels in T*T).
 
-    With R = L L*, the negative eigenvectors Y of the Hermitian
-    ``L^{-1} J L^{-*}`` give X = L^{-*} Y, a basis of the invariant maximal
-    negative subspace L(D) (of dimension q by Sylvester's law of inertia),
-    and D = X_H X_K^{-1}.  Where H and K share an irreducible class the
-    fixed points form a set and this is one of them.
+    The form squares the blocks' conditioning, so it is taken as R*R/n from
+    the R factor of one QR of the stacked blocks.  The negative eigenvectors
+    Y of ``R^{-*} J R^{-1}`` give X = R^{-1} Y, a basis of the invariant
+    maximal negative subspace L(D) (of dimension q by Sylvester's law of
+    inertia), and D = X_H X_K^{-1}; where H and K share an irreducible class
+    the fixed points form a set and this is one of them.
     """
-    form = np.mean(adjoint(blocks) @ blocks, axis=0)
-    l_inv = np.linalg.inv(np.linalg.cholesky(form))
-    _, vecs = np.linalg.eigh(l_inv @ eta_matrix(p, q) @ adjoint(l_inv))
-    basis = adjoint(l_inv) @ vecs[:, :q]
+    r_inv = np.linalg.inv(np.linalg.qr(blocks.reshape(-1, p + q), mode="r"))
+    _, vecs = np.linalg.eigh(adjoint(r_inv) @ eta_matrix(p, q) @ r_inv)
+    basis = r_inv @ vecs[:, :q]
     return BallPoint(np.linalg.solve(basis[p:].T, basis[:p].T).T,
                      boundary_tol=0.0)
 

@@ -58,13 +58,10 @@ def poincare_scalar(z1: complex, z2: complex) -> float:
 
 
 def _sinh_form(a: np.ndarray, b: np.ndarray):
-    """K for matrices or stacks that broadcast, with A's roots (1 - AA*)^{-1/2}
-    and (1 - A*A)^{1/2} for M_{-A} and M_A; one shape takes one stacked call."""
-    if a.shape[-2:] != b.shape[-2:]:
-        raise ValueError(f"shape mismatch {a.shape} vs {b.shape}")
+    """K, and A's roots (1 - AA*)^{-1/2} and (1 - A*A)^{1/2} for M_{-A} and
+    M_A, for two matrices or two stacks of one shape, in one stacked call."""
     if a.shape != b.shape:
-        roots = defect_roots(a, -0.5, 0.5)
-        return roots[0] @ (b - a) @ defect_roots(b, -0.5, -0.5)[1], roots
+        raise ValueError(f"shape mismatch {a.shape} vs {b.shape}")
     exponents = np.array([0.5, -0.5]).reshape((2,) + (1,) * a.ndim)
     left, right = defect_roots(np.stack([a, b]), -0.5, exponents)
     return left[0] @ (b - a) @ right[1], (left[0], right[0])
@@ -321,9 +318,10 @@ class MetricSample:
             raise ValueError("sample must contain at least one point")
         mats = np.stack([pt.matrix for pt in points])
         # rho(points[i], points[j]) for i < j, from one kernel call
-        full = _rho(mats[:, None], mats[None])
-        upper = np.triu(full, 1)
-        table = upper + upper.T
+        first, second = np.triu_indices(len(points), 1)
+        table = np.zeros((len(points), len(points)))
+        table[first, second] = _rho(mats[first], mats[second])
+        table += table.T
         if len(points) >= 3:
             slack = (table[:, :, None] + table[None, :, :]).min(axis=1) - table
             worst = float(slack.min())

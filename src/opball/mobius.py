@@ -187,13 +187,12 @@ class BallAutomorphism:
 
     __slots__ = ("block", "dim_h", "dim_k", "defect")
 
-    def __init__(self, block, dim_h: int, dim_k: int,
-                 aut_tol: float = AUT_TOL):
+    def __init__(self, block, dim_h: int, dim_k: int):
         t = as_matrix(block, name="automorphism block")
         n = dim_h + dim_k
         if t.shape != (n, n):
             raise ValueError(f"block must be {n}x{n}, got {t.shape}")
-        t, defect = _eta_checked(t, dim_h, dim_k, aut_tol)
+        t, defect = _eta_checked(t, dim_h, dim_k, AUT_TOL)
         t.setflags(write=False)
         self._set(t, dim_h, dim_k, float(defect))
 

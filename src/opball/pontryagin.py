@@ -31,6 +31,7 @@ from .fixedpoint import _averaged_point, _solve
 from .mobius import (
     BallAutomorphism,
     BallPoint,
+    _automorphism_stack,
     _eta_spectra,
     _mobius_block,
     eta_defect,
@@ -140,8 +141,8 @@ def induced_automorphism(sig: PontryaginSignature, t) -> BallAutomorphism:
     ok, defect = is_J_unitary(sig, t)
     if not ok:
         raise NotEtaPreserving(f"||T*JT - J|| = {defect:.3e} > {REP_TOL!r}")
-    return BallAutomorphism(t, sig.n_plus, sig.n_minus,
-                            aut_tol=max(REP_TOL, 10 * defect))
+    return _automorphism_stack(np.asarray(t)[None], sig.n_plus, sig.n_minus,
+                               max(REP_TOL, 10 * defect))[0]
 
 
 def unitarizer_matrix(sig: PontryaginSignature, d: BallPoint) -> np.ndarray:

@@ -333,7 +333,7 @@ def test_criterion_13_negative_controls():
         hyp = BallAutomorphism([[np.cosh(1.0), np.sinh(1.0)],
                                 [np.sinh(1.0), np.cosh(1.0)]], 1, 1)
         with pytest.raises(ClosureExceeded):
-            group_closure([hyp], max_elements=64)
+            group_closure([hyp])
 
         powers = [BallAutomorphism.identity(1, 1)]
         for _ in range(12):

@@ -14,11 +14,9 @@ MODULES = (opcore, mobius, hyperbolic, fixedpoint, pontryagin)
 OPTIONAL = {
     "opcore.as_matrix": ["name"],
     "mobius.BallPoint": ["boundary_tol"],
-    "mobius.BallAutomorphism": ["aut_tol"],
     "hyperbolic.th_series": ["terms"],
     "hyperbolic.curve_length": ["velocities"],
     "fixedpoint.AutomorphismGroup": ["table"],
-    "fixedpoint.group_closure": ["max_elements"],
     "fixedpoint.find_fixed_point": ["x0", "mode"],
     "pontryagin.make_test_representation": ["conditioning", "seed"],
     "pontryagin.unitarize": ["mode"],
@@ -58,5 +56,5 @@ def test_optional_parameters_are_pinned():
     assert _optional_parameters() == OPTIONAL
 
 
-def test_twelve_optional_parameters():
-    assert sum(len(names) for names in OPTIONAL.values()) == 12
+def test_ten_optional_parameters():
+    assert sum(len(names) for names in OPTIONAL.values()) == 10

@@ -147,14 +147,17 @@ def test_signature_with_a_zero_dimension(repdir, tmp_path, capsys, argv,
     ("geodesic a21.json a22.json --t 1", "ShapeError"),
     ("geodesic a21.json a21.json --t abc", None),
     ("fixpoint --group rep --sig 1,1", "ShapeError"),
+    ("unitarize --rep rep --sig 1,1", "ShapeError"),
+    ("dualpair --rep rep --sig 1,1", "ShapeError"),
     ("gen --group C2 --sig 2,1 --cond 0.5 --out out", "ParseError"),
     ("gen --group C2 --sig 2,1 --cond nan --out out", "ParseError"),
     ("gen --group C2 --sig 2,1 --cond inf --out out", "ParseError"),
     ("geodesic a21.json a21.json --t 0.5 --t nan", "ParseError"),
     ("geodesic a21.json a21.json --t inf", "ParseError"),
 ], ids=["distance-shapes", "mobius-shapes", "geodesic-shapes", "geodesic-t-abc",
-        "fixpoint-sig-1,1", "gen-cond-0.5", "gen-cond-nan", "gen-cond-inf",
-        "geodesic-t-nan", "geodesic-t-inf"])
+        "fixpoint-sig-1,1", "unitarize-sig-1,1", "dualpair-sig-1,1",
+        "gen-cond-0.5", "gen-cond-nan", "gen-cond-inf", "geodesic-t-nan",
+        "geodesic-t-inf"])
 def test_inputs_that_do_not_fit_together(repdir, tmp_path, capsys, monkeypatch,
                                          argv, error):
     # an error document with exit code 1, or argparse's usage error (exit 2)
@@ -168,5 +171,9 @@ def test_inputs_that_do_not_fit_together(repdir, tmp_path, capsys, monkeypatch,
         assert exc.value.code == 2
         return
     assert run(argv.split()) == 1
-    assert json.loads(capsys.readouterr().out)["error"] == error
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["error"] == error
+    if "--sig 1,1" in argv:
+        # the directory commands name the directory whose elements misfit
+        assert doc["message"].startswith("rep: elements are not 2x2")
     assert not (tmp_path / "out").exists()

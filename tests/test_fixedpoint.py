@@ -1,10 +1,12 @@
 import math
 import warnings
 
+import mpmath as mp
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import opball.fixedpoint as fixedpoint
 from opball.errors import (
     ClosureExceeded,
     PreconditionUnmet,
@@ -84,11 +86,12 @@ def test_closure_of_five_cycle():
 
 @pytest.mark.parametrize("max_elements", [64, MAX_ELEMENTS])
 @pytest.mark.parametrize("s", [1.0, 0.2])
-def test_closure_hyperbolic_exceeds(s, max_elements):
+def test_closure_hyperbolic_exceeds(monkeypatch, s, max_elements):
     # at s = 1 the block distance matches distinct powers of large norm;
     # the steps then fail to permute the elements found
+    monkeypatch.setattr(fixedpoint, "MAX_ELEMENTS", max_elements)
     with pytest.raises(ClosureExceeded):
-        group_closure([hyperbolic_block(s)], max_elements=max_elements)
+        group_closure([hyperbolic_block(s)])
 
 
 def test_closure_contains_inverses():
@@ -230,8 +233,6 @@ def test_conditioned_two_generator_closures():
 
 
 def test_closure_takes_one_stacked_probe_per_layer(monkeypatch):
-    import opball.fixedpoint as fixedpoint
-
     calls = {"stack": 0, "distance": 0, "blocks": 0}
 
     def counted(name, kernel):
@@ -263,13 +264,15 @@ def test_closure_takes_one_stacked_probe_per_layer(monkeypatch):
     assert calls["blocks"] == 2 + 64 * 2 <= 64 * 3
 
 
-def test_closure_stops_at_the_element_limit_inside_a_round():
+def test_closure_stops_at_the_element_limit_inside_a_round(monkeypatch):
     # 3 elements after seeding, 5 after the first layer; the second layer
     # finds the sixth and then the seventh
     gen = rotation_block(2 * np.pi / 7)
-    assert len(group_closure([gen], max_elements=7)) == 7
+    monkeypatch.setattr(fixedpoint, "MAX_ELEMENTS", 7)
+    assert len(group_closure([gen])) == 7
+    monkeypatch.setattr(fixedpoint, "MAX_ELEMENTS", 6)
     with pytest.raises(ClosureExceeded):
-        group_closure([gen], max_elements=6)
+        group_closure([gen])
 
 
 def test_closure_memory_stays_bounded():
@@ -539,6 +542,40 @@ def test_averaged_start_ignores_the_phase_of_each_block(name, p, q):
     moved = (find_fixed_point(phased).point.matrix
              - find_fixed_point(plain).point.matrix)
     assert spectral_norm(moved) <= 1e-12
+
+
+def _mp_matrix(m):
+    return mp.matrix([[mp.mpc(complex(z)) for z in row] for row in m])
+
+
+def _mp_rho(a, b):
+    """rho(A, B) at the working precision of mpmath, from
+    sinh^2 rho = lambda_max((1 - B*B)^{-1} (B - A)* (1 - AA*)^{-1} (B - A)),
+    the eigenvalues of K*K up to similarity."""
+    gap = b - a
+    k2 = (mp.inverse(mp.eye(b.cols) - b.H * b) * gap.H
+          * mp.inverse(mp.eye(a.rows) - a * a.H) * gap)
+    top = max(mp.re(lam) for lam in mp.eig(k2, left=False, right=False))
+    return mp.asinh(mp.sqrt(max(top, 0)))
+
+
+@pytest.mark.parametrize("cond", [1e2, 1e4, 1e6])
+def test_averaged_point_keeps_the_conditioning_of_the_blocks(cond):
+    # C8 with a fixed point at 0, conjugated by V: the exact fixed point is
+    # w_V(0) = V12 V22^{-1}.  A factor of the stacked blocks keeps their
+    # conditioning cond, where the averaged form T*T would square it
+    eps = np.finfo(float).eps
+    for seed in range(4):
+        rep = make_test_representation("C8", PontryaginSignature(4, 2),
+                                       conditioning=1.0, seed=seed)
+        v = random_eta_preserving(rng_from(100 + seed), 4, 2, cond)
+        blocks = v @ rep._stack @ np.linalg.inv(v)
+        point = fixedpoint._averaged_point(blocks, 4, 2)
+        with mp.workdps(40):
+            exact_v = _mp_matrix(v)
+            exact = exact_v[:4, 4:] * mp.inverse(exact_v[4:, 4:])
+            gap = float(_mp_rho(_mp_matrix(point.matrix), exact))
+        assert gap <= eps * cond, (seed, gap / (eps * cond))
 
 
 def test_group_without_a_table_starts_at_zero():

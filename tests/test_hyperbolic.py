@@ -115,7 +115,8 @@ def test_batched_rho_matches_distance_pairwise():
     for p, q in ((1, 1), (3, 2), (2, 4)):
         base = random_ball_point(rng, p, q, 0.95)
         points = [random_ball_point(rng, p, q, 0.95) for _ in range(4)]
-        got = _rho(base.matrix, np.stack([pt.matrix for pt in points]))
+        stack = np.stack([pt.matrix for pt in points])
+        got = _rho(np.broadcast_to(base.matrix, stack.shape), stack)
         assert got.shape == (4,)
         for value, pt in zip(got, points):
             assert value == pytest.approx(distance(base, pt), rel=1e-12)

@@ -32,6 +32,7 @@ from opball.hyperbolic import (
 from opball.mobius import (
     BallAutomorphism,
     BallPoint,
+    _automorphism_stack,
     _eta_spectra,
     _frac_checked,
     _require_inside,
@@ -251,6 +252,28 @@ def test_metric_sample_table_matches_pairwise_distance():
                 distance(points[i], points[j]), rel=1e-12)
 
 
+def test_metric_sample_takes_each_pair_once(monkeypatch):
+    # one rho call on the n(n-1)/2 pairs above the diagonal, not on all n^2
+    rng = rng_from(20)
+    points = [random_ball_point(rng, 3, 2, 0.9) for _ in range(6)]
+    shapes = []
+    original = hyperbolic._rho
+
+    def counted(a, b):
+        shapes.append((a.shape, b.shape))
+        return original(a, b)
+
+    monkeypatch.setattr(hyperbolic, "_rho", counted)
+    MetricSample(points)
+    monkeypatch.undo()
+    assert shapes == [((15, 3, 2), (15, 3, 2))]
+    # the kernel takes two arrays of one shape; a point does not broadcast
+    # against a stack
+    stack = np.stack([pt.matrix for pt in points])
+    with pytest.raises(ValueError, match="shape mismatch"):
+        hyperbolic._rho(points[0].matrix, stack)
+
+
 def test_unitarizer_is_the_mobius_block_of_minus_d():
     # equal up to rounding and the positive scalar BallAutomorphism divides by
     rng = rng_from(19)
@@ -390,7 +413,7 @@ def test_checked_paths_take_stacks_and_name_the_first_offender():
     t = BallAutomorphism(random_eta_preserving(rng, 3, 2, 5.0), 3, 2)
     for x, image in zip(xs, _frac_checked(t.block, xs)):
         assert spectral_norm(image - automorphism_apply(t, BallPoint(x)).matrix) <= 1e-13
-    broken = BallAutomorphism(np.diag([1.0, 0.0]), 1, 1, aut_tol=10.0)
+    broken = _automorphism_stack(np.diag([1.0, 0.0])[None], 1, 1, 10.0)[0]
     probes = np.array([[[0.5]], [[0.0]]])
     with pytest.raises(SingularDenominator, match="at stack index 0$"):
         _frac_checked(broken.block, probes)

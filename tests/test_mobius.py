@@ -251,7 +251,7 @@ def test_automorphism_stack_checks_each_block():
     with pytest.raises(NotEtaPreserving):
         _automorphism_stack(np.stack([good, stretched]), 2, 1, 1e-8)
     # the bound may differ per block
-    defect = BallAutomorphism(stretched, 2, 1, aut_tol=10.0).defect
+    defect = _automorphism_stack(stretched[None], 2, 1, 10.0)[0].defect
     _automorphism_stack(np.stack([good, stretched]), 2, 1,
                         np.array([1e-8, 2.0 * defect]))
     with pytest.raises(NotEtaPreserving):
@@ -279,6 +279,6 @@ def test_singular_resolvent_on_raw_matrices():
 def test_singular_denominator_flags_broken_block():
     from opball.errors import SingularDenominator
 
-    broken = BallAutomorphism(np.diag([1.0, 0.0]), 1, 1, aut_tol=10.0)
+    broken = _automorphism_stack(np.diag([1.0, 0.0])[None], 1, 1, 10.0)[0]
     with pytest.raises(SingularDenominator):
         automorphism_apply(broken, BallPoint([[0.0]]))

@@ -469,7 +469,8 @@ def test_chart_certificate_is_the_descent_start(group, n_plus, n_minus, cond):
     assert np.stack(res.unitary_rep.images).tobytes() == tau.tobytes()
     # rho(D, w_g(D)) read in the chart at D is the sinh-form displacement
     autos = _automorphisms(rep)
-    sinh_form = _rho(start.matrix, autos.apply_all(start)).max()
+    images = autos.apply_all(start)
+    sinh_form = _rho(np.broadcast_to(start.matrix, images.shape), images).max()
     assert abs(chart - sinh_form) <= 1e-11
     # the group descent starts at the averaged point of the normalized
     # blocks, whose forms round apart from pi's by about eps ||pi||^2
