@@ -80,10 +80,14 @@ def load_matrix(path) -> np.ndarray:
                          f"!= rows*cols = {rows * cols}")
     out = np.empty((rows, cols), dtype=np.complex128)
     for k, entry in enumerate(data):
+        # exactly two JSON numbers; bool is a subclass of int, so compare types
+        if not (isinstance(entry, list) and len(entry) == 2
+                and all(type(x) in (int, float) for x in entry)):
+            raise ParseError(f"{path}: entry {k} is not an [re, im] pair")
         try:
             re, im = float(entry[0]), float(entry[1])
-        except (TypeError, ValueError, IndexError) as exc:
-            raise ParseError(f"{path}: entry {k} is not an [re, im] pair") from exc
+        except OverflowError:  # an integer beyond double range
+            re = im = math.inf
         if not (math.isfinite(re) and math.isfinite(im)):
             raise ParseError(f"{path}: non-finite entry at index {k}")
         out[k // cols, k % cols] = complex(re, im)

@@ -1,6 +1,6 @@
 """The appendix suites that take their points as stacks still compare them:
 a kernel that moves one point by 1e-6 makes each suite report failures in
-its usual message format."""
+its usual message format.  ``run_checks`` runs every suite of its scope."""
 
 import re
 
@@ -22,8 +22,10 @@ FORMATS = {
 
 
 def _run(name, trials=3):
-    _, fn = checksuite.SUITES[name]
-    return fn(np.random.default_rng([0, list(checksuite.SUITES).index(name)]), trials)
+    _, _, check = checksuite.SUITES[name]
+    rng = np.random.default_rng([0, list(checksuite.SUITES).index(name)])
+    return [f"trial {k}: {msg}"
+            for k in range(trials) for msg in check(rng, *checksuite._dims(rng))]
 
 
 def _shift_last(stack):
@@ -92,3 +94,23 @@ def test_a_moved_point_fails_the_suite(monkeypatch, name):
     assert failures
     for message in failures:
         assert re.fullmatch(FORMATS[name], message), message
+
+
+APPENDIX = ["metric-line", "unit-speed", "met-lemma", "lemma-inequality",
+            "doubling-convexity", "line-invariance", "mobius-differential",
+            "unique-line", "th-series", "alpha-distance"]
+OTHERS = ["segment-convexity", "mobius-inverse", "isometry-invariance",
+          "lipschitz", "degree-transport", "mean-inequality", "graph-roundtrip"]
+
+
+def test_each_scope_runs_its_suites():
+    assert [(name, scope) for name, (scope, _, _) in checksuite.SUITES.items()] \
+        == [(name, "appendix") for name in APPENDIX] \
+        + [(name, "all") for name in OTHERS]
+    everything = checksuite.run_checks("all", trials=3, seed=0)
+    assert everything["passed"] and everything["failures"] == []
+    assert everything["suites"] == {name: {"trials": 3, "failures": []}
+                                    for name in APPENDIX + OTHERS}
+    appendix = checksuite.run_checks("appendix", trials=3, seed=0)
+    assert appendix["passed"]
+    assert list(appendix["suites"]) == APPENDIX

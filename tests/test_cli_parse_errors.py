@@ -177,3 +177,19 @@ def test_inputs_that_do_not_fit_together(repdir, tmp_path, capsys, monkeypatch,
         # the directory commands name the directory whose elements misfit
         assert doc["message"].startswith("rep: elements are not 2x2")
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("entry, fragment", [
+    ({"re": 1, "im": 2}, "entry 0 is not an [re, im] pair"),
+    ("00", "entry 0 is not an [re, im] pair"),
+    ([0.1, 0, 5], "entry 0 is not an [re, im] pair"),
+    ([False, False], "entry 0 is not an [re, im] pair"),
+    ([10**400, 0], "non-finite entry at index 0"),
+], ids=["object", "string", "three-numbers", "bools", "int-beyond-double"])
+def test_matrix_entry_that_is_not_two_numbers(tmp_path, capsys, entry, fragment):
+    # each entry is a list of exactly two JSON numbers that fit a double
+    (tmp_path / "m.json").write_text(
+        json.dumps({"rows": 1, "cols": 1, "data": [entry]}))
+    save_matrix(np.zeros((1, 1)), tmp_path / "b.json")
+    assert_parse_error(capsys, ["distance", str(tmp_path / "m.json"),
+                                str(tmp_path / "b.json")], fragment)

@@ -85,13 +85,16 @@ def test_closure_of_five_cycle():
 
 
 @pytest.mark.parametrize("max_elements", [64, MAX_ELEMENTS])
-@pytest.mark.parametrize("s", [1.0, 0.2])
+@pytest.mark.parametrize("s", [1.0, 0.2, 2.0])
 def test_closure_hyperbolic_exceeds(monkeypatch, s, max_elements):
     # at s = 1 the block distance matches distinct powers of large norm;
-    # the steps then fail to permute the elements found
+    # the steps then fail to permute the elements found; at s = 2 the
+    # powers lose eta-preservation in double precision before either limit
     monkeypatch.setattr(fixedpoint, "MAX_ELEMENTS", max_elements)
-    with pytest.raises(ClosureExceeded):
+    with pytest.raises(ClosureExceeded) as exc:
         group_closure([hyperbolic_block(s)])
+    if s == 2.0:
+        assert "saturated" in str(exc.value)
 
 
 def test_closure_contains_inverses():
