@@ -13,14 +13,13 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 from pathlib import Path
 
 import numpy as np
 
 from . import checksuite
-from .errors import OperatorBallError, ParseError, ShapeError, ZeroInput
+from .errors import OperatorBallError, ParseError, ShapeMismatch, ZeroInput
 from .fixedpoint import find_fixed_point, group_closure
 from .hyperbolic import GeodesicLine, _line_points, distance
 from .mobius import BallAutomorphism, BallPoint, mobius_apply
@@ -36,19 +35,10 @@ from .pontryagin import (
 
 
 def _seed(args) -> int:
-    """The ``--seed`` option, else ``OPBALL_SEED``, else 0; a seed must be a
-    non-negative integer."""
-    if args.seed is not None:
-        name, seed = "--seed", args.seed
-    else:
-        name, value = "OPBALL_SEED", os.environ.get("OPBALL_SEED", "0")
-        try:
-            seed = int(value)
-        except ValueError as exc:
-            raise ParseError(f"OPBALL_SEED must be an integer: {value!r}") from exc
-    if seed < 0:
-        raise ParseError(f"{name} must be a non-negative integer: {seed}")
-    return seed
+    """The ``--seed`` option, a non-negative integer."""
+    if args.seed < 0:
+        raise ParseError(f"--seed must be a non-negative integer: {args.seed}")
+    return args.seed
 
 
 # --- matrix and representation I/O -------------------------------------------
@@ -73,11 +63,11 @@ def load_matrix(path) -> np.ndarray:
     rows, cols, data = _read_json(
         path, lambda doc: (int(doc["rows"]), int(doc["cols"]), doc["data"]))
     if rows < 1 or cols < 1:
-        raise ShapeError(f"{path}: rows and cols must be positive")
+        raise ShapeMismatch(f"{path}: rows and cols must be positive")
     if not isinstance(data, list) or len(data) != rows * cols:
-        raise ShapeError(f"{path}: data length "
-                         f"{len(data) if isinstance(data, list) else '?'} "
-                         f"!= rows*cols = {rows * cols}")
+        raise ShapeMismatch(f"{path}: data length "
+                            f"{len(data) if isinstance(data, list) else '?'} "
+                            f"!= rows*cols = {rows * cols}")
     out = np.empty((rows, cols), dtype=np.complex128)
     for k, entry in enumerate(data):
         # exactly two JSON numbers; bool is a subclass of int, so compare types
@@ -133,7 +123,8 @@ def _element_index(path: Path) -> int:
 
 def _load_elements(dirpath: Path, sig: PontryaginSignature) -> list:
     """The matrices of ``elem_0.json`` to ``elem_<n-1>.json``, one file per
-    index (else ``ParseError``), each ``sig.dim`` square (else ``ShapeError``)."""
+    index (else ``ParseError``), each ``sig.dim`` square (else
+    ``ShapeMismatch``)."""
     elems = sorted((_element_index(p), p) for p in dirpath.glob("elem_*.json"))
     if not elems:
         raise ParseError(f"{dirpath}: no elem_<k>.json files")
@@ -145,7 +136,7 @@ def _load_elements(dirpath: Path, sig: PontryaginSignature) -> list:
                              f"({path.name})")
     mats = [load_matrix(path) for _, path in elems]
     if any(m.shape != (sig.dim, sig.dim) for m in mats):
-        raise ShapeError(f"{dirpath}: elements are not {sig.dim}x{sig.dim}")
+        raise ShapeMismatch(f"{dirpath}: elements are not {sig.dim}x{sig.dim}")
     return mats
 
 
@@ -189,7 +180,8 @@ def _load_pair(path_a, path_b):
     """The matrices in two files, which must have the same shape."""
     a, b = load_matrix(path_a), load_matrix(path_b)
     if a.shape != b.shape:
-        raise ShapeError(f"{path_b}: shape {b.shape} != {a.shape} of {path_a}")
+        raise ShapeMismatch(
+            f"{path_b}: shape {b.shape} != {a.shape} of {path_a}")
     return a, b
 
 
@@ -260,6 +252,8 @@ def _cmd_dualpair(args) -> int:
 
 
 def _cmd_check(args) -> int:
+    if args.trials < 1:
+        raise ParseError(f"--trials must be a positive integer: {args.trials}")
     summary = checksuite.run_checks(suite=args.suite, trials=args.trials,
                                     seed=_seed(args))
     _emit(summary)
@@ -286,78 +280,61 @@ def _cmd_gen(args) -> int:
     })
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="opball",
-        description="Hyperbolic geometry of the operator ball: distances, "
-                    "Mobius maps, geodesics, fixed points, unitarization.")
-    sub = parser.add_subparsers(dest="command", required=True)
+# --- the parser, built once per process ---------------------------------------
+# Each subcommand carries its handler as the ``handler`` default, which
+# ``run`` calls on the parsed arguments.
 
-    d = sub.add_parser("distance", help="rho-distance between two ball points")
-    d.add_argument("a")
-    d.add_argument("b")
-
-    m = sub.add_parser("mobius", help="apply the Mobius transform M_A to X")
-    m.add_argument("a")
-    m.add_argument("x")
-
-    g = sub.add_parser("geodesic",
-                       help="points of the line through A with direction D "
-                            "(D is normalized to unit spectral norm)")
-    g.add_argument("a")
-    g.add_argument("d")
-    g.add_argument("--t", type=float, action="append", required=True,
-                   help="parameter value; repeatable")
-
-    f = sub.add_parser("fixpoint",
-                       help="common fixed point of the group generated by "
-                            "the block matrices in a directory")
-    f.add_argument("--group", required=True)
-    f.add_argument("--sig", help="P,Q when the directory has no sig.json")
-
-    u = sub.add_parser("unitarize",
-                       help="similarity of an eta-preserving representation "
-                            "onto a unitary one")
-    u.add_argument("--rep", required=True)
-    u.add_argument("--sig", help="P,Q when the directory has no sig.json")
-
-    dp = sub.add_parser("dualpair",
-                        help="invariant dual pair of a bounded J-unitary group")
-    dp.add_argument("--rep", required=True)
-    dp.add_argument("--sig", help="P,Q when the directory has no sig.json")
-
-    c = sub.add_parser("check", help="run named property suites")
-    c.add_argument("--suite", choices=["appendix", "all"], default="appendix")
-    c.add_argument("--trials", type=int, default=200)
-    c.add_argument("--seed", type=int)
-
-    ge = sub.add_parser("gen", help="generate a test representation directory")
-    ge.add_argument("--group", required=True,
-                    help="C<n>, S3 or Q8")
-    ge.add_argument("--sig", required=True, help="P,Q")
-    ge.add_argument("--cond", type=float, default=2.0)
-    ge.add_argument("--seed", type=int)
-    ge.add_argument("--out", required=True)
-    return parser
+_PARSER = argparse.ArgumentParser(
+    prog="opball",
+    description="Hyperbolic geometry of the operator ball: distances, "
+                "Mobius maps, geodesics, fixed points, unitarization.")
+_COMMANDS = _PARSER.add_subparsers(dest="command", required=True)
+_SIG_OVERRIDE = {"help": "P,Q when the directory has no sig.json"}
 
 
-_HANDLERS = {
-    "distance": _cmd_distance,
-    "mobius": _cmd_mobius,
-    "geodesic": _cmd_geodesic,
-    "fixpoint": _cmd_fixpoint,
-    "unitarize": _cmd_unitarize,
-    "dualpair": _cmd_dualpair,
-    "check": _cmd_check,
-    "gen": _cmd_gen,
-}
+def _command(handler, summary, *positionals, **options):
+    """Add the subcommand that runs ``handler``, named after it
+    (``_cmd_<name>``), with its positional arguments and ``--<key>``
+    options."""
+    parser = _COMMANDS.add_parser(handler.__name__.removeprefix("_cmd_"),
+                                  help=summary)
+    parser.set_defaults(handler=handler)
+    for name in positionals:
+        parser.add_argument(name)
+    for key, spec in options.items():
+        parser.add_argument(f"--{key}", **spec)
+
+
+_command(_cmd_distance, "rho-distance between two ball points", "a", "b")
+_command(_cmd_mobius, "apply the Mobius transform M_A to X", "a", "x")
+_command(_cmd_geodesic, "points of the line through A with direction D "
+                        "(D is normalized to unit spectral norm)", "a", "d",
+         t={"type": float, "action": "append", "required": True,
+            "help": "parameter value; repeatable"})
+_command(_cmd_fixpoint, "common fixed point of the group generated by the "
+                        "block matrices in a directory",
+         group={"required": True}, sig=_SIG_OVERRIDE)
+_command(_cmd_unitarize, "similarity of an eta-preserving representation "
+                         "onto a unitary one",
+         rep={"required": True}, sig=_SIG_OVERRIDE)
+_command(_cmd_dualpair, "invariant dual pair of a bounded J-unitary group",
+         rep={"required": True}, sig=_SIG_OVERRIDE)
+_command(_cmd_check, "run named property suites",
+         suite={"choices": ["appendix", "all"], "default": "appendix"},
+         trials={"type": int, "default": 200},
+         seed={"type": int, "default": 0})
+_command(_cmd_gen, "generate a test representation directory",
+         group={"required": True, "help": "C<n>, S3 or Q8"},
+         sig={"required": True, "help": "P,Q"},
+         cond={"type": float, "default": 2.0},
+         seed={"type": int, "default": 0},
+         out={"required": True})
 
 
 def run(argv) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
-        return _HANDLERS[args.command](args)
+        return args.handler(args)
     except OperatorBallError as exc:
         _emit({"error": type(exc).__name__, "message": str(exc)})
         return 1

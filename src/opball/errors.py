@@ -53,8 +53,10 @@ class GridTooCoarse(OperatorBallError):
 # --- groups and the fixed-point solver --------------------------------------
 
 class ClosureExceeded(OperatorBallError):
-    """Closure under composition grew past max_elements (group infinite or
-    too large)."""
+    """Closure under composition did not end in a group: it reached
+    ``MAX_ELEMENTS`` elements, a product stopped preserving eta (the chain
+    saturated double precision), or the steps do not permute the elements
+    found.  ``max_elements`` is the bound in force."""
 
     def __init__(self, max_elements, message=None):
         self.max_elements = max_elements
@@ -68,7 +70,8 @@ class PreconditionUnmet(OperatorBallError):
 # --- indefinite inner products ----------------------------------------------
 
 class ShapeMismatch(OperatorBallError):
-    pass
+    """Operands, or the matrices of input files, do not have the shapes that
+    fit together."""
 
 
 class NotNegative(OperatorBallError):
@@ -94,8 +97,4 @@ class UnknownGroup(OperatorBallError):
 # --- file I/O ----------------------------------------------------------------
 
 class ParseError(OperatorBallError):
-    pass
-
-
-class ShapeError(OperatorBallError):
     pass

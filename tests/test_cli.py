@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from opball import cli
 from opball.cli import (
     load_matrix,
     load_representation,
@@ -15,7 +16,7 @@ from opball.cli import (
     save_matrix,
     save_representation,
 )
-from opball.errors import ParseError, ShapeError
+from opball.errors import ParseError, ShapeMismatch
 from opball.pontryagin import PontryaginSignature, make_test_representation
 from opball.sampling import complex_gaussian, rng_from
 
@@ -29,6 +30,45 @@ def invoke(capsys, *argv):
     code = run(list(argv))
     out = capsys.readouterr().out
     return code, out
+
+
+def env_with_src():
+    """The environment with this checkout's ``src`` first on PYTHONPATH."""
+    import opball
+
+    src = os.path.dirname(os.path.dirname(opball.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p])
+    return env
+
+
+# --- the parser ------------------------------------------------------------------
+
+# Each subcommand's arguments, as read from the parser: every option is a
+# setting that tests and benchmarks would have to cover, so a new one is a
+# deliberate edit of this table.
+OPTIONS = {
+    "distance": ["a", "b"],
+    "mobius": ["a", "x"],
+    "geodesic": ["a", "d", "--t"],
+    "fixpoint": ["--group", "--sig"],
+    "unitarize": ["--rep", "--sig"],
+    "dualpair": ["--rep", "--sig"],
+    "check": ["--suite", "--trials", "--seed"],
+    "gen": ["--group", "--sig", "--cond", "--seed", "--out"],
+}
+
+
+def _arguments(parser):
+    return ["/".join(action.option_strings) or action.dest
+            for action in parser._actions if action.dest != "help"]
+
+
+def test_options_are_pinned():
+    assert _arguments(cli._PARSER) == ["command"]
+    assert {name: _arguments(sub) for name, sub in
+            cli._COMMANDS.choices.items()} == OPTIONS
 
 
 # --- matrix I/O -----------------------------------------------------------------
@@ -45,7 +85,7 @@ def test_matrix_wrong_length(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({"rows": 2, "cols": 2,
                                 "data": [[1.0, 0.0]] * 3}))
-    with pytest.raises(ShapeError):
+    with pytest.raises(ShapeMismatch):
         load_matrix(path)
 
 
@@ -223,19 +263,55 @@ def test_determinism_byte_identical(tmp_path, capsys):
     assert outs[0] == outs[1]
 
 
-def test_seed_env_override(tmp_path, capsys, monkeypatch):
-    repdir1 = tmp_path / "r1"
-    repdir2 = tmp_path / "r2"
+def test_gen_seed_comes_from_the_option_only(tmp_path, capsys, monkeypatch):
+    # a seed variable in the environment is not read; the default is 0
     monkeypatch.setenv("OPBALL_SEED", "99")
     code, out1 = invoke(capsys, "gen", "--group", "C2", "--sig", "2,1",
-                        "--cond", "2", "--out", str(repdir1))
-    assert json.loads(out1)["seed"] == 99
-    monkeypatch.delenv("OPBALL_SEED")
+                        "--cond", "2", "--out", str(tmp_path / "r1"))
+    assert code == 0
+    assert json.loads(out1)["seed"] == 0
     code, out2 = invoke(capsys, "gen", "--group", "C2", "--sig", "2,1",
-                        "--cond", "2", "--seed", "99", "--out", str(repdir2))
-    a = load_matrix(repdir1 / "elem_1.json")
-    b = load_matrix(repdir2 / "elem_1.json")
-    assert_allclose(a, b, rtol=0, atol=0)
+                        "--cond", "2", "--seed", "0", "--out", str(tmp_path / "r2"))
+    assert code == 0
+    assert_allclose(load_matrix(tmp_path / "r1" / "elem_1.json"),
+                    load_matrix(tmp_path / "r2" / "elem_1.json"), rtol=0, atol=0)
+
+
+def test_one_parser_serves_every_call_in_a_process(tmp_path, capsys):
+    # the parser is built once per process: a usage error leaves no state
+    # behind, each call sees only its own arguments, and every command
+    # prints what a fresh interpreter prints
+    write_scalar(tmp_path / "a.json", complex(0.3, -0.1))
+    write_scalar(tmp_path / "b.json", complex(-0.2, 0.4))
+    with pytest.raises(SystemExit) as exc:
+        run(["geodesic", str(tmp_path / "a.json"), str(tmp_path / "b.json")])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    for t in ("0.5", "2"):
+        code, out = invoke(capsys, "geodesic", str(tmp_path / "a.json"),
+                           str(tmp_path / "b.json"), "--t", t)
+        assert code == 0
+        assert json.loads(out)["t"] == [float(t)]
+
+    repdir = str(tmp_path / "rep")
+    commands = [
+        ["gen", "--group", "C4", "--sig", "2,1", "--cond", "3", "--seed", "2",
+         "--out", repdir],
+        ["distance", str(tmp_path / "a.json"), str(tmp_path / "b.json")],
+        ["mobius", str(tmp_path / "a.json"), str(tmp_path / "b.json")],
+        ["geodesic", str(tmp_path / "a.json"), str(tmp_path / "b.json"),
+         "--t", "-1", "--t", "0.25"],
+        ["fixpoint", "--group", repdir],
+        ["unitarize", "--rep", repdir],
+        ["dualpair", "--rep", repdir],
+        ["check", "--suite", "appendix", "--trials", "1", "--seed", "4"],
+    ]
+    for argv in commands:
+        code, out = invoke(capsys, *argv)
+        fresh = subprocess.run([sys.executable, "-m", "opball.cli", *argv],
+                               env=env_with_src(), capture_output=True, text=True)
+        assert code == fresh.returncode == 0, argv
+        assert out == fresh.stdout, argv
 
 
 def test_console_script_installed(tmp_path):
@@ -247,12 +323,7 @@ def test_console_script_installed(tmp_path):
 
 
 def test_cli_import_loads_no_scipy():
-    import opball
-
-    src = os.path.dirname(os.path.dirname(opball.__file__))
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [src] + [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p])
+    env = env_with_src()
     probe = ("import sys, opball.cli; "
              "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
     result = subprocess.run([sys.executable, "-c", probe], env=env,
@@ -261,15 +332,10 @@ def test_cli_import_loads_no_scipy():
 
 
 def test_dualpair_loads_no_scipy(tmp_path):
-    import opball
-
     repdir = tmp_path / "rep"
     save_representation(make_test_representation(
         "S3", PontryaginSignature(4, 2), conditioning=10.0, seed=0), repdir)
-    src = os.path.dirname(os.path.dirname(opball.__file__))
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [src] + [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p])
+    env = env_with_src()
     probe = ("import sys\n"
              "from opball.cli import run\n"
              f"assert run(['dualpair', '--rep', {str(repdir)!r}]) == 0\n"
@@ -282,12 +348,7 @@ def test_dualpair_loads_no_scipy(tmp_path):
 
 
 def test_module_entry_runs_the_cli(tmp_path):
-    import opball
-
-    src = os.path.dirname(os.path.dirname(opball.__file__))
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [src] + [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p])
+    env = env_with_src()
     write_scalar(tmp_path / "x.json", complex(0.5))
     write_scalar(tmp_path / "y.json", complex(-0.5))
 

@@ -1,5 +1,5 @@
 """A malformed representation directory, signature or option, or matrices
-that do not fit together, give a ParseError or ShapeError document with
+that do not fit together, give a ParseError or ShapeMismatch document with
 exit code 1, not a traceback."""
 
 import json
@@ -99,29 +99,23 @@ def test_directory_that_is_not_a_representation(repdir, capsys, command,
     assert_parse_error(capsys, [command, "--rep", str(repdir)], fragment)
 
 
-@pytest.mark.parametrize("argv", [["check", "--trials", "3"],
-                                  ["gen", "--group", "C2", "--sig", "2,1"]],
-                         ids=["check", "gen"])
-def test_seed_that_is_not_an_integer(tmp_path, capsys, monkeypatch, argv):
-    monkeypatch.setenv("OPBALL_SEED", "abc")
-    if argv[0] == "gen":
-        argv = argv + ["--out", str(tmp_path / "rep")]
-    assert_parse_error(capsys, argv, "OPBALL_SEED")
-
-
-@pytest.mark.parametrize("argv, env, fragment", [
-    (["check", "--trials", "3", "--seed", "-1"], None, "--seed"),
-    (["gen", "--group", "C2", "--sig", "2,1", "--seed", "-2"], None, "--seed"),
-    (["check", "--trials", "3"], "-3", "OPBALL_SEED"),
-], ids=["check-seed-1", "gen-seed-2", "OPBALL_SEED-3"])
-def test_negative_seed(tmp_path, capsys, monkeypatch, argv, env, fragment):
+@pytest.mark.parametrize("argv", [
+    ["check", "--trials", "3", "--seed", "-1"],
+    ["gen", "--group", "C2", "--sig", "2,1", "--seed", "-2"],
+], ids=["check-seed-1", "gen-seed-2"])
+def test_negative_seed(tmp_path, capsys, argv):
     # numpy's default_rng takes no negative seed
-    if env is not None:
-        monkeypatch.setenv("OPBALL_SEED", env)
     if argv[0] == "gen":
         argv = argv + ["--out", str(tmp_path / "rep")]
-    assert_parse_error(capsys, argv, f"{fragment} must be a non-negative integer")
+    assert_parse_error(capsys, argv, "--seed must be a non-negative integer")
     assert not (tmp_path / "rep").exists()
+
+
+@pytest.mark.parametrize("trials", ["0", "-5"])
+def test_trials_below_one(capsys, trials):
+    # run_checks would floor them to 3 trials per suite and pass
+    assert_parse_error(capsys, ["check", "--trials", trials, "--seed", "1"],
+                       f"--trials must be a positive integer: {trials}")
 
 
 @pytest.mark.parametrize("argv, fragment", [
@@ -142,13 +136,13 @@ def test_signature_with_a_zero_dimension(repdir, tmp_path, capsys, argv,
 
 
 @pytest.mark.parametrize("argv, error", [
-    ("distance a21.json b12.json", "ShapeError"),
-    ("mobius a21.json b12.json", "ShapeError"),
-    ("geodesic a21.json a22.json --t 1", "ShapeError"),
+    ("distance a21.json b12.json", "ShapeMismatch"),
+    ("mobius a21.json b12.json", "ShapeMismatch"),
+    ("geodesic a21.json a22.json --t 1", "ShapeMismatch"),
     ("geodesic a21.json a21.json --t abc", None),
-    ("fixpoint --group rep --sig 1,1", "ShapeError"),
-    ("unitarize --rep rep --sig 1,1", "ShapeError"),
-    ("dualpair --rep rep --sig 1,1", "ShapeError"),
+    ("fixpoint --group rep --sig 1,1", "ShapeMismatch"),
+    ("unitarize --rep rep --sig 1,1", "ShapeMismatch"),
+    ("dualpair --rep rep --sig 1,1", "ShapeMismatch"),
     ("gen --group C2 --sig 2,1 --cond 0.5 --out out", "ParseError"),
     ("gen --group C2 --sig 2,1 --cond nan --out out", "ParseError"),
     ("gen --group C2 --sig 2,1 --cond inf --out out", "ParseError"),

@@ -434,7 +434,8 @@ CHART_CASES = UNIQUE_CASES + [("C32", 8, 8)]
 
 
 def _automorphisms(rep):
-    """pi's images as the tabled group the descent runs on."""
+    """pi's images as the tabled group ``find_fixed_point`` solves on,
+    each checked at the allowance ``induced_automorphism`` uses."""
     sig = rep.signature
     defects = eta_defect(rep._stack, sig.n_plus, sig.n_minus)
     autos = _automorphism_stack(rep._stack, sig.n_plus, sig.n_minus,
@@ -442,9 +443,9 @@ def _automorphisms(rep):
     return AutomorphismGroup(elements=autos, table=rep.table)
 
 
-def _descended(rep, group, x0=None):
-    """The result of closure and descent: the fixed point that
-    ``find_fixed_point`` returns, U and tau = U pi U^{-1} at it."""
+def _solved(rep, group, x0=None):
+    """The solve on the group: the fixed point that ``find_fixed_point``
+    returns, U and tau = U pi U^{-1} at it."""
     result = find_fixed_point(group, x0=x0)
     assert result.converged
     u = unitarizer_matrix(rep.signature, result.point)
@@ -472,9 +473,9 @@ def test_chart_certificate_is_the_descent_start(group, n_plus, n_minus, cond):
     images = autos.apply_all(start)
     sinh_form = _rho(np.broadcast_to(start.matrix, images.shape), images).max()
     assert abs(chart - sinh_form) <= 1e-11
-    # the group descent starts at the averaged point of the normalized
+    # the solve on the group starts at the averaged point of the normalized
     # blocks, whose forms round apart from pi's by about eps ||pi||^2
-    result, _, _ = _descended(rep, autos)
+    result, _, _ = _solved(rep, autos)
     assert result.iterations == 0
     eps = np.finfo(float).eps
     assert distance(res.fixed_point, result.point) <= 4 * eps * rep.bound ** 2
@@ -491,7 +492,7 @@ def _scaled(rep, c):
 def test_eta_check_implies_the_normalized_check():
     # ||T*JT - J|| = delta <= REP_TOL puts the normalizing scale in
     # [1 - delta, 1 + delta], so ||T*JT/s - J|| <= 2 delta / (1 - delta),
-    # within the allowance max(REP_TOL, 10 delta) the descent path uses
+    # within the allowance max(REP_TOL, 10 delta) of induced_automorphism
     reps = [make_test_representation(group, PontryaginSignature(p, q),
                                      conditioning=cond, seed=seed)
             for group, p, q in CHART_CASES for cond in (2.0, 300.0, 1e3)
@@ -516,7 +517,7 @@ def test_a_start_point_off_the_fixed_point_descends(monkeypatch):
     autos = _automorphisms(rep)
     assert displacement(autos, off) > FP_TOL
     # the solve takes Newton steps from off
-    result, _, _ = _descended(rep, autos, x0=off)
+    result, _, _ = _solved(rep, autos, x0=off)
     assert result.point is not off
     monkeypatch.setattr(pontryagin, "_averaged_point", lambda *args: off)
     res = unitarize(rep)

@@ -3,7 +3,8 @@
 ``smoke`` runs in a fresh interpreter in which every import of a ``scipy``
 module raises ImportError: the eight CLI commands, with ``fixpoint``,
 ``unitarize`` and ``dualpair`` on each representation directory given,
-``curve_length``, and a descent from 0 on a generator set without a table.
+``curve_length``, and a fixed-point solve from 0 on a generator set
+without a table.
 It can also be run by hand on directories written by ``opball gen``::
 
     PYTHONPATH=tests python -c 'import sys, test_runs_without_scipy as t; \\
@@ -88,7 +89,7 @@ def smoke(workdir, repdirs=()):
         elements=[BallAutomorphism(m, p, q) for m in rep.images])
     result = find_fixed_point(group)
     assert result.converged and result.iterations > 0, result
-    print("descent from 0 ok")
+    print("solve from 0 ok")
 
 
 def test_runtime_paths_need_no_scipy(tmp_path):
@@ -105,4 +106,4 @@ def test_runtime_paths_need_no_scipy(tmp_path):
                             env=env, capture_output=True, text=True)
     assert result.returncode == 0, result.stderr
     assert result.stdout.splitlines()[-2:] == ["curve_length ok",
-                                               "descent from 0 ok"]
+                                               "solve from 0 ok"]
