@@ -54,14 +54,36 @@ def _read_json(path: Path, fields):
         raise ParseError(f"{path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: invalid JSON ({exc})") from exc
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"{path}: missing or malformed field ({exc})") from exc
+
+
+def _integer(doc, key):
+    """The field ``key`` of a JSON document, which must be a JSON integer:
+    not a float, and not a bool (a subclass of int)."""
+    value = doc[key]
+    if type(value) is not int:
+        raise TypeError(f"{key} is not an integer: {value!r}")
+    return value
+
+
+def _table(doc) -> np.ndarray:
+    """The ``table`` field: rows of JSON integers.  An index beyond a
+    machine integer raises ``OverflowError``; the others out of range are
+    left to the table's own check."""
+    rows = doc["table"]
+    for row in rows:
+        for entry in row:
+            if type(entry) is not int:
+                raise TypeError(f"table entry is not an integer: {entry!r}")
+    return np.asarray(rows, dtype=int)
 
 
 def load_matrix(path) -> np.ndarray:
     path = Path(path)
     rows, cols, data = _read_json(
-        path, lambda doc: (int(doc["rows"]), int(doc["cols"]), doc["data"]))
+        path, lambda doc: (_integer(doc, "rows"), _integer(doc, "cols"),
+                           doc["data"]))
     if rows < 1 or cols < 1:
         raise ShapeMismatch(f"{path}: rows and cols must be positive")
     if not isinstance(data, list) or len(data) != rows * cols:
@@ -111,7 +133,7 @@ def _load_sig(dirpath: Path, override: str | None) -> PontryaginSignature:
     if not sig_file.exists():
         raise ParseError(f"{dirpath}: no sig.json and no --sig given")
     return _read_json(sig_file, lambda doc: PontryaginSignature(
-        int(doc["n_plus"]), int(doc["n_minus"])))
+        _integer(doc, "n_plus"), _integer(doc, "n_minus")))
 
 
 def _element_index(path: Path) -> int:
@@ -146,8 +168,7 @@ def load_representation(dirpath, sig_override: str | None = None) -> Representat
     table_file = dirpath / "table.json"
     if not table_file.exists():
         raise ParseError(f"{dirpath}: no table.json")
-    table = _read_json(table_file,
-                       lambda doc: np.asarray(doc["table"], dtype=int))
+    table = _read_json(table_file, _table)
     images = _load_elements(dirpath, sig)
     try:
         return Representation(sig, table, images)
@@ -265,8 +286,13 @@ def _cmd_gen(args) -> int:
     if not (math.isfinite(args.cond) and args.cond >= 1.0):
         raise ParseError(f"--cond must be a finite number >= 1: {args.cond!r}")
     seed = _seed(args)
-    rep = make_test_representation(args.group, sig, conditioning=args.cond,
-                                   seed=seed)
+    try:
+        rep = make_test_representation(args.group, sig, conditioning=args.cond,
+                                       seed=seed)
+    except ValueError as exc:
+        # at a large --cond the images round past the constructor's checks
+        raise ParseError(f"--cond {args.cond!r} gives no representation of "
+                         f"{args.group} at --sig {args.sig} ({exc})") from exc
     save_representation(rep, args.out)
     return _emit({
         "group": args.group,

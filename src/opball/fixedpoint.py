@@ -298,12 +298,17 @@ def _averaged_point(blocks: np.ndarray, p: int, q: int) -> BallPoint:
                      boundary_tol=0.0)
 
 
+def _check_mode(mode: str):
+    """``mode`` names the one solver (see ``find_fixed_point``)."""
+    if mode not in ("midpoint-descent", "chebyshev-iterate"):
+        raise ValueError(f"unknown mode {mode!r}")
+
+
 def _solve(blocks: np.ndarray, x0: BallPoint, mode: str):
     """The one solver, on a stack of blocks from ``x0`` (see
     ``find_fixed_point``): each Newton step moves X to M_X(Y).  Returns the
     ``FixedPointResult`` and the chart's U and tau at its point."""
-    if mode not in ("midpoint-descent", "chebyshev-iterate"):
-        raise ValueError(f"unknown mode {mode!r}")
+    _check_mode(mode)
     x = x0.matrix
     u, tau, inv22, corner, f = _chart(blocks, x)
     history = [f]

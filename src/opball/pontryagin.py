@@ -27,7 +27,7 @@ from .errors import (
     ShapeMismatch,
     UnknownGroup,
 )
-from .fixedpoint import _averaged_point, _solve
+from .fixedpoint import _averaged_point, _check_mode, _solve
 from .mobius import (
     BallAutomorphism,
     BallPoint,
@@ -297,25 +297,43 @@ def _assemble_block(classes, dim: int, allowed, rng) -> Optional[list]:
 def _check_homomorphism(table: np.ndarray, stack: np.ndarray,
                         norms: np.ndarray):
     """The homomorphism check of ``Representation``, given the norms of the
-    images; a failure names the pair furthest over its tolerance."""
-    worst = None
-    for g in range(len(table)):
-        diff = stack[table[g]] - stack[g] @ stack
-        allowed = REP_TOL * np.maximum(1.0, norms[g] * norms)
-        # rounding in either norm cannot carry a difference across the
-        # factor 2, so the screen never decides a pair the SVD would not
-        frobenius = np.linalg.norm(diff, axis=(-2, -1))
-        near = np.flatnonzero(frobenius > allowed / 2)
-        if near.size == 0:
-            continue
-        for h, defect in zip(near, spectral_norm(diff[near])):
-            over = defect / allowed[h]
-            if defect > allowed[h] and (worst is None or over > worst[0]):
-                worst = (over, float(defect), float(allowed[h]), g, int(h))
-    if worst is not None:
-        _, defect, allowed, g, h = worst
-        raise ValueError(f"homomorphism defect {defect:.3e} > {allowed:.3e} "
-                         f"at ({g}, {h})")
+    images; a failure names the pair furthest over its tolerance, the first
+    such pair in row-major order."""
+    n, dim, _ = stack.shape
+    tall = stack.reshape(n * dim, dim)
+    diff = np.empty((n, dim, dim), dtype=np.complex128)
+    target = np.empty_like(diff)
+    flat = diff.view(np.float64).reshape(n, -1)
+    frobenius_sq = np.empty((n, n))
+    # one column h at a time: pi(g) pi(h) for every g is one product of the
+    # images stacked as an (n dim) x dim matrix, and the pi(gh) one gather;
+    # the table is valid, so mode "clip" changes no index and, unlike
+    # "raise", writes straight into the buffer
+    for h, column in enumerate(table.T):
+        np.matmul(tall, stack[h], out=diff.reshape(n * dim, dim))
+        np.take(stack, column, axis=0, out=target, mode="clip")
+        np.subtract(target, diff, out=diff)
+        np.einsum("ij,ij->i", flat, flat, out=frobenius_sq[:, h])
+    allowed = REP_TOL * np.maximum(1.0, np.multiply.outer(norms, norms))
+    # rounding in either norm cannot carry a difference across the factor 2,
+    # so the screen never decides a pair the SVD would not; it compares
+    # roots, since the squared tolerance would overflow once
+    # ||pi(g)|| ||pi(h)|| passes about 3e162
+    rows, cols = np.nonzero(np.sqrt(frobenius_sq) > allowed / 2)
+    if rows.size == 0:
+        return
+    allowed = allowed[rows, cols]
+    defect = np.empty(rows.size)
+    # n pairs at a time, so a table far from a homomorphism holds no more
+    # differences at once than one column of the screen
+    for k in range(0, rows.size, n):
+        g, h = rows[k:k + n], cols[k:k + n]
+        defect[k:k + n] = spectral_norm(stack[table[g, h]] - stack[g] @ stack[h])
+    over = np.flatnonzero(defect > allowed)
+    if over.size:
+        k = over[np.argmax(defect[over] / allowed[over])]
+        raise ValueError(f"homomorphism defect {defect[k]:.3e} > "
+                         f"{allowed[k]:.3e} at ({rows[k]}, {cols[k]})")
 
 
 def _image_stack(images: list, n: int, dim: int) -> np.ndarray:
@@ -342,7 +360,8 @@ class Representation:
     """A finite group given by its multiplication table together with one
     matrix per element.
 
-    The images are coerced as one stack (``_image_stack``).  The
+    The table is copied and kept read-only, so the caller's array stays
+    writable.  The images are coerced as one stack (``_image_stack``).  The
     constructor checks that the identity maps to the identity matrix
     (to ``REP_TOL``, absolute) and that pi is a homomorphism:
     ``||pi(gh) - pi(g) pi(h)|| <= REP_TOL * max(1, ||pi(g)|| ||pi(h)||)``
@@ -354,19 +373,25 @@ class Representation:
     is checked by whoever needs it (``unitarize``), which runs only
     ``_measure`` on its tau.
 
-    The homomorphism check takes one row of the table at a time: one
-    stacked product ``pi(table[g]) - pi(g) pi`` per row, screened by
-    Frobenius norm, which bounds the spectral norm from above, so only
-    differences that come within a factor 2 of their tolerance get an SVD.
-    Stacking the whole table at once would hold |G|^2 matrices in memory.
+    The homomorphism check (``_check_homomorphism``) forms the differences
+    one column of the table at a time, in buffers reused across columns, and
+    keeps only their Frobenius norms, which bound the spectral norm from
+    above: one screen of all pairs leaves only those within a factor 2 of
+    their tolerance for an SVD, and no more than n differences are held at
+    once.
+
+    ``_unitarization`` holds the result of the first ``unitarize`` of this
+    representation that passes its certificate; later calls of
+    ``unitarize`` and ``dual_pair`` reuse it.
     """
 
     __slots__ = ("signature", "table", "images", "bound", "eta_defect",
-                 "identity_index", "_stack")
+                 "identity_index", "_stack", "_unitarization")
 
     def __init__(self, signature: PontryaginSignature, table, images):
-        table = np.asarray(table, dtype=int)
+        table = np.array(table, dtype=int)
         ident = _validate_table(table)
+        table.setflags(write=False)
         dim = signature.dim
         stack = _image_stack(list(images), len(table), dim)
         if spectral_norm(stack[ident] - np.eye(dim)) > REP_TOL:
@@ -376,7 +401,8 @@ class Representation:
 
     def _measure(self, signature, table, identity_index, stack):
         """Set the slots from a valid table and its stack of images, with one
-        batched eigvalsh, and return the ascending eigenvalues of each T*T."""
+        batched eigvalsh, and return the ascending eigenvalues of each T*T;
+        no unitarization is stored yet."""
         j = signature.j
         defects, gram = _eta_spectra(adjoint(stack) @ j @ stack - j, stack)
         stack.setflags(write=False)
@@ -387,6 +413,7 @@ class Representation:
         self.images = list(stack)
         self.bound = float(np.sqrt(gram[:, -1].max()))
         self.eta_defect = float(defects.max())
+        self._unitarization = None
         return gram
 
     @property
@@ -493,20 +520,32 @@ def unitarize(rep: Representation,
     that certifies it, max ||tau(g)* tau(g) - 1|| <= ``UNIT_TOL``; the
     result keeps that defect.  ``mode`` is checked as ``find_fixed_point``
     checks it.
+
+    The first result that passes the certificate is stored on ``rep``, with
+    a read-only ``similarity``, and later calls return that same object
+    without solving again; each call still checks ``mode`` and compares the
+    stored defect with ``UNIT_TOL``.  A failed solve stores nothing.
     """
-    sig = rep.signature
-    result, u, tau = _solve(rep._stack, averaged_fixed_point(rep), mode)
-    if not result.converged:
+    res = rep._unitarization
+    if res is None:
+        result, u, tau = _solve(rep._stack, averaged_fixed_point(rep), mode)
+        if not result.converged:
+            raise FixedPointFailed(
+                f"solver stalled at displacement {result.displacement:.3e}")
+        u.setflags(write=False)
+        unitary_rep = object.__new__(Representation)
+        defect = _unitarity_defect(unitary_rep._measure(
+            rep.signature, rep.table, rep.identity_index, tau))
+        res = UnitarizationResult(similarity=u, unitary_rep=unitary_rep,
+                                  fixed_point=result.point,
+                                  unitarity_defect=defect)
+    else:
+        _check_mode(mode)
+    if res.unitarity_defect > UNIT_TOL:
         raise FixedPointFailed(
-            f"solver stalled at displacement {result.displacement:.3e}")
-    unitary_rep = object.__new__(Representation)
-    defect = _unitarity_defect(
-        unitary_rep._measure(sig, rep.table, rep.identity_index, tau))
-    if defect > UNIT_TOL:
-        raise FixedPointFailed(f"unitarity defect {defect:.3e} > {UNIT_TOL!r}")
-    return UnitarizationResult(similarity=u, unitary_rep=unitary_rep,
-                               fixed_point=result.point,
-                               unitarity_defect=defect)
+            f"unitarity defect {res.unitarity_defect:.3e} > {UNIT_TOL!r}")
+    rep._unitarization = res
+    return res
 
 
 @dataclass(frozen=True)
@@ -536,7 +575,9 @@ def dual_pair(rep: Representation) -> DualPair:
     its first n_plus columns are [I; D*] (1 - DD*)^{-1/2} and its last
     n_minus columns [D; I] (1 - D*D)^{-1/2}.  So the negative component is
     the graph L(D), and the positive one its J-orthogonal complement,
-    spanned by [I; D*]; the bases are the QR factors of the two.
+    spanned by [I; D*]; the bases are the QR factors of the two.  D is
+    read off the result that ``unitarize`` stores on ``rep``, so a
+    representation already unitarized is not solved again.
     """
     sig = rep.signature
     d = unitarize(rep).fixed_point

@@ -187,3 +187,54 @@ def test_matrix_entry_that_is_not_two_numbers(tmp_path, capsys, entry, fragment)
     save_matrix(np.zeros((1, 1)), tmp_path / "b.json")
     assert_parse_error(capsys, ["distance", str(tmp_path / "m.json"),
                                 str(tmp_path / "b.json")], fragment)
+
+
+def _c4_table_ending_in(entry):
+    return [[0, 1, 2, 3], [1, 2, 3, 0], [2, 3, 0, 1], [3, 0, 1, entry]]
+
+
+@pytest.mark.parametrize("command", ["unitarize", "dualpair"])
+@pytest.mark.parametrize("name, doc, fragment", [
+    ("table.json", {"table": _c4_table_ending_in(2.5)},
+     "table entry is not an integer: 2.5"),
+    ("table.json", {"table": _c4_table_ending_in(True)},
+     "table entry is not an integer: True"),
+    ("table.json", {"table": _c4_table_ending_in(10**20 - 1)},
+     "table.json: missing or malformed field"),
+    ("table.json", {"table": _c4_table_ending_in(1 - 10**20)},
+     "table.json: missing or malformed field"),
+    ("sig.json", {"n_plus": 2.7, "n_minus": 1}, "n_plus is not an integer: 2.7"),
+    ("sig.json", {"n_plus": True, "n_minus": 1},
+     "n_plus is not an integer: True"),
+    ("sig.json", {"n_plus": 2, "n_minus": 1.0},
+     "n_minus is not an integer: 1.0"),
+], ids=["table-float", "table-bool", "table-index-beyond-int64",
+        "table-index-below-int64", "sig-float", "sig-bool", "sig-integral-float"])
+def test_directory_entries_that_are_not_json_integers(c4dir, capsys, command,
+                                                      name, doc, fragment):
+    # int() would truncate 2.5 to 2 and read true as 1, and an index beyond
+    # a machine integer would end in an OverflowError traceback
+    (c4dir / name).write_text(json.dumps(doc))
+    assert_parse_error(capsys, [command, "--rep", str(c4dir)], fragment)
+
+
+@pytest.mark.parametrize("field, value", [("rows", 1.0), ("cols", True)])
+def test_matrix_shape_that_is_not_a_json_integer(tmp_path, capsys, field, value):
+    doc = {"rows": 1, "cols": 1, "data": [[0.1, 0.0]]}
+    doc[field] = value
+    (tmp_path / "m.json").write_text(json.dumps(doc))
+    save_matrix(np.zeros((1, 1)), tmp_path / "b.json")
+    assert_parse_error(capsys, ["distance", str(tmp_path / "m.json"),
+                                str(tmp_path / "b.json")],
+                       f"{field} is not an integer: {value!r}")
+
+
+def test_gen_at_a_conditioning_the_constructor_rejects(tmp_path, capsys):
+    # --cond 1e8 passes the option's own check (finite, >= 1), but V V^{-1}
+    # rounds too far from the identity for the identity's image to pass
+    assert_parse_error(capsys, ["gen", "--group", "C4", "--sig", "2,1",
+                                "--cond", "1e8", "--out", str(tmp_path / "out")],
+                       "--cond 100000000.0 gives no representation of C4 at "
+                       "--sig 2,1 (identity element must map to the identity "
+                       "matrix)")
+    assert not (tmp_path / "out").exists()

@@ -428,6 +428,66 @@ def test_unitarize_certifies_tau_by_its_unitarity_defect(monkeypatch):
         dual_pair(rep)
 
 
+def test_unitarize_stores_its_result_on_the_representation():
+    rep = make_test_representation("Q8", PontryaginSignature(5, 2),
+                                   conditioning=50.0, seed=3)
+    res = unitarize(rep)
+    assert unitarize(rep) is res
+    assert unitarize(rep, mode="chebyshev-iterate") is res
+    assert not res.similarity.flags.writeable
+    with pytest.raises(ValueError):
+        res.similarity[0, 0] = 0.0
+    assert not rep.table.flags.writeable
+    with pytest.raises(ValueError):
+        rep.table[0, 0] = 1
+
+
+def test_dual_pair_reuses_the_stored_unitarization(monkeypatch):
+    rep = make_test_representation("S3", PontryaginSignature(4, 2),
+                                   conditioning=20.0, seed=2)
+    unitarize(rep)
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return fixedpoint._solve(*args)
+
+    monkeypatch.setattr(pontryagin, "_solve", counted)
+    pair = dual_pair(rep)
+    assert calls == []
+    monkeypatch.undo()
+    fresh = dual_pair(Representation(rep.signature, rep.table, rep.images))
+    assert pair.positive_basis.tobytes() == fresh.positive_basis.tobytes()
+    assert pair.negative_basis.tobytes() == fresh.negative_basis.tobytes()
+
+
+def test_a_failed_unitarize_stores_nothing(monkeypatch):
+    rep = make_test_representation("C4", SIG21, conditioning=20.0, seed=1)
+    monkeypatch.setattr(pontryagin, "UNIT_TOL", 1e-17)
+    with pytest.raises(FixedPointFailed, match="unitarity defect"):
+        unitarize(rep)
+    assert rep._unitarization is None
+    monkeypatch.undo()
+    assert unitarize(rep) is rep._unitarization
+
+
+def test_the_table_is_copied_before_it_is_frozen():
+    table = np.array(group_table("C4"))
+    images = make_test_representation("C4", SIG21, conditioning=2.0,
+                                      seed=0).images
+    rep = Representation(SIG21, table, images)
+    assert table.flags.writeable
+    table[0, 0] = 3
+    assert rep.table[0, 0] == 0
+
+
+def test_a_stored_result_still_checks_the_mode():
+    rep = make_test_representation("C4", SIG21, conditioning=2.0, seed=0)
+    unitarize(rep)
+    with pytest.raises(ValueError, match="unknown mode 'bogus'"):
+        unitarize(rep, mode="bogus")
+
+
 # --- the start point certified in the chart at D ------------------------------------
 
 CHART_CASES = UNIQUE_CASES + [("C32", 8, 8)]

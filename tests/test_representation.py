@@ -75,7 +75,8 @@ def test_non_homomorphism_is_rejected():
                        [np.eye(3), 2 * np.eye(3)])
 
 
-@pytest.mark.parametrize("name, p, q", CASES)
+@pytest.mark.parametrize("name, p, q",
+                         CASES + [("C16", 8, 8), ("C32", 8, 8)])
 def test_homomorphism_check_matches_the_per_pair_loop(name, p, q):
     rep = make_test_representation(name, PontryaginSignature(p, q),
                                    conditioning=10.0, seed=2)
@@ -90,6 +91,44 @@ def test_homomorphism_check_matches_the_per_pair_loop(name, p, q):
         else:
             with pytest.raises(ValueError, match=re.escape(expected)):
                 Representation(rep.signature, rep.table, images)
+
+
+def test_the_worst_of_several_failing_pairs_is_named():
+    # two images perturbed by different amounts put more pairs over their
+    # tolerance than the group has elements, so the SVDs run in several
+    # batches; the pair furthest over comes after the first in row order,
+    # and the message names it as the per-pair loop does
+    rep = make_test_representation("Q8", PontryaginSignature(5, 2),
+                                   conditioning=10.0, seed=1)
+    rng = rng_from(4)
+    images = list(rep.images)
+    for k, scale in ((2, 3e-7), (5, 3e-6)):
+        images[k] = images[k] + scale * complex_gaussian(rng, 7, 7)
+    norms = [spectral_norm(m) for m in images]
+    over = []
+    for g, h in np.ndindex(rep.table.shape):
+        defect = spectral_norm(images[rep.table[g, h]] - images[g] @ images[h])
+        allowed = REP_TOL * max(1.0, norms[g] * norms[h])
+        if defect > allowed:
+            over.append((defect / allowed, g, h))
+    worst = max(over)
+    assert len(over) > len(images) and worst[1:] != over[0][1:]
+    expected = reference_homomorphism_error(rep.table, images, REP_TOL)
+    assert expected.endswith(f"at ({worst[1]}, {worst[2]})")
+    with pytest.raises(ValueError) as excinfo:
+        Representation(rep.signature, rep.table, images)
+    assert str(excinfo.value) == expected
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("a", [1e81, 1e100, 1e140])
+def test_large_exact_images_are_screened_without_overflow(a):
+    # pi(1)^2 = 1 exactly for every a, and the screen's tolerance
+    # REP_TOL a^2 / 2, squared, would overflow from a of about 3e81
+    flip = np.array([[1.0, a, 0.0], [0.0, -1.0, 0.0], [0.0, 0.0, 1.0]])
+    rep = Representation(PontryaginSignature(2, 1), group_table("C2"),
+                         [np.eye(3), flip])
+    assert rep.bound == pytest.approx(a)
 
 
 @pytest.mark.parametrize("name, p, q", CASES)
