@@ -52,6 +52,9 @@ class PontryaginSignature:
     n_minus: int
 
     def __post_init__(self):
+        for value in (self.n_plus, self.n_minus):
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise TypeError(f"dimensions must be integers, got {value!r}")
         if self.n_plus < 1 or self.n_minus < 1:
             raise ValueError("both components need positive dimension")
 
@@ -84,15 +87,20 @@ def is_J_unitary(sig: PontryaginSignature, t):
 
 
 def max_unitarity_defect(images) -> float:
-    """The largest ||T*T - 1|| over a stack (or list) of square matrices,
-    read off the eigenvalues of each T*T from one batched eigvalsh."""
+    """The largest ||T*T - 1|| = max(lambda_max - 1, 1 - lambda_min) over a
+    stack (or list) of square matrices, read off the eigenvalues of each
+    T*T from one batched eigvalsh."""
     stack = np.asarray(images, dtype=np.complex128)
-    return _unitarity_defect(np.linalg.eigvalsh(adjoint(stack) @ stack))
-
-
-def _unitarity_defect(gram) -> float:
-    """Max over a stack of ||T*T - 1|| = max(lambda_max - 1, 1 - lambda_min)."""
+    gram = np.linalg.eigvalsh(adjoint(stack) @ stack)
     return float(np.maximum(gram[..., -1] - 1.0, 1.0 - gram[..., 0]).max())
+
+
+def _frobenius(stack: np.ndarray) -> np.ndarray:
+    """The Frobenius norm of each matrix of a C-contiguous complex stack,
+    from one einsum over its float64 view; it bounds the spectral norm from
+    above, and over sqrt(dim) from below."""
+    flat = stack.view(np.float64).reshape(len(stack), -1)
+    return np.sqrt(np.einsum("ij,ij->i", flat, flat))
 
 
 def graph_subspace(sig: PontryaginSignature, a: BallPoint) -> np.ndarray:
@@ -197,6 +205,17 @@ def group_table(name: str) -> np.ndarray:
     raise UnknownGroup(f"no table for group {name!r}")
 
 
+def _integer_table(table) -> np.ndarray:
+    """A fresh int copy of a table whose entries are integers; floats,
+    bools and strings raise ``ValueError`` instead of being cast."""
+    entries = np.asarray(table)
+    if entries.size and (entries.dtype == bool
+                         or not np.issubdtype(entries.dtype, np.integer)):
+        raise ValueError("multiplication table entries must be integers, "
+                         f"got {entries.dtype}")
+    return entries.astype(int)
+
+
 def _validate_table(table: np.ndarray) -> int:
     """Check group-table sanity and return the identity index; the first
     index whose row or column is no permutation is reported, row first."""
@@ -294,11 +313,17 @@ def _assemble_block(classes, dim: int, allowed, rng) -> Optional[list]:
     return out
 
 
-def _check_homomorphism(table: np.ndarray, stack: np.ndarray,
-                        norms: np.ndarray):
-    """The homomorphism check of ``Representation``, given the norms of the
-    images; a failure names the pair furthest over its tolerance, the first
-    such pair in row-major order."""
+def _check_homomorphism(table: np.ndarray, stack: np.ndarray, norms):
+    """The homomorphism check of ``Representation``.
+
+    A pair passes the screen when the Frobenius norm of its difference is
+    within half its tolerance taken with ``||pi(g)||_F / sqrt(dim)``, a
+    lower bound of each spectral norm; both sides bound theirs from the
+    safe side, so a pass certifies the pair.  Only if some pair survives is
+    ``norms()``, the spectral norms of the images, called: the survivors
+    are screened again with the exact tolerance and those left take an SVD.
+    A failure names the pair furthest over its tolerance, the first such
+    pair in row-major order."""
     n, dim, _ = stack.shape
     tall = stack.reshape(n * dim, dim)
     diff = np.empty((n, dim, dim), dtype=np.complex128)
@@ -314,15 +339,20 @@ def _check_homomorphism(table: np.ndarray, stack: np.ndarray,
         np.take(stack, column, axis=0, out=target, mode="clip")
         np.subtract(target, diff, out=diff)
         np.einsum("ij,ij->i", flat, flat, out=frobenius_sq[:, h])
-    allowed = REP_TOL * np.maximum(1.0, np.multiply.outer(norms, norms))
+    low = _frobenius(stack) / np.sqrt(dim)
     # rounding in either norm cannot carry a difference across the factor 2,
-    # so the screen never decides a pair the SVD would not; it compares
-    # roots, since the squared tolerance would overflow once
-    # ||pi(g)|| ||pi(h)|| passes about 3e162
-    rows, cols = np.nonzero(np.sqrt(frobenius_sq) > allowed / 2)
+    # so neither screen decides a pair the SVD would not; they compare roots,
+    # since the squared tolerance would overflow once ||pi(g)|| ||pi(h)||
+    # passes about 3e162
+    frobenius = np.sqrt(frobenius_sq)
+    rows, cols = np.nonzero(
+        frobenius > REP_TOL * np.maximum(1.0, np.multiply.outer(low, low)) / 2)
     if rows.size == 0:
         return
-    allowed = allowed[rows, cols]
+    norms = norms()
+    allowed = REP_TOL * np.maximum(1.0, norms[rows] * norms[cols])
+    near = frobenius[rows, cols] > allowed / 2
+    rows, cols, allowed = rows[near], cols[near], allowed[near]
     defect = np.empty(rows.size)
     # n pairs at a time, so a table far from a homomorphism holds no more
     # differences at once than one column of the screen
@@ -361,64 +391,84 @@ class Representation:
     matrix per element.
 
     The table is copied and kept read-only, so the caller's array stays
-    writable.  The images are coerced as one stack (``_image_stack``).  The
-    constructor checks that the identity maps to the identity matrix
-    (to ``REP_TOL``, absolute) and that pi is a homomorphism:
+    writable; its entries must have an integer dtype (not bool).  The images
+    are coerced as one stack (``_image_stack``), kept read-only, and
+    ``images`` is the tuple of its rows.  The constructor checks that the
+    identity maps to the identity matrix (to ``REP_TOL``, absolute) and that
+    pi is a homomorphism:
     ``||pi(gh) - pi(g) pi(h)|| <= REP_TOL * max(1, ||pi(g)|| ||pi(h)||)``
     for every pair, since forming pi(g) pi(h) in floating point already
-    costs about eps ||pi(g)|| ||pi(h)||.  ``_measure`` keeps the images as
-    one read-only stack, of which ``images`` lists the rows, and records
+    costs about eps ||pi(g)|| ||pi(h)||.  Eta preservation is checked by
+    whoever needs it (``unitarize``).
+
     ``bound``, the largest ||pi(g)||, and ``eta_defect``, the largest
-    ||pi(g)* J pi(g) - J||, both from one batched eigvalsh; eta preservation
-    is checked by whoever needs it (``unitarize``), which runs only
-    ``_measure`` on its tau.
+    ||pi(g)* J pi(g) - J||, are taken on the first read of either, both
+    from one batched eigvalsh of the pairs (T*JT - J, T*T) kept in the
+    private slot ``_spectra``.  The checks read them only when a Frobenius
+    norm, which bounds a spectral norm from above, cannot decide.
 
     The homomorphism check (``_check_homomorphism``) forms the differences
     one column of the table at a time, in buffers reused across columns, and
-    keeps only their Frobenius norms, which bound the spectral norm from
-    above: one screen of all pairs leaves only those within a factor 2 of
-    their tolerance for an SVD, and no more than n differences are held at
-    once.
+    keeps only their Frobenius norms: one screen of all pairs against
+    tolerances taken with ||pi(g)||_F / sqrt(dim) <= ||pi(g)|| certifies
+    the pairs whose products round well within tolerance; survivors are
+    screened again with the exact norms, and those within a factor 2 of
+    their tolerance take an SVD, no more than n at once.
 
     ``_unitarization`` holds the result of the first ``unitarize`` of this
     representation that passes its certificate; later calls of
     ``unitarize`` and ``dual_pair`` reuse it.
     """
 
-    __slots__ = ("signature", "table", "images", "bound", "eta_defect",
-                 "identity_index", "_stack", "_unitarization")
+    __slots__ = ("signature", "table", "images", "identity_index", "_stack",
+                 "_spectra", "_unitarization")
 
     def __init__(self, signature: PontryaginSignature, table, images):
-        table = np.array(table, dtype=int)
+        table = _integer_table(table)
         ident = _validate_table(table)
         table.setflags(write=False)
         dim = signature.dim
         stack = _image_stack(list(images), len(table), dim)
         if spectral_norm(stack[ident] - np.eye(dim)) > REP_TOL:
             raise ValueError("identity element must map to the identity matrix")
-        gram = self._measure(signature, table, ident, stack)
-        _check_homomorphism(table, self._stack, np.sqrt(gram[:, -1]))
+        self._hold(signature, table, ident, stack)
+        _check_homomorphism(table, stack,
+                            lambda: np.sqrt(self._measured()[1][:, -1]))
 
-    def _measure(self, signature, table, identity_index, stack):
-        """Set the slots from a valid table and its stack of images, with one
-        batched eigvalsh, and return the ascending eigenvalues of each T*T;
-        no unitarization is stored yet."""
-        j = signature.j
-        defects, gram = _eta_spectra(adjoint(stack) @ j @ stack - j, stack)
+    def _hold(self, signature, table, identity_index, stack):
+        """Set the slots from a valid table and its stack of images; nothing
+        is measured and no unitarization is stored yet."""
         stack.setflags(write=False)
         self.signature = signature
         self.table = table
         self.identity_index = identity_index
         self._stack = stack
-        self.images = list(stack)
-        self.bound = float(np.sqrt(gram[:, -1].max()))
-        self.eta_defect = float(defects.max())
+        self.images = tuple(stack)
+        self._spectra = None
         self._unitarization = None
-        return gram
+
+    def _measured(self):
+        """The eta defects and the ascending T*T eigenvalues of the images,
+        from one batched eigvalsh on the first call."""
+        if self._spectra is None:
+            j = self.signature.j
+            stack = self._stack
+            self._spectra = _eta_spectra(adjoint(stack) @ j @ stack - j, stack)
+        return self._spectra
+
+    @property
+    def bound(self) -> float:
+        """The largest ||pi(g)||."""
+        return float(np.sqrt(self._measured()[1][:, -1].max()))
+
+    @property
+    def eta_defect(self) -> float:
+        """The largest ||pi(g)* J pi(g) - J||."""
+        return float(self._measured()[0].max())
 
     @property
     def group_order(self) -> int:
-        return len(self.images)
+        return len(self._stack)
 
     def __repr__(self):
         return (f"Representation(order={self.group_order}, "
@@ -439,8 +489,7 @@ def make_test_representation(group: Union[str, np.ndarray],
     """
     if conditioning < 1.0:
         raise ValueError("conditioning must be >= 1")
-    table = group_table(group) if isinstance(group, str) else np.asarray(group,
-                                                                         dtype=int)
+    table = group_table(group) if isinstance(group, str) else _integer_table(group)
     _validate_table(table)
     rng = rng_from(seed)
     classes = _irrep_classes(table, rng)
@@ -482,6 +531,12 @@ class UnitarizationResult(NamedTuple):
 
 
 def _require_eta_preserving(rep: Representation):
+    """Raise ``NotEtaPreserving`` unless ``rep.eta_defect <= REP_TOL``; the
+    spectra are taken only when the Frobenius norm of some pi(g)* J pi(g) - J,
+    an upper bound of its spectral norm, exceeds ``REP_TOL``."""
+    j = rep.signature.j
+    if _frobenius(adjoint(rep._stack) @ j @ rep._stack - j).max() <= REP_TOL:
+        return
     if rep.eta_defect > REP_TOL:
         raise NotEtaPreserving(
             f"representation eta-defect {rep.eta_defect:.3e} > {REP_TOL!r}")
@@ -513,13 +568,17 @@ def unitarize(rep: Representation,
     move it, and a solve that stops above ``FP_TOL`` raises
     ``FixedPointFailed``.
 
-    tau is measured (``bound``, eta defects), not checked again as a
-    representation: it has pi's table, tau(e) = U U^{-1}, and
+    tau is not checked again as a representation: it has pi's table,
+    tau(e) = U U^{-1}, and
     ||tau(gh) - tau(g) tau(h)|| <= ||U|| ||U^{-1}|| ||pi(gh) - pi(g) pi(h)||
     up to the rounding of U pi U^{-1}.  The one check on tau is the one
-    that certifies it, max ||tau(g)* tau(g) - 1|| <= ``UNIT_TOL``; the
-    result keeps that defect.  ``mode`` is checked as ``find_fixed_point``
-    checks it.
+    that certifies it, max ||tau(g)* tau(g) - 1|| <= ``UNIT_TOL``, read off
+    one batched eigvalsh of the tau(g)* tau(g) (``max_unitarity_defect``);
+    the result keeps that defect.  tau's ``bound`` and ``eta_defect`` are
+    taken only if read.  pi's eta check passes on Frobenius norms alone when
+    each ||pi(g)* J pi(g) - J||_F <= ``REP_TOL``, so a representation that
+    passes both screens is unitarized with no spectra of pi.  ``mode`` is
+    checked as ``find_fixed_point`` checks it.
 
     The first result that passes the certificate is stored on ``rep``, with
     a read-only ``similarity``, and later calls return that same object
@@ -534,8 +593,8 @@ def unitarize(rep: Representation,
                 f"solver stalled at displacement {result.displacement:.3e}")
         u.setflags(write=False)
         unitary_rep = object.__new__(Representation)
-        defect = _unitarity_defect(unitary_rep._measure(
-            rep.signature, rep.table, rep.identity_index, tau))
+        unitary_rep._hold(rep.signature, rep.table, rep.identity_index, tau)
+        defect = max_unitarity_defect(tau)
         res = UnitarizationResult(similarity=u, unitary_rep=unitary_rep,
                                   fixed_point=result.point,
                                   unitarity_defect=defect)

@@ -6,11 +6,12 @@ import re
 import numpy as np
 import pytest
 
-from opball.errors import ShapeMismatch
+from opball.errors import NotEtaPreserving, ShapeMismatch
 from opball.mobius import _eta_spectra, eta_defect, eta_matrix
 from opball.opcore import adjoint, spectral_norm
 from opball.pontryagin import (
     REP_TOL,
+    UNIT_TOL,
     PontryaginSignature,
     Representation,
     group_table,
@@ -118,6 +119,44 @@ def test_the_worst_of_several_failing_pairs_is_named():
     with pytest.raises(ValueError) as excinfo:
         Representation(rep.signature, rep.table, images)
     assert str(excinfo.value) == expected
+
+
+def _boost_involution(t):
+    """pi(1) = V J V^{-1} on (8, 8) for the boost V of rapidity t in the
+    plane of e_0 and e_8: one singular value e^{2t}, one e^{-2t}, the rest
+    1, so ||pi(1)||_F / 4 falls about a factor 4 short of ||pi(1)||."""
+    v = np.eye(16)
+    v[0, 0] = v[8, 8] = np.cosh(t)
+    v[0, 8] = v[8, 0] = np.sinh(t)
+    return v @ eta_matrix(8, 8) @ np.linalg.inv(v)
+
+
+def test_a_large_boost_is_decided_with_its_spectral_norm():
+    # the screen's lower bound ||pi(g)||_F / sqrt(dim) passes only pairs it
+    # certifies; the pairs it leaves are decided, and quoted, with the
+    # spectral norms, as the per-pair loop decides them
+    flip = _boost_involution(3.0)
+    low = np.linalg.norm(flip) / 4
+    assert low < spectral_norm(flip) / 3.9
+    rng = rng_from(0)
+    e = complex_gaussian(rng, 16, 16)
+    e *= spectral_norm(flip) / spectral_norm(e)
+    outcomes = []
+    for rel in np.geomspace(1e-10, 1e-7, 7):
+        images = [np.eye(16), flip + rel * e]
+        expected = reference_homomorphism_error(group_table("C2"), images,
+                                                REP_TOL)
+        diff = images[0] - images[1] @ images[1]
+        screened = np.linalg.norm(diff) > REP_TOL * low ** 2 / 2
+        outcomes.append((screened, expected is None))
+        if expected is None:
+            Representation(PontryaginSignature(8, 8), group_table("C2"), images)
+            continue
+        with pytest.raises(ValueError) as excinfo:
+            Representation(PontryaginSignature(8, 8), group_table("C2"), images)
+        assert str(excinfo.value) == expected
+    # some pairs pass the screen, some survive it and pass, some fail
+    assert {(False, True), (True, True), (True, False)} <= set(outcomes)
 
 
 @pytest.mark.filterwarnings("error")
@@ -269,13 +308,103 @@ def test_unitarize_measures_each_stack_with_one_eigvalsh(monkeypatch):
     rep = Representation(PontryaginSignature(8, 8), group_table("C32"),
                          images)
     res = unitarize(rep)
-    monkeypatch.undo()
     assert res.unitarity_defect <= 1e-7
-    # pi's pair (T*JT - J, T*T) and tau's pair; the start point is certified
-    # from tau's corner blocks, one (32, 8, 8) SVD, so no group is built, no
-    # orbit is measured and no stack of images takes an SVD
+    # the Frobenius screens pass pi's homomorphism and eta checks with no
+    # spectra; tau's T*T alone certifies it, in one (32, 16, 16) eigvalsh.
+    # The start point is certified from tau's corner blocks, one (32, 8, 8)
+    # SVD, so no group is built, no orbit is measured and no stack of images
+    # takes an SVD
     assert [s for s in calls["eigvalsh"] if s[-2:] == (16, 16)] == [
-        (2, 32, 16, 16), (2, 32, 16, 16)]
+        (32, 16, 16)]
     assert calls["svd"].count((32, 8, 8)) == 1
     assert (32, 16, 16) not in calls["svd"]
+    # pi's pairs (T*JT - J, T*T) are measured on the first read of bound,
+    # and kept for every later read of bound and eta_defect
+    calls["eigvalsh"].clear()
+    rep.bound
+    assert calls["eigvalsh"] == [(2, 32, 16, 16)]
+    rep.bound, rep.eta_defect
+    assert calls["eigvalsh"] == [(2, 32, 16, 16)]
+    monkeypatch.undo()
     assert calls["skipped"] == []
+
+
+def _sheared_involution(delta):
+    """C2 on (2, 1) with pi(1) = J - 2 delta E_02, exactly an involution:
+    its eta gap -2 delta (E_02 + E_20) + 4 delta^2 E_22 has spectral norm
+    about 2 delta and Frobenius norm about 2 sqrt(2) delta."""
+    flip = eta_matrix(2, 1)
+    flip[0, 2] = -2.0 * delta
+    return Representation(PontryaginSignature(2, 1), group_table("C2"),
+                          [np.eye(3), flip])
+
+
+def test_an_eta_gap_within_tolerance_only_in_spectral_norm_unitarizes():
+    # the Frobenius screen cannot pass this gap, so the spectra decide
+    rep = _sheared_involution(0.45 * REP_TOL)
+    j = eta_matrix(2, 1)
+    gap = adjoint(rep.images[1]) @ j @ rep.images[1] - j
+    assert spectral_norm(gap) <= REP_TOL < np.linalg.norm(gap)
+    res = unitarize(rep)
+    assert rep.eta_defect == eta_defect(rep.images[1], 2, 1) <= REP_TOL
+    assert res.unitarity_defect <= UNIT_TOL
+
+
+def test_an_eta_gap_over_tolerance_is_quoted_from_its_spectral_norm():
+    rep = _sheared_involution(0.75 * REP_TOL)
+    defect = eta_defect(rep.images[1], 2, 1)
+    assert REP_TOL < defect < 2 * REP_TOL
+    with pytest.raises(NotEtaPreserving) as excinfo:
+        unitarize(rep)
+    assert str(excinfo.value) == (
+        f"representation eta-defect {defect:.3e} > {REP_TOL!r}")
+
+
+@pytest.mark.parametrize("table, dtype", [
+    ([[0, 1], [1, 0.7]], "float64"),
+    ([[0, 1], [1, 0.0]], "float64"),
+    ([[False, True], [True, False]], "bool"),
+    ([["0", "1"], ["1", "0"]], "<U1"),
+    (np.array([[0, 1], [1, 0]], dtype=object), "object"),
+])
+def test_a_table_without_integer_entries_is_rejected(table, dtype):
+    message = f"multiplication table entries must be integers, got {dtype}"
+    with pytest.raises(ValueError) as excinfo:
+        Representation(PontryaginSignature(2, 1), table, [np.eye(3)] * 2)
+    assert str(excinfo.value) == message
+    with pytest.raises(ValueError) as excinfo:
+        make_test_representation(np.asarray(table), PontryaginSignature(2, 1))
+    assert str(excinfo.value) == message
+
+
+@pytest.mark.parametrize("dtype", [np.int8, np.int32, np.uint16, np.int64])
+def test_tables_of_any_integer_dtype_are_accepted(dtype):
+    table = group_table("C4").astype(dtype)
+    rep = make_test_representation(table, PontryaginSignature(2, 1), seed=1)
+    rebuilt = Representation(rep.signature, table, rep.images)
+    assert rebuilt.table.dtype == int
+    assert np.array_equal(rebuilt.table, group_table("C4"))
+
+
+@pytest.mark.parametrize("n_plus, n_minus", [
+    (2.5, 1), (2, 1.0), (True, 1), (2, np.bool_(True)), ("2", 1), (None, 1)])
+def test_signature_dimensions_must_be_integers(n_plus, n_minus):
+    with pytest.raises(TypeError, match="dimensions must be integers"):
+        PontryaginSignature(n_plus, n_minus)
+
+
+def test_signature_accepts_numpy_integers():
+    sig = PontryaginSignature(np.int64(2), np.int32(1))
+    assert sig.dim == 3
+    assert np.array_equal(sig.j, np.diag([1.0, 1.0, -1.0]))
+
+
+def test_images_cannot_change_the_group_order():
+    rep = make_test_representation("C4", PontryaginSignature(2, 1),
+                                   conditioning=10.0, seed=0)
+    tau = unitarize(rep).unitary_rep
+    for images in (rep.images, tau.images):
+        assert isinstance(images, tuple)
+        with pytest.raises(AttributeError):
+            images.append(np.eye(3))
+    assert unitarize(rep).unitary_rep.group_order == rep.group_order == 4
