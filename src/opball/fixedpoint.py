@@ -58,26 +58,83 @@ CLOSURE_CHUNK = 1 << 17
 MAX_ITER = 5000
 
 
-@dataclass
-class AutomorphismGroup:
-    """A finite set of automorphisms closed under composition.
+def _integer_table(table) -> np.ndarray:
+    """A fresh int copy of a table whose entries are integers; floats,
+    bools and strings raise ``ValueError`` instead of being cast."""
+    entries = np.asarray(table)
+    if entries.size and (entries.dtype == bool
+                         or not np.issubdtype(entries.dtype, np.integer)):
+        raise ValueError("multiplication table entries must be integers, "
+                         f"got {entries.dtype}")
+    return entries.astype(int)
 
-    ``table[i][j]`` indexes the element acting like elements[i] after
-    elements[j].
+
+def _validate_table(table: np.ndarray) -> int:
+    """Check group-table sanity and return the identity index; the first
+    index whose row or column is no permutation is reported, row first."""
+    n = len(table)
+    if table.shape != (n, n) or table.min() < 0 or table.max() >= n:
+        raise ValueError("multiplication table must be square over 0..n-1")
+    every = np.arange(n)
+    rows = (np.sort(table, axis=1) != every).any(axis=1)
+    cols = (np.sort(table, axis=0) != every[:, None]).any(axis=0)
+    bad = np.flatnonzero(rows | cols)
+    if len(bad):
+        kind = "row" if rows[bad[0]] else "column"
+        raise ValueError(f"{kind} {bad[0]} of the table is not a permutation")
+    ident = np.flatnonzero((table == every).all(axis=1)
+                           & (table.T == every).all(axis=1))
+    if len(ident) != 1:
+        raise ValueError("table has no two-sided identity")
+    return int(ident[0])
+
+
+class AutomorphismGroup:
+    """A finite set of automorphisms of one split, held only as one
+    read-only stack of their normalized blocks; ``elements`` builds
+    ``BallAutomorphism`` views of its rows on each read.
+
+    With a ``table``, checked as ``Representation`` checks its own and kept
+    as a read-only copy, ``table[i][j]`` indexes the element acting like
+    elements[i] after elements[j]; without one, the set is a generator set.
     """
 
-    elements: list
-    table: Optional[np.ndarray] = None
+    __slots__ = ("_blocks", "_defects", "dim_h", "dim_k", "table")
 
-    def __post_init__(self):
-        if not self.elements:
-            raise ValueError("group needs at least one element")
-        first = self.elements[0]
-        self.dim_h, self.dim_k = first.dim_h, first.dim_k
-        self._blocks = np.stack([t.block for t in self.elements])
+    def __init__(self, elements, table=None):
+        if not elements:
+            raise ValueError("need at least one automorphism")
+        p, q = elements[0].dim_h, elements[0].dim_k
+        if any((t.dim_h, t.dim_k) != (p, q) for t in elements):
+            raise ValueError("automorphisms must share one split")
+        if table is not None:
+            table = _integer_table(table)
+            if len(table) != len(elements):
+                raise ValueError(f"table has {len(table)} rows for "
+                                 f"{len(elements)} elements")
+            _validate_table(table)
+            table.setflags(write=False)
+        self._hold(np.stack([t.block for t in elements]),
+                   np.array([t.defect for t in elements]), p, q, table)
+
+    def _hold(self, blocks, defects, dim_h, dim_k, table):
+        """Set the slots from a normalized stack; nothing is checked."""
+        blocks.setflags(write=False)
+        self._blocks = blocks
+        self._defects = defects
+        self.dim_h = dim_h
+        self.dim_k = dim_k
+        self.table = table
+        return self
+
+    @property
+    def elements(self) -> tuple:
+        return tuple(object.__new__(BallAutomorphism)._set(
+            block, self.dim_h, self.dim_k, float(defect))
+            for block, defect in zip(self._blocks, self._defects))
 
     def __len__(self):
-        return len(self.elements)
+        return len(self._blocks)
 
     def apply_all(self, x: BallPoint) -> np.ndarray:
         """Stacked w_g(x) over all elements (batched fractional-linear)."""
@@ -120,81 +177,78 @@ def group_closure(generators: Sequence[BallAutomorphism]) -> AutomorphismGroup:
     group is infinite or larger than ``MAX_ELEMENTS``, or when a step is
     not a permutation.
     """
-    if not generators:
-        raise ValueError("need at least one generator")
-    p, q = generators[0].dim_h, generators[0].dim_k
-    for g in generators:
-        if (g.dim_h, g.dim_k) != (p, q):
-            raise ValueError("generators must share one split")
+    gens = AutomorphismGroup(generators)
+    p, q = gens.dim_h, gens.dim_k
     width = (p + q) ** 2
 
-    elements: list = []
-    # the elements' blocks, flattened
+    # the elements' blocks, flattened, and their defects
     blocks = np.empty((0, width), dtype=np.complex128)
+    defects = np.empty(0)
 
     def chunks(at: int, stop: int):
         """Slices of the products [at, stop); the distances from a chunk's
         rows to the elements and to the chunk, rows x (elements + rows)
         blocks, are the largest temporaries."""
         while at < stop:
-            found = len(elements)
+            found = len(blocks)
             rows = max(1, (math.isqrt(found * found + 4 * (CLOSURE_CHUNK // width))
                            - found) // 2)
             yield slice(at, min(at + rows, stop))
             at += rows
 
-    def settle(auts: list) -> np.ndarray:
-        """The index of the element each automorphism is; one that matches
-        no earlier one is appended."""
-        nonlocal blocks
-        cand = np.stack([t.block for t in auts]).reshape(len(auts), width)
+    def settle(cand: np.ndarray, cand_defects: np.ndarray) -> np.ndarray:
+        """The index of the element each normalized block of a stack is;
+        one that matches no earlier one is appended."""
+        nonlocal blocks, defects
+        cand = cand.reshape(len(cand), width)
+        found = len(blocks)
         gap = _block_distance(cand, np.concatenate([blocks, cand]))
-        known, own = gap[:, :len(elements)], gap[:, len(elements):]
+        known, own = gap[:, :found], gap[:, found:]
         best = known.min(axis=1, initial=np.inf)
-        index = known.argmin(axis=1) if len(elements) else np.zeros(
-            len(auts), dtype=int)
+        index = known.argmin(axis=1) if found else np.zeros(len(cand), dtype=int)
         # only a product that matches no known element can start one; the
         # later products of the chunk are compared with each of those
         open_ = np.flatnonzero(best > GROUP_TOL)
-        later = np.where(np.arange(len(auts))[:, None] > open_,
+        later = np.where(np.arange(len(cand))[:, None] > open_,
                          own[:, open_], np.inf)
         fresh = []
         for col, k in enumerate(open_):
             if best[k] <= GROUP_TOL:
                 continue
-            if len(elements) >= MAX_ELEMENTS:
+            if found + len(fresh) >= MAX_ELEMENTS:
                 raise ClosureExceeded(MAX_ELEMENTS)
-            index[k] = len(elements)
-            elements.append(auts[k])
+            index[k] = found + len(fresh)
             fresh.append(k)
             closer = later[:, col] < best
             best[closer], index[closer] = later[closer, col], index[k]
         blocks = np.concatenate([blocks, cand[fresh]])
+        defects = np.concatenate([defects, cand_defects[fresh]])
         return index
 
-    # the identity and each generator's inverse are normalized and checked
-    # in one stack
-    firsts = _automorphism_stack(
-        np.concatenate([np.eye(p + q)[None],
-                        np.linalg.inv(np.stack([g.block for g in generators]))]),
+    # the seeds are the identity, then each generator and its inverse; the
+    # generators' blocks are normalized already, and the identity and the
+    # inverses are normalized and checked in one stack
+    firsts, first_defects = _automorphism_stack(
+        np.concatenate([np.eye(p + q)[None], np.linalg.inv(gens._blocks)]),
         p, q, AUT_TOL)
-    seeds = [firsts[0]]
-    for g, g_inv in zip(generators, firsts[1:]):
-        seeds += [g, g_inv]
+    seeds = np.empty((2 * len(gens) + 1, p + q, p + q), dtype=np.complex128)
+    seed_defects = np.empty(len(seeds))
+    seeds[::2], seeds[1::2] = firsts, gens._blocks
+    seed_defects[::2], seed_defects[1::2] = first_defects, gens._defects
     for part in chunks(0, len(seeds)):
-        settle(seeds[part])
+        settle(seeds[part], seed_defects[part])
 
     # element 0 is the identity and the other distinct seeds are the steps;
     # a layer finds by_step[i, k], the element i s_k, for i in [start, known)
     steps = blocks[1:].reshape(-1, p + q, p + q)
     by_step = [np.empty(0, dtype=int)]
-    start, known = 0, len(elements)
+    start, known = 0, len(blocks)
     while start < known:
         stack = blocks.reshape(-1, p + q, p + q)
         for part in chunks(start * len(steps), known * len(steps)):
             i, k = np.divmod(np.arange(part.start, part.stop), len(steps))
             try:
-                auts = _automorphism_stack(stack[i] @ steps[k], p, q, AUT_TOL)
+                prods = _automorphism_stack(stack[i] @ steps[k], p, q, AUT_TOL)
             except NotEtaPreserving as exc:
                 # products of an elliptic finite set never saturate double
                 # precision; losing eta mid-closure means unbounded growth
@@ -202,10 +256,10 @@ def group_closure(generators: Sequence[BallAutomorphism]) -> AutomorphismGroup:
                     MAX_ELEMENTS,
                     "composition chain saturated floating point; group "
                     "closure does not terminate") from exc
-            by_step.append(settle(auts))
-        start, known = known, len(elements)
+            by_step.append(settle(*prods))
+        start, known = known, len(blocks)
 
-    n = len(elements)
+    n = len(blocks)
     by_step = np.concatenate(by_step).reshape(n, len(steps))
     # each step permutes a group; one that does not shows a false match
     if np.any(np.sort(by_step, axis=0) != np.arange(n)[:, None]):
@@ -218,7 +272,9 @@ def group_closure(generators: Sequence[BallAutomorphism]) -> AutomorphismGroup:
     table[:, 0] = np.arange(n)
     for j in range(1, n):
         table[:, j] = by_step[table[:, parent[j]], step[j]]
-    return AutomorphismGroup(elements=elements, table=table)
+    table.setflags(write=False)
+    return object.__new__(AutomorphismGroup)._hold(
+        blocks.reshape(n, p + q, p + q), defects, p, q, table)
 
 
 def is_elliptic(group: AutomorphismGroup, x0: BallPoint):

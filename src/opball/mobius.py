@@ -201,6 +201,7 @@ class BallAutomorphism:
         self.dim_h = dim_h
         self.dim_k = dim_k
         self.defect = defect
+        return self
 
     @classmethod
     def identity(cls, dim_h: int, dim_k: int) -> "BallAutomorphism":
@@ -262,21 +263,16 @@ def _eta_checked(t: np.ndarray, dim_h: int, dim_k: int, aut_tol):
     return t / np.sqrt(scale)[..., None, None], defect
 
 
-def _automorphism_stack(blocks: np.ndarray, dim_h: int, dim_k: int,
-                        aut_tol) -> list:
-    """One ``BallAutomorphism`` per block of a stack, normalized and checked
-    as the constructor does, with one batched eigvalsh for the whole stack."""
+def _automorphism_stack(blocks: np.ndarray, dim_h: int, dim_k: int, aut_tol):
+    """A stack of blocks normalized and checked as the ``BallAutomorphism``
+    constructor does, with one batched eigvalsh: ``(stack, defects)``, the
+    stack read-only."""
     t = np.asarray(blocks, dtype=np.complex128)
     if not np.all(np.isfinite(t)):
         raise ValueError("automorphism block contains non-finite entries")
     t, defects = _eta_checked(t, dim_h, dim_k, aut_tol)
     t.setflags(write=False)
-    out = []
-    for block, defect in zip(t, defects):
-        aut = object.__new__(BallAutomorphism)
-        aut._set(block, dim_h, dim_k, float(defect))
-        out.append(aut)
-    return out
+    return t, defects
 
 
 def _mobius_block(a: np.ndarray) -> np.ndarray:

@@ -27,7 +27,13 @@ from .errors import (
     ShapeMismatch,
     UnknownGroup,
 )
-from .fixedpoint import _averaged_point, _check_mode, _solve
+from .fixedpoint import (
+    _averaged_point,
+    _check_mode,
+    _integer_table,
+    _solve,
+    _validate_table,
+)
 from .mobius import (
     BallAutomorphism,
     BallPoint,
@@ -149,8 +155,11 @@ def induced_automorphism(sig: PontryaginSignature, t) -> BallAutomorphism:
     ok, defect = is_J_unitary(sig, t)
     if not ok:
         raise NotEtaPreserving(f"||T*JT - J|| = {defect:.3e} > {REP_TOL!r}")
-    return _automorphism_stack(np.asarray(t)[None], sig.n_plus, sig.n_minus,
-                               max(REP_TOL, 10 * defect))[0]
+    p, q = sig.n_plus, sig.n_minus
+    block, defects = _automorphism_stack(np.asarray(t)[None], p, q,
+                                         max(REP_TOL, 10 * defect))
+    return object.__new__(BallAutomorphism)._set(block[0], p, q,
+                                                 float(defects[0]))
 
 
 def unitarizer_matrix(sig: PontryaginSignature, d: BallPoint) -> np.ndarray:
@@ -203,37 +212,6 @@ def group_table(name: str) -> np.ndarray:
     if name == "Q8":
         return _quaternion_table()
     raise UnknownGroup(f"no table for group {name!r}")
-
-
-def _integer_table(table) -> np.ndarray:
-    """A fresh int copy of a table whose entries are integers; floats,
-    bools and strings raise ``ValueError`` instead of being cast."""
-    entries = np.asarray(table)
-    if entries.size and (entries.dtype == bool
-                         or not np.issubdtype(entries.dtype, np.integer)):
-        raise ValueError("multiplication table entries must be integers, "
-                         f"got {entries.dtype}")
-    return entries.astype(int)
-
-
-def _validate_table(table: np.ndarray) -> int:
-    """Check group-table sanity and return the identity index; the first
-    index whose row or column is no permutation is reported, row first."""
-    n = len(table)
-    if table.shape != (n, n) or table.min() < 0 or table.max() >= n:
-        raise ValueError("multiplication table must be square over 0..n-1")
-    every = np.arange(n)
-    rows = (np.sort(table, axis=1) != every).any(axis=1)
-    cols = (np.sort(table, axis=0) != every[:, None]).any(axis=0)
-    bad = np.flatnonzero(rows | cols)
-    if len(bad):
-        kind = "row" if rows[bad[0]] else "column"
-        raise ValueError(f"{kind} {bad[0]} of the table is not a permutation")
-    ident = np.flatnonzero((table == every).all(axis=1)
-                           & (table.T == every).all(axis=1))
-    if len(ident) != 1:
-        raise ValueError("table has no two-sided identity")
-    return int(ident[0])
 
 
 def regular_representation(table: np.ndarray) -> list:
@@ -429,7 +407,10 @@ class Representation:
         table.setflags(write=False)
         dim = signature.dim
         stack = _image_stack(list(images), len(table), dim)
-        if spectral_norm(stack[ident] - np.eye(dim)) > REP_TOL:
+        # the Frobenius norm bounds the spectral norm from above, so the SVD
+        # is taken only when it cannot decide
+        gap = stack[ident] - np.eye(dim)
+        if np.linalg.norm(gap) > REP_TOL and spectral_norm(gap) > REP_TOL:
             raise ValueError("identity element must map to the identity matrix")
         self._hold(signature, table, ident, stack)
         _check_homomorphism(table, stack,

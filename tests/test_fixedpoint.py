@@ -36,7 +36,11 @@ from opball.mobius import (
     zero_point,
 )
 from opball.opcore import spectral_norm
-from opball.pontryagin import PontryaginSignature, make_test_representation
+from opball.pontryagin import (
+    PontryaginSignature,
+    group_table,
+    make_test_representation,
+)
 from opball.sampling import (
     random_ball_point,
     random_direction,
@@ -265,6 +269,86 @@ def test_closure_takes_one_stacked_probe_per_layer(monkeypatch):
     monkeypatch.undo()
     assert len(group) == 64
     assert calls["blocks"] == 2 + 64 * 2 <= 64 * 3
+
+
+def test_closure_builds_no_automorphism_after_its_generators(monkeypatch):
+    made = {"__init__": 0, "_set": 0}
+
+    def counted(name):
+        method = getattr(BallAutomorphism, name)
+
+        def wrapper(*args, **kwargs):
+            made[name] += 1
+            return method(*args, **kwargs)
+        return wrapper
+
+    cases = [representation_generators("S3", (1, 2), (4, 2)), cyclic_64()]
+    for name in made:
+        monkeypatch.setattr(BallAutomorphism, name, counted(name))
+    groups = [group_closure(generators) for generators in cases]
+    monkeypatch.undo()
+    assert made == {"__init__": 0, "_set": 0}
+    assert [len(group) for group in groups] == [6, 64]
+    for group in groups:
+        assert not group._blocks.flags.writeable
+        assert not group.table.flags.writeable
+        views = group.elements
+        assert isinstance(views, tuple) and len(views) == len(group)
+        for view, block, defect in zip(views, group._blocks, group._defects):
+            assert view.block.tobytes() == block.tobytes()
+            assert view.defect == defect
+            assert (view.dim_h, view.dim_k) == (group.dim_h, group.dim_k)
+            assert not view.block.flags.writeable
+
+
+def test_a_group_keeps_no_reference_to_the_callers_list():
+    elements = list(group_closure([rotation_block(2 * np.pi / 3)]).elements)
+    group = AutomorphismGroup(elements)
+    before = find_fixed_point(group)
+    elements.append(hyperbolic_block())
+    assert len(group) == 3
+    after = find_fixed_point(group)
+    assert after.converged
+    assert after.point.matrix.tobytes() == before.point.matrix.tobytes()
+    # a hyperbolic element has no fixed point in common with the rotations
+    assert not find_fixed_point(AutomorphismGroup(elements)).converged
+    with pytest.raises(AttributeError):
+        group.elements.append(hyperbolic_block())
+
+
+@pytest.mark.parametrize("elements, table, message", [
+    (2, [[0.5]], "multiplication table entries must be integers, got float64"),
+    (2, "C5", "table has 5 rows for 2 elements"),
+    (2, [[0, 1], [1, 1]], "row 1 of the table is not a permutation"),
+    (2, [[0, 1, 1], [1, 0, 0]], "multiplication table must be square over 0..n-1"),
+    (0, None, "need at least one automorphism"),
+])
+def test_a_group_checks_its_table(elements, table, message):
+    elements = [BallAutomorphism.identity(2, 1)] * elements
+    if isinstance(table, str):
+        table = group_table(table)
+    with pytest.raises(ValueError) as excinfo:
+        AutomorphismGroup(elements, table)
+    assert str(excinfo.value) == message
+
+
+def test_a_group_keeps_a_read_only_copy_of_its_table():
+    table = group_table("C2")
+    group = AutomorphismGroup([BallAutomorphism.identity(1, 1),
+                               rotation_block(np.pi)], table)
+    table[0, 0] = 1
+    assert group.table.tolist() == [[0, 1], [1, 0]]
+    assert not group.table.flags.writeable
+    assert table.flags.writeable
+
+
+@pytest.mark.parametrize("splits", [[(2, 2), (1, 3)], [(1, 1), (2, 1)]])
+def test_a_group_and_a_closure_need_one_split(splits):
+    elements = [BallAutomorphism.identity(p, q) for p, q in splits]
+    for build in (AutomorphismGroup, group_closure):
+        with pytest.raises(ValueError) as excinfo:
+            build(elements)
+        assert str(excinfo.value) == "automorphisms must share one split"
 
 
 def test_closure_stops_at_the_element_limit_inside_a_round(monkeypatch):

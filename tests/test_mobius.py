@@ -235,13 +235,13 @@ def test_automorphism_stack_matches_the_constructor():
     rng = rng_from(31)
     blocks = np.stack([3.0 * random_eta_preserving(rng, 3, 2, c)
                        for c in (1.0, 10.0, 300.0)])
-    stacked = _automorphism_stack(blocks, 3, 2, 1e-8)
-    for block, aut in zip(blocks, stacked):
+    stacked, defects = _automorphism_stack(blocks, 3, 2, 1e-8)
+    assert stacked.shape == blocks.shape and defects.shape == (3,)
+    assert not stacked.flags.writeable
+    for block, row, defect in zip(blocks, stacked, defects):
         single = BallAutomorphism(block, 3, 2)
-        assert_allclose(aut.block, single.block, rtol=1e-13, atol=1e-13)
-        assert abs(aut.defect - single.defect) <= 1e-12
-        assert (aut.dim_h, aut.dim_k) == (3, 2)
-        assert not aut.block.flags.writeable
+        assert_allclose(row, single.block, rtol=1e-13, atol=1e-13)
+        assert abs(defect - single.defect) <= 1e-12
 
 
 def test_automorphism_stack_checks_each_block():
@@ -251,7 +251,7 @@ def test_automorphism_stack_checks_each_block():
     with pytest.raises(NotEtaPreserving):
         _automorphism_stack(np.stack([good, stretched]), 2, 1, 1e-8)
     # the bound may differ per block
-    defect = _automorphism_stack(stretched[None], 2, 1, 10.0)[0].defect
+    defect = _automorphism_stack(stretched[None], 2, 1, 10.0)[1][0]
     _automorphism_stack(np.stack([good, stretched]), 2, 1,
                         np.array([1e-8, 2.0 * defect]))
     with pytest.raises(NotEtaPreserving):
@@ -279,6 +279,7 @@ def test_singular_resolvent_on_raw_matrices():
 def test_singular_denominator_flags_broken_block():
     from opball.errors import SingularDenominator
 
-    broken = _automorphism_stack(np.diag([1.0, 0.0])[None], 1, 1, 10.0)[0]
+    block, defects = _automorphism_stack(np.diag([1.0, 0.0])[None], 1, 1, 10.0)
+    broken = object.__new__(BallAutomorphism)._set(block[0], 1, 1, defects[0])
     with pytest.raises(SingularDenominator):
         automorphism_apply(broken, BallPoint([[0.0]]))

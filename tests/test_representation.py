@@ -301,8 +301,10 @@ def test_unitarize_measures_each_stack_with_one_eigvalsh(monkeypatch):
                         counted("eigvalsh", np.linalg.eigvalsh))
     monkeypatch.setattr(mobius, "_eta_checked", skipped("_eta_checked"))
     monkeypatch.setattr(hyperbolic, "_rho", skipped("_rho"))
-    monkeypatch.setattr(fixedpoint.AutomorphismGroup, "__post_init__",
-                        skipped("AutomorphismGroup"))
+    # a group is built by its constructor, or by ``_hold`` in the closure
+    for method in ("__init__", "_hold"):
+        monkeypatch.setattr(fixedpoint.AutomorphismGroup, method,
+                            skipped("AutomorphismGroup"))
     monkeypatch.setattr(fixedpoint.AutomorphismGroup, "apply_all",
                         skipped("apply_all"))
     rep = Representation(PontryaginSignature(8, 8), group_table("C32"),
@@ -318,6 +320,8 @@ def test_unitarize_measures_each_stack_with_one_eigvalsh(monkeypatch):
         (32, 16, 16)]
     assert calls["svd"].count((32, 8, 8)) == 1
     assert (32, 16, 16) not in calls["svd"]
+    # the identity image passes its Frobenius screen, with no SVD
+    assert (16, 16) not in calls["svd"]
     # pi's pairs (T*JT - J, T*T) are measured on the first read of bound,
     # and kept for every later read of bound and eta_defect
     calls["eigvalsh"].clear()
@@ -327,6 +331,20 @@ def test_unitarize_measures_each_stack_with_one_eigvalsh(monkeypatch):
     assert calls["eigvalsh"] == [(2, 32, 16, 16)]
     monkeypatch.undo()
     assert calls["skipped"] == []
+
+
+def test_identity_image_is_decided_by_its_spectral_norm():
+    # ||pi(e) - I|| = 0.9 REP_TOL, but its Frobenius norm is twice that: the
+    # screen cannot pass it, and the SVD does
+    sig, j = PontryaginSignature(2, 2), eta_matrix(2, 2)
+    near = (1.0 + 0.9 * REP_TOL) * np.eye(4)
+    assert np.linalg.norm(near - np.eye(4)) > REP_TOL
+    assert Representation(sig, group_table("C2"), [near, j]).group_order == 2
+    with pytest.raises(ValueError) as excinfo:
+        Representation(sig, group_table("C2"),
+                       [(1.0 + 1.1 * REP_TOL) * np.eye(4), j])
+    assert str(excinfo.value) == (
+        "identity element must map to the identity matrix")
 
 
 def _sheared_involution(delta):
