@@ -46,7 +46,7 @@ from .mobius import (
     mobius_batch,
     zero_point,
 )
-from .opcore import adjoint, spectral_norm
+from .opcore import adjoint, frobenius_norm, spectral_norm
 
 GROUP_TOL = 1e-8
 ELLIPTIC_MARGIN = 1e-6
@@ -99,7 +99,7 @@ class AutomorphismGroup:
     elements[i] after elements[j]; without one, the set is a generator set.
     """
 
-    __slots__ = ("_blocks", "_defects", "dim_h", "dim_k", "table")
+    __slots__ = ("_blocks", "dim_h", "dim_k", "table")
 
     def __init__(self, elements, table=None):
         if not elements:
@@ -114,24 +114,19 @@ class AutomorphismGroup:
                                  f"{len(elements)} elements")
             _validate_table(table)
             table.setflags(write=False)
-        self._hold(np.stack([t.block for t in elements]),
-                   np.array([t.defect for t in elements]), p, q, table)
+        self._hold(np.stack([t.block for t in elements]), p, q, table)
 
-    def _hold(self, blocks, defects, dim_h, dim_k, table):
+    def _hold(self, blocks, dim_h, dim_k, table):
         """Set the slots from a normalized stack; nothing is checked."""
         blocks.setflags(write=False)
-        self._blocks = blocks
-        self._defects = defects
-        self.dim_h = dim_h
-        self.dim_k = dim_k
+        self._blocks, self.dim_h, self.dim_k = blocks, dim_h, dim_k
         self.table = table
         return self
 
     @property
     def elements(self) -> tuple:
         return tuple(object.__new__(BallAutomorphism)._set(
-            block, self.dim_h, self.dim_k, float(defect))
-            for block, defect in zip(self._blocks, self._defects))
+            block, self.dim_h, self.dim_k) for block in self._blocks)
 
     def __len__(self):
         return len(self._blocks)
@@ -143,16 +138,15 @@ class AutomorphismGroup:
 
 def _block_distance(prods: np.ndarray, elems: np.ndarray) -> np.ndarray:
     """The relative phase-aligned distance ||P - cE||_F / (||P||_F ||E||_F)
-    from each flattened block P of one stack to each block E of another,
-    with c = <E, P> / |<E, P>| (1 where <E, P> = 0), the unimodular scalar
-    that brings E nearest to P: a normalized block is defined only up to
-    such a scalar."""
-    inner = prods @ adjoint(elems)
+    from each block P of one stack to each block E of another, with
+    c = <E, P> / |<E, P>| (1 where <E, P> = 0), the unimodular scalar that
+    brings E nearest to P: a normalized block is defined only up to such a
+    scalar."""
+    inner = prods.reshape(len(prods), -1) @ adjoint(elems.reshape(len(elems), -1))
     size = abs(inner)
     phase = np.divide(inner, size, out=np.ones_like(inner), where=size > 0)
-    gap = np.linalg.norm(prods[:, None] - phase[..., None] * elems, axis=2)
-    return gap / np.outer(np.linalg.norm(prods, axis=1),
-                          np.linalg.norm(elems, axis=1))
+    gap = frobenius_norm(prods[:, None] - phase[..., None, None] * elems)
+    return gap / np.outer(frobenius_norm(prods), frobenius_norm(elems))
 
 
 def group_closure(generators: Sequence[BallAutomorphism]) -> AutomorphismGroup:
@@ -181,9 +175,7 @@ def group_closure(generators: Sequence[BallAutomorphism]) -> AutomorphismGroup:
     p, q = gens.dim_h, gens.dim_k
     width = (p + q) ** 2
 
-    # the elements' blocks, flattened, and their defects
-    blocks = np.empty((0, width), dtype=np.complex128)
-    defects = np.empty(0)
+    blocks = np.empty((0, p + q, p + q), dtype=np.complex128)
 
     def chunks(at: int, stop: int):
         """Slices of the products [at, stop); the distances from a chunk's
@@ -196,11 +188,10 @@ def group_closure(generators: Sequence[BallAutomorphism]) -> AutomorphismGroup:
             yield slice(at, min(at + rows, stop))
             at += rows
 
-    def settle(cand: np.ndarray, cand_defects: np.ndarray) -> np.ndarray:
+    def settle(cand: np.ndarray) -> np.ndarray:
         """The index of the element each normalized block of a stack is;
         one that matches no earlier one is appended."""
-        nonlocal blocks, defects
-        cand = cand.reshape(len(cand), width)
+        nonlocal blocks
         found = len(blocks)
         gap = _block_distance(cand, np.concatenate([blocks, cand]))
         known, own = gap[:, :found], gap[:, found:]
@@ -222,33 +213,29 @@ def group_closure(generators: Sequence[BallAutomorphism]) -> AutomorphismGroup:
             closer = later[:, col] < best
             best[closer], index[closer] = later[closer, col], index[k]
         blocks = np.concatenate([blocks, cand[fresh]])
-        defects = np.concatenate([defects, cand_defects[fresh]])
         return index
 
     # the seeds are the identity, then each generator and its inverse; the
     # generators' blocks are normalized already, and the identity and the
     # inverses are normalized and checked in one stack
-    firsts, first_defects = _automorphism_stack(
+    seeds = np.empty((2 * len(gens) + 1, p + q, p + q), dtype=np.complex128)
+    seeds[::2] = _automorphism_stack(
         np.concatenate([np.eye(p + q)[None], np.linalg.inv(gens._blocks)]),
         p, q, AUT_TOL)
-    seeds = np.empty((2 * len(gens) + 1, p + q, p + q), dtype=np.complex128)
-    seed_defects = np.empty(len(seeds))
-    seeds[::2], seeds[1::2] = firsts, gens._blocks
-    seed_defects[::2], seed_defects[1::2] = first_defects, gens._defects
+    seeds[1::2] = gens._blocks
     for part in chunks(0, len(seeds)):
-        settle(seeds[part], seed_defects[part])
+        settle(seeds[part])
 
     # element 0 is the identity and the other distinct seeds are the steps;
     # a layer finds by_step[i, k], the element i s_k, for i in [start, known)
-    steps = blocks[1:].reshape(-1, p + q, p + q)
+    steps = blocks[1:]
     by_step = [np.empty(0, dtype=int)]
     start, known = 0, len(blocks)
     while start < known:
-        stack = blocks.reshape(-1, p + q, p + q)
         for part in chunks(start * len(steps), known * len(steps)):
             i, k = np.divmod(np.arange(part.start, part.stop), len(steps))
             try:
-                prods = _automorphism_stack(stack[i] @ steps[k], p, q, AUT_TOL)
+                prods = _automorphism_stack(blocks[i] @ steps[k], p, q, AUT_TOL)
             except NotEtaPreserving as exc:
                 # products of an elliptic finite set never saturate double
                 # precision; losing eta mid-closure means unbounded growth
@@ -256,7 +243,7 @@ def group_closure(generators: Sequence[BallAutomorphism]) -> AutomorphismGroup:
                     MAX_ELEMENTS,
                     "composition chain saturated floating point; group "
                     "closure does not terminate") from exc
-            by_step.append(settle(*prods))
+            by_step.append(settle(prods))
         start, known = known, len(blocks)
 
     n = len(blocks)
@@ -273,8 +260,7 @@ def group_closure(generators: Sequence[BallAutomorphism]) -> AutomorphismGroup:
     for j in range(1, n):
         table[:, j] = by_step[table[:, parent[j]], step[j]]
     table.setflags(write=False)
-    return object.__new__(AutomorphismGroup)._hold(
-        blocks.reshape(n, p + q, p + q), defects, p, q, table)
+    return object.__new__(AutomorphismGroup)._hold(blocks, p, q, table)
 
 
 def is_elliptic(group: AutomorphismGroup, x0: BallPoint):

@@ -23,7 +23,7 @@ from .errors import (
     SingularDenominator,
     SingularResolvent,
 )
-from .opcore import adjoint, as_matrix
+from .opcore import adjoint, as_matrix, frobenius_norm
 
 BOUNDARY_TOL = 1e-8
 AUT_TOL = 1e-8
@@ -182,26 +182,27 @@ class BallAutomorphism:
 
     The block is rescaled at construction by the positive scalar that best
     fits ``T*JT`` to ``J`` (Frobenius Rayleigh estimate), so tolerance
-    checks stay meaningful along long composition chains.
+    checks stay meaningful along long composition chains (``_eta_checked``).
+    ``defect`` is measured only when read.
     """
 
-    __slots__ = ("block", "dim_h", "dim_k", "defect")
+    __slots__ = ("block", "dim_h", "dim_k")
 
     def __init__(self, block, dim_h: int, dim_k: int):
         t = as_matrix(block, name="automorphism block")
         n = dim_h + dim_k
         if t.shape != (n, n):
             raise ValueError(f"block must be {n}x{n}, got {t.shape}")
-        t, defect = _eta_checked(t, dim_h, dim_k, AUT_TOL)
-        t.setflags(write=False)
-        self._set(t, dim_h, dim_k, float(defect))
+        self._set(_eta_checked(t, dim_h, dim_k, AUT_TOL), dim_h, dim_k)
 
-    def _set(self, block, dim_h, dim_k, defect):
-        self.block = block
-        self.dim_h = dim_h
-        self.dim_k = dim_k
-        self.defect = defect
+    def _set(self, block, dim_h, dim_k):
+        self.block, self.dim_h, self.dim_k = block, dim_h, dim_k
         return self
+
+    @property
+    def defect(self) -> float:
+        """||T*JT - J|| of the normalized block, from one eigvalsh."""
+        return eta_defect(self.block, self.dim_h, self.dim_k)
 
     @classmethod
     def identity(cls, dim_h: int, dim_k: int) -> "BallAutomorphism":
@@ -244,42 +245,58 @@ def _eta_spectra(gap: np.ndarray, t=None):
 
 
 def _eta_checked(t: np.ndarray, dim_h: int, dim_k: int, aut_tol):
-    """T over the scalar s > 0 that best fits T*JT to J, s = tr(J T*JT) / dim
-    (Frobenius Rayleigh estimate), for a matrix or a stack, checked by
-    ``||T*JT/s - J|| <= aut_tol max(1, ||T||^2/s)``, since forming T*JT
-    loses ||T||^2 eps."""
-    j = eta_matrix(dim_h, dim_k)
-    form = adjoint(t) @ j @ t
-    scale = np.trace(j @ form, axis1=-2, axis2=-1).real / (dim_h + dim_k)
-    if np.any(scale <= 0.0):
+    """T over the scalar s > 0 that best fits T*JT to J, s = tr(J T*JT) / n
+    (Frobenius Rayleigh estimate), read-only, for a matrix or a stack,
+    checked by ``||T*JT/s - J|| <= aut_tol max(1, ||T||^2/s)``, since
+    forming T*JT loses ||T||^2 eps; ``aut_tol`` may hold one value per
+    matrix.
+
+    A Frobenius screen, ``||T*JT/s - J||_F <= aut_tol max(1, ||T||_F^2/(n s))``,
+    passes a block first: its left side bounds the defect from above and
+    ``||T||_F^2 / n`` bounds ``||T||^2`` from below.  Only the blocks it
+    cannot pass take ``_eta_spectra``; the failure furthest over its
+    allowance, the first of equals, is raised.  J enters as its signs."""
+    n = dim_h + dim_k
+    sign = np.ones(n)
+    sign[dim_h:] = -1.0
+    form = adjoint(t) @ (sign[:, None] * t)
+    scale = (form.diagonal(0, -2, -1) * sign).sum(-1).real / n
+    if (scale <= 0.0).any():
         raise NotEtaPreserving("T*JT has non-positive alignment with J")
-    defect, gram = _eta_spectra(form / scale[..., None, None] - j, t)
-    allowed = aut_tol * np.maximum(1.0, gram[..., -1] / scale)
-    if np.any(defect > allowed):
-        k = int(np.argmax(np.ravel(defect / allowed)))
-        raise NotEtaPreserving(
-            f"||T*JT - J|| = {float(np.ravel(defect)[k]):.3e} > "
-            f"{float(np.ravel(allowed)[k])!r}")
-    return t / np.sqrt(scale)[..., None, None], defect
+    gap = form / scale[..., None, None] - np.diag(sign)
+    unsure = ~(frobenius_norm(gap) <= aut_tol * np.maximum(
+        1.0, frobenius_norm(t) ** 2 / (n * scale)))
+    if unsure.any():
+        tol = np.broadcast_to(aut_tol, unsure.shape)[unsure]
+        defect, gram = _eta_spectra(gap[unsure], t[unsure])
+        allowed = tol * np.maximum(1.0, gram[:, -1] / scale[unsure])
+        if (defect > allowed).any():
+            k = int(np.argmax(defect / allowed))
+            raise NotEtaPreserving(
+                f"||T*JT - J|| = {float(defect[k]):.3e} > {float(allowed[k])!r}")
+    t = t / np.sqrt(scale)[..., None, None]
+    t.setflags(write=False)
+    return t
 
 
 def _automorphism_stack(blocks: np.ndarray, dim_h: int, dim_k: int, aut_tol):
     """A stack of blocks normalized and checked as the ``BallAutomorphism``
-    constructor does, with one batched eigvalsh: ``(stack, defects)``, the
-    stack read-only."""
+    constructor does (``_eta_checked``), read-only."""
     t = np.asarray(blocks, dtype=np.complex128)
-    if not np.all(np.isfinite(t)):
+    if not np.isfinite(t).all():
         raise ValueError("automorphism block contains non-finite entries")
-    t, defects = _eta_checked(t, dim_h, dim_k, aut_tol)
-    t.setflags(write=False)
-    return t, defects
+    return _eta_checked(t, dim_h, dim_k, aut_tol)
 
 
 def _mobius_block(a: np.ndarray) -> np.ndarray:
-    """The block of T_A before normalization:
+    """The block of T_A before normalization, for a matrix or a stack:
     [[(1-AA*)^{-1/2}, (1-AA*)^{-1/2} A], [(1-A*A)^{-1/2} A*, (1-A*A)^{-1/2}]]."""
     left, right = defect_roots(a, -0.5, -0.5)
-    return np.block([[left, left @ a], [right @ adjoint(a), right]])
+    p, q = a.shape[-2:]
+    block = np.empty(a.shape[:-2] + (p + q, p + q), np.result_type(left, a))
+    block[..., :p, :p], block[..., :p, p:] = left, left @ a
+    block[..., p:, :p], block[..., p:, p:] = right @ adjoint(a), right
+    return block
 
 
 def mobius_as_block(a: BallPoint) -> BallAutomorphism:

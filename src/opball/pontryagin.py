@@ -43,7 +43,7 @@ from .mobius import (
     eta_defect,
     eta_matrix,
 )
-from .opcore import adjoint, as_matrix, spectral_norm
+from .opcore import adjoint, as_matrix, frobenius_norm, spectral_norm
 from .sampling import random_eta_preserving, random_unitary, rng_from
 
 REP_TOL = 1e-8
@@ -101,14 +101,6 @@ def max_unitarity_defect(images) -> float:
     return float(np.maximum(gram[..., -1] - 1.0, 1.0 - gram[..., 0]).max())
 
 
-def _frobenius(stack: np.ndarray) -> np.ndarray:
-    """The Frobenius norm of each matrix of a C-contiguous complex stack,
-    from one einsum over its float64 view; it bounds the spectral norm from
-    above, and over sqrt(dim) from below."""
-    flat = stack.view(np.float64).reshape(len(stack), -1)
-    return np.sqrt(np.einsum("ij,ij->i", flat, flat))
-
-
 def graph_subspace(sig: PontryaginSignature, a: BallPoint) -> np.ndarray:
     """Column basis [A; I] of L(A) = {Ax (+) x}, a maximal negative
     subspace."""
@@ -156,10 +148,8 @@ def induced_automorphism(sig: PontryaginSignature, t) -> BallAutomorphism:
     if not ok:
         raise NotEtaPreserving(f"||T*JT - J|| = {defect:.3e} > {REP_TOL!r}")
     p, q = sig.n_plus, sig.n_minus
-    block, defects = _automorphism_stack(np.asarray(t)[None], p, q,
-                                         max(REP_TOL, 10 * defect))
-    return object.__new__(BallAutomorphism)._set(block[0], p, q,
-                                                 float(defects[0]))
+    block = _automorphism_stack(t, p, q, max(REP_TOL, 10 * defect))
+    return object.__new__(BallAutomorphism)._set(block, p, q)
 
 
 def unitarizer_matrix(sig: PontryaginSignature, d: BallPoint) -> np.ndarray:
@@ -317,7 +307,7 @@ def _check_homomorphism(table: np.ndarray, stack: np.ndarray, norms):
         np.take(stack, column, axis=0, out=target, mode="clip")
         np.subtract(target, diff, out=diff)
         np.einsum("ij,ij->i", flat, flat, out=frobenius_sq[:, h])
-    low = _frobenius(stack) / np.sqrt(dim)
+    low = frobenius_norm(stack) / np.sqrt(dim)
     # rounding in either norm cannot carry a difference across the factor 2,
     # so neither screen decides a pair the SVD would not; they compare roots,
     # since the squared tolerance would overflow once ||pi(g)|| ||pi(h)||
@@ -407,10 +397,8 @@ class Representation:
         table.setflags(write=False)
         dim = signature.dim
         stack = _image_stack(list(images), len(table), dim)
-        # the Frobenius norm bounds the spectral norm from above, so the SVD
-        # is taken only when it cannot decide
         gap = stack[ident] - np.eye(dim)
-        if np.linalg.norm(gap) > REP_TOL and spectral_norm(gap) > REP_TOL:
+        if frobenius_norm(gap) > REP_TOL and spectral_norm(gap) > REP_TOL:
             raise ValueError("identity element must map to the identity matrix")
         self._hold(signature, table, ident, stack)
         _check_homomorphism(table, stack,
@@ -516,9 +504,8 @@ def _require_eta_preserving(rep: Representation):
     spectra are taken only when the Frobenius norm of some pi(g)* J pi(g) - J,
     an upper bound of its spectral norm, exceeds ``REP_TOL``."""
     j = rep.signature.j
-    if _frobenius(adjoint(rep._stack) @ j @ rep._stack - j).max() <= REP_TOL:
-        return
-    if rep.eta_defect > REP_TOL:
+    gap = frobenius_norm(adjoint(rep._stack) @ j @ rep._stack - j).max()
+    if gap > REP_TOL and rep.eta_defect > REP_TOL:
         raise NotEtaPreserving(
             f"representation eta-defect {rep.eta_defect:.3e} > {REP_TOL!r}")
 

@@ -6,9 +6,13 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from oracles import spectral_eta_rule
+
 import opball.fixedpoint as fixedpoint
+import opball.mobius as mobius
 from opball.errors import (
     ClosureExceeded,
+    NotEtaPreserving,
     PreconditionUnmet,
 )
 from opball.fixedpoint import (
@@ -32,6 +36,7 @@ from opball.mobius import (
     BallPoint,
     automorphism_apply,
     automorphism_compose,
+    eta_defect,
     mobius_as_block,
     zero_point,
 )
@@ -159,25 +164,23 @@ def test_closure_table_matches_the_block_products(generators):
     # the table is gathered from the steps' permutations, with no floating
     # point; T_i T_j must still be the element table[i, j]
     group = group_closure(generators())
-    n = len(group)
-    blocks = group._blocks.reshape(n, -1)
-    for i in range(n):
-        prods = (group._blocks[i] @ group._blocks).reshape(n, -1)
-        gap = _block_distance(prods, blocks[group.table[i]])
+    for i in range(len(group)):
+        gap = _block_distance(group._blocks[i] @ group._blocks,
+                              group._blocks[group.table[i]])
         assert np.diag(gap).max() <= GROUP_TOL
 
 
 def test_block_distance_aligns_the_phase():
     rng = rng_from(21)
     blocks = np.stack([random_eta_preserving(rng, 2, 1, 5.0)
-                       for _ in range(3)]).reshape(3, 9)
-    phased = blocks * np.exp(1j * np.array([0.3, -2.0, np.pi]))[:, None]
+                       for _ in range(3)])
+    phased = blocks * np.exp(1j * np.array([0.3, -2.0, np.pi]))[:, None, None]
     gap = _block_distance(phased, blocks)
     assert np.all(np.diag(gap) < 1e-15)
     assert np.all(gap[~np.eye(3, dtype=bool)] > 1e-3)
     # <E, P> = 0 takes the phase 1, without a warning
-    e = np.eye(3).reshape(1, 9)
-    p = np.diag([1.0, -1.0, 0.0]).reshape(1, 9)
+    e = np.eye(3)[None]
+    p = np.diag([1.0, -1.0, 0.0])[None]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         gap = _block_distance(p, e)
@@ -239,6 +242,88 @@ def test_conditioned_two_generator_closures():
         assert [two_generator_closure(*case, cond) for case in cases] == orders
 
 
+SATURATED = ("composition chain saturated floating point; group closure "
+             "does not terminate")
+NO_PERMUTATION = ("the closure steps do not permute the elements found; "
+                  "they form no group")
+# the two-generator grid closed at cond 1e3 and 1e4: the order of each
+# case, or "s" where the chain saturates
+TWO_GENERATOR_OUTCOMES = {1e3: "444424662622241441324436",
+                          1e4: "444sss66s62sss14s1s2s43s"}
+
+
+def _count_eigvalsh(monkeypatch):
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return eigvalsh(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    return calls
+
+
+def test_closing_exact_generators_takes_no_spectra(monkeypatch):
+    rep = make_test_representation("C8", PontryaginSignature(2, 2), 100.0,
+                                   seed=0)
+    calls = _count_eigvalsh(monkeypatch)
+    generators = [BallAutomorphism(m, 2, 2) for m in rep.images]
+    group = group_closure(generators)
+    views = group.elements
+    assert len(group) == 8
+    assert calls == []
+    # the defect is taken when it is read, with one eigvalsh
+    defect = views[3].defect
+    assert len(calls) == 1
+    assert defect <= 1e-10
+
+
+def test_screened_eta_check_decides_the_grid_as_the_spectral_rule(monkeypatch):
+    decided = []
+    checked = mobius._eta_checked
+
+    def both(t, p, q, aut_tol):
+        want = spectral_eta_rule(t, p, q, aut_tol)[0]
+        try:
+            got = checked(t, p, q, aut_tol)
+        except NotEtaPreserving as exc:
+            assert str(exc) == want
+            decided.append(False)
+            raise
+        assert got.tobytes() == want.tobytes()
+        decided.append(True)
+        return got
+
+    monkeypatch.setattr(mobius, "_eta_checked", both)
+    families = (("C4", (2, 1)), ("S3", (4, 2)), ("Q8", (5, 2)),
+                ("C12", (6, 3)))
+    cases = [(name, sig, seed) for name, sig in families for seed in range(6)]
+    for cond, outcomes in TWO_GENERATOR_OUTCOMES.items():
+        orders = [two_generator_closure(*case, cond) for case in cases]
+        assert "".join("s" if str(order) == SATURATED else str(order)
+                       for order in orders) == outcomes
+    assert True in decided and False in decided
+
+
+def test_hyperbolic_generators_fail_as_the_spectral_check_did():
+    # hyperbolic_block(s), s = 0.25, 0.5, ..., 19.75: "p" where the steps
+    # do not permute the elements found, "s" where the chain saturates, and
+    # "c" where cosh s and sinh s round so close that the constructor
+    # finds no positive scale
+    kinds = {"p": (ClosureExceeded, NO_PERMUTATION),
+             "s": (ClosureExceeded, SATURATED),
+             "c": (NotEtaPreserving, "T*JT has non-positive alignment with J")}
+    seen = ""
+    for k in range(1, 80):
+        with pytest.raises((ClosureExceeded, NotEtaPreserving)) as exc:
+            group_closure([hyperbolic_block(0.25 * k)])
+        seen += next(kind for kind, (error, message) in kinds.items()
+                     if exc.type is error and str(exc.value) == message)
+    assert seen == "pps" + "p" + "s" * 70 + "cs" + "c" * 3
+    assert (seen.count("s"), seen.count("p"), seen.count("c")) == (72, 3, 4)
+
+
 def test_closure_takes_one_stacked_probe_per_layer(monkeypatch):
     calls = {"stack": 0, "distance": 0, "blocks": 0}
 
@@ -294,9 +379,10 @@ def test_closure_builds_no_automorphism_after_its_generators(monkeypatch):
         assert not group.table.flags.writeable
         views = group.elements
         assert isinstance(views, tuple) and len(views) == len(group)
-        for view, block, defect in zip(views, group._blocks, group._defects):
+        for view, block in zip(views, group._blocks):
             assert view.block.tobytes() == block.tobytes()
-            assert view.defect == defect
+            # the defect is measured on the block when read
+            assert view.defect == eta_defect(block, group.dim_h, group.dim_k)
             assert (view.dim_h, view.dim_k) == (group.dim_h, group.dim_k)
             assert not view.block.flags.writeable
 

@@ -413,7 +413,7 @@ def test_checked_paths_take_stacks_and_name_the_first_offender():
     t = BallAutomorphism(random_eta_preserving(rng, 3, 2, 5.0), 3, 2)
     for x, image in zip(xs, _frac_checked(t.block, xs)):
         assert spectral_norm(image - automorphism_apply(t, BallPoint(x)).matrix) <= 1e-13
-    broken = _automorphism_stack(np.diag([1.0, 0.0])[None], 1, 1, 10.0)[0][0]
+    broken = _automorphism_stack(np.diag([1.0, 0.0])[None], 1, 1, 10.0)[0]
     probes = np.array([[[0.5]], [[0.0]]])
     with pytest.raises(SingularDenominator, match="at stack index 0$"):
         _frac_checked(broken, probes)

@@ -2,15 +2,20 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from oracles import psd_apply
+from oracles import psd_apply, spectral_eta_rule
 
+import opball.mobius as mobius
 from opball.errors import BoundaryProximity, NotEtaPreserving
 from opball.mobius import (
     BallAutomorphism,
     BallPoint,
     _automorphism_stack,
+    _eta_checked,
+    _mobius_block,
     automorphism_apply,
     automorphism_compose,
+    defect_roots,
+    eta_defect,
     eta_matrix,
     mobius_apply,
     mobius_as_block,
@@ -19,6 +24,7 @@ from opball.mobius import (
 )
 from opball.opcore import adjoint, spectral_norm
 from opball.sampling import (
+    complex_gaussian,
     random_ball_point,
     random_direction,
     random_eta_preserving,
@@ -151,6 +157,17 @@ def test_block_preserves_eta():
     assert spectral_norm(adjoint(t.block) @ j @ t.block - j) < 1e-10
 
 
+def test_mobius_block_of_a_stack_is_the_block_of_each_point():
+    rng = rng_from(33)
+    points = np.stack([random_ball_point(rng, 3, 2, 0.9).matrix
+                       for _ in range(4)])
+    for a, block in zip(points, _mobius_block(points)):
+        left, right = defect_roots(a, -0.5, -0.5)
+        want = np.block([[left, left @ a], [right @ adjoint(a), right]])
+        assert block.tobytes() == want.tobytes()
+        assert _mobius_block(a).tobytes() == want.tobytes()
+
+
 def test_automorphism_identity_action():
     rng = rng_from(9)
     a = random_ball_point(rng, 2, 2, 0.5)
@@ -235,13 +252,15 @@ def test_automorphism_stack_matches_the_constructor():
     rng = rng_from(31)
     blocks = np.stack([3.0 * random_eta_preserving(rng, 3, 2, c)
                        for c in (1.0, 10.0, 300.0)])
-    stacked, defects = _automorphism_stack(blocks, 3, 2, 1e-8)
-    assert stacked.shape == blocks.shape and defects.shape == (3,)
+    stacked = _automorphism_stack(blocks, 3, 2, 1e-8)
+    assert stacked.shape == blocks.shape
     assert not stacked.flags.writeable
-    for block, row, defect in zip(blocks, stacked, defects):
+    for block, row in zip(blocks, stacked):
         single = BallAutomorphism(block, 3, 2)
         assert_allclose(row, single.block, rtol=1e-13, atol=1e-13)
-        assert abs(defect - single.defect) <= 1e-12
+        # the defect is no slot: it is measured on the block when read
+        assert single.defect == eta_defect(single.block, 3, 2)
+        assert abs(single.defect - eta_defect(row, 3, 2)) <= 1e-12
 
 
 def test_automorphism_stack_checks_each_block():
@@ -251,7 +270,8 @@ def test_automorphism_stack_checks_each_block():
     with pytest.raises(NotEtaPreserving):
         _automorphism_stack(np.stack([good, stretched]), 2, 1, 1e-8)
     # the bound may differ per block
-    defect = _automorphism_stack(stretched[None], 2, 1, 10.0)[1][0]
+    defect = eta_defect(_automorphism_stack(stretched[None], 2, 1, 10.0)[0],
+                        2, 1)
     _automorphism_stack(np.stack([good, stretched]), 2, 1,
                         np.array([1e-8, 2.0 * defect]))
     with pytest.raises(NotEtaPreserving):
@@ -279,7 +299,80 @@ def test_singular_resolvent_on_raw_matrices():
 def test_singular_denominator_flags_broken_block():
     from opball.errors import SingularDenominator
 
-    block, defects = _automorphism_stack(np.diag([1.0, 0.0])[None], 1, 1, 10.0)
-    broken = object.__new__(BallAutomorphism)._set(block[0], 1, 1, defects[0])
+    block = _automorphism_stack(np.diag([1.0, 0.0])[None], 1, 1, 10.0)
+    broken = object.__new__(BallAutomorphism)._set(block[0], 1, 1)
     with pytest.raises(SingularDenominator):
         automorphism_apply(broken, BallPoint([[0.0]]))
+
+
+# The Frobenius screen of ``_eta_checked`` against the spectral rule it
+# stands in front of.  A block whose defect lies within rounding of its
+# allowance may be decided either way by two evaluations of that rule (the
+# screen and the reference form T*JT by different products), so blocks
+# within a relative 1e-9 of their allowance are left out.
+SCREEN_SPLITS = [(1, 1), (2, 1), (1, 2), (3, 2), (4, 4), (8, 4)]
+SCREEN_EDGE = 1e-9
+
+
+def _straddling_blocks(rng, p, q):
+    """Blocks c (T + E) with T eta-preserving at conditioning 1 to 1e5, c a
+    random complex scalar and ||E||_F from 1e-15 to 1e-3 of ||T||_F, each
+    with its own tolerance within a factor 30 of that relative size, so
+    that defect / allowance runs from below 1 to above it."""
+    n = p + q
+    blocks, tols = [], []
+    for cond in 10.0 ** np.arange(6):
+        for size in 10.0 ** np.arange(-15, -2):
+            t = random_eta_preserving(rng, p, q, float(cond))
+            e = complex_gaussian(rng, n, n)
+            e *= size * np.linalg.norm(t) / np.linalg.norm(e)
+            c = 10.0 ** rng.uniform(-2, 2) * np.exp(2j * np.pi * rng.random())
+            blocks.append(c * (t + e))
+            tols.append(size * 10.0 ** rng.uniform(-1.0, 1.5))
+    return np.stack(blocks), np.array(tols)
+
+
+def _decides_as_the_rule(t, p, q, aut_tol):
+    """Whether ``_eta_checked`` passes ``t``, after checking that it
+    decides as the spectral rule, with the same bits or the same text."""
+    want, _ = spectral_eta_rule(t, p, q, aut_tol)
+    try:
+        got = _eta_checked(t, p, q, aut_tol)
+    except NotEtaPreserving as exc:
+        assert str(exc) == want
+        return False
+    assert got.tobytes() == want.tobytes()
+    return True
+
+
+@pytest.mark.parametrize("p, q", SCREEN_SPLITS)
+def test_eta_screen_decides_as_the_spectral_rule(monkeypatch, p, q):
+    spectra = []
+    measured = mobius._eta_spectra
+
+    def counted(*args):
+        spectra.append(len(args[0]))
+        return measured(*args)
+
+    monkeypatch.setattr(mobius, "_eta_spectra", counted)
+    blocks, tols = _straddling_blocks(rng_from(40 + 10 * p + q), p, q)
+    # defect / allowance per block; inf where the scale is not positive
+    ratios = np.array([np.inf if r is None else r[0] for r in (
+        spectral_eta_rule(t, p, q, tol)[1] for t, tol in zip(blocks, tols))])
+    clear = np.abs(ratios - 1.0) > SCREEN_EDGE
+    blocks, tols, ratios = blocks[clear], tols[clear], ratios[clear]
+    # one block at a time: the screen passes some without spectra, and
+    # hands the rest to the rule
+    outcomes = []
+    for t, tol in zip(blocks, tols):
+        spectra.clear()
+        outcomes.append((_decides_as_the_rule(t, p, q, tol), bool(spectra)))
+    assert (True, False) in outcomes and (False, True) in outcomes
+    assert [passed for passed, _ in outcomes] == list(ratios <= 1.0)
+    # stacks of six with a tolerance per block: the failure furthest over
+    # its allowance is raised, and a stack that passes is normalized
+    # exactly as its blocks are alone
+    for at in range(0, len(blocks) - 5, 6):
+        part = slice(at, at + 6)
+        assert _decides_as_the_rule(blocks[part], p, q, tols[part]) == bool(
+            np.all(ratios[part] <= 1.0))

@@ -498,10 +498,10 @@ def _automorphisms(rep):
     each checked at the allowance ``induced_automorphism`` uses."""
     sig = rep.signature
     defects = eta_defect(rep._stack, sig.n_plus, sig.n_minus)
-    blocks, checked = _automorphism_stack(rep._stack, sig.n_plus, sig.n_minus,
-                                          np.maximum(REP_TOL, 10 * defects))
+    blocks = _automorphism_stack(rep._stack, sig.n_plus, sig.n_minus,
+                                 np.maximum(REP_TOL, 10 * defects))
     return object.__new__(AutomorphismGroup)._hold(
-        blocks, checked, sig.n_plus, sig.n_minus, rep.table)
+        blocks, sig.n_plus, sig.n_minus, rep.table)
 
 
 def _solved(rep, group, x0=None):
