@@ -29,6 +29,7 @@ import numpy as np
 
 from .errors import (
     ClosureExceeded,
+    FixedPointFailed,
     NotEtaPreserving,
     PreconditionUnmet,
 )
@@ -272,19 +273,25 @@ def is_elliptic(group: AutomorphismGroup, x0: BallPoint):
 
 
 def _chart(blocks: np.ndarray, x: np.ndarray):
-    """A stack of blocks T in the chart at X: ``(U, tau, tau22^{-1}, C, f)``
+    """A stack of blocks T in the chart at X: ``(U, tau, tau22^{-1}, C)``
     with U = ``_mobius_block(-X)``, tau = U T U^{-1}, which acts as
-    M_{-X} w_T M_X, the corners C = tau12 tau22^{-1} = M_{-X}(w_T(X)) and
-    f(X) = max_g rho(X, w_g(X)) = max atanh ||C|| (inf where a corner
-    reaches the sphere), since M_{-X} is an isometry taking X to 0.  A
-    block's scale cancels in its corner.  The one displacement kernel."""
+    M_{-X} w_T M_X, and the corners C = tau12 tau22^{-1} = M_{-X}(w_T(X)).
+    M_{-X} is an isometry taking X to 0, so rho(X, w_T(X)) = atanh ||C||
+    (``_displacement``); a block's scale cancels in its corner."""
     p = x.shape[-2]
     u = _mobius_block(-x)
     tau = u @ blocks @ np.linalg.inv(u)
     inv22 = np.linalg.inv(tau[:, p:, p:])
-    corner = tau[:, :p, p:] @ inv22
+    return u, tau, inv22, tau[:, :p, p:] @ inv22
+
+
+def _displacement(corner: np.ndarray) -> float:
+    """f(X) = max_g rho(X, w_g(X)) = max atanh ||C_g|| from the chart's
+    corners, inf where a corner reaches the sphere: one batched SVD, taken
+    only where a displacement is reported or a step is judged.  The one
+    displacement kernel."""
     top = float(spectral_norm(corner).max())
-    return u, tau, inv22, corner, math.atanh(top) if top < 1.0 else math.inf
+    return math.atanh(top) if top < 1.0 else math.inf
 
 
 def _newton_step(tau: np.ndarray, inv22: np.ndarray,
@@ -307,9 +314,9 @@ def _newton_step(tau: np.ndarray, inv22: np.ndarray,
 
 
 def displacement(group: AutomorphismGroup, x: BallPoint) -> float:
-    """f(X) = max_g rho(X, w_g(X)), read in the chart at X (``_chart``);
-    zero exactly on common fixed points."""
-    return _chart(group._blocks, x.matrix)[-1]
+    """f(X) = max_g rho(X, w_g(X)), read in the chart at X (``_chart``,
+    ``_displacement``); zero exactly on common fixed points."""
+    return _displacement(_chart(group._blocks, x.matrix)[-1])
 
 
 @dataclass(frozen=True)
@@ -346,27 +353,49 @@ def _check_mode(mode: str):
         raise ValueError(f"unknown mode {mode!r}")
 
 
-def _solve(blocks: np.ndarray, x0: BallPoint, mode: str):
-    """The one solver, on a stack of blocks from ``x0`` (see
-    ``find_fixed_point``): each Newton step moves X to M_X(Y).  Returns the
-    ``FixedPointResult`` and the chart's U and tau at its point."""
-    _check_mode(mode)
+def _solve(blocks: np.ndarray, x0: BallPoint, chart: tuple):
+    """The one solver, on a stack of blocks from ``x0`` and the chart there
+    (see ``find_fixed_point``): each Newton step moves X to M_X(Y).  Returns
+    the ``FixedPointResult`` and the chart's U and tau at its point."""
     x = x0.matrix
-    u, tau, inv22, corner, f = _chart(blocks, x)
+    u, tau, inv22, corner = chart
+    f = _displacement(corner)
     history = [f]
     iterations = 0
     while f > FP_TOL and iterations < MAX_ITER:
         iterations += 1
         moved = mobius_batch(x, _newton_step(tau, inv22, corner))
         chart = _chart(blocks, moved)
-        if not chart[-1] < f:
+        moved_f = _displacement(chart[-1])
+        if not moved_f < f:
             break
-        x = moved
-        u, tau, inv22, corner, f = chart
+        x, f = moved, moved_f
+        u, tau, inv22, corner = chart
         history.append(f)
     point = x0 if x is x0.matrix else BallPoint(x, boundary_tol=0.0)
     return FixedPointResult(point=point, displacement=f, iterations=iterations,
                             converged=f <= FP_TOL, history=history), u, tau
+
+
+def _fixed_chart(blocks: np.ndarray, x0: BallPoint, mode: str):
+    """``(point, U, tau)``: a common fixed point reached from ``x0`` and the
+    chart there, for a caller that reports no displacement.
+
+    A start whose corners pass the Frobenius screen
+    max_g ||C_g||_F <= tanh(``FP_TOL``) is kept, with its U and tau, after 0
+    iterations and with no spectra: ||C_g|| <= ||C_g||_F, so f <= ``FP_TOL``.
+    Any other start goes to ``_solve``, which measures f, and a solve that
+    stops above ``FP_TOL`` raises ``FixedPointFailed``.  ``mode`` is checked
+    as ``find_fixed_point`` checks it."""
+    _check_mode(mode)
+    chart = _chart(blocks, x0.matrix)
+    if frobenius_norm(chart[-1]).max() <= math.tanh(FP_TOL):
+        return x0, chart[0], chart[1]
+    result, u, tau = _solve(blocks, x0, chart)
+    if not result.converged:
+        raise FixedPointFailed(
+            f"solver stalled at displacement {result.displacement:.3e}")
+    return result.point, u, tau
 
 
 def find_fixed_point(group: AutomorphismGroup, x0: Optional[BallPoint] = None,
@@ -375,8 +404,9 @@ def find_fixed_point(group: AutomorphismGroup, x0: Optional[BallPoint] = None,
 
     The default ``x0`` is the averaged point (``_averaged_point``) of a
     group with a table, and 0 for a generator set without one.  The
-    displacement is measured in the chart at ``x0`` (``_chart``): a start
-    point within ``FP_TOL`` is returned as it is, after 0 iterations.
+    displacement is measured in the chart at ``x0`` (``_chart``,
+    ``_displacement``): a start point within ``FP_TOL`` is returned as it
+    is, after 0 iterations.
     Otherwise Newton steps (``_newton_step``) are taken while the
     displacement falls, at most ``MAX_ITER``; a step that does not lower
     it ends the solve with ``converged=False``, as in a group with no
@@ -389,7 +419,8 @@ def find_fixed_point(group: AutomorphismGroup, x0: Optional[BallPoint] = None,
     if x0 is None:
         x0 = (zero_point(group.dim_h, group.dim_k) if group.table is None
               else _averaged_point(group._blocks, group.dim_h, group.dim_k))
-    return _solve(group._blocks, x0, mode)[0]
+    _check_mode(mode)
+    return _solve(group._blocks, x0, _chart(group._blocks, x0.matrix))[0]
 
 
 class EquicontinuityWitness(NamedTuple):

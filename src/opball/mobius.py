@@ -244,6 +244,14 @@ def _eta_spectra(gap: np.ndarray, t=None):
     return np.abs(lam[0]).max(axis=-1), lam[1]
 
 
+def _eta_form(t: np.ndarray, dim_h: int, dim_k: int):
+    """``(T*JT, signs)`` for a matrix or a stack, with J entering as its
+    vector of signs: one product, no dense J."""
+    sign = np.ones(dim_h + dim_k)
+    sign[dim_h:] = -1.0
+    return adjoint(t) @ (sign[:, None] * t), sign
+
+
 def _eta_checked(t: np.ndarray, dim_h: int, dim_k: int, aut_tol):
     """T over the scalar s > 0 that best fits T*JT to J, s = tr(J T*JT) / n
     (Frobenius Rayleigh estimate), read-only, for a matrix or a stack,
@@ -257,9 +265,7 @@ def _eta_checked(t: np.ndarray, dim_h: int, dim_k: int, aut_tol):
     cannot pass take ``_eta_spectra``; the failure furthest over its
     allowance, the first of equals, is raised.  J enters as its signs."""
     n = dim_h + dim_k
-    sign = np.ones(n)
-    sign[dim_h:] = -1.0
-    form = adjoint(t) @ (sign[:, None] * t)
+    form, sign = _eta_form(t, dim_h, dim_k)
     scale = (form.diagonal(0, -2, -1) * sign).sum(-1).real / n
     if (scale <= 0.0).any():
         raise NotEtaPreserving("T*JT has non-positive alignment with J")

@@ -49,14 +49,19 @@ from opball.pontryagin import (
     unitarizer_matrix,
 )
 from opball.sampling import (
+    complex_gaussian,
     random_ball_point,
     random_block_unitary,
     random_eta_preserving,
+    random_unitary,
     rng_from,
 )
 
 SIG21 = PontryaginSignature(2, 1)
 SIG32 = PontryaginSignature(3, 2)
+# |decided value / tolerance - 1| below which rounding may tip a screen
+# and its spectral rule apart; cases that close are left out
+SCREEN_EDGE = 1e-6
 
 
 # --- the form itself -----------------------------------------------------------
@@ -178,6 +183,54 @@ def test_induced_composition_law():
         induced_automorphism(SIG32, t1),
         automorphism_apply(induced_automorphism(SIG32, t2), a))
     assert spectral_norm(w12.matrix - chained.matrix) < 1e-10
+
+
+def _induced_by_the_spectral_rule(sig, t):
+    """``induced_automorphism`` with no screen: ``is_J_unitary``, then the
+    normalized check at max(REP_TOL, 10 defect).  The block, or the text of
+    the ``NotEtaPreserving`` raised."""
+    ok, defect = is_J_unitary(sig, t)
+    if not ok:
+        return f"||T*JT - J|| = {defect:.3e} > {REP_TOL!r}"
+    try:
+        return _automorphism_stack(t, sig.n_plus, sig.n_minus,
+                                   max(REP_TOL, 10 * defect))
+    except NotEtaPreserving as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("cond", [1.0, 10.0, 100.0])
+def test_induced_screen_decides_as_is_J_unitary(monkeypatch, cond):
+    # T + E with ||T*JT - J|| from about 1e-11 to 1e-7: the block is the
+    # spectral rule's bit for bit, or the message is its message, and only
+    # the matrices the screen cannot pass take an eigvalsh
+    spectra = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counted(*args, **kwargs):
+        spectra.append(1)
+        return eigvalsh(*args, **kwargs)
+
+    rng = rng_from(11)
+    outcomes = []
+    for size in np.geomspace(1e-11, 1e-7, 60):
+        t = random_eta_preserving(rng, 3, 2, cond)
+        e = complex_gaussian(rng, 5, 5)
+        t = t + size * e / (np.linalg.norm(e) * np.linalg.norm(t))
+        defect = is_J_unitary(SIG32, t)[1]
+        if abs(defect / REP_TOL - 1.0) <= SCREEN_EDGE:
+            continue
+        want = _induced_by_the_spectral_rule(SIG32, t)
+        monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+        spectra.clear()
+        try:
+            got = induced_automorphism(SIG32, t).block.tobytes()
+        except NotEtaPreserving as exc:
+            got = str(exc)
+        monkeypatch.undo()
+        assert got == (want if isinstance(want, str) else want.tobytes())
+        outcomes.append((defect <= REP_TOL, bool(spectra)))
+    assert {(True, False), (True, True), (False, True)} <= set(outcomes)
 
 
 # --- the unitarizer ---------------------------------------------------------------
@@ -450,9 +503,9 @@ def test_dual_pair_reuses_the_stored_unitarization(monkeypatch):
 
     def counted(*args):
         calls.append(args)
-        return fixedpoint._solve(*args)
+        return fixedpoint._fixed_chart(*args)
 
-    monkeypatch.setattr(pontryagin, "_solve", counted)
+    monkeypatch.setattr(pontryagin, "_fixed_chart", counted)
     pair = dual_pair(rep)
     assert calls == []
     monkeypatch.undo()
@@ -521,7 +574,8 @@ def test_chart_certificate_is_the_descent_start(group, n_plus, n_minus, cond):
     start = averaged_fixed_point(rep)
     # the solve on pi's stack takes 0 steps from the averaged point, which
     # unitarize keeps bit for bit
-    chart = fixedpoint._chart(rep._stack, start.matrix)[-1]
+    chart = fixedpoint._displacement(fixedpoint._chart(rep._stack,
+                                                       start.matrix)[-1])
     assert chart <= FP_TOL
     res = unitarize(rep)
     assert res.fixed_point.matrix.tobytes() == start.matrix.tobytes()
@@ -566,6 +620,131 @@ def test_eta_check_implies_the_normalized_check():
         assert rep.eta_defect <= REP_TOL
         _automorphisms(rep)
     unitarize(edge)
+
+
+# (group, p, q, starts): the corners' ratio ||C||_F / ||C|| is about 1.05
+# on S3 and 1.25 on C32, so the starts are spaced to fall in that band
+@pytest.mark.parametrize("group, n_plus, n_minus, starts",
+                         [("S3", 4, 2, 100), ("C32", 8, 8, 40)])
+def test_start_screen_decides_as_the_spectral_rule(monkeypatch, group, n_plus,
+                                                   n_minus, starts):
+    # starts D + s E around the averaged point, E an isometry and f from
+    # about 5e-11 to 1e-8: each gives what the solver gives from the same
+    # chart, bit for bit, and only the starts the Frobenius screen cannot
+    # pass are measured
+    rep = make_test_representation(group, PontryaginSignature(n_plus, n_minus),
+                                   conditioning=20.0, seed=1)
+    exact = averaged_fixed_point(rep).matrix
+    nudge = random_unitary(rng_from(7), n_plus)[:, :n_minus]
+    measure = fixedpoint._displacement
+    spectra = []
+
+    def counted(corner):
+        spectra.append(len(corner))
+        return measure(corner)
+
+    outcomes = []
+    for size in np.geomspace(1e-11, 1e-9, starts):
+        start = BallPoint(exact + size * nudge, boundary_tol=0.0)
+        chart = fixedpoint._chart(rep._stack, start.matrix)
+        f = measure(chart[-1])
+        if abs(f / FP_TOL - 1.0) <= SCREEN_EDGE:
+            continue
+        want, want_u, want_tau = fixedpoint._solve(rep._stack, start, chart)
+        monkeypatch.setattr(fixedpoint, "_displacement", counted)
+        spectra.clear()
+        try:
+            point, u, tau = fixedpoint._fixed_chart(rep._stack, start,
+                                                    "midpoint-descent")
+        except FixedPointFailed as exc:
+            assert not want.converged
+            assert str(exc) == ("solver stalled at displacement "
+                                f"{want.displacement:.3e}")
+        else:
+            assert want.converged
+            assert point.matrix.tobytes() == want.point.matrix.tobytes()
+            assert u.tobytes() == want_u.tobytes()
+            assert tau.tobytes() == want_tau.tobytes()
+        monkeypatch.undo()
+        # a start passed without spectra is fixed within FP_TOL
+        assert spectra or f <= FP_TOL
+        outcomes.append((f <= FP_TOL, bool(spectra)))
+    # the screen passes some starts, hands others within FP_TOL to the
+    # solver, which keeps them after 0 steps, and the rest are solved
+    assert {(True, False), (True, True), (False, True)} <= set(outcomes)
+
+
+@pytest.mark.parametrize("p, q", [(2, 1), (4, 2), (8, 8)])
+def test_unitarity_screen_decides_as_the_spectral_rule(monkeypatch, p, q):
+    # tau + E with tau a block unitary and ||E||_F from 1e-9 to 1e-6, so
+    # that the defect straddles UNIT_TOL: the screen passes some stacks with
+    # no spectra, and every decision and message is the spectral rule's
+    spectra = []
+    measure = pontryagin.max_unitarity_defect
+
+    def counted(images):
+        spectra.append(len(images))
+        return measure(images)
+
+    monkeypatch.setattr(pontryagin, "max_unitarity_defect", counted)
+    rng = rng_from(60 + 10 * p + q)
+    mats, defects = [], []
+    for size in np.geomspace(1e-9, 1e-6, 60):
+        e = complex_gaussian(rng, p + q, p + q)
+        m = random_block_unitary(rng, p, q) + size * e / np.linalg.norm(e)
+        defect = measure(m[None])
+        if abs(defect / UNIT_TOL - 1.0) > SCREEN_EDGE:
+            mats.append(m)
+            defects.append(defect)
+    mats, defects = np.stack(mats), np.array(defects)
+
+    def decided(stack, defect):
+        spectra.clear()
+        try:
+            bound = pontryagin._require_unitary(
+                stack, pontryagin._unitarity_screen(stack))
+        except FixedPointFailed as exc:
+            assert str(exc) == f"unitarity defect {defect:.3e} > {UNIT_TOL!r}"
+            return False, bool(spectra)
+        assert defect <= bound <= UNIT_TOL
+        assert spectra or bound == pontryagin._unitarity_screen(stack)
+        return True, bool(spectra)
+
+    outcomes = [decided(m[None], d) for m, d in zip(mats, defects)]
+    assert [passed for passed, _ in outcomes] == list(defects <= UNIT_TOL)
+    assert {(True, False), (True, True), (False, True)} <= set(outcomes)
+    # stacks of five: one over UNIT_TOL fails the stack, quoting the worst
+    for at in range(0, len(mats) - 4, 5):
+        part = slice(at, at + 5)
+        assert decided(mats[part], defects[part].max())[0] == bool(
+            np.all(defects[part] <= UNIT_TOL))
+
+
+def test_a_unitarization_past_its_screen_keeps_the_measured_defect(monkeypatch):
+    # with UNIT_TOL between tau's defect and its Frobenius bound, the first
+    # call measures the defect and keeps it; a later call reuses it, with
+    # no spectra
+    rep = make_test_representation("Q8", PontryaginSignature(5, 2),
+                                   conditioning=50.0, seed=1)
+    tau = unitarize(Representation(rep.signature, rep.table,
+                                   rep.images)).unitary_rep._stack
+    defect = max_unitarity_defect(tau)
+    screen = pontryagin._unitarity_screen(tau)
+    assert defect < screen
+    monkeypatch.setattr(pontryagin, "UNIT_TOL", (defect + screen) / 2)
+    spectra = []
+    measure = pontryagin.max_unitarity_defect
+
+    def counted(images):
+        spectra.append(len(images))
+        return measure(images)
+
+    monkeypatch.setattr(pontryagin, "max_unitarity_defect", counted)
+    res = unitarize(rep)
+    assert spectra == [8]
+    assert res.defect_bound == defect == res.unitarity_defect
+    assert unitarize(rep) is res
+    assert spectra == [8, 8]
 
 
 def test_a_start_point_off_the_fixed_point_descends(monkeypatch):

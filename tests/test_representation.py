@@ -310,18 +310,21 @@ def test_unitarize_measures_each_stack_with_one_eigvalsh(monkeypatch):
     rep = Representation(PontryaginSignature(8, 8), group_table("C32"),
                          images)
     res = unitarize(rep)
-    assert res.unitarity_defect <= 1e-7
-    # the Frobenius screens pass pi's homomorphism and eta checks with no
-    # spectra; tau's T*T alone certifies it, in one (32, 16, 16) eigvalsh.
-    # The start point is certified from tau's corner blocks, one (32, 8, 8)
-    # SVD, so no group is built, no orbit is measured and no stack of images
-    # takes an SVD
-    assert [s for s in calls["eigvalsh"] if s[-2:] == (16, 16)] == [
-        (32, 16, 16)]
-    assert calls["svd"].count((32, 8, 8)) == 1
+    # the Frobenius screens pass pi's homomorphism and eta checks, the start
+    # point's corner blocks and tau's T*T with no spectra, so no group is
+    # built, no orbit is measured and no stack of images or of corners takes
+    # an eigvalsh or an SVD
+    assert calls["eigvalsh"] == []
+    assert (32, 8, 8) not in calls["svd"]
     assert (32, 16, 16) not in calls["svd"]
+    assert res.defect_bound <= 1e-7
     # the identity image passes its Frobenius screen, with no SVD
     assert (16, 16) not in calls["svd"]
+    # tau's unitarity defect is measured when read, from one eigvalsh
+    defect = res.unitarity_defect
+    assert calls["eigvalsh"] == [(32, 16, 16)]
+    assert defect == max_unitarity_defect(res.unitary_rep.images)
+    assert defect <= res.defect_bound
     # pi's pairs (T*JT - J, T*T) are measured on the first read of bound,
     # and kept for every later read of bound and eta_defect
     calls["eigvalsh"].clear()
