@@ -59,20 +59,18 @@ CLOSURE_CHUNK = 1 << 17
 MAX_ITER = 5000
 
 
-def _integer_table(table) -> np.ndarray:
-    """A fresh int copy of a table whose entries are integers; floats,
-    bools and strings raise ``ValueError`` instead of being cast."""
+def _checked_table(table):
+    """``(read-only int copy of table, identity index)`` for a group table.
+    Its entries must be integers: floats, bools and strings raise
+    ``ValueError`` instead of being cast.  It must be square over 0..n-1
+    with every row and column a permutation, the first offending index
+    reported, row first, and have one two-sided identity."""
     entries = np.asarray(table)
     if entries.size and (entries.dtype == bool
                          or not np.issubdtype(entries.dtype, np.integer)):
         raise ValueError("multiplication table entries must be integers, "
                          f"got {entries.dtype}")
-    return entries.astype(int)
-
-
-def _validate_table(table: np.ndarray) -> int:
-    """Check group-table sanity and return the identity index; the first
-    index whose row or column is no permutation is reported, row first."""
+    table = entries.astype(int)
     n = len(table)
     if table.shape != (n, n) or table.min() < 0 or table.max() >= n:
         raise ValueError("multiplication table must be square over 0..n-1")
@@ -87,7 +85,8 @@ def _validate_table(table: np.ndarray) -> int:
                            & (table.T == every).all(axis=1))
     if len(ident) != 1:
         raise ValueError("table has no two-sided identity")
-    return int(ident[0])
+    table.setflags(write=False)
+    return table, int(ident[0])
 
 
 class AutomorphismGroup:
@@ -109,12 +108,10 @@ class AutomorphismGroup:
         if any((t.dim_h, t.dim_k) != (p, q) for t in elements):
             raise ValueError("automorphisms must share one split")
         if table is not None:
-            table = _integer_table(table)
+            table, _ = _checked_table(table)
             if len(table) != len(elements):
                 raise ValueError(f"table has {len(table)} rows for "
                                  f"{len(elements)} elements")
-            _validate_table(table)
-            table.setflags(write=False)
         self._hold(np.stack([t.block for t in elements]), p, q, table)
 
     def _hold(self, blocks, dim_h, dim_k, table):
@@ -377,7 +374,7 @@ def _solve(blocks: np.ndarray, x0: BallPoint, chart: tuple):
                             converged=f <= FP_TOL, history=history), u, tau
 
 
-def _fixed_chart(blocks: np.ndarray, x0: BallPoint, mode: str):
+def _fixed_chart(blocks: np.ndarray, x0: BallPoint):
     """``(point, U, tau)``: a common fixed point reached from ``x0`` and the
     chart there, for a caller that reports no displacement.
 
@@ -385,9 +382,7 @@ def _fixed_chart(blocks: np.ndarray, x0: BallPoint, mode: str):
     max_g ||C_g||_F <= tanh(``FP_TOL``) is kept, with its U and tau, after 0
     iterations and with no spectra: ||C_g|| <= ||C_g||_F, so f <= ``FP_TOL``.
     Any other start goes to ``_solve``, which measures f, and a solve that
-    stops above ``FP_TOL`` raises ``FixedPointFailed``.  ``mode`` is checked
-    as ``find_fixed_point`` checks it."""
-    _check_mode(mode)
+    stops above ``FP_TOL`` raises ``FixedPointFailed``."""
     chart = _chart(blocks, x0.matrix)
     if frobenius_norm(chart[-1]).max() <= math.tanh(FP_TOL):
         return x0, chart[0], chart[1]

@@ -36,7 +36,7 @@ from .mobius import (
     _require_resolvent,
     defect_roots,
 )
-from .opcore import adjoint, as_matrix, spectral_norm
+from .opcore import _require_finite, adjoint, as_matrix, spectral_norm
 
 DIR_TOL = 1e-8
 LINE_TOL = 1e-12
@@ -86,7 +86,7 @@ def _polar_tanh(w, sig, vh, t) -> np.ndarray:
 
 def th_map(d) -> np.ndarray:
     """Odd tanh extension: Th(D) = J tanh|D| in polar form, via SVD."""
-    d = np.asarray(d, dtype=np.complex128)
+    d = _require_finite(np.asarray(d, dtype=np.complex128), "matrix")
     return _polar_tanh(*np.linalg.svd(d, full_matrices=False), 1.0)
 
 
@@ -254,7 +254,7 @@ def alpha_metric(a: BallPoint, v) -> float:
     v = np.asarray(v, dtype=np.complex128)
     if v.shape != a.shape:
         raise ValueError(f"shape mismatch {v.shape} vs {a.shape}")
-    return float(_alpha(a.matrix, v))
+    return float(_alpha(a.matrix, _require_finite(v, "tangent vector")))
 
 
 def _alpha(a: np.ndarray, v: np.ndarray):

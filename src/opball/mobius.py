@@ -23,7 +23,7 @@ from .errors import (
     SingularDenominator,
     SingularResolvent,
 )
-from .opcore import adjoint, as_matrix, frobenius_norm
+from .opcore import _require_finite, adjoint, as_matrix, frobenius_norm
 
 BOUNDARY_TOL = 1e-8
 AUT_TOL = 1e-8
@@ -161,6 +161,7 @@ def mobius_differential(b: BallPoint, a: BallPoint, v) -> np.ndarray:
     v = np.asarray(v, dtype=np.complex128)
     if v.shape != a.shape or a.shape != b.shape:
         raise ValueError("A, B, V must share one shape")
+    _require_finite(v, "tangent vector")
     return _differential_rooted(b.matrix, a.matrix, v,
                                 *defect_roots(b.matrix, -0.5, 0.5))
 
@@ -230,8 +231,7 @@ def eta_matrix(dim_h: int, dim_k: int) -> np.ndarray:
 def eta_defect(t: np.ndarray, dim_h: int, dim_k: int):
     """||T*JT - J||: how far T is from preserving eta; a float for a matrix,
     an array with one value per matrix for a stack."""
-    j = eta_matrix(dim_h, dim_k)
-    defect, _ = _eta_spectra(adjoint(t) @ j @ t - j)
+    defect, _ = _eta_spectra(_eta_gap(t, dim_h, dim_k))
     return float(defect) if np.ndim(defect) == 0 else defect
 
 
@@ -250,6 +250,13 @@ def _eta_form(t: np.ndarray, dim_h: int, dim_k: int):
     sign = np.ones(dim_h + dim_k)
     sign[dim_h:] = -1.0
     return adjoint(t) @ (sign[:, None] * t), sign
+
+
+def _eta_gap(t: np.ndarray, dim_h: int, dim_k: int) -> np.ndarray:
+    """T*JT - J for a matrix or a stack (``_eta_form``): the one kernel of
+    the gap that ``eta_defect`` measures and the eta screens bound."""
+    form, sign = _eta_form(t, dim_h, dim_k)
+    return form - np.diag(sign)
 
 
 def _eta_checked(t: np.ndarray, dim_h: int, dim_k: int, aut_tol):
@@ -288,9 +295,8 @@ def _eta_checked(t: np.ndarray, dim_h: int, dim_k: int, aut_tol):
 def _automorphism_stack(blocks: np.ndarray, dim_h: int, dim_k: int, aut_tol):
     """A stack of blocks normalized and checked as the ``BallAutomorphism``
     constructor does (``_eta_checked``), read-only."""
-    t = np.asarray(blocks, dtype=np.complex128)
-    if not np.isfinite(t).all():
-        raise ValueError("automorphism block contains non-finite entries")
+    t = _require_finite(np.asarray(blocks, dtype=np.complex128),
+                        "automorphism block")
     return _eta_checked(t, dim_h, dim_k, aut_tol)
 
 

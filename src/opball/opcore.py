@@ -15,9 +15,15 @@ def as_matrix(data, name: str = "matrix") -> np.ndarray:
     a = np.array(data, dtype=np.complex128, copy=True)
     if a.ndim != 2 or a.shape[0] < 1 or a.shape[1] < 1:
         raise ValueError(f"{name} must be 2-D with positive shape, got {a.shape}")
-    if not np.all(np.isfinite(a.real)) or not np.all(np.isfinite(a.imag)):
-        raise ValueError(f"{name} contains non-finite entries")
+    _require_finite(a, name)
     a.setflags(write=False)
+    return a
+
+
+def _require_finite(a: np.ndarray, name: str) -> np.ndarray:
+    """``a``, of any shape, after the finiteness check of ``as_matrix``."""
+    if not np.isfinite(a).all():
+        raise ValueError(f"{name} contains non-finite entries")
     return a
 
 

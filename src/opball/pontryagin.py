@@ -30,15 +30,14 @@ from .errors import (
 from .fixedpoint import (
     _averaged_point,
     _check_mode,
+    _checked_table,
     _fixed_chart,
-    _integer_table,
-    _validate_table,
 )
 from .mobius import (
     BallAutomorphism,
     BallPoint,
     _automorphism_stack,
-    _eta_form,
+    _eta_gap,
     _eta_spectra,
     _mobius_block,
     eta_defect,
@@ -83,33 +82,40 @@ def eta_value(sig: PontryaginSignature, x) -> float:
     return float(np.sum(np.abs(x[:p]) ** 2) - np.sum(np.abs(x[p:]) ** 2))
 
 
-def is_J_unitary(sig: PontryaginSignature, t):
-    """Returns ``(preserves, defect)`` with defect = ||T*JT - J|| and
-    ``preserves`` = defect <= ``REP_TOL``."""
+def _square(sig: PontryaginSignature, t) -> np.ndarray:
+    """T as a finite complex (dim, dim) matrix, its shape checked first."""
     t = np.asarray(t, dtype=np.complex128)
     if t.shape != (sig.dim, sig.dim):
         raise ShapeMismatch(f"expected {(sig.dim, sig.dim)}, got {t.shape}")
-    defect = eta_defect(t, sig.n_plus, sig.n_minus)
+    return as_matrix(t, name="matrix")
+
+
+def is_J_unitary(sig: PontryaginSignature, t):
+    """Returns ``(preserves, defect)`` with defect = ||T*JT - J|| from
+    ``eta_defect`` and ``preserves`` = defect <= ``REP_TOL``, the rule that
+    ``induced_automorphism`` decides through ``_eta_certificate``."""
+    defect = eta_defect(_square(sig, t), sig.n_plus, sig.n_minus)
     return defect <= REP_TOL, defect
+
+
+def _eta_certificate(t: np.ndarray, p: int, q: int, measured) -> float:
+    """The one absolute eta certificate, an upper bound of max ||T*JT - J||
+    over a matrix or a stack: the largest ||T*JT - J||_F (``_eta_gap``)
+    where that is within ``REP_TOL``, with no spectra; else ``measured()``,
+    the caller's spectral defect, so bound <= ``REP_TOL`` decides as the
+    spectral norm does."""
+    bound = float(frobenius_norm(_eta_gap(t, p, q)).max())
+    return bound if bound <= REP_TOL else measured()
 
 
 def max_unitarity_defect(images) -> float:
     """The largest ||T*T - 1|| = max(lambda_max - 1, 1 - lambda_min) over a
-    stack (or list) of square matrices, read off the eigenvalues of each
-    T*T from one batched eigvalsh: the value
-    ``UnitarizationResult.unitarity_defect`` reads, and the rule
-    ``unitarize`` falls back on where its Frobenius screen
-    (``_unitarity_screen``) cannot pass tau."""
+    stack (or list) of square matrices, from one batched eigvalsh of the
+    T*T: ``UnitarizationResult.unitarity_defect``, and the rule that
+    ``_require_unitary`` falls back on past its Frobenius bound."""
     stack = np.asarray(images, dtype=np.complex128)
     gram = np.linalg.eigvalsh(adjoint(stack) @ stack)
     return float(np.maximum(gram[..., -1] - 1.0, 1.0 - gram[..., 0]).max())
-
-
-def _unitarity_screen(stack: np.ndarray) -> float:
-    """max ||T*T - 1||_F over a stack, an upper bound of
-    ``max_unitarity_defect`` from one stacked product and no spectra."""
-    return float(frobenius_norm(adjoint(stack) @ stack
-                                - np.eye(stack.shape[-1])).max())
 
 
 def graph_subspace(sig: PontryaginSignature, a: BallPoint) -> np.ndarray:
@@ -156,29 +162,18 @@ def negativeness_degree(sig: PontryaginSignature, a: BallPoint) -> float:
 def induced_automorphism(sig: PontryaginSignature, t) -> BallAutomorphism:
     """Wrap an eta-preserving matrix as the ball automorphism w_T.
 
-    T must pass ``is_J_unitary``, and its normalized block is checked with
-    the allowance max(``REP_TOL``, 10 ||T*JT - J||).  A Frobenius screen
-    decides first: ||T*JT - J||_F <= ``REP_TOL`` / 10 bounds the defect by
-    ``REP_TOL`` / 10, which passes ``is_J_unitary`` and makes the allowance
-    ``REP_TOL``, so such a T takes no spectra.  Any other T, or one of the
-    wrong shape, is decided by ``is_J_unitary`` with its message."""
-    t = np.asarray(t, dtype=np.complex128)
+    T is checked as ``is_J_unitary`` checks it, and its rule is decided by
+    ``_eta_certificate``, so a T with ||T*JT - J||_F <= ``REP_TOL`` takes
+    no spectra.  The normalized block is checked with the allowance
+    max(``REP_TOL``, 10 bound): once ||T*JT - J|| = d <= ``REP_TOL`` its
+    defect is at most about 2d, so that check fails no T the rule passes."""
+    t = _square(sig, t)
     p, q = sig.n_plus, sig.n_minus
-    allowed = REP_TOL
-    if t.shape != (sig.dim, sig.dim) or not frobenius_norm(
-            _eta_gap(t, p, q)) <= REP_TOL / 10:
-        ok, defect = is_J_unitary(sig, t)
-        if not ok:
-            raise NotEtaPreserving(f"||T*JT - J|| = {defect:.3e} > {REP_TOL!r}")
-        allowed = max(REP_TOL, 10 * defect)
-    block = _automorphism_stack(t, p, q, allowed)
+    bound = _eta_certificate(t, p, q, lambda: eta_defect(t, p, q))
+    if not bound <= REP_TOL:
+        raise NotEtaPreserving(f"||T*JT - J|| = {bound:.3e} > {REP_TOL!r}")
+    block = _automorphism_stack(t, p, q, max(REP_TOL, 10 * bound))
     return object.__new__(BallAutomorphism)._set(block, p, q)
-
-
-def _eta_gap(t: np.ndarray, p: int, q: int) -> np.ndarray:
-    """T*JT - J for a matrix or a stack (``mobius._eta_form``)."""
-    form, sign = _eta_form(t, p, q)
-    return form - np.diag(sign)
 
 
 def unitarizer_matrix(sig: PontryaginSignature, d: BallPoint) -> np.ndarray:
@@ -234,15 +229,10 @@ def group_table(name: str) -> np.ndarray:
 
 
 def regular_representation(table: np.ndarray) -> list:
-    """Permutation matrices of the left regular action."""
-    n = len(table)
-    mats = []
-    for g in range(n):
-        m = np.zeros((n, n), dtype=np.complex128)
-        for h in range(n):
-            m[table[g][h], h] = 1.0
-        mats.append(m)
-    return mats
+    """Permutation matrices of the left regular action: column h of the
+    matrix of g is e_{gh}, one column gather of the identity."""
+    eye = np.eye(len(table), dtype=np.complex128)
+    return [eye[:, row] for row in table]
 
 
 def _irrep_classes(table: np.ndarray, rng) -> list:
@@ -421,9 +411,7 @@ class Representation:
                  "_spectra", "_unitarization")
 
     def __init__(self, signature: PontryaginSignature, table, images):
-        table = _integer_table(table)
-        ident = _validate_table(table)
-        table.setflags(write=False)
+        table, ident = _checked_table(table)
         dim = signature.dim
         stack = _image_stack(list(images), len(table), dim)
         gap = stack[ident] - np.eye(dim)
@@ -449,9 +437,9 @@ class Representation:
         """The eta defects and the ascending T*T eigenvalues of the images,
         from one batched eigvalsh on the first call."""
         if self._spectra is None:
-            j = self.signature.j
-            stack = self._stack
-            self._spectra = _eta_spectra(adjoint(stack) @ j @ stack - j, stack)
+            sig, stack = self.signature, self._stack
+            self._spectra = _eta_spectra(
+                _eta_gap(stack, sig.n_plus, sig.n_minus), stack)
         return self._spectra
 
     @property
@@ -487,8 +475,8 @@ def make_test_representation(group: Union[str, np.ndarray],
     """
     if conditioning < 1.0:
         raise ValueError("conditioning must be >= 1")
-    table = group_table(group) if isinstance(group, str) else _integer_table(group)
-    _validate_table(table)
+    table, _ = _checked_table(group_table(group) if isinstance(group, str)
+                              else group)
     rng = rng_from(seed)
     classes = _irrep_classes(table, rng)
     p, q = sig.n_plus, sig.n_minus
@@ -542,28 +530,28 @@ class UnitarizationResult:
         return max_unitarity_defect(self.unitary_rep._stack)
 
 
-def _require_unitary(tau: np.ndarray, bound: float) -> float:
-    """An upper bound of tau's unitarity defect within ``UNIT_TOL``: ``bound``,
-    one already known, where it is within; else the defect measured by
-    ``max_unitarity_defect``, where that is.  Otherwise raise
-    ``FixedPointFailed`` with the measured defect."""
+def _require_unitary(tau: np.ndarray) -> float:
+    """An upper bound of tau's unitarity defect within ``UNIT_TOL``: the
+    Frobenius bound max ||tau(g)* tau(g) - 1||_F, with no spectra, where
+    that is within; else the defect ``max_unitarity_defect`` measures,
+    where that is.  Otherwise ``FixedPointFailed`` quotes that defect."""
+    bound = float(frobenius_norm(adjoint(tau) @ tau
+                                 - np.eye(tau.shape[-1])).max())
     if bound <= UNIT_TOL:
         return bound
     defect = max_unitarity_defect(tau)
     if defect > UNIT_TOL:
-        raise FixedPointFailed(
-            f"unitarity defect {defect:.3e} > {UNIT_TOL!r}")
+        raise FixedPointFailed(f"unitarity defect {defect:.3e} > {UNIT_TOL!r}")
     return defect
 
 
 def _require_eta_preserving(rep: Representation):
-    """Raise ``NotEtaPreserving`` unless ``rep.eta_defect <= REP_TOL``; the
-    spectra are taken only when the Frobenius norm of some pi(g)* J pi(g) - J,
-    an upper bound of its spectral norm, exceeds ``REP_TOL``.  J enters the
-    screen as its signs (``_eta_gap``)."""
-    p, q = rep.signature.n_plus, rep.signature.n_minus
-    gap = frobenius_norm(_eta_gap(rep._stack, p, q)).max()
-    if gap > REP_TOL and rep.eta_defect > REP_TOL:
+    """Raise ``NotEtaPreserving`` unless ``rep.eta_defect <= REP_TOL``,
+    decided by ``_eta_certificate``: the spectra are taken only when some
+    ||pi(g)* J pi(g) - J||_F exceeds ``REP_TOL``."""
+    sig = rep.signature
+    if not _eta_certificate(rep._stack, sig.n_plus, sig.n_minus,
+                            lambda: rep.eta_defect) <= REP_TOL:
         raise NotEtaPreserving(
             f"representation eta-defect {rep.eta_defect:.3e} > {REP_TOL!r}")
 
@@ -587,8 +575,10 @@ def unitarize(rep: Representation,
     tau preserves eta and leaves the K component invariant, hence is
     unitary.
 
-    D starts at ``averaged_fixed_point(rep)`` and is taken to the chart at
-    D (``fixedpoint._fixed_chart``), on pi's own stack and with no
+    ``mode`` is checked first, as ``find_fixed_point`` checks it.  D starts
+    at ``averaged_fixed_point(rep)``, whose eta check is
+    ``_eta_certificate``, and is taken to the chart at D
+    (``fixedpoint._fixed_chart``), on pi's own stack and with no
     automorphism group: there rho(D, w_g(D)) = atanh ||C_g|| with the
     corners C_g = tau12(g) tau22(g)^{-1}.  A D whose corners pass
     max ||C_g||_F <= tanh(``FP_TOL``) is kept with its U and tau, with no
@@ -599,34 +589,33 @@ def unitarize(rep: Representation,
     tau(e) = U U^{-1}, and
     ||tau(gh) - tau(g) tau(h)|| <= ||U|| ||U^{-1}|| ||pi(gh) - pi(g) pi(h)||
     up to the rounding of U pi U^{-1}.  The one check on tau is the one
-    that certifies it, max ||tau(g)* tau(g) - 1|| <= ``UNIT_TOL``: it
-    passes on max ||tau(g)* tau(g) - 1||_F <= ``UNIT_TOL``, an upper bound
-    from one stacked product, and only a tau that screen cannot pass takes
-    the batched eigvalsh of ``max_unitarity_defect``.  The result keeps the
-    bound it checked (``defect_bound``) and measures ``unitarity_defect``
-    when read.  tau's ``bound`` and ``eta_defect`` are taken only if read.
-    pi's eta check passes on Frobenius norms alone when each
-    ||pi(g)* J pi(g) - J||_F <= ``REP_TOL``, so a representation that
-    passes its screens is unitarized with no spectra at all.  ``mode`` is
-    checked as ``find_fixed_point`` checks it.
+    that certifies it, max ||tau(g)* tau(g) - 1|| <= ``UNIT_TOL``
+    (``_require_unitary``): it passes on the Frobenius bound
+    max ||tau(g)* tau(g) - 1||_F where that is within, and only a tau that
+    bound cannot pass takes the batched eigvalsh of
+    ``max_unitarity_defect``.  The result keeps the bound it checked
+    (``defect_bound``) and measures ``unitarity_defect`` when read; tau's
+    ``bound`` and ``eta_defect`` are taken only if read.  So a
+    representation whose Frobenius bounds pass is unitarized with no
+    spectra at all.
 
     The first result that passes the certificate is stored on ``rep``, with
     a read-only ``similarity``, and later calls return that same object
-    without solving again; each call still checks ``mode`` and compares the
-    stored ``defect_bound`` with ``UNIT_TOL``, measuring the defect only if
-    the bound exceeds it.  A failed solve or check stores nothing.
+    without solving again; each call still checks ``mode``, and a stored
+    ``defect_bound`` above ``UNIT_TOL`` is checked again by
+    ``_require_unitary``.  A failed solve or check stores nothing.
     """
+    _check_mode(mode)
     res = rep._unitarization
     if res is None:
-        point, u, tau = _fixed_chart(rep._stack, averaged_fixed_point(rep), mode)
-        bound = _require_unitary(tau, _unitarity_screen(tau))
+        point, u, tau = _fixed_chart(rep._stack, averaged_fixed_point(rep))
+        bound = _require_unitary(tau)
         u.setflags(write=False)
         unitary_rep = object.__new__(Representation)
         unitary_rep._hold(rep.signature, rep.table, rep.identity_index, tau)
         res = UnitarizationResult(u, unitary_rep, point, bound)
-    else:
-        _check_mode(mode)
-        _require_unitary(res.unitary_rep._stack, res.defect_bound)
+    elif not res.defect_bound <= UNIT_TOL:
+        _require_unitary(res.unitary_rep._stack)
     rep._unitarization = res
     return res
 

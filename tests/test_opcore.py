@@ -1,9 +1,21 @@
+import warnings
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 from oracles import psd_apply
 
+from opball import (
+    BallPoint,
+    PontryaginSignature,
+    alpha_metric,
+    induced_automorphism,
+    is_J_unitary,
+    mobius_differential,
+    th_map,
+)
+from opball.errors import ShapeMismatch
 from opball.opcore import adjoint, as_matrix, spectral_norm
 from opball.sampling import complex_gaussian, rng_from
 
@@ -43,3 +55,35 @@ def test_intertwining_identity(f):
         lhs = d @ psd_apply(mod_right, f)
         rhs = psd_apply(mod_left, f) @ d
         assert spectral_norm(lhs - rhs) < 1e-9
+
+
+# the library functions that take a raw matrix beside checked objects: each
+# keeps its own shape check, then rejects NaN and inf as ``as_matrix`` does
+POINT = BallPoint(np.array([[0.3], [0.1]]))
+SIG21 = PontryaginSignature(2, 1)
+RAW_MATRIX_CALLS = {
+    "is_J_unitary": (lambda m: is_J_unitary(SIG21, m), (3, 3), ShapeMismatch),
+    "induced_automorphism": (lambda m: induced_automorphism(SIG21, m), (3, 3),
+                             ShapeMismatch),
+    "alpha_metric": (lambda m: alpha_metric(POINT, m), (2, 1), ValueError),
+    "mobius_differential": (lambda m: mobius_differential(POINT, POINT, m),
+                            (2, 1), ValueError),
+    "th_map": (th_map, (2, 1), None),
+}
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)])
+@pytest.mark.parametrize("name", sorted(RAW_MATRIX_CALLS))
+def test_a_raw_matrix_with_a_non_finite_entry_raises_value_error(name, bad):
+    call, shape, shape_error = RAW_MATRIX_CALLS[name]
+    m = np.eye(*shape, dtype=np.complex128)
+    m[-1, 0] = bad
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(ValueError, match="^[a-z ]+ contains non-finite entries$"):
+            call(m)
+        if shape_error is not None:
+            # the shape check comes first and keeps its error
+            with pytest.raises(shape_error) as excinfo:
+                call(np.full((4, 4), bad))
+            assert "non-finite" not in str(excinfo.value)

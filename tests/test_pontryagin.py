@@ -22,11 +22,12 @@ from opball.hyperbolic import _rho, distance
 from opball.mobius import (
     BallPoint,
     _automorphism_stack,
+    _eta_gap,
     automorphism_apply,
     eta_defect,
     zero_point,
 )
-from opball.opcore import adjoint, spectral_norm
+from opball.opcore import adjoint, frobenius_norm, spectral_norm
 from opball.pontryagin import (
     REP_TOL,
     UNIT_TOL,
@@ -203,7 +204,8 @@ def _induced_by_the_spectral_rule(sig, t):
 def test_induced_screen_decides_as_is_J_unitary(monkeypatch, cond):
     # T + E with ||T*JT - J|| from about 1e-11 to 1e-7: the block is the
     # spectral rule's bit for bit, or the message is its message, and only
-    # the matrices the screen cannot pass take an eigvalsh
+    # the matrices the screen cannot pass take an eigvalsh; a T whose
+    # Frobenius gap lies in (REP_TOL / 10, REP_TOL] takes none either
     spectra = []
     eigvalsh = np.linalg.eigvalsh
 
@@ -212,7 +214,7 @@ def test_induced_screen_decides_as_is_J_unitary(monkeypatch, cond):
         return eigvalsh(*args, **kwargs)
 
     rng = rng_from(11)
-    outcomes = []
+    outcomes, banded = [], []
     for size in np.geomspace(1e-11, 1e-7, 60):
         t = random_eta_preserving(rng, 3, 2, cond)
         e = complex_gaussian(rng, 5, 5)
@@ -229,8 +231,13 @@ def test_induced_screen_decides_as_is_J_unitary(monkeypatch, cond):
             got = str(exc)
         monkeypatch.undo()
         assert got == (want if isinstance(want, str) else want.tobytes())
+        gap = float(frobenius_norm(_eta_gap(t, 3, 2)))
+        if REP_TOL / 10 < gap <= REP_TOL:
+            assert not spectra and not isinstance(want, str)
+            banded.append(gap)
         outcomes.append((defect <= REP_TOL, bool(spectra)))
     assert {(True, False), (True, True), (False, True)} <= set(outcomes)
+    assert banded
 
 
 # --- the unitarizer ---------------------------------------------------------------
@@ -280,7 +287,7 @@ def test_group_tables_are_the_groups():
         table = group_table(f"C{n}")
         assert np.array_equal(table, np.add.outer(np.arange(n), np.arange(n)) % n)
     for name in ("C1", "C7", "S3", "Q8"):
-        assert pontryagin._validate_table(group_table(name)) == 0
+        assert fixedpoint._checked_table(group_table(name))[1] == 0
 
 
 def test_regular_representation_is_homomorphism():
@@ -289,6 +296,15 @@ def test_regular_representation_is_homomorphism():
     for g in range(6):
         for h in range(6):
             assert_allclose(reg[g] @ reg[h], reg[int(table[g][h])], atol=1e-14)
+    # the column gathers are the permutation matrices set entry by entry
+    for name in ("C2", "C6", "C12", "S3", "Q8", "C64"):
+        table = group_table(name)
+        n = len(table)
+        for g, m in enumerate(regular_representation(table)):
+            want = np.zeros((n, n), dtype=np.complex128)
+            for h in range(n):
+                want[table[g][h], h] = 1.0
+            assert m.dtype == want.dtype and np.array_equal(m, want)
 
 
 def test_make_rep_unit_conditioning_is_unitary():
@@ -654,8 +670,7 @@ def test_start_screen_decides_as_the_spectral_rule(monkeypatch, group, n_plus,
         monkeypatch.setattr(fixedpoint, "_displacement", counted)
         spectra.clear()
         try:
-            point, u, tau = fixedpoint._fixed_chart(rep._stack, start,
-                                                    "midpoint-descent")
+            point, u, tau = fixedpoint._fixed_chart(rep._stack, start)
         except FixedPointFailed as exc:
             assert not want.converged
             assert str(exc) == ("solver stalled at displacement "
@@ -672,6 +687,12 @@ def test_start_screen_decides_as_the_spectral_rule(monkeypatch, group, n_plus,
     # the screen passes some starts, hands others within FP_TOL to the
     # solver, which keeps them after 0 steps, and the rest are solved
     assert {(True, False), (True, True), (False, True)} <= set(outcomes)
+
+
+def _unitarity_frobenius(stack):
+    """max ||T*T - 1||_F over a stack, the bound ``_require_unitary`` reads."""
+    return float(frobenius_norm(adjoint(stack) @ stack
+                                - np.eye(stack.shape[-1])).max())
 
 
 @pytest.mark.parametrize("p, q", [(2, 1), (4, 2), (8, 8)])
@@ -701,13 +722,12 @@ def test_unitarity_screen_decides_as_the_spectral_rule(monkeypatch, p, q):
     def decided(stack, defect):
         spectra.clear()
         try:
-            bound = pontryagin._require_unitary(
-                stack, pontryagin._unitarity_screen(stack))
+            bound = pontryagin._require_unitary(stack)
         except FixedPointFailed as exc:
             assert str(exc) == f"unitarity defect {defect:.3e} > {UNIT_TOL!r}"
             return False, bool(spectra)
         assert defect <= bound <= UNIT_TOL
-        assert spectra or bound == pontryagin._unitarity_screen(stack)
+        assert spectra or bound == _unitarity_frobenius(stack)
         return True, bool(spectra)
 
     outcomes = [decided(m[None], d) for m, d in zip(mats, defects)]
@@ -729,7 +749,7 @@ def test_a_unitarization_past_its_screen_keeps_the_measured_defect(monkeypatch):
     tau = unitarize(Representation(rep.signature, rep.table,
                                    rep.images)).unitary_rep._stack
     defect = max_unitarity_defect(tau)
-    screen = pontryagin._unitarity_screen(tau)
+    screen = _unitarity_frobenius(tau)
     assert defect < screen
     monkeypatch.setattr(pontryagin, "UNIT_TOL", (defect + screen) / 2)
     spectra = []
