@@ -16,7 +16,6 @@ from .fixedpoint import (
     equicontinuity_witness,
     find_fixed_point,
     group_closure,
-    is_elliptic,
 )
 from .hyperbolic import (
     GeodesicLine,

@@ -1,4 +1,4 @@
-"""Orbits, group closure, and common fixed points of finite groups of ball
+"""Group closure and common fixed points of finite groups of ball
 automorphisms.
 
 A group is closed from its generators along the Cayley graph: the
@@ -42,7 +42,6 @@ from .mobius import (
     automorphism_apply,
     automorphism_compose,
     eta_matrix,
-    frac_linear,
     mobius_as_block,
     mobius_batch,
     zero_point,
@@ -50,7 +49,6 @@ from .mobius import (
 from .opcore import adjoint, frobenius_norm, spectral_norm
 
 GROUP_TOL = 1e-8
-ELLIPTIC_MARGIN = 1e-6
 FP_TOL = 1e-9
 MAX_ELEMENTS = 256
 # entries a closure layer puts in one stacked temporary at most; its
@@ -128,10 +126,6 @@ class AutomorphismGroup:
 
     def __len__(self):
         return len(self._blocks)
-
-    def apply_all(self, x: BallPoint) -> np.ndarray:
-        """Stacked w_g(x) over all elements (batched fractional-linear)."""
-        return frac_linear(self._blocks, x.matrix)
 
 
 def _block_distance(prods: np.ndarray, elems: np.ndarray) -> np.ndarray:
@@ -259,14 +253,6 @@ def group_closure(generators: Sequence[BallAutomorphism]) -> AutomorphismGroup:
         table[:, j] = by_step[table[:, parent[j]], step[j]]
     table.setflags(write=False)
     return object.__new__(AutomorphismGroup)._hold(blocks, p, q, table)
-
-
-def is_elliptic(group: AutomorphismGroup, x0: BallPoint):
-    """Whether the orbit of x0 stays within ``1 - ELLIPTIC_MARGIN`` of 0 in
-    norm, a diagnostic off the solver's path.  Returns
-    ``(elliptic, sup_norm)``."""
-    sup_norm = float(spectral_norm(group.apply_all(x0)).max())
-    return sup_norm <= 1.0 - ELLIPTIC_MARGIN, sup_norm
 
 
 def _chart(blocks: np.ndarray, x: np.ndarray):

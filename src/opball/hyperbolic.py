@@ -49,6 +49,7 @@ PARAM_MAX = 18.0
 def poincare_scalar(z1: complex, z2: complex) -> float:
     """Poincare distance on the unit disc; the 1x1 oracle for ``distance``."""
     z1, z2 = complex(z1), complex(z2)
+    _require_finite(np.array([z1, z2]), "disc point")
     if abs(z1) >= 1.0 - BOUNDARY_TOL or abs(z2) >= 1.0 - BOUNDARY_TOL:
         raise BoundaryProximity("disc points must stay inside the unit circle")
     u = abs((z1 - z2) / (1.0 - z1.conjugate() * z2))
@@ -164,9 +165,9 @@ class GeodesicLine:
 
 def _line_inner(line: GeodesicLine, t) -> np.ndarray:
     """The inner points W tanh(tS) V* of the line, one matrix for a
-    parameter and a stack for a 1-D array of them, after the ``PARAM_MAX``
-    check of each parameter (NaN fails it)."""
-    t = np.asarray(t, dtype=np.float64)
+    parameter and a stack for a 1-D array of them, after the checks that
+    each parameter is finite (``ValueError``) and within ``PARAM_MAX``."""
+    t = _require_finite(np.asarray(t, dtype=np.float64), "parameter")
     size = np.abs(t)
     _require_each(size <= PARAM_MAX, ParameterOverflow,
                   "|t| = {!r} beyond tanh saturation", size)

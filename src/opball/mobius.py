@@ -231,6 +231,7 @@ def eta_matrix(dim_h: int, dim_k: int) -> np.ndarray:
 def eta_defect(t: np.ndarray, dim_h: int, dim_k: int):
     """||T*JT - J||: how far T is from preserving eta; a float for a matrix,
     an array with one value per matrix for a stack."""
+    t = _require_finite(np.asarray(t), "matrix")
     defect, _ = _eta_spectra(_eta_gap(t, dim_h, dim_k))
     return float(defect) if np.ndim(defect) == 0 else defect
 
@@ -316,21 +317,6 @@ def mobius_as_block(a: BallPoint) -> BallAutomorphism:
     return BallAutomorphism(_mobius_block(a.matrix), *a.shape)
 
 
-def frac_linear(blocks: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """w_T(X) = (T11 X + T12)(T21 X + T22)^{-1} without checks, for block
-    matrices and points, or stacks of them, that broadcast against each
-    other; the split is read from the rows of ``x``."""
-    num, den = _frac_parts(blocks, x)
-    return num @ np.linalg.inv(den)
-
-
-def _frac_parts(blocks: np.ndarray, x: np.ndarray):
-    """The numerator T11 X + T12 and denominator T21 X + T22 of w_T(X)."""
-    p = x.shape[-2]
-    return (blocks[..., :p, :p] @ x + blocks[..., :p, p:],
-            blocks[..., p:, :p] @ x + blocks[..., p:, p:])
-
-
 def automorphism_apply(t: BallAutomorphism, a: BallPoint) -> BallPoint:
     """w_T(A) = (T11 A + T12)(T21 A + T22)^{-1}."""
     if a.shape != (t.dim_h, t.dim_k):
@@ -340,10 +326,14 @@ def automorphism_apply(t: BallAutomorphism, a: BallPoint) -> BallPoint:
 
 
 def _frac_checked(blocks: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """w_T(X) for a point or a stack of points, raising ``SingularDenominator``
-    where T21 X + T22 has its least singular value below
-    ``COND_TOL max(1, ||T21 X + T22||)``."""
-    num, den = _frac_parts(blocks, x)
+    """w_T(X) = (T11 X + T12)(T21 X + T22)^{-1}, the one kernel of the
+    action, for block matrices and points, or stacks of them, that
+    broadcast against each other (the split is read from the rows of
+    ``x``), raising ``SingularDenominator`` where T21 X + T22 has its least
+    singular value below ``COND_TOL max(1, ||T21 X + T22||)``."""
+    p = x.shape[-2]
+    num = blocks[..., :p, :p] @ x + blocks[..., :p, p:]
+    den = blocks[..., p:, :p] @ x + blocks[..., p:, p:]
     sig = np.linalg.svd(den, compute_uv=False)
     least, top = _pick(sig, -1), _pick(sig, 0)
     _require_each((least >= COND_TOL) & (least >= COND_TOL * top),

@@ -43,7 +43,13 @@ from .mobius import (
     eta_defect,
     eta_matrix,
 )
-from .opcore import adjoint, as_matrix, frobenius_norm, spectral_norm
+from .opcore import (
+    _require_finite,
+    adjoint,
+    as_matrix,
+    frobenius_norm,
+    spectral_norm,
+)
 from .sampling import random_eta_preserving, random_unitary, rng_from
 
 REP_TOL = 1e-8
@@ -78,6 +84,7 @@ def eta_value(sig: PontryaginSignature, x) -> float:
     x = np.asarray(x, dtype=np.complex128).reshape(-1)
     if x.shape[0] != sig.dim:
         raise ShapeMismatch(f"vector length {x.shape[0]} != {sig.dim}")
+    _require_finite(x, "vector")
     p = sig.n_plus
     return float(np.sum(np.abs(x[:p]) ** 2) - np.sum(np.abs(x[p:]) ** 2))
 
@@ -534,13 +541,14 @@ def _require_unitary(tau: np.ndarray) -> float:
     """An upper bound of tau's unitarity defect within ``UNIT_TOL``: the
     Frobenius bound max ||tau(g)* tau(g) - 1||_F, with no spectra, where
     that is within; else the defect ``max_unitarity_defect`` measures,
-    where that is.  Otherwise ``FixedPointFailed`` quotes that defect."""
+    where that is.  Otherwise, a NaN defect included, ``FixedPointFailed``
+    quotes that defect."""
     bound = float(frobenius_norm(adjoint(tau) @ tau
                                  - np.eye(tau.shape[-1])).max())
     if bound <= UNIT_TOL:
         return bound
     defect = max_unitarity_defect(tau)
-    if defect > UNIT_TOL:
+    if not defect <= UNIT_TOL:
         raise FixedPointFailed(f"unitarity defect {defect:.3e} > {UNIT_TOL!r}")
     return defect
 
@@ -601,9 +609,8 @@ def unitarize(rep: Representation,
 
     The first result that passes the certificate is stored on ``rep``, with
     a read-only ``similarity``, and later calls return that same object
-    without solving again; each call still checks ``mode``, and a stored
-    ``defect_bound`` above ``UNIT_TOL`` is checked again by
-    ``_require_unitary``.  A failed solve or check stores nothing.
+    without solving again; each call still checks ``mode``.  A failed solve
+    or check stores nothing.
     """
     _check_mode(mode)
     res = rep._unitarization
@@ -614,9 +621,7 @@ def unitarize(rep: Representation,
         unitary_rep = object.__new__(Representation)
         unitary_rep._hold(rep.signature, rep.table, rep.identity_index, tau)
         res = UnitarizationResult(u, unitary_rep, point, bound)
-    elif not res.defect_bound <= UNIT_TOL:
-        _require_unitary(res.unitary_rep._stack)
-    rep._unitarization = res
+        rep._unitarization = res
     return res
 
 
@@ -671,7 +676,8 @@ def max_principal_angle(b1: np.ndarray, b2: np.ndarray):
     the wider span and Q2, its sine is ||Q2 - Q1 Q1* Q2|| and its cosine the
     least singular value of Q1* Q2; each form is taken where it is accurate,
     the sine below pi/4 (Knyazev & Argentati 2002)."""
-    q1, q2 = np.linalg.qr(b1)[0], np.linalg.qr(b2)[0]
+    q1, q2 = (np.linalg.qr(_require_finite(np.asarray(b), "basis"))[0]
+              for b in (b1, b2))
     if q1.shape[-1] < q2.shape[-1]:
         q1, q2 = q2, q1
     overlap = adjoint(q1) @ q2

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -227,6 +228,18 @@ def test_geodesic_parameter_overflow():
         geodesic_point(line, 19.0)
     with pytest.raises(ParameterOverflow):
         geodesic_velocity(line, -18.5)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, [0.5, np.nan, 1.0]],
+                         ids=["nan", "inf", "-inf", "stack"])
+def test_a_non_finite_geodesic_parameter_raises_value_error(bad):
+    line = GeodesicLine(zero_point(2, 2), random_direction(rng_from(7), 2, 2))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for call in (geodesic_point, geodesic_velocity):
+            with pytest.raises(ValueError,
+                               match="^parameter contains non-finite entries$"):
+                call(line, np.asarray(bad))
 
 
 def test_geodesic_line_rejects_bad_directions():

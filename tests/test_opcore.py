@@ -10,12 +10,16 @@ from opball import (
     BallPoint,
     PontryaginSignature,
     alpha_metric,
+    eta_value,
     induced_automorphism,
     is_J_unitary,
+    max_principal_angle,
     mobius_differential,
+    poincare_scalar,
     th_map,
 )
 from opball.errors import ShapeMismatch
+from opball.mobius import eta_defect
 from opball.opcore import adjoint, as_matrix, spectral_norm
 from opball.sampling import complex_gaussian, rng_from
 
@@ -69,6 +73,9 @@ RAW_MATRIX_CALLS = {
     "mobius_differential": (lambda m: mobius_differential(POINT, POINT, m),
                             (2, 1), ValueError),
     "th_map": (th_map, (2, 1), None),
+    "eta_defect": (lambda m: eta_defect(m, 2, 1), (3, 3), None),
+    "max_principal_angle": (lambda m: max_principal_angle(m, np.eye(3, 1)),
+                            (3, 1), None),
 }
 
 
@@ -87,3 +94,17 @@ def test_a_raw_matrix_with_a_non_finite_entry_raises_value_error(name, bad):
             with pytest.raises(shape_error) as excinfo:
                 call(np.full((4, 4), bad))
             assert "non-finite" not in str(excinfo.value)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)])
+def test_a_non_finite_vector_or_disc_point_raises_value_error(bad):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(ValueError, match="^vector contains non-finite entries$"):
+            eta_value(SIG21, [0.0, 0.0, bad])
+        with pytest.raises(ShapeMismatch):
+            eta_value(SIG21, [bad] * 4)
+        for pair in ((bad, 0.1), (0.1, bad)):
+            with pytest.raises(ValueError,
+                               match="^disc point contains non-finite entries$"):
+                poincare_scalar(*pair)
