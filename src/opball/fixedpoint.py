@@ -5,6 +5,9 @@ A group is closed from its generators along the Cayley graph: the
 elements found in the last layer are multiplied by each generator and
 inverse in stacked kernel calls, and products are told apart by their
 normalized blocks, aligned by the unimodular scalar they are defined up to.
+Each element keeps its Frobenius norm and conjugated flat row, so a layer
+measures only its own products, and one whose products all match known
+elements ends when their nearest elements are found.
 
 The solver drives the displacement f(X) = max_g rho(X, w_g(X)) to zero;
 f vanishes exactly on the common fixed-point set.  Everything is read in
@@ -38,10 +41,10 @@ from .mobius import (
     BallAutomorphism,
     BallPoint,
     _automorphism_stack,
+    _eta_form,
     _mobius_block,
     automorphism_apply,
     automorphism_compose,
-    eta_matrix,
     mobius_as_block,
     mobius_batch,
     zero_point,
@@ -128,17 +131,26 @@ class AutomorphismGroup:
         return len(self._blocks)
 
 
-def _block_distance(prods: np.ndarray, elems: np.ndarray) -> np.ndarray:
+def _block_distance(prods: np.ndarray, elems: np.ndarray, norms=None,
+                    rows=None) -> np.ndarray:
     """The relative phase-aligned distance ||P - cE||_F / (||P||_F ||E||_F)
     from each block P of one stack to each block E of another, with
     c = <E, P> / |<E, P>| (1 where <E, P> = 0), the unimodular scalar that
     brings E nearest to P: a normalized block is defined only up to such a
-    scalar."""
-    inner = prods.reshape(len(prods), -1) @ adjoint(elems.reshape(len(elems), -1))
+    scalar.  A caller that keeps the Es' Frobenius norms and conjugated flat
+    rows passes them as ``norms`` and ``rows``; the Ps are then the last
+    blocks of the Es, and their norms are read from ``norms``."""
+    if norms is None:
+        norms, own = frobenius_norm(elems), frobenius_norm(prods)
+        rows = elems.reshape(len(elems), -1).conj()
+    else:
+        own = norms[len(norms) - len(prods):]
+    inner = prods.reshape(len(prods), -1) @ rows.T
     size = abs(inner)
     phase = np.divide(inner, size, out=np.ones_like(inner), where=size > 0)
-    gap = frobenius_norm(prods[:, None] - phase[..., None, None] * elems)
-    return gap / np.outer(frobenius_norm(prods), frobenius_norm(elems))
+    aligned = phase[..., None, None] * elems
+    gap = frobenius_norm(np.subtract(prods[:, None], aligned, out=aligned))
+    return gap / (own[:, None] * norms)
 
 
 def group_closure(generators: Sequence[BallAutomorphism]) -> AutomorphismGroup:
@@ -152,82 +164,115 @@ def group_closure(generators: Sequence[BallAutomorphism]) -> AutomorphismGroup:
     unimodular scalar they are defined up to, are within a relative
     Frobenius distance ``GROUP_TOL`` (``_block_distance``).
 
-    Each layer runs as a few stacked kernel calls over its products, taken
-    in chunks that keep every stacked temporary within ``CLOSURE_CHUNK``
-    entries: one block product, one normalization and eta check, and one
+    Each element found keeps its normalized block, its Frobenius norm and
+    its conjugated flat row.  A layer's products are taken in chunks that
+    keep every stacked temporary within ``CLOSURE_CHUNK`` entries, each as
+    a few stacked kernel calls: one broadcast product of the chunk's
+    elements with every step, one normalization and eta check, and one
     distance from each product to the elements found so far and to the
-    chunk's products.  Then, in order, a product that matches no earlier
-    element starts a new one; where several match, the nearest is taken,
-    the earliest of equals.  The table is gathered from the permutations
-    the steps make of the elements.  Raises ``ClosureExceeded`` when the
-    group is infinite or larger than ``MAX_ELEMENTS``, or when a step is
-    not a permutation.
+    chunk's products, which forms the norms and rows of the products only.
+    Each product is the nearest element it matches, the earliest of equals;
+    a chunk with no open product, one that matches no element, is settled
+    by that search alone.  Otherwise only the open products are gone
+    through in order, on lists: one that matches no element started
+    earlier in the chunk starts a new one, and a later open product is the
+    nearest such element it matches.  The table is gathered from the
+    permutations the steps make of the elements.  Raises
+    ``ClosureExceeded`` when the group is infinite or larger than
+    ``MAX_ELEMENTS``, or when a step is not a permutation.
     """
     gens = AutomorphismGroup(generators)
     p, q = gens.dim_h, gens.dim_k
-    width = (p + q) ** 2
+    n = p + q
 
-    blocks = np.empty((0, p + q, p + q), dtype=np.complex128)
+    def rows_at(found: int) -> int:
+        """The products in one chunk when ``found`` elements are known: the
+        distances from a chunk's rows to the elements and to the chunk,
+        rows x (elements + rows) blocks, are the largest temporaries."""
+        return max(1, (math.isqrt(found * found + 4 * (CLOSURE_CHUNK // (n * n)))
+                       - found) // 2)
+
+    # what is kept of each element found: its normalized block, Frobenius
+    # norm and conjugated flat row.  A chunk's candidates are written after
+    # the last element, so that its distance reads one stack, and the new
+    # ones stay there; a chunk holds at most rows_at(0) candidates
+    room = MAX_ELEMENTS + rows_at(0)
+    blocks = np.empty((room, n, n), dtype=np.complex128)
+    norms = np.empty(room)
+    rows = np.empty((room, n * n), dtype=np.complex128)
+    found = 0
 
     def chunks(at: int, stop: int):
-        """Slices of the products [at, stop); the distances from a chunk's
-        rows to the elements and to the chunk, rows x (elements + rows)
-        blocks, are the largest temporaries."""
+        """Slices of the products [at, stop), of ``rows_at`` products each."""
         while at < stop:
-            found = len(blocks)
-            rows = max(1, (math.isqrt(found * found + 4 * (CLOSURE_CHUNK // width))
-                           - found) // 2)
-            yield slice(at, min(at + rows, stop))
-            at += rows
+            size = rows_at(found)
+            yield slice(at, min(at + size, stop))
+            at += size
 
     def settle(cand: np.ndarray) -> np.ndarray:
         """The index of the element each normalized block of a stack is;
         one that matches no earlier one is appended."""
-        nonlocal blocks
-        found = len(blocks)
-        gap = _block_distance(cand, np.concatenate([blocks, cand]))
-        known, own = gap[:, :found], gap[:, found:]
+        nonlocal found
+        stop = found + len(cand)
+        blocks[found:stop] = cand
+        norms[found:stop] = frobenius_norm(cand)
+        np.conjugate(cand.reshape(len(cand), -1), out=rows[found:stop])
+        gap = _block_distance(cand, blocks[:stop], norms[:stop], rows[:stop])
+        known = gap[:, :found]
         best = known.min(axis=1, initial=np.inf)
         index = known.argmin(axis=1) if found else np.zeros(len(cand), dtype=int)
-        # only a product that matches no known element can start one; the
-        # later products of the chunk are compared with each of those
         open_ = np.flatnonzero(best > GROUP_TOL)
-        later = np.where(np.arange(len(cand))[:, None] > open_,
-                         own[:, open_], np.inf)
+        if not len(open_):
+            return index
+        # only a product that matches no known element can start one; the
+        # later open products of the chunk are compared with each of those
+        near = best[open_].tolist()
+        among = gap[open_[:, None], found + open_].tolist()
+        match = [0] * len(near)
         fresh = []
-        for col, k in enumerate(open_):
-            if best[k] <= GROUP_TOL:
+        for a, k in enumerate(open_.tolist()):
+            if near[a] <= GROUP_TOL:
                 continue
             if found + len(fresh) >= MAX_ELEMENTS:
                 raise ClosureExceeded(MAX_ELEMENTS)
-            index[k] = found + len(fresh)
+            match[a] = found + len(fresh)
             fresh.append(k)
-            closer = later[:, col] < best
-            best[closer], index[closer] = later[closer, col], index[k]
-        blocks = np.concatenate([blocks, cand[fresh]])
+            for b in range(a + 1, len(near)):
+                if among[b][a] < near[b]:
+                    near[b], match[b] = among[b][a], match[a]
+        index[open_] = match
+        new = found + np.array(fresh)
+        for kept in (blocks, norms, rows):
+            kept[found:found + len(fresh)] = kept[new]
+        found += len(fresh)
         return index
 
     # the seeds are the identity, then each generator and its inverse; the
     # generators' blocks are normalized already, and the identity and the
     # inverses are normalized and checked in one stack
-    seeds = np.empty((2 * len(gens) + 1, p + q, p + q), dtype=np.complex128)
+    seeds = np.empty((2 * len(gens) + 1, n, n), dtype=np.complex128)
     seeds[::2] = _automorphism_stack(
-        np.concatenate([np.eye(p + q)[None], np.linalg.inv(gens._blocks)]),
+        np.concatenate([np.eye(n)[None], np.linalg.inv(gens._blocks)]),
         p, q, AUT_TOL)
     seeds[1::2] = gens._blocks
     for part in chunks(0, len(seeds)):
         settle(seeds[part])
 
     # element 0 is the identity and the other distinct seeds are the steps;
-    # a layer finds by_step[i, k], the element i s_k, for i in [start, known)
-    steps = blocks[1:]
+    # a layer finds by_step[i, k], the element i s_k, for i in [start, known),
+    # the products of a chunk's elements with every step taken in one
+    # broadcast product and sliced to the chunk
+    steps = blocks[1:found]
+    nsteps = len(steps)
     by_step = [np.empty(0, dtype=int)]
-    start, known = 0, len(blocks)
+    start, known = 0, found
     while start < known:
-        for part in chunks(start * len(steps), known * len(steps)):
-            i, k = np.divmod(np.arange(part.start, part.stop), len(steps))
+        for part in chunks(start * nsteps, known * nsteps):
+            first, skip = divmod(part.start, nsteps)
+            prods = np.matmul(blocks[first:-(-part.stop // nsteps), None], steps)
+            prods = prods.reshape(-1, n, n)[skip:skip + part.stop - part.start]
             try:
-                prods = _automorphism_stack(blocks[i] @ steps[k], p, q, AUT_TOL)
+                prods = _automorphism_stack(prods, p, q, AUT_TOL)
             except NotEtaPreserving as exc:
                 # products of an elliptic finite set never saturate double
                 # precision; losing eta mid-closure means unbounded growth
@@ -236,23 +281,22 @@ def group_closure(generators: Sequence[BallAutomorphism]) -> AutomorphismGroup:
                     "composition chain saturated floating point; group "
                     "closure does not terminate") from exc
             by_step.append(settle(prods))
-        start, known = known, len(blocks)
+        start, known = known, found
 
-    n = len(blocks)
-    by_step = np.concatenate(by_step).reshape(n, len(steps))
+    by_step = np.concatenate(by_step).reshape(found, nsteps)
     # each step permutes a group; one that does not shows a false match
-    if np.any(np.sort(by_step, axis=0) != np.arange(n)[:, None]):
+    if np.any(np.sort(by_step, axis=0) != np.arange(found)[:, None]):
         raise ClosureExceeded(MAX_ELEMENTS, "the closure steps do not permute "
                               "the elements found; they form no group")
     # element j, first found as i s_k, has x j = (x i) s_k for every x
-    parent, step = np.divmod(np.unique(by_step, return_index=True)[1],
-                             len(steps))
-    table = np.empty((n, n), dtype=int)
-    table[:, 0] = np.arange(n)
-    for j in range(1, n):
+    parent, step = np.divmod(np.unique(by_step, return_index=True)[1], nsteps)
+    table = np.empty((found, found), dtype=int)
+    table[:, 0] = np.arange(found)
+    for j in range(1, found):
         table[:, j] = by_step[table[:, parent[j]], step[j]]
     table.setflags(write=False)
-    return object.__new__(AutomorphismGroup)._hold(blocks, p, q, table)
+    return object.__new__(AutomorphismGroup)._hold(blocks[:found].copy(), p, q,
+                                                   table)
 
 
 def _chart(blocks: np.ndarray, x: np.ndarray):
@@ -318,13 +362,14 @@ def _averaged_point(blocks: np.ndarray, p: int, q: int) -> BallPoint:
 
     The form squares the blocks' conditioning, so it is taken as R*R/n from
     the R factor of one QR of the stacked blocks.  The negative eigenvectors
-    Y of ``R^{-*} J R^{-1}`` give X = R^{-1} Y, a basis of the invariant
-    maximal negative subspace L(D) (of dimension q by Sylvester's law of
-    inertia), and D = X_H X_K^{-1}; where H and K share an irreducible class
-    the fixed points form a set and this is one of them.
+    Y of ``R^{-*} J R^{-1}`` (``_eta_form``, where J enters as its signs)
+    give X = R^{-1} Y, a basis of the invariant maximal negative subspace
+    L(D) (of dimension q by Sylvester's law of inertia), and
+    D = X_H X_K^{-1}; where H and K share an irreducible class the fixed
+    points form a set and this is one of them.
     """
     r_inv = np.linalg.inv(np.linalg.qr(blocks.reshape(-1, p + q), mode="r"))
-    _, vecs = np.linalg.eigh(adjoint(r_inv) @ eta_matrix(p, q) @ r_inv)
+    _, vecs = np.linalg.eigh(_eta_form(r_inv, p, q)[0])
     basis = r_inv @ vecs[:, :q]
     return BallPoint(np.linalg.solve(basis[p:].T, basis[:p].T).T,
                      boundary_tol=0.0)

@@ -191,7 +191,13 @@ def _line_points(line: GeodesicLine, t):
 
 def geodesic_point(line: GeodesicLine, t: float) -> BallPoint:
     """gamma(t) = M_A(W tanh(tS) V*) from the line's kept factors and roots:
-    two SVDs (the resolvent check and the point's norm) and one solve."""
+    two SVDs (the resolvent check and the point's norm) and one solve.  An
+    array ``t`` of one or more dimensions raises ``ValueError`` before any
+    of them: the finiteness error of ``_line_inner`` if an entry is not
+    finite, else one naming its shape."""
+    if np.ndim(t):
+        _require_finite(np.asarray(t, dtype=np.float64), "parameter")
+        raise ValueError(f"parameter must be a number, got shape {np.shape(t)}")
     return object.__new__(BallPoint)._set(*_line_points(line, t))
 
 

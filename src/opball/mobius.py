@@ -246,8 +246,9 @@ def _eta_spectra(gap: np.ndarray, t=None):
 
 
 def _eta_form(t: np.ndarray, dim_h: int, dim_k: int):
-    """``(T*JT, signs)`` for a matrix or a stack, with J entering as its
-    vector of signs: one product, no dense J."""
+    """``(T*JT, signs)`` for a matrix of ``dim_h + dim_k`` rows or a stack,
+    with J entering as its vector of signs: one product, no dense J.  The
+    one kernel of every J-Gram form, of a block or of a subspace basis."""
     sign = np.ones(dim_h + dim_k)
     sign[dim_h:] = -1.0
     return adjoint(t) @ (sign[:, None] * t), sign
@@ -269,17 +270,22 @@ def _eta_checked(t: np.ndarray, dim_h: int, dim_k: int, aut_tol):
 
     A Frobenius screen, ``||T*JT/s - J||_F <= aut_tol max(1, ||T||_F^2/(n s))``,
     passes a block first: its left side bounds the defect from above and
-    ``||T||_F^2 / n`` bounds ``||T||^2`` from below.  Only the blocks it
-    cannot pass take ``_eta_spectra``; the failure furthest over its
-    allowance, the first of equals, is raised.  J enters as its signs."""
+    ``||T||_F^2 / n`` bounds ``||T||^2`` from below.  The allowance is at
+    least ``aut_tol``, so ``||T||_F`` is formed only when a left side
+    exceeds ``aut_tol``.  Only the blocks the screen cannot pass take
+    ``_eta_spectra``; the failure furthest over its allowance, the first of
+    equals, is raised.  J enters as its signs."""
     n = dim_h + dim_k
     form, sign = _eta_form(t, dim_h, dim_k)
     scale = (form.diagonal(0, -2, -1) * sign).sum(-1).real / n
     if (scale <= 0.0).any():
         raise NotEtaPreserving("T*JT has non-positive alignment with J")
     gap = form / scale[..., None, None] - np.diag(sign)
-    unsure = ~(frobenius_norm(gap) <= aut_tol * np.maximum(
-        1.0, frobenius_norm(t) ** 2 / (n * scale)))
+    screen = frobenius_norm(gap)
+    unsure = ~(screen <= aut_tol)
+    if unsure.any():
+        unsure &= ~(screen <= aut_tol * np.maximum(
+            1.0, frobenius_norm(t) ** 2 / (n * scale)))
     if unsure.any():
         tol = np.broadcast_to(aut_tol, unsure.shape)[unsure]
         defect, gram = _eta_spectra(gap[unsure], t[unsure])

@@ -37,6 +37,7 @@ from .mobius import (
     BallAutomorphism,
     BallPoint,
     _automorphism_stack,
+    _eta_form,
     _eta_gap,
     _eta_spectra,
     _mobius_block,
@@ -143,7 +144,7 @@ def subspace_to_ball(sig: PontryaginSignature, basis) -> BallPoint:
     sing = np.linalg.svd(basis, compute_uv=False)
     if sing[-1] <= 1e-12 * sing[0]:
         raise ValueError("basis columns are linearly dependent")
-    gram = adjoint(basis) @ sig.j @ basis
+    gram, _ = _eta_form(basis, sig.n_plus, sig.n_minus)
     lam = np.linalg.eigvalsh(gram)
     if lam[-1] >= 0.0:
         raise NotNegative(f"eta Gram eigenvalue {lam[-1]!r} not negative")
@@ -663,7 +664,7 @@ def dual_pair(rep: Representation) -> DualPair:
     negative = np.linalg.qr(graph_subspace(sig, d))[0]
     for basis, sign, label in ((positive, 1.0, "positive"),
                                (negative, -1.0, "negative")):
-        gram = adjoint(basis) @ sig.j @ basis
+        gram, _ = _eta_form(basis, sig.n_plus, sig.n_minus)
         eig = np.linalg.eigvalsh((gram + adjoint(gram)) / 2.0)
         if (sign * eig).min() <= 0.0:
             raise DegenerateSplit(f"eta not definite on the {label} component")

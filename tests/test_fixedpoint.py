@@ -157,13 +157,21 @@ def cyclic_64():
                              2, 2)]
 
 
-@pytest.mark.parametrize("generators", [c[1] for c in PINNED_CLOSURES]
-                         + [cyclic_64],
-                         ids=[c[0] for c in PINNED_CLOSURES] + ["C64"])
-def test_closure_table_matches_the_block_products(generators):
+def every_element_of_cyclic_64():
+    # 129 seeds, the first 90 settled with nothing known, then one layer of
+    # 64 x 63 products in 63 chunks
+    return list(group_closure(cyclic_64()).elements)
+
+
+@pytest.mark.parametrize("generators,order",
+                         [(c[1], len(c[2])) for c in PINNED_CLOSURES]
+                         + [(cyclic_64, 64), (every_element_of_cyclic_64, 64)],
+                         ids=[c[0] for c in PINNED_CLOSURES] + ["C64", "C64-all"])
+def test_closure_table_matches_the_block_products(generators, order):
     # the table is gathered from the steps' permutations, with no floating
     # point; T_i T_j must still be the element table[i, j]
     group = group_closure(generators())
+    assert len(group) == order
     for i in range(len(group)):
         gap = _block_distance(group._blocks[i] @ group._blocks,
                               group._blocks[group.table[i]])

@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 
 import numpy as np
@@ -240,6 +241,30 @@ def test_a_non_finite_geodesic_parameter_raises_value_error(bad):
             with pytest.raises(ValueError,
                                match="^parameter contains non-finite entries$"):
                 call(line, np.asarray(bad))
+
+
+def test_geodesic_point_rejects_an_array_parameter_before_any_svd(monkeypatch):
+    line = GeodesicLine(random_ball_point(rng_from(8), 2, 2, 0.6),
+                        random_direction(rng_from(9), 2, 2))
+    svd, calls = np.linalg.svd, []
+
+    def counted(*args, **kwargs):
+        calls.append(np.shape(args[0]))
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for bad in (np.array([0.5, 1.0]), np.array([[0.5]]), [0.25]):
+            with pytest.raises(ValueError, match=(
+                    r"^parameter must be a number, got shape "
+                    + re.escape(str(np.shape(bad))) + "$")):
+                geodesic_point(line, bad)
+        assert calls == []
+        # a 0-d array and numpy scalars still give the point of the float
+        point = geodesic_point(line, 0.75).matrix
+        for t in (np.array(0.75), np.float64(0.75), np.float32(0.75)):
+            assert geodesic_point(line, t).matrix.tobytes() == point.tobytes()
 
 
 def test_geodesic_line_rejects_bad_directions():
