@@ -12,12 +12,13 @@ elements ends when their nearest elements are found.
 The solver drives the displacement f(X) = max_g rho(X, w_g(X)) to zero;
 f vanishes exactly on the common fixed-point set.  Everything is read in
 the chart at the iterate X (``_chart``): the block U of M_{-X} conjugates
-each element to tau = U T U^{-1}, and rho(X, w_g(X)) = atanh ||tau12
-tau22^{-1}||.  A group with a table starts at the point read off its
-averaged form mean_g T_g* T_g, which is fixed up to rounding; a
-generator set starts at 0.  From a start that misses the tolerance, each
-step solves the fixed-point equations of all elements, linearized in that
-chart, in least squares (Newton), and is kept only while f falls.  The
+each element to tau = U T U^{-1}, with U^{-1} the block of M_X, and
+rho(X, w_g(X)) = atanh ||tau12 tau22^{-1}||.  A group with a table starts
+at the point read off its averaged form mean_g T_g* T_g, which is fixed up
+to rounding; a generator set starts at 0.  From a start that misses the
+tolerance, each step solves the fixed-point equations of all elements,
+linearized in that chart, in least squares (Newton), and is kept only
+while f falls.  The
 displacement certifies the point; the minimal enclosing ball of the orbit,
 whose center the paper's normal-structure argument fixes, is never formed.
 """
@@ -304,10 +305,16 @@ def _chart(blocks: np.ndarray, x: np.ndarray):
     with U = ``_mobius_block(-X)``, tau = U T U^{-1}, which acts as
     M_{-X} w_T M_X, and the corners C = tau12 tau22^{-1} = M_{-X}(w_T(X)).
     M_{-X} is an isometry taking X to 0, so rho(X, w_T(X)) = atanh ||C||
-    (``_displacement``); a block's scale cancels in its corner."""
+    (``_displacement``); a block's scale cancels in its corner.  U^{-1} is
+    the block of M_X, exactly, since M_{-X}^{-1} = M_X: it has U's defect
+    roots on its diagonal and U's corners negated, so it is read off U
+    with no inversion."""
     p = x.shape[-2]
     u = _mobius_block(-x)
-    tau = u @ blocks @ np.linalg.inv(u)
+    u_inv = u.copy()
+    u_inv[:p, p:] *= -1.0
+    u_inv[p:, :p] *= -1.0
+    tau = u @ blocks @ u_inv
     inv22 = np.linalg.inv(tau[:, p:, p:])
     return u, tau, inv22, tau[:, :p, p:] @ inv22
 

@@ -14,6 +14,8 @@ eta-preserving block matrix T acting by the fractional-linear rule
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from .errors import (
@@ -113,7 +115,7 @@ def defect_roots(a: np.ndarray, left: float, right: float):
     g = np.maximum((1.0 - s) * (1.0 + s), 0.0)[..., None, :]
     with np.errstate(divide="ignore"):
         gl, gr = g ** left - 1.0, g ** right - 1.0
-    if not (np.all(np.isfinite(gl)) and np.all(np.isfinite(gr))):
+    if not (np.isfinite(gl).all() and np.isfinite(gr).all()):
         raise DomainError("matrix function undefined at an eigenvalue near 0")
     p, q = a.shape[-2:]
     return (np.eye(p) + (w * gl) @ adjoint(w),
@@ -245,20 +247,37 @@ def _eta_spectra(gap: np.ndarray, t=None):
     return np.abs(lam[0]).max(axis=-1), lam[1]
 
 
-def _eta_form(t: np.ndarray, dim_h: int, dim_k: int):
-    """``(T*JT, signs)`` for a matrix of ``dim_h + dim_k`` rows or a stack,
-    with J entering as its vector of signs: one product, no dense J.  The
-    one kernel of every J-Gram form, of a block or of a subspace basis."""
+@functools.lru_cache(maxsize=64)
+def _signs(dim_h: int, dim_k: int) -> np.ndarray:
+    """J's diagonal for the split, read-only and built once per split."""
     sign = np.ones(dim_h + dim_k)
     sign[dim_h:] = -1.0
+    sign.setflags(write=False)
+    return sign
+
+
+def _eta_form(t: np.ndarray, dim_h: int, dim_k: int):
+    """``(T*JT, signs)`` for a matrix of ``dim_h + dim_k`` rows or a stack,
+    with J entering as its read-only vector of signs (``_signs``): one
+    product, no dense J.  The one kernel of every J-Gram form, of a block
+    or of a subspace basis."""
+    sign = _signs(dim_h, dim_k)
     return adjoint(t) @ (sign[:, None] * t), sign
+
+
+def _minus_diagonal(form: np.ndarray, sign: np.ndarray) -> np.ndarray:
+    """``form - diag(sign)`` for a fresh contiguous square matrix or stack,
+    in place: only the diagonal is written, so the result is the same bit
+    for bit as the subtraction of the dense diagonal matrix."""
+    n = form.shape[-1]
+    form.reshape(form.shape[:-2] + (n * n,))[..., ::n + 1] -= sign
+    return form
 
 
 def _eta_gap(t: np.ndarray, dim_h: int, dim_k: int) -> np.ndarray:
     """T*JT - J for a matrix or a stack (``_eta_form``): the one kernel of
     the gap that ``eta_defect`` measures and the eta screens bound."""
-    form, sign = _eta_form(t, dim_h, dim_k)
-    return form - np.diag(sign)
+    return _minus_diagonal(*_eta_form(t, dim_h, dim_k))
 
 
 def _eta_checked(t: np.ndarray, dim_h: int, dim_k: int, aut_tol):
@@ -280,20 +299,20 @@ def _eta_checked(t: np.ndarray, dim_h: int, dim_k: int, aut_tol):
     scale = (form.diagonal(0, -2, -1) * sign).sum(-1).real / n
     if (scale <= 0.0).any():
         raise NotEtaPreserving("T*JT has non-positive alignment with J")
-    gap = form / scale[..., None, None] - np.diag(sign)
+    gap = _minus_diagonal(form / scale[..., None, None], sign)
     screen = frobenius_norm(gap)
     unsure = ~(screen <= aut_tol)
     if unsure.any():
         unsure &= ~(screen <= aut_tol * np.maximum(
             1.0, frobenius_norm(t) ** 2 / (n * scale)))
-    if unsure.any():
-        tol = np.broadcast_to(aut_tol, unsure.shape)[unsure]
-        defect, gram = _eta_spectra(gap[unsure], t[unsure])
-        allowed = tol * np.maximum(1.0, gram[:, -1] / scale[unsure])
-        if (defect > allowed).any():
-            k = int(np.argmax(defect / allowed))
-            raise NotEtaPreserving(
-                f"||T*JT - J|| = {float(defect[k]):.3e} > {float(allowed[k])!r}")
+        if unsure.any():
+            tol = np.broadcast_to(aut_tol, unsure.shape)[unsure]
+            defect, gram = _eta_spectra(gap[unsure], t[unsure])
+            allowed = tol * np.maximum(1.0, gram[:, -1] / scale[unsure])
+            if (defect > allowed).any():
+                k = int(np.argmax(defect / allowed))
+                raise NotEtaPreserving(f"||T*JT - J|| = {float(defect[k]):.3e}"
+                                       f" > {float(allowed[k])!r}")
     t = t / np.sqrt(scale)[..., None, None]
     t.setflags(write=False)
     return t

@@ -43,9 +43,9 @@ def spectral_norm(a):
 
 def frobenius_norm(a):
     """The Frobenius norm of a matrix, or of each matrix of a stack of any
-    leading shape, from one einsum over the float64 view of its entries: the
+    leading shape, from one vecdot over the float64 view of its entries: the
     kernel of every Frobenius screen, as it bounds the spectral norm from
     above, and over the square root of the smaller dimension from below."""
     a = np.ascontiguousarray(a, dtype=np.complex128)
     flat = a.view(np.float64).reshape(a.shape[:-2] + (-1,))
-    return np.sqrt(np.einsum("...i,...i->...", flat, flat))
+    return np.sqrt(np.vecdot(flat, flat))

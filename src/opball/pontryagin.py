@@ -55,6 +55,9 @@ from .sampling import random_eta_preserving, random_unitary, rng_from
 
 REP_TOL = 1e-8
 UNIT_TOL = 1e-7
+# complex entries the homomorphism screen forms in one block of table
+# columns; a column larger than this is a block of its own
+_SCREEN_ENTRIES = 4096
 
 
 @dataclass(frozen=True)
@@ -321,19 +324,19 @@ def _check_homomorphism(table: np.ndarray, stack: np.ndarray, norms):
     pair in row-major order."""
     n, dim, _ = stack.shape
     tall = stack.reshape(n * dim, dim)
-    diff = np.empty((n, dim, dim), dtype=np.complex128)
-    target = np.empty_like(diff)
-    flat = diff.view(np.float64).reshape(n, -1)
+    width = max(1, _SCREEN_ENTRIES // (n * dim * dim))
     frobenius_sq = np.empty((n, n))
-    # one column h at a time: pi(g) pi(h) for every g is one product of the
-    # images stacked as an (n dim) x dim matrix, and the pi(gh) one gather;
-    # the table is valid, so mode "clip" changes no index and, unlike
-    # "raise", writes straight into the buffer
-    for h, column in enumerate(table.T):
-        np.matmul(tall, stack[h], out=diff.reshape(n * dim, dim))
-        np.take(stack, column, axis=0, out=target, mode="clip")
-        np.subtract(target, diff, out=diff)
-        np.einsum("ij,ij->i", flat, flat, out=frobenius_sq[:, h])
+    # a block of columns h at a time: pi(g) pi(h) for every g and every h of
+    # the block is one product of the images stacked as an (n dim) x dim
+    # matrix with those of the block side by side, and the pi(gh) one gather
+    for start in range(0, n, width):
+        part = slice(start, start + width)
+        block = stack[part]
+        wide = block.transpose(1, 0, 2).reshape(dim, -1)
+        diff = stack[table[:, part]]
+        diff -= (tall @ wide).reshape(n, dim, len(block), dim).swapaxes(1, 2)
+        flat = diff.view(np.float64).reshape(n, len(block), -1)
+        frobenius_sq[:, part] = np.vecdot(flat, flat)
     low = frobenius_norm(stack) / np.sqrt(dim)
     # rounding in either norm cannot carry a difference across the factor 2,
     # so neither screen decides a pair the SVD would not; they compare roots,
@@ -369,8 +372,8 @@ def _image_stack(images: list, n: int, dim: int) -> np.ndarray:
         stack = np.array(images, dtype=np.complex128)
     except (TypeError, ValueError):
         stack = None
-    if stack is not None and stack.shape == (n, dim, dim) and np.all(
-            np.isfinite(stack)):
+    if (stack is not None and stack.shape == (n, dim, dim)
+            and np.isfinite(stack).all()):
         return stack
     images = [as_matrix(m, name=f"image {k}") for k, m in enumerate(images)]
     if len(images) != n:
@@ -403,12 +406,13 @@ class Representation:
     norm, which bounds a spectral norm from above, cannot decide.
 
     The homomorphism check (``_check_homomorphism``) forms the differences
-    one column of the table at a time, in buffers reused across columns, and
-    keeps only their Frobenius norms: one screen of all pairs against
-    tolerances taken with ||pi(g)||_F / sqrt(dim) <= ||pi(g)|| certifies
-    the pairs whose products round well within tolerance; survivors are
-    screened again with the exact norms, and those within a factor 2 of
-    their tolerance take an SVD, no more than n at once.
+    in blocks of table columns, as many as keep a block within a few
+    thousand entries, and keeps only their Frobenius norms: one screen of
+    all pairs against tolerances taken with
+    ||pi(g)||_F / sqrt(dim) <= ||pi(g)|| certifies the pairs whose products
+    round well within tolerance; survivors are screened again with the
+    exact norms, and those within a factor 2 of their tolerance take an
+    SVD, no more than n at once.
 
     ``_unitarization`` holds the result of the first ``unitarize`` of this
     representation that passes its certificate; later calls of
@@ -649,9 +653,10 @@ def dual_pair(rep: Representation) -> DualPair:
 
     The unitarized group tau(g) = U pi(g) U^{-1} is unitary and J-unitary,
     so it leaves H and K invariant, and pi leaves U^{-1} H and U^{-1} K
-    invariant.  U^{-1} is the block of M_D at ``unitarize``'s fixed point D:
-    its first n_plus columns are [I; D*] (1 - DD*)^{-1/2} and its last
-    n_minus columns [D; I] (1 - D*D)^{-1/2}.  So the negative component is
+    invariant.  U^{-1} is the block of M_D at ``unitarize``'s fixed point D,
+    U with its corners negated, as ``fixedpoint._chart`` forms it: its
+    first n_plus columns are [I; D*] (1 - DD*)^{-1/2} and its last n_minus
+    columns [D; I] (1 - D*D)^{-1/2}.  So the negative component is
     the graph L(D), and the positive one its J-orthogonal complement,
     spanned by [I; D*]; the bases are the QR factors of the two.  D is
     read off the result that ``unitarize`` stores on ``rep``, so a

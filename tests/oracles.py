@@ -36,3 +36,35 @@ def spectral_eta_rule(t, dim_h, dim_k, aut_tol):
         return (f"||T*JT - J|| = {float(defect[k]):.3e} > "
                 f"{float(allowed[k])!r}"), ratios
     return (stack / np.sqrt(scale)[:, None, None]).reshape(t.shape), ratios
+
+
+def chart_inverse(u, p):
+    """U^{-1} for U the block of M_{-X}, X with ``p`` rows, formed as
+    ``fixedpoint._chart`` forms it: M_{-X}^{-1} = M_X, whose block has the
+    same defect roots and the two corners negated."""
+    u_inv = np.array(u, dtype=np.complex128)
+    u_inv[:p, p:] *= -1.0
+    u_inv[p:, :p] *= -1.0
+    return u_inv
+
+
+
+def homomorphism_rule(table, images, rep_tol):
+    """The homomorphism check of ``Representation`` with no screen: the
+    pair furthest over ``rep_tol max(1, ||pi(g)|| ||pi(h)||)``, one
+    spectral norm per pair, the first such pair in row-major order, as the
+    ``ValueError`` text quotes it; None if no pair is over."""
+    norms = [np.linalg.norm(m, 2) for m in images]
+    worst = None
+    for g in range(len(table)):
+        for h in range(len(table)):
+            defect = np.linalg.norm(images[int(table[g][h])]
+                                    - images[g] @ images[h], 2)
+            allowed = rep_tol * max(1.0, norms[g] * norms[h])
+            if defect > allowed and (
+                    worst is None or defect / allowed > worst[0] / worst[1]):
+                worst = (defect, allowed, g, h)
+    if worst is None:
+        return None
+    defect, allowed, g, h = worst
+    return f"homomorphism defect {defect:.3e} > {allowed:.3e} at ({g}, {h})"

@@ -20,7 +20,7 @@ from opball import (
 )
 from opball.errors import ShapeMismatch
 from opball.mobius import eta_defect
-from opball.opcore import adjoint, as_matrix, spectral_norm
+from opball.opcore import adjoint, as_matrix, frobenius_norm, spectral_norm
 from opball.sampling import complex_gaussian, rng_from
 
 
@@ -36,6 +36,29 @@ def test_spectral_norm_submultiplicative():
         a = complex_gaussian(rng, 4, 3)
         b = complex_gaussian(rng, 3, 5)
         assert spectral_norm(a @ b) <= spectral_norm(a) * spectral_norm(b) + 1e-12
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("lead", [(), (5,), (2, 3)])
+@pytest.mark.parametrize("kind", ["complex", "real", "strided"])
+def test_frobenius_norm_is_the_per_matrix_norm(lead, kind):
+    rng = rng_from(1)
+    eps = np.finfo(float).eps
+    for n in range(1, 17):
+        a = rng.standard_normal(lead + (n, n))
+        if kind != "real":
+            a = a + 1j * rng.standard_normal(lead + (n, n))
+        if kind == "strided":
+            # every other row and column of a larger stack, transposed
+            big = np.zeros(lead + (2 * n, 2 * n), dtype=np.complex128)
+            big[..., ::2, ::2] = a
+            a = big[..., ::2, ::2].swapaxes(-1, -2)
+            assert not a.flags.c_contiguous or n == 1
+        norms = frobenius_norm(a)
+        assert np.shape(norms) == lead
+        for index in np.ndindex(lead):
+            expected = np.linalg.norm(a[index])
+            assert abs(norms[index] - expected) <= 2 * eps * expected
 
 
 def test_as_matrix_rejects_bad_input():

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from oracles import chart_inverse
+
 from opball import fixedpoint, pontryagin
 from opball.errors import (
     FixedPointFailed,
@@ -575,13 +577,17 @@ def _automorphisms(rep):
         blocks, sig.n_plus, sig.n_minus, rep.table)
 
 
-def _solved(rep, group, x0=None):
-    """The solve on the group: the fixed point that ``find_fixed_point``
-    returns, U and tau = U pi U^{-1} at it."""
+def _solved(group, x0=None):
+    """The converged solve on the group that ``find_fixed_point`` returns."""
     result = find_fixed_point(group, x0=x0)
     assert result.converged
-    u = unitarizer_matrix(rep.signature, result.point)
-    return result, u, u @ rep._stack @ np.linalg.inv(u)
+    return result
+
+
+def _conjugated(rep, u):
+    """tau = U pi U^{-1} as the chart forms it, with U^{-1} the block of
+    M_D read off U (``chart_inverse``)."""
+    return u @ rep._stack @ chart_inverse(u, rep.signature.n_plus)
 
 
 @pytest.mark.parametrize("cond", [2.0, 20.0, 300.0, 1e3])
@@ -599,8 +605,8 @@ def test_chart_certificate_is_the_descent_start(group, n_plus, n_minus, cond):
     assert res.fixed_point.matrix.tobytes() == start.matrix.tobytes()
     u = unitarizer_matrix(rep.signature, start)
     assert res.similarity.tobytes() == u.tobytes()
-    tau = u @ rep._stack @ np.linalg.inv(u)
-    assert np.stack(res.unitary_rep.images).tobytes() == tau.tobytes()
+    assert np.stack(res.unitary_rep.images).tobytes() == _conjugated(
+        rep, u).tobytes()
     # rho(D, w_g(D)) read in the chart at D is the sinh-form displacement
     autos = _automorphisms(rep)
     images = _frac_checked(autos._blocks, start.matrix)
@@ -608,10 +614,33 @@ def test_chart_certificate_is_the_descent_start(group, n_plus, n_minus, cond):
     assert abs(chart - sinh_form) <= 1e-11
     # the solve on the group starts at the averaged point of the normalized
     # blocks, whose forms round apart from pi's by about eps ||pi||^2
-    result, _, _ = _solved(rep, autos)
+    result = _solved(autos)
     assert result.iterations == 0
     eps = np.finfo(float).eps
     assert distance(res.fixed_point, result.point) <= 4 * eps * rep.bound ** 2
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("cond", [10.0, 1e3])
+@pytest.mark.parametrize("group, n_plus, n_minus", CHART_CASES)
+def test_tau_from_the_read_off_inverse_rounds_as_the_inverted_one(
+        group, n_plus, n_minus, cond):
+    # U^{-1} read off U and U^{-1} from an LU inversion give one tau up to
+    # rounding: each product U pi U^{-1} is formed to about eps ||U||
+    # ||pi|| ||U^{-1}||, which is of the order of eps bound^2.  Measured on
+    # these cases: at most 0.10 eps bound^2 apart entrywise, and unitarity
+    # defects of at most 0.74 eps bound^2 against 0.68 with the inversion
+    eps = np.finfo(float).eps
+    for seed in range(6):
+        rep = make_test_representation(
+            group, PontryaginSignature(n_plus, n_minus), conditioning=cond,
+            seed=seed)
+        res = unitarize(rep)
+        u, tau = res.similarity, res.unitary_rep._stack
+        inverted = u @ rep._stack @ np.linalg.inv(u)
+        allowed = eps * rep.bound ** 2
+        assert np.abs(tau - inverted).max() <= allowed
+        assert res.unitarity_defect <= max_unitarity_defect(inverted) + allowed
 
 
 def _scaled(rep, c):
@@ -779,7 +808,7 @@ def test_a_start_point_off_the_fixed_point_descends(monkeypatch):
     autos = _automorphisms(rep)
     assert displacement(autos, off) > FP_TOL
     # the solve takes Newton steps from off
-    result, _, _ = _solved(rep, autos, x0=off)
+    result = _solved(autos, x0=off)
     assert result.point is not off
     monkeypatch.setattr(pontryagin, "_averaged_point", lambda *args: off)
     res = unitarize(rep)
@@ -788,8 +817,8 @@ def test_a_start_point_off_the_fixed_point_descends(monkeypatch):
     assert distance(res.fixed_point, result.point) <= 1e-12
     u = unitarizer_matrix(rep.signature, res.fixed_point)
     assert res.similarity.tobytes() == u.tobytes()
-    tau = u @ rep._stack @ np.linalg.inv(u)
-    assert np.stack(res.unitary_rep.images).tobytes() == tau.tobytes()
+    assert np.stack(res.unitary_rep.images).tobytes() == _conjugated(
+        rep, u).tobytes()
     assert res.unitarity_defect <= UNIT_TOL
 
 

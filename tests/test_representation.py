@@ -6,6 +6,9 @@ import re
 import numpy as np
 import pytest
 
+from oracles import chart_inverse, homomorphism_rule
+
+from opball import pontryagin
 from opball.errors import NotEtaPreserving, ShapeMismatch
 from opball.mobius import _eta_spectra, eta_defect, eta_matrix
 from opball.opcore import adjoint, spectral_norm
@@ -22,26 +25,6 @@ from opball.pontryagin import (
 from opball.sampling import complex_gaussian, rng_from
 
 CASES = [("C4", 2, 1), ("S3", 4, 2), ("Q8", 5, 2), ("C12", 6, 3)]
-
-
-def reference_homomorphism_error(table, images, rep_tol):
-    """The pair furthest over rep_tol * max(1, ||pi(g)|| ||pi(h)||), one
-    spectral norm per pair, as the error message quotes it; None if no pair
-    is over."""
-    norms = [spectral_norm(m) for m in images]
-    worst = None
-    for g in range(len(table)):
-        for h in range(len(table)):
-            defect = spectral_norm(images[int(table[g][h])]
-                                   - images[g] @ images[h])
-            allowed = rep_tol * max(1.0, norms[g] * norms[h])
-            if defect > allowed and (
-                    worst is None or defect / allowed > worst[0] / worst[1]):
-                worst = (defect, allowed, g, h)
-    if worst is None:
-        return None
-    defect, allowed, g, h = worst
-    return f"homomorphism defect {defect:.3e} > {allowed:.3e} at ({g}, {h})"
 
 
 def _involution_rep(defect):
@@ -86,12 +69,44 @@ def test_homomorphism_check_matches_the_per_pair_loop(name, p, q):
         images = list(rep.images)
         k = int(rng.integers(1, len(images)))
         images[k] = images[k] + scale * complex_gaussian(rng, p + q, p + q)
-        expected = reference_homomorphism_error(rep.table, images, REP_TOL)
+        expected = homomorphism_rule(rep.table, images, REP_TOL)
         if expected is None:
             Representation(rep.signature, rep.table, images)
         else:
             with pytest.raises(ValueError, match=re.escape(expected)):
                 Representation(rep.signature, rep.table, images)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("entries", [None, 5 * 12 * 9 * 9])
+@pytest.mark.parametrize("name, p, q", [("C4", 2, 1), ("C12", 6, 3),
+                                        ("C32", 8, 8)])
+def test_blocked_screen_decides_as_the_per_pair_rule(monkeypatch, name, p, q,
+                                                     entries):
+    # the screen forms the differences in blocks of table columns; with the
+    # second budget C12 at (6, 3) takes blocks of 5, 5 and 2 columns
+    if entries is not None:
+        monkeypatch.setattr(pontryagin, "_SCREEN_ENTRIES", entries)
+    rep = make_test_representation(name, PontryaginSignature(p, q),
+                                   conditioning=2.0, seed=0)
+    assert homomorphism_rule(rep.table, rep.images, REP_TOL) is None
+
+    def unscreened():
+        raise AssertionError("a pair of an exact table survived the screen")
+
+    # the screen alone certifies every pair of an exact table, so a block
+    # that forms wrong differences cannot hide behind the spectral fallback
+    pontryagin._check_homomorphism(rep.table, rep._stack, unscreened)
+    rng = rng_from(7)
+    for k in (1, len(rep.images) // 2, len(rep.images) - 1):
+        images = list(rep.images)
+        nudge = complex_gaussian(rng, p + q, p + q)
+        images[k] = images[k] + 1e-6 * nudge / spectral_norm(nudge)
+        expected = homomorphism_rule(rep.table, images, REP_TOL)
+        assert expected is not None
+        with pytest.raises(ValueError) as excinfo:
+            Representation(rep.signature, rep.table, images)
+        assert str(excinfo.value) == expected
 
 
 def test_the_worst_of_several_failing_pairs_is_named():
@@ -114,7 +129,7 @@ def test_the_worst_of_several_failing_pairs_is_named():
             over.append((defect / allowed, g, h))
     worst = max(over)
     assert len(over) > len(images) and worst[1:] != over[0][1:]
-    expected = reference_homomorphism_error(rep.table, images, REP_TOL)
+    expected = homomorphism_rule(rep.table, images, REP_TOL)
     assert expected.endswith(f"at ({worst[1]}, {worst[2]})")
     with pytest.raises(ValueError) as excinfo:
         Representation(rep.signature, rep.table, images)
@@ -144,7 +159,7 @@ def test_a_large_boost_is_decided_with_its_spectral_norm():
     outcomes = []
     for rel in np.geomspace(1e-10, 1e-7, 7):
         images = [np.eye(16), flip + rel * e]
-        expected = reference_homomorphism_error(group_table("C2"), images,
+        expected = homomorphism_rule(group_table("C2"), images,
                                                 REP_TOL)
         diff = images[0] - images[1] @ images[1]
         screened = np.linalg.norm(diff) > REP_TOL * low ** 2 / 2
@@ -196,7 +211,7 @@ def test_stacked_measurements_are_the_per_image_formulas(name, p, q):
     assert rep.eta_defect == max(defect for defect, _ in alone)
     assert rep.eta_defect == max(eta_defect(m, p, q) for m in rep.images)
     res = unitarize(rep)
-    u_inv = np.linalg.inv(res.similarity)
+    u_inv = chart_inverse(res.similarity, p)
     for m, tau in zip(rep.images, res.unitary_rep.images):
         assert np.array_equal(tau, res.similarity @ m @ u_inv)
     grams = [_alone(m, p, q)[1] for m in res.unitary_rep.images]
