@@ -275,7 +275,9 @@ def curve_length(ts, points: Sequence[BallPoint], velocities=None) -> float:
     """Composite-Simpson estimate of the alpha-length of a sampled curve.
 
     ``velocities`` may give the derivative matrix at each node; when absent
-    it is approximated by second-order differences of the sample.
+    it is approximated by second-order differences of the sample.  The
+    speeds are one ``_alpha`` of the stacked points and velocities, which
+    must be finite and of the points' shape (else ``ValueError``).
     """
     ts = np.asarray(ts, dtype=np.float64)
     if ts.ndim != 1 or len(ts) != len(points):
@@ -284,11 +286,14 @@ def curve_length(ts, points: Sequence[BallPoint], velocities=None) -> float:
         raise GridTooCoarse(f"need at least 3 nodes, got {len(ts)}")
     if not np.all(np.diff(ts) > 0):
         raise ValueError("parameter grid must be strictly increasing")
+    stack = np.stack([pt.matrix for pt in points])
     if velocities is None:
-        stack = np.stack([pt.matrix for pt in points])
-        velocities = list(np.gradient(stack, ts, axis=0))
-    speeds = [alpha_metric(pt, v) for pt, v in zip(points, velocities)]
-    return _simpson(np.asarray(speeds), ts)
+        velocities = np.gradient(stack, ts, axis=0)
+    velocities = np.asarray(velocities, dtype=np.complex128)
+    if velocities.shape != stack.shape:
+        raise ValueError(f"shape mismatch {velocities.shape} vs {stack.shape}")
+    speeds = _alpha(stack, _require_finite(velocities, "tangent vector"))
+    return _simpson(speeds, ts)
 
 
 def _simpson(y: np.ndarray, x: np.ndarray) -> float:

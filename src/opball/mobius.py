@@ -260,9 +260,10 @@ def _eta_form(t: np.ndarray, dim_h: int, dim_k: int):
     """``(T*JT, signs)`` for a matrix of ``dim_h + dim_k`` rows or a stack,
     with J entering as its read-only vector of signs (``_signs``): one
     product, no dense J.  The one kernel of every J-Gram form, of a block
-    or of a subspace basis."""
+    or of a subspace basis.  With no K component J is the identity, and
+    the form is T*T with no product by the signs."""
     sign = _signs(dim_h, dim_k)
-    return adjoint(t) @ (sign[:, None] * t), sign
+    return adjoint(t) @ (sign[:, None] * t if dim_k else t), sign
 
 
 def _minus_diagonal(form: np.ndarray, sign: np.ndarray) -> np.ndarray:

@@ -51,7 +51,8 @@ from .opcore import (
     frobenius_norm,
     spectral_norm,
 )
-from .sampling import random_eta_preserving, random_unitary, rng_from
+from .sampling import (_check_conditioning, random_eta_preserving,
+                       random_unitary, rng_from)
 
 REP_TOL = 1e-8
 UNIT_TOL = 1e-7
@@ -109,24 +110,17 @@ def is_J_unitary(sig: PontryaginSignature, t):
     return defect <= REP_TOL, defect
 
 
-def _eta_certificate(t: np.ndarray, p: int, q: int, measured) -> float:
+def _eta_certificate(t: np.ndarray, p: int, q: int, tol: float,
+                     measured) -> float:
     """The one absolute eta certificate, an upper bound of max ||T*JT - J||
     over a matrix or a stack: the largest ||T*JT - J||_F (``_eta_gap``)
-    where that is within ``REP_TOL``, with no spectra; else ``measured()``,
-    the caller's spectral defect, so bound <= ``REP_TOL`` decides as the
-    spectral norm does."""
+    where that is within ``tol``, with no spectra; else ``measured()``, the
+    caller's spectral defect, so bound <= ``tol`` decides as the spectral
+    norm does.  It decides every absolute rule: eta preservation at
+    ``REP_TOL`` (``_require_eta_preserving``, ``induced_automorphism``), and
+    unitarity at ``UNIT_TOL`` as T*JT - J = T*T - 1 on the split (dim, 0)."""
     bound = float(frobenius_norm(_eta_gap(t, p, q)).max())
-    return bound if bound <= REP_TOL else measured()
-
-
-def max_unitarity_defect(images) -> float:
-    """The largest ||T*T - 1|| = max(lambda_max - 1, 1 - lambda_min) over a
-    stack (or list) of square matrices, from one batched eigvalsh of the
-    T*T: ``UnitarizationResult.unitarity_defect``, and the rule that
-    ``_require_unitary`` falls back on past its Frobenius bound."""
-    stack = np.asarray(images, dtype=np.complex128)
-    gram = np.linalg.eigvalsh(adjoint(stack) @ stack)
-    return float(np.maximum(gram[..., -1] - 1.0, 1.0 - gram[..., 0]).max())
+    return bound if bound <= tol else float(measured())
 
 
 def graph_subspace(sig: PontryaginSignature, a: BallPoint) -> np.ndarray:
@@ -180,7 +174,7 @@ def induced_automorphism(sig: PontryaginSignature, t) -> BallAutomorphism:
     defect is at most about 2d, so that check fails no T the rule passes."""
     t = _square(sig, t)
     p, q = sig.n_plus, sig.n_minus
-    bound = _eta_certificate(t, p, q, lambda: eta_defect(t, p, q))
+    bound = _eta_certificate(t, p, q, REP_TOL, lambda: eta_defect(t, p, q))
     if not bound <= REP_TOL:
         raise NotEtaPreserving(f"||T*JT - J|| = {bound:.3e} > {REP_TOL!r}")
     block = _automorphism_stack(t, p, q, max(REP_TOL, 10 * bound))
@@ -201,10 +195,6 @@ def unitarizer_matrix(sig: PontryaginSignature, d: BallPoint) -> np.ndarray:
 
 
 # --- finite groups and their representations --------------------------------
-
-
-def _cyclic_table(n: int) -> np.ndarray:
-    return np.array([[(i + j) % n for j in range(n)] for i in range(n)])
 
 
 def _symmetric3_table() -> np.ndarray:
@@ -231,7 +221,8 @@ def group_table(name: str) -> np.ndarray:
     """Multiplication table of a named finite group: C<n>, S3, or Q8."""
     name = name.strip().upper()
     if name.startswith("C") and name[1:].isdigit() and int(name[1:]) >= 1:
-        return _cyclic_table(int(name[1:]))
+        elements = np.arange(int(name[1:]))
+        return np.add.outer(elements, elements) % len(elements)
     if name == "S3":
         return _symmetric3_table()
     if name == "Q8":
@@ -239,53 +230,53 @@ def group_table(name: str) -> np.ndarray:
     raise UnknownGroup(f"no table for group {name!r}")
 
 
-def regular_representation(table: np.ndarray) -> list:
-    """Permutation matrices of the left regular action: column h of the
-    matrix of g is e_{gh}, one column gather of the identity."""
+def regular_representation(table: np.ndarray) -> np.ndarray:
+    """Permutation matrices of the left regular action as one stack
+    (n, n, n): column h of the matrix of g is e_{gh}, one column gather of
+    the identity."""
     eye = np.eye(len(table), dtype=np.complex128)
-    return [eye[:, row] for row in table]
+    return eye[:, table].transpose(1, 0, 2)
 
 
 def _irrep_classes(table: np.ndarray, rng) -> list:
     """One unitary representative per irreducible isomorphism class,
-    extracted from the regular representation.
+    extracted from the regular representation, each a stack (n, k, k) of
+    its images.
 
     A Reynolds-averaged random Hermitian matrix commutes with the regular
     action, so its eigenspaces are invariant; for a generic average they
     carry exactly one irreducible each, and characters cluster the copies
-    into isomorphism classes.
+    into isomorphism classes.  The action is taken by index gathers, with
+    no product of permutation matrices: P_g H P_g* has the entries
+    H[g^{-1} i, g^{-1} j], and B* P_g is B* with its columns gathered by
+    row g of the table.
     """
     n = len(table)
-    reg = regular_representation(table)
     h = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     h = (h + adjoint(h)) / 2.0
-    avg = sum(m @ h @ adjoint(m) for m in reg) / n
+    # inv[g, i] = g^{-1} i: each row of the table is a permutation
+    inv = np.argsort(table, axis=1)
+    avg = h[inv[:, :, None], inv[:, None, :]].sum(0) / n
     lam, vecs = np.linalg.eigh(avg)
-    spans = []
-    start = 0
-    for k in range(1, n + 1):
-        if k == n or lam[k] - lam[k - 1] > 1e-7 * max(1.0, abs(lam[k])):
-            spans.append(vecs[:, start:k])
-            start = k
-    subreps = [[adjoint(b) @ m @ b for m in reg] for b in spans]
-    chars = [np.array([np.trace(m) for m in mats]) for mats in subreps]
-    classes = []
-    used = [False] * len(subreps)
-    for a in range(len(subreps)):
-        if used[a]:
-            continue
-        used[a] = True
-        classes.append(subreps[a])
-        for b in range(a + 1, len(subreps)):
-            if not used[b] and abs(np.vdot(chars[a], chars[b])) / n > 0.5:
-                used[b] = True
+    gaps = np.diff(lam) > 1e-7 * np.maximum(1.0, np.abs(lam[1:]))
+    spans = np.split(vecs, np.flatnonzero(gaps) + 1, axis=1)
+    subreps = [adjoint(b)[:, table].transpose(1, 0, 2) @ b for b in spans]
+    chars = np.stack([np.trace(sub, axis1=1, axis2=2) for sub in subreps])
+    # characters of isomorphic irreducibles have inner product 1, of others 0
+    same = np.abs(chars.conj() @ chars.T) / n > 0.5
+    classes, used = [], np.zeros(len(subreps), dtype=bool)
+    for a, sub in enumerate(subreps):
+        if not used[a]:
+            classes.append(sub)
+            used |= same[a]
     return classes
 
 
-def _assemble_block(classes, dim: int, allowed, rng) -> Optional[list]:
+def _assemble_block(classes, dim: int, allowed, rng) -> Optional[np.ndarray]:
     """Direct sum of irreducibles from the allowed classes filling ``dim``
-    exactly (repetition permitted), dressed by a random unitary."""
-    dims = {c: classes[c][0].shape[0] for c in allowed}
+    exactly (repetition permitted), dressed by a random unitary: the stack
+    (n, dim, dim) of its images."""
+    dims = {c: classes[c].shape[-1] for c in allowed}
     reach = {0: []}
     for target in range(1, dim + 1):
         for c in allowed:
@@ -296,19 +287,13 @@ def _assemble_block(classes, dim: int, allowed, rng) -> Optional[list]:
         return None
     choice = list(reach[dim])
     rng.shuffle(choice)
-    n_elems = len(classes[0])
     dress = random_unitary(rng, dim)
-    out = []
-    for g in range(n_elems):
-        m = np.zeros((dim, dim), dtype=np.complex128)
-        ofs = 0
-        for c in choice:
-            blk = classes[c][g]
-            k = blk.shape[0]
-            m[ofs:ofs + k, ofs:ofs + k] = blk
-            ofs += k
-        out.append(dress @ m @ adjoint(dress))
-    return out
+    block = np.zeros((len(classes[0]), dim, dim), dtype=np.complex128)
+    ofs = 0
+    for c in choice:
+        block[:, ofs:ofs + dims[c], ofs:ofs + dims[c]] = classes[c]
+        ofs += dims[c]
+    return dress @ block @ adjoint(dress)
 
 
 def _check_homomorphism(table: np.ndarray, stack: np.ndarray, norms):
@@ -483,10 +468,12 @@ def make_test_representation(group: Union[str, np.ndarray],
 
     The H and K blocks of tau draw from disjoint irreducible classes when
     the dimensions allow it, which makes the induced fixed point unique;
-    deterministic per seed.
+    deterministic per seed.  ``conditioning``, finite and >= 1, is checked
+    before anything is drawn.  The classes and blocks are stacks of their
+    images (``_irrep_classes``, ``_assemble_block``), and pi is one stacked
+    product V tau V^{-1}.
     """
-    if conditioning < 1.0:
-        raise ValueError("conditioning must be >= 1")
+    _check_conditioning(conditioning)
     table, _ = _checked_table(group_table(group) if isinstance(group, str)
                               else group)
     rng = rng_from(seed)
@@ -494,27 +481,20 @@ def make_test_representation(group: Union[str, np.ndarray],
     p, q = sig.n_plus, sig.n_minus
 
     order = list(rng.permutation(len(classes)))
-    rep_h = rep_k = None
-    for k_count in range(1, len(classes)):
-        rep_k = _assemble_block(classes, q, order[:k_count], rng)
-        rep_h = _assemble_block(classes, p, order[k_count:], rng)
+    splits = [(order[:k], order[k:]) for k in range(1, len(classes))]
+    everything = list(range(len(classes)))
+    # disjoint classes for K and H where a split fills both, else shared ones
+    for k_classes, h_classes in splits + [(everything, everything)]:
+        rep_k = _assemble_block(classes, q, k_classes, rng)
+        rep_h = _assemble_block(classes, p, h_classes, rng)
         if rep_k is not None and rep_h is not None:
             break
-        rep_h = rep_k = None
-    if rep_h is None:
-        everything = list(range(len(classes)))
-        rep_k = _assemble_block(classes, q, everything, rng)
-        rep_h = _assemble_block(classes, p, everything, rng)
 
     v = random_eta_preserving(rng, p, q, conditioning)
-    v_inv = np.linalg.inv(v)
-    images = []
-    for g in range(len(table)):
-        tau = np.zeros((sig.dim, sig.dim), dtype=np.complex128)
-        tau[:p, :p] = rep_h[g]
-        tau[p:, p:] = rep_k[g]
-        images.append(v @ tau @ v_inv)
-    return Representation(sig, table, images)
+    tau = np.zeros((len(table), sig.dim, sig.dim), dtype=np.complex128)
+    tau[:, :p, :p] = rep_h
+    tau[:, p:, p:] = rep_k
+    return Representation(sig, table, v @ tau @ np.linalg.inv(v))
 
 
 # --- unitarization and dual pairs --------------------------------------------
@@ -525,10 +505,12 @@ class UnitarizationResult:
     """What ``unitarize`` returns: the read-only ``similarity`` U, the
     ``unitary_rep`` tau = U pi U^{-1} and the ``fixed_point`` D.
 
-    ``unitarity_defect``, max ||tau(g)* tau(g) - 1||, is measured when read
-    (``max_unitarity_defect``, one batched eigvalsh).  ``defect_bound`` is
-    the upper bound of it that ``unitarize`` checked against ``UNIT_TOL``:
-    the Frobenius screen where that passed, else the measured defect.
+    ``unitarity_defect``, max ||tau(g)* tau(g) - 1||, is measured when read:
+    ``eta_defect`` of tau on the split (dim, 0), where T*JT - J is
+    T*T - 1, one batched eigvalsh.  ``defect_bound`` is the upper bound of
+    it that ``unitarize`` checked against ``UNIT_TOL`` through
+    ``_eta_certificate``: the Frobenius screen where that passed, else the
+    measured defect.
     """
 
     similarity: np.ndarray
@@ -539,23 +521,23 @@ class UnitarizationResult:
     @property
     def unitarity_defect(self) -> float:
         """max ||tau(g)* tau(g) - 1||, from one batched eigvalsh."""
-        return max_unitarity_defect(self.unitary_rep._stack)
+        stack = self.unitary_rep._stack
+        return float(eta_defect(stack, stack.shape[-1], 0).max())
 
 
 def _require_unitary(tau: np.ndarray) -> float:
-    """An upper bound of tau's unitarity defect within ``UNIT_TOL``: the
-    Frobenius bound max ||tau(g)* tau(g) - 1||_F, with no spectra, where
-    that is within; else the defect ``max_unitarity_defect`` measures,
-    where that is.  Otherwise, a NaN defect included, ``FixedPointFailed``
-    quotes that defect."""
-    bound = float(frobenius_norm(adjoint(tau) @ tau
-                                 - np.eye(tau.shape[-1])).max())
-    if bound <= UNIT_TOL:
-        return bound
-    defect = max_unitarity_defect(tau)
-    if not defect <= UNIT_TOL:
-        raise FixedPointFailed(f"unitarity defect {defect:.3e} > {UNIT_TOL!r}")
-    return defect
+    """An upper bound of tau's unitarity defect within ``UNIT_TOL``,
+    decided by ``_eta_certificate`` on the split (dim, 0), where
+    T*JT - J is T*T - 1: the Frobenius bound max ||tau(g)* tau(g) - 1||_F,
+    with no spectra, where that is within; else the defect ``eta_defect``
+    measures, where that is.  Otherwise ``FixedPointFailed`` quotes that
+    defect; a tau with a non-finite entry fails in ``eta_defect``."""
+    dim = tau.shape[-1]
+    bound = _eta_certificate(tau, dim, 0, UNIT_TOL,
+                             lambda: eta_defect(tau, dim, 0).max())
+    if not bound <= UNIT_TOL:
+        raise FixedPointFailed(f"unitarity defect {bound:.3e} > {UNIT_TOL!r}")
+    return bound
 
 
 def _require_eta_preserving(rep: Representation):
@@ -563,7 +545,7 @@ def _require_eta_preserving(rep: Representation):
     decided by ``_eta_certificate``: the spectra are taken only when some
     ||pi(g)* J pi(g) - J||_F exceeds ``REP_TOL``."""
     sig = rep.signature
-    if not _eta_certificate(rep._stack, sig.n_plus, sig.n_minus,
+    if not _eta_certificate(rep._stack, sig.n_plus, sig.n_minus, REP_TOL,
                             lambda: rep.eta_defect) <= REP_TOL:
         raise NotEtaPreserving(
             f"representation eta-defect {rep.eta_defect:.3e} > {REP_TOL!r}")
@@ -603,10 +585,11 @@ def unitarize(rep: Representation,
     ||tau(gh) - tau(g) tau(h)|| <= ||U|| ||U^{-1}|| ||pi(gh) - pi(g) pi(h)||
     up to the rounding of U pi U^{-1}.  The one check on tau is the one
     that certifies it, max ||tau(g)* tau(g) - 1|| <= ``UNIT_TOL``
-    (``_require_unitary``): it passes on the Frobenius bound
-    max ||tau(g)* tau(g) - 1||_F where that is within, and only a tau that
-    bound cannot pass takes the batched eigvalsh of
-    ``max_unitarity_defect``.  The result keeps the bound it checked
+    (``_require_unitary``), decided by the one eta certificate
+    ``_eta_certificate`` on the split (dim, 0), where T*JT - J is T*T - 1:
+    it passes on the Frobenius bound max ||tau(g)* tau(g) - 1||_F where
+    that is within, and only a tau that bound cannot pass takes the
+    batched eigvalsh of ``eta_defect``.  The result keeps the bound it checked
     (``defect_bound``) and measures ``unitarity_defect`` when read; tau's
     ``bound`` and ``eta_defect`` are taken only if read.  So a
     representation whose Frobenius bounds pass is unitarized with no

@@ -54,12 +54,20 @@ def hyperbolic_plane_rotation(p: int, q: int, i: int, j: int,
     return out
 
 
+def _check_conditioning(conditioning) -> None:
+    """Raise ``ValueError`` naming ``conditioning`` unless it is finite and
+    >= 1: a NaN or an infinite one would give a matrix of NaNs."""
+    if not np.isfinite(conditioning):
+        raise ValueError(f"conditioning must be finite, got {conditioning!r}")
+    if conditioning < 1.0:
+        raise ValueError("conditioning must be >= 1")
+
+
 def random_eta_preserving(rng: np.random.Generator, p: int, q: int,
                           conditioning: float = 2.0) -> np.ndarray:
     """Random T with T*JT = J and ||T|| ||T^-1|| = conditioning, built as a
     unitary-dressed single hyperbolic plane rotation."""
-    if conditioning < 1.0:
-        raise ValueError("conditioning must be >= 1")
+    _check_conditioning(conditioning)
     s = np.log(conditioning) / 2.0
     i = int(rng.integers(p))
     j = int(rng.integers(q))

@@ -68,3 +68,86 @@ def homomorphism_rule(table, images, rep_tol):
         return None
     defect, allowed, g, h = worst
     return f"homomorphism defect {defect:.3e} > {allowed:.3e} at ({g}, {h})"
+
+
+def per_element_images(group, n_plus, n_minus, conditioning, seed):
+    """The images of ``make_test_representation`` built one group element
+    at a time, with the regular action as a list of permutation matrices
+    and each subrepresentation, block and image formed by its own product:
+    a reference that the stacked builder must match bit for bit.  Draws
+    from the generator in the library's order."""
+    from opball.fixedpoint import _checked_table
+    from opball.pontryagin import group_table
+    from opball.sampling import random_eta_preserving, random_unitary, rng_from
+
+    table, _ = _checked_table(group_table(group) if isinstance(group, str)
+                              else group)
+    n = len(table)
+    rng = rng_from(seed)
+    eye = np.eye(n, dtype=np.complex128)
+    reg = [eye[:, row] for row in table]
+    h = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    h = (h + h.conj().T) / 2.0
+    avg = sum(m @ h @ m.conj().T for m in reg) / n
+    lam, vecs = np.linalg.eigh(avg)
+    spans, start = [], 0
+    for k in range(1, n + 1):
+        if k == n or lam[k] - lam[k - 1] > 1e-7 * max(1.0, abs(lam[k])):
+            spans.append(vecs[:, start:k])
+            start = k
+    subreps = [[b.conj().T @ m @ b for m in reg] for b in spans]
+    chars = [np.array([np.trace(m) for m in mats]) for mats in subreps]
+    classes, used = [], [False] * len(subreps)
+    for a in range(len(subreps)):
+        if used[a]:
+            continue
+        used[a] = True
+        classes.append(subreps[a])
+        for b in range(a + 1, len(subreps)):
+            if not used[b] and abs(np.vdot(chars[a], chars[b])) / n > 0.5:
+                used[b] = True
+
+    def assemble(dim, allowed):
+        dims = {c: classes[c][0].shape[0] for c in allowed}
+        reach = {0: []}
+        for target in range(1, dim + 1):
+            for c in allowed:
+                if target - dims[c] in reach:
+                    reach[target] = reach[target - dims[c]] + [c]
+                    break
+        if dim not in reach:
+            return None
+        choice = list(reach[dim])
+        rng.shuffle(choice)
+        dress = random_unitary(rng, dim)
+        out = []
+        for g in range(n):
+            m = np.zeros((dim, dim), dtype=np.complex128)
+            ofs = 0
+            for c in choice:
+                k = dims[c]
+                m[ofs:ofs + k, ofs:ofs + k] = classes[c][g]
+                ofs += k
+            out.append(dress @ m @ dress.conj().T)
+        return out
+
+    order = list(rng.permutation(len(classes)))
+    rep_h = rep_k = None
+    for k_count in range(1, len(classes)):
+        rep_k = assemble(n_minus, order[:k_count])
+        rep_h = assemble(n_plus, order[k_count:])
+        if rep_k is not None and rep_h is not None:
+            break
+        rep_h = rep_k = None
+    if rep_h is None:
+        rep_k = assemble(n_minus, list(range(len(classes))))
+        rep_h = assemble(n_plus, list(range(len(classes))))
+    v = random_eta_preserving(rng, n_plus, n_minus, conditioning)
+    v_inv = np.linalg.inv(v)
+    images = []
+    for g in range(n):
+        tau = np.zeros((n_plus + n_minus,) * 2, dtype=np.complex128)
+        tau[:n_plus, :n_plus] = rep_h[g]
+        tau[n_plus:, n_plus:] = rep_k[g]
+        images.append(v @ tau @ v_inv)
+    return images

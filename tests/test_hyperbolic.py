@@ -23,6 +23,7 @@ from opball.hyperbolic import (
     MetricSample,
     _line_and_gap,
     _rho,
+    _simpson,
     alpha_metric,
     barycenter_sequence,
     convex_combination,
@@ -527,6 +528,41 @@ def test_curve_length_grid_too_coarse():
     a, b = scalar(0.1), scalar(0.2)
     with pytest.raises(GridTooCoarse):
         curve_length([0.0, 1.0], [a, b])
+
+
+def test_curve_length_is_simpson_of_the_per_node_speeds():
+    # one alpha on the stacked nodes gives each node's speed bit for bit,
+    # with velocities given and with velocities from differences
+    rng = rng_from(26)
+    for p, q, nodes in [(1, 1, 3), (3, 2, 12), (2, 4, 31)]:
+        x = random_ball_point(rng, p, q, 0.9)
+        y = random_ball_point(rng, p, q, 0.9)
+        ts = np.sort(rng.uniform(0.0, 1.0, nodes))
+        pts = [BallPoint(x.matrix + t * t * (y.matrix - x.matrix),
+                         boundary_tol=0.0) for t in ts]
+        vels = [2.0 * t * (y.matrix - x.matrix) for t in ts]
+        diffs = list(np.gradient(np.stack([pt.matrix for pt in pts]), ts,
+                                 axis=0))
+        for given, used in ((vels, vels), (None, diffs)):
+            speeds = [alpha_metric(pt, v) for pt, v in zip(pts, used)]
+            assert curve_length(ts, pts, given) == _simpson(
+                np.asarray(speeds), ts)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_curve_length_rejects_bad_velocities():
+    rng = rng_from(27)
+    x = random_ball_point(rng, 3, 2, 0.6)
+    ts = np.linspace(0.0, 1.0, 5)
+    pts = [x] * 5
+    vel = random_direction(rng, 3, 2)
+    for vels, match in [([vel] * 4, "shape mismatch"),
+                        ([vel.T] * 5, "shape mismatch"),
+                        ([vel] * 4 + [vel[:, :1]], "inhomogeneous"),
+                        ([vel] * 4 + [np.full((3, 2), np.nan)], "non-finite"),
+                        ([vel] * 4 + [np.full((3, 2), np.inf)], "non-finite")]:
+        with pytest.raises(ValueError, match=match):
+            curve_length(ts, pts, vels)
 
 
 @pytest.mark.parametrize("nodes", [3, 4, 11, 12, 101, 102])

@@ -48,7 +48,6 @@ from opball.opcore import adjoint, spectral_norm
 from opball.pontryagin import (
     PontryaginSignature,
     make_test_representation,
-    max_unitarity_defect,
     unitarizer_matrix,
 )
 from opball.sampling import (
@@ -217,7 +216,8 @@ def test_stack_measures_match_the_svd():
         tol = STACK_C * (p + q) * np.finfo(float).eps
         assert abs(rep.bound - norm) <= tol * norm
         assert abs(rep.eta_defect - eta) <= allowed
-        assert abs(max_unitarity_defect(rep.images) - unit) <= allowed
+        unitarity = eta_defect(np.stack(rep.images), p + q, 0).max()
+        assert abs(unitarity - unit) <= allowed
 
 
 def test_convex_combination_makes_two_mobius_evaluations(monkeypatch):

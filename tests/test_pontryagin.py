@@ -1,10 +1,11 @@
 import itertools
+import re
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from oracles import chart_inverse
+from oracles import chart_inverse, per_element_images
 
 from opball import fixedpoint, pontryagin
 from opball.errors import (
@@ -45,7 +46,6 @@ from opball.pontryagin import (
     is_J_unitary,
     make_test_representation,
     max_principal_angle,
-    max_unitarity_defect,
     negativeness_degree,
     regular_representation,
     subspace_to_ball,
@@ -296,6 +296,7 @@ def test_group_tables_are_the_groups():
 def test_regular_representation_is_homomorphism():
     table = group_table("S3")
     reg = regular_representation(table)
+    assert reg.shape == (6, 6, 6)
     for g in range(6):
         for h in range(6):
             assert_allclose(reg[g] @ reg[h], reg[int(table[g][h])], atol=1e-14)
@@ -308,6 +309,46 @@ def test_regular_representation_is_homomorphism():
             for h in range(n):
                 want[table[g][h], h] = 1.0
             assert m.dtype == want.dtype and np.array_equal(m, want)
+
+
+# the grid, the splits where H and K must share an irreducible class, and
+# the largest stacks
+BUILDER_CASES = [("C4", 2, 1), ("S3", 4, 2), ("Q8", 5, 2), ("C12", 6, 3),
+                 ("C4", 3, 2), ("S3", 3, 3), ("Q8", 4, 4), ("C32", 8, 8),
+                 ("C64", 3, 2)]
+
+
+@pytest.mark.parametrize("cond", [2.0, 1e3, 1e4])
+@pytest.mark.parametrize("group, n_plus, n_minus", BUILDER_CASES)
+def test_stacked_builder_is_the_per_element_builder(group, n_plus, n_minus,
+                                                    cond):
+    # gathers and stacked products give the images of the per-element
+    # builder bit for bit, with the generator drawn in the same order
+    for seed in range(2 if group == "C64" else 6):
+        rep = make_test_representation(
+            group, PontryaginSignature(n_plus, n_minus), conditioning=cond,
+            seed=seed)
+        want = per_element_images(group, n_plus, n_minus, cond, seed)
+        assert np.array_equal(rep._stack, np.stack(want))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("cond", [np.nan, np.inf, -np.inf, 0.5])
+def test_conditioning_is_checked_before_anything_is_drawn(monkeypatch, cond):
+    message = ("conditioning must be >= 1" if np.isfinite(cond)
+               else f"conditioning must be finite, got {cond!r}")
+    rng = rng_from(0)
+    state = rng.bit_generator.state
+    with pytest.raises(ValueError, match=re.escape(message)):
+        random_eta_preserving(rng, 2, 1, cond)
+    assert rng.bit_generator.state == state
+
+    def no_draw(seed):
+        raise AssertionError("a generator was made")
+
+    monkeypatch.setattr(pontryagin, "rng_from", no_draw)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        make_test_representation("C4", SIG21, conditioning=cond, seed=0)
 
 
 def test_make_rep_unit_conditioning_is_unitary():
@@ -475,14 +516,14 @@ def test_unitarize_at_conditioning_3e3(group, n_plus, n_minus):
     rep = make_test_representation(group, PontryaginSignature(n_plus, n_minus),
                                    conditioning=3e3, seed=0)
     res = unitarize(rep)
-    assert max_unitarity_defect(res.unitary_rep.images) <= UNIT_TOL
+    assert _unitarity_defect(res.unitary_rep.images) <= UNIT_TOL
 
 
 def test_unitarize_keeps_the_unitarity_defect_it_checks():
     rep = make_test_representation("Q8", PontryaginSignature(5, 2),
                                    conditioning=50.0, seed=1)
     res = unitarize(rep)
-    assert res.unitarity_defect == max_unitarity_defect(res.unitary_rep.images)
+    assert res.unitarity_defect == _unitarity_defect(res.unitary_rep.images)
     assert res.unitarity_defect <= UNIT_TOL
 
 
@@ -490,7 +531,7 @@ def test_unitarize_certifies_tau_by_its_unitarity_defect(monkeypatch):
     # tau's unitarity defect is about 1e-11 here, and the check on it is the
     # one check unitarize runs on tau; dual_pair converges on this seed
     rep = make_test_representation("C4", SIG21, conditioning=1e3, seed=2)
-    defect = max_unitarity_defect(unitarize(rep).unitary_rep.images)
+    defect = _unitarity_defect(unitarize(rep).unitary_rep.images)
     assert 1e-16 < defect <= UNIT_TOL
     monkeypatch.setattr(pontryagin, "UNIT_TOL", 1e-16)
     # rep keeps the result that passed, so each call takes a fresh copy
@@ -640,7 +681,7 @@ def test_tau_from_the_read_off_inverse_rounds_as_the_inverted_one(
         inverted = u @ rep._stack @ np.linalg.inv(u)
         allowed = eps * rep.bound ** 2
         assert np.abs(tau - inverted).max() <= allowed
-        assert res.unitarity_defect <= max_unitarity_defect(inverted) + allowed
+        assert res.unitarity_defect <= _unitarity_defect(inverted) + allowed
 
 
 def _scaled(rep, c):
@@ -720,6 +761,13 @@ def test_start_screen_decides_as_the_spectral_rule(monkeypatch, group, n_plus,
     assert {(True, False), (True, True), (False, True)} <= set(outcomes)
 
 
+def _unitarity_defect(images):
+    """max ||T*T - 1|| over a stack: ``eta_defect`` on the split (dim, 0),
+    where T*JT - J is T*T - 1."""
+    stack = np.stack(images)
+    return float(eta_defect(stack, stack.shape[-1], 0).max())
+
+
 def _unitarity_frobenius(stack):
     """max ||T*T - 1||_F over a stack, the bound ``_require_unitary`` reads."""
     return float(frobenius_norm(adjoint(stack) @ stack
@@ -732,19 +780,19 @@ def test_unitarity_screen_decides_as_the_spectral_rule(monkeypatch, p, q):
     # that the defect straddles UNIT_TOL: the screen passes some stacks with
     # no spectra, and every decision and message is the spectral rule's
     spectra = []
-    measure = pontryagin.max_unitarity_defect
+    measure = pontryagin.eta_defect
 
-    def counted(images):
-        spectra.append(len(images))
-        return measure(images)
+    def counted(t, dim_h, dim_k):
+        spectra.append(len(t))
+        return measure(t, dim_h, dim_k)
 
-    monkeypatch.setattr(pontryagin, "max_unitarity_defect", counted)
+    monkeypatch.setattr(pontryagin, "eta_defect", counted)
     rng = rng_from(60 + 10 * p + q)
     mats, defects = [], []
     for size in np.geomspace(1e-9, 1e-6, 60):
         e = complex_gaussian(rng, p + q, p + q)
         m = random_block_unitary(rng, p, q) + size * e / np.linalg.norm(e)
-        defect = measure(m[None])
+        defect = measure(m[None], p + q, 0).max()
         if abs(defect / UNIT_TOL - 1.0) > SCREEN_EDGE:
             mats.append(m)
             defects.append(defect)
@@ -771,6 +819,17 @@ def test_unitarity_screen_decides_as_the_spectral_rule(monkeypatch, p, q):
             np.all(defects[part] <= UNIT_TOL))
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_a_non_finite_tau_fails_the_unitarity_check_by_name():
+    # the Frobenius bound of a NaN is no pass, and the measurement that
+    # follows names the non-finite entries instead of running eigvalsh on
+    # them
+    tau = np.stack([np.eye(3, dtype=np.complex128)] * 2)
+    tau[1, 0, 2] = np.nan
+    with pytest.raises(ValueError, match="matrix contains non-finite entries"):
+        pontryagin._require_unitary(tau)
+
+
 def test_a_unitarization_past_its_screen_keeps_the_measured_defect(monkeypatch):
     # with UNIT_TOL between tau's defect and its Frobenius bound, the first
     # call measures the defect and keeps it; a later call reuses it, with
@@ -779,18 +838,18 @@ def test_a_unitarization_past_its_screen_keeps_the_measured_defect(monkeypatch):
                                    conditioning=50.0, seed=1)
     tau = unitarize(Representation(rep.signature, rep.table,
                                    rep.images)).unitary_rep._stack
-    defect = max_unitarity_defect(tau)
+    defect = _unitarity_defect(tau)
     screen = _unitarity_frobenius(tau)
     assert defect < screen
     monkeypatch.setattr(pontryagin, "UNIT_TOL", (defect + screen) / 2)
     spectra = []
-    measure = pontryagin.max_unitarity_defect
+    measure = pontryagin.eta_defect
 
-    def counted(images):
-        spectra.append(len(images))
-        return measure(images)
+    def counted(t, dim_h, dim_k):
+        spectra.append(len(t))
+        return measure(t, dim_h, dim_k)
 
-    monkeypatch.setattr(pontryagin, "max_unitarity_defect", counted)
+    monkeypatch.setattr(pontryagin, "eta_defect", counted)
     res = unitarize(rep)
     assert spectra == [8]
     assert res.defect_bound == defect == res.unitarity_defect
@@ -862,7 +921,7 @@ def test_averaged_fixed_point_with_a_shared_class():
     point = averaged_fixed_point(rep)
     assert displacement(_induced_group(rep), point) <= FP_TOL
     res = unitarize(rep)
-    assert max_unitarity_defect(res.unitary_rep.images) <= UNIT_TOL
+    assert _unitarity_defect(res.unitary_rep.images) <= UNIT_TOL
 
 
 # --- dual pairs ----------------------------------------------------------------------

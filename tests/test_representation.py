@@ -19,7 +19,6 @@ from opball.pontryagin import (
     Representation,
     group_table,
     make_test_representation,
-    max_unitarity_defect,
     unitarize,
 )
 from opball.sampling import complex_gaussian, rng_from
@@ -214,10 +213,13 @@ def test_stacked_measurements_are_the_per_image_formulas(name, p, q):
     u_inv = chart_inverse(res.similarity, p)
     for m, tau in zip(rep.images, res.unitary_rep.images):
         assert np.array_equal(tau, res.similarity @ m @ u_inv)
-    grams = [_alone(m, p, q)[1] for m in res.unitary_rep.images]
-    defect = max(max(gram[-1] - 1.0, 1.0 - gram[0]) for gram in grams)
+    # the unitarity defect is the eta defect on the split (dim, 0)
+    defect = max(eta_defect(m, p + q, 0) for m in res.unitary_rep.images)
     assert res.unitarity_defect == defect
-    assert max_unitarity_defect(res.unitary_rep.images) == defect
+    # the T*T eigenvalues give it up to rounding
+    grams = [_alone(m, p, q)[1] for m in res.unitary_rep.images]
+    assert abs(defect - max(max(gram[-1] - 1.0, 1.0 - gram[0])
+                            for gram in grams)) <= 1e-15
 
 
 @pytest.mark.parametrize("cond", [50.0, 1e3])
@@ -337,7 +339,7 @@ def test_unitarize_measures_each_stack_with_one_eigvalsh(monkeypatch):
     # tau's unitarity defect is measured when read, from one eigvalsh
     defect = res.unitarity_defect
     assert calls["eigvalsh"] == [(32, 16, 16)]
-    assert defect == max_unitarity_defect(res.unitary_rep.images)
+    assert defect == eta_defect(np.stack(res.unitary_rep.images), 16, 0).max()
     assert defect <= res.defect_bound
     # pi's pairs (T*JT - J, T*T) are measured on the first read of bound,
     # and kept for every later read of bound and eta_defect
