@@ -81,7 +81,7 @@ def check_unit_speed(rng, p, q):
     base = random_ball_point(rng, p, q, 0.6)
     line = GeodesicLine(base, d)
     ts = rng.uniform(-2.0, 2.0, size=3)
-    g = _line_inner(line, ts)
+    g, _ = _line_inner(line, ts)
     _require_inside(g, 0.0)
     speeds = _alpha(g, d - g @ adjoint(d) @ g)
     h = 1e-5

@@ -90,26 +90,38 @@ def load_matrix(path) -> np.ndarray:
         raise ShapeMismatch(f"{path}: data length "
                             f"{len(data) if isinstance(data, list) else '?'} "
                             f"!= rows*cols = {rows * cols}")
-    out = np.empty((rows, cols), dtype=np.complex128)
-    for k, entry in enumerate(data):
-        # exactly two JSON numbers; bool is a subclass of int, so compare types
-        if not (isinstance(entry, list) and len(entry) == 2
-                and all(type(x) in (int, float) for x in entry)):
-            raise ParseError(f"{path}: entry {k} is not an [re, im] pair")
-        try:
-            re, im = float(entry[0]), float(entry[1])
-        except OverflowError:  # an integer beyond double range
-            re = im = math.inf
-        if not (math.isfinite(re) and math.isfinite(im)):
-            raise ParseError(f"{path}: non-finite entry at index {k}")
-        out[k // cols, k % cols] = complex(re, im)
-    return out
+    # the first entry that is not exactly two JSON numbers (bool is a
+    # subclass of int, so compare types); the entries before it are parsed
+    # as one array, and the first offender of either kind is reported
+    bad = next((k for k, entry in enumerate(data)
+                if not (isinstance(entry, list) and len(entry) == 2
+                        and type(entry[0]) in (int, float)
+                        and type(entry[1]) in (int, float))), len(data))
+    try:
+        parts = np.array(data[:bad], dtype=np.float64).reshape(-1, 2)
+        nonfinite = np.flatnonzero(~np.isfinite(parts).all(axis=1))
+    except OverflowError:  # an integer beyond double range is not finite
+        nonfinite = [k for k, entry in enumerate(data[:bad])
+                     if not _finite_pair(entry)]
+    if len(nonfinite):
+        raise ParseError(f"{path}: non-finite entry at index {nonfinite[0]}")
+    if bad < len(data):
+        raise ParseError(f"{path}: entry {bad} is not an [re, im] pair")
+    return parts.view(np.complex128).reshape(rows, cols)
+
+
+def _finite_pair(entry) -> bool:
+    """Whether both numbers of an [re, im] pair are finite doubles."""
+    try:
+        return math.isfinite(float(entry[0])) and math.isfinite(float(entry[1]))
+    except OverflowError:
+        return False
 
 
 def matrix_document(m: np.ndarray) -> dict:
-    m = np.asarray(m, dtype=np.complex128)
+    m = np.ascontiguousarray(m, dtype=np.complex128)
     return {"rows": int(m.shape[0]), "cols": int(m.shape[1]),
-            "data": [[float(z.real), float(z.imag)] for z in m.ravel()]}
+            "data": m.reshape(-1).view(np.float64).reshape(-1, 2).tolist()}
 
 
 def save_matrix(m: np.ndarray, path):

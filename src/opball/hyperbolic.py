@@ -58,13 +58,20 @@ def poincare_scalar(z1: complex, z2: complex) -> float:
     return math.atanh(u)
 
 
+# the exponents of the roots (1 - A*A)^{1/2} and (1 - B*B)^{-1/2} that
+# ``_sinh_form`` takes in one stacked call, for a matrix pair (ndim 2) and
+# a stack pair (ndim 3)
+_SINH_EXPONENTS = {ndim: np.array([0.5, -0.5]).reshape((2,) + (1,) * ndim)
+                   for ndim in (2, 3)}
+
+
 def _sinh_form(a: np.ndarray, b: np.ndarray):
     """K, and A's roots (1 - AA*)^{-1/2} and (1 - A*A)^{1/2} for M_{-A} and
-    M_A, for two matrices or two stacks of one shape, in one stacked call."""
+    M_A, for two matrices or two (n, p, q) stacks of one shape, in one
+    stacked call."""
     if a.shape != b.shape:
         raise ValueError(f"shape mismatch {a.shape} vs {b.shape}")
-    exponents = np.array([0.5, -0.5]).reshape((2,) + (1,) * a.ndim)
-    left, right = defect_roots(np.stack([a, b]), -0.5, exponents)
+    left, right = defect_roots(np.stack([a, b]), -0.5, _SINH_EXPONENTS[a.ndim])
     return left[0] @ (b - a) @ right[1], (left[0], right[0])
 
 
@@ -163,26 +170,34 @@ class GeodesicLine:
         return f"GeodesicLine(base={self.base!r})"
 
 
-def _line_inner(line: GeodesicLine, t) -> np.ndarray:
+def _line_inner(line: GeodesicLine, t):
     """The inner points W tanh(tS) V* of the line, one matrix for a
     parameter and a stack for a 1-D array of them, after the checks that
-    each parameter is finite (``ValueError``) and within ``PARAM_MAX``."""
+    each parameter is finite (``ValueError``) and within ``PARAM_MAX``;
+    and, for each point, the lower bound 1 - ||A|| tanh(|t| S[0]) of the
+    least singular value of its resolvents, from the base's margin and the
+    top singular value of the direction (``mobius._resolvent_cleared``)."""
     t = _require_finite(np.asarray(t, dtype=np.float64), "parameter")
     size = np.abs(t)
     _require_each(size <= PARAM_MAX, ParameterOverflow,
                   "|t| = {!r} beyond tanh saturation", size)
-    return _polar_tanh(*line._polar, t[..., None, None])
+    w, sig, vh = line._polar
+    bound = 1.0 - (1.0 - line.base.margin) * np.tanh(size * sig[0])
+    return _polar_tanh(w, sig, vh, t[..., None, None]), bound
 
 
 def _line_points(line: GeodesicLine, t):
     """gamma(t) = M_A(W tanh(tS) V*) from the line's kept factors and roots,
     for a parameter or for each parameter of a 1-D array: the points (one
     read-only matrix or stack) and their norms.  Each point is checked as
-    ``geodesic_point`` checks it, the whole stack at once: one batched SVD
-    for the ``COND_TOL`` resolvent checks, one for the norms, one solve."""
+    ``geodesic_point`` checks it, the whole stack at once: the ``COND_TOL``
+    resolvent checks read their bound off the base's margin and the inner
+    points' norms tanh(|t| S[0]) and take one batched SVD only where that
+    bound cannot decide (``mobius._resolvent_cleared``); then one solve and
+    one batched SVD for the norms."""
     a = line.base.matrix
-    inner = _line_inner(line, t)
-    _require_resolvent(a, inner)
+    inner, bound = _line_inner(line, t)
+    _require_resolvent(a, inner, bound)
     points = _mobius_rooted(a, inner, *line._roots)
     norms = _require_inside(points, 0.0)
     points.setflags(write=False)
@@ -191,10 +206,11 @@ def _line_points(line: GeodesicLine, t):
 
 def geodesic_point(line: GeodesicLine, t: float) -> BallPoint:
     """gamma(t) = M_A(W tanh(tS) V*) from the line's kept factors and roots:
-    two SVDs (the resolvent check and the point's norm) and one solve.  An
-    array ``t`` of one or more dimensions raises ``ValueError`` before any
-    of them: the finiteness error of ``_line_inner`` if an entry is not
-    finite, else one naming its shape."""
+    one SVD (the point's norm) and one solve, and a second SVD for the
+    resolvent check only where its bound 1 - ||A|| tanh(|t| S[0]) cannot
+    decide (``_line_points``).  An array ``t`` of one or more dimensions
+    raises ``ValueError`` before any of them: the finiteness error of
+    ``_line_inner`` if an entry is not finite, else one naming its shape."""
     if np.ndim(t):
         _require_finite(np.asarray(t, dtype=np.float64), "parameter")
         raise ValueError(f"parameter must be a number, got shape {np.shape(t)}")
@@ -205,11 +221,12 @@ def geodesic_velocity(line: GeodesicLine, t: float) -> np.ndarray:
     """Derivative of the geodesic at parameter t, or the stack of them at
     each parameter of a 1-D array: the differential of M_A at the inner
     point g = Th(tD), applied to its closed-form derivative D - g D* g, from
-    the line's kept roots; the two resolvent checks are its only SVDs."""
-    g = _line_inner(line, t)
+    the line's kept roots; the two resolvent checks, whose bound is that of
+    ``_line_points``, are its only SVDs, taken only where it cannot decide."""
+    g, bound = _line_inner(line, t)
     d = line.direction
     gdot = d - g @ adjoint(d) @ g
-    return _differential_rooted(line.base.matrix, g, gdot, *line._roots)
+    return _differential_rooted(line.base.matrix, g, gdot, *line._roots, bound)
 
 
 def _segment(x: BallPoint, y: BallPoint):

@@ -109,17 +109,23 @@ def defect_roots(a: np.ndarray, left: float, right: float):
     or of each matrix in a stack, from one SVD ``A = W S V*``:
     ``(1 - A A*)^e = I + W (g^e - 1) W*`` and ``(1 - A* A)^e = I + V (g^e - 1) V*``
     with ``g = (1 - s)(1 + s)``, which keeps its relative accuracy as s
-    nears 1.  The exponents are 1/2 or -1/2, or per-matrix arrays of them;
-    ``g`` is clamped at 0, where a negative one raises ``DomainError``."""
+    nears 1.  The exponents are 1/2 or -1/2, or per-matrix arrays of them.
+    Inside the ball every ``g`` is positive, and one comparison passes
+    them; only where one is not is ``g`` clamped at 0, and a power that is
+    then not finite (a negative exponent at a singular value at or past 1,
+    or a NaN) raises ``DomainError``.  The identity goes onto the diagonal
+    of the fresh products in place (``_minus_diagonal`` with sign -1): the
+    sum with the dense identity bit for bit, except that an entry of -0.0
+    keeps its sign."""
     w, s, vh = np.linalg.svd(a, full_matrices=False)
-    g = np.maximum((1.0 - s) * (1.0 + s), 0.0)[..., None, :]
-    with np.errstate(divide="ignore"):
-        gl, gr = g ** left - 1.0, g ** right - 1.0
-    if not (np.isfinite(gl).all() and np.isfinite(gr).all()):
-        raise DomainError("matrix function undefined at an eigenvalue near 0")
-    p, q = a.shape[-2:]
-    return (np.eye(p) + (w * gl) @ adjoint(w),
-            np.eye(q) + (adjoint(vh) * gr) @ vh)
+    g = ((1.0 - s) * (1.0 + s))[..., None, :]
+    if not (g > 0.0).all():
+        g = np.maximum(g, 0.0)
+        with np.errstate(divide="ignore"):
+            if not (np.isfinite(g ** left).all() and np.isfinite(g ** right).all()):
+                raise DomainError("matrix function undefined at an eigenvalue near 0")
+    return (_minus_diagonal((w * (g ** left - 1.0)) @ adjoint(w), -1.0),
+            _minus_diagonal((adjoint(vh) * (g ** right - 1.0)) @ vh, -1.0))
 
 
 def mobius_batch(a: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -135,10 +141,41 @@ def _mobius_rooted(a, x, left, right):
     return left @ (a + x) @ np.linalg.solve(resolvent, right)
 
 
-def _require_resolvent(a, x):
+def _require_resolvent(a, x, bound=None):
     """Raise ``SingularResolvent`` where 1 + A*X, for matrices or stacks that
-    broadcast, is numerically singular."""
-    _require_invertible(np.eye(a.shape[-1]) + adjoint(a) @ x, "1 + A*X")
+    broadcast, is numerically singular: its least singular value, from one
+    batched SVD, is below ``COND_TOL``.  A caller that holds the norms of
+    A and X passes ``bound``, the lower bound 1 - ||A|| ||X|| of that
+    singular value (a number, or one per pair of the stack); where every
+    bound clears the rule (``_resolvent_cleared``) no SVD is taken, and the
+    decision is the SVD's."""
+    if bound is None or not _resolvent_cleared(bound, a.shape[-2:]):
+        _require_invertible(np.eye(a.shape[-1]) + adjoint(a) @ x, "1 + A*X")
+
+
+def _resolvent_cleared(bound, shape) -> bool:
+    """Whether every ``bound`` = fl(1 - nu_A nu_X), for p x q matrices A and
+    X of computed norms nu_A and nu_X, is at least ``COND_TOL`` plus the
+    rounding allowance 8 (p + q)^2 eps.  Since 1 - ||A|| ||X|| bounds the
+    least singular value of 1 + A*X, of 1 + AB* and of 1 + B*A (B = X)
+    from below, the computed least singular value of each computed
+    resolvent is then at least ``COND_TOL``: the SVD rule would pass.
+
+    Rounding model, with u = eps / 2 and n = p + q.  A norm read off an
+    SVD is within n eps of the true norm, at most 1: 4n u for the two
+    norms.  A line's inner point W tanh(tS) V* has its norm taken as
+    tanh(|t| S[0]); the factors' departure from orthonormality and the
+    rounding of the product add at most 4n u + n^2/2 u.  Forming the bound
+    rounds by 3 u.  The product A*X (AB*, B*A), of inner dimension
+    k <= max(p, q), errs by gamma_{k+2} min(p, q) ||A|| ||X||
+    <= (n^2/4 + n) u in norm, and adding the identity by 2 u.  The SVD of
+    the resolvent, of norm below 2, errs by 2n eps = 4n u.  The sum,
+    (3/4 n^2 + 13n + 5) u, is at most 0.53 of the allowance 16 n^2 u for
+    every n >= 2."""
+    p, q = shape
+    clear = bound >= COND_TOL + (p + q) ** 2 * 2.0 ** -49  # 8 eps
+    # a number is tested as one: np.all would take a ufunc call
+    return bool(clear.all()) if isinstance(clear, np.ndarray) else bool(clear)
 
 
 def mobius_matrix(a: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -149,34 +186,48 @@ def mobius_matrix(a: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 
 def mobius_apply(a: BallPoint, x: BallPoint) -> BallPoint:
-    """Evaluate M_A(X).  Both arguments must lie strictly inside the ball."""
+    """Evaluate M_A(X).  Both arguments must lie strictly inside the ball.
+    The ``COND_TOL`` resolvent check reads its bound 1 - ||A|| ||X|| off the
+    two margins and takes an SVD only where that bound cannot decide
+    (``_resolvent_cleared``); A's roots and the image's norm take one SVD
+    each."""
     if a.shape != x.shape:
         raise ValueError(f"shape mismatch {a.shape} vs {x.shape}")
-    return BallPoint(mobius_matrix(a.matrix, x.matrix), boundary_tol=0.0)
+    _require_resolvent(a.matrix, x.matrix,
+                       1.0 - (1.0 - a.margin) * (1.0 - x.margin))
+    return BallPoint(mobius_batch(a.matrix, x.matrix), boundary_tol=0.0)
 
 
 def mobius_differential(b: BallPoint, a: BallPoint, v) -> np.ndarray:
     """Differential of M_B at A applied to V:
 
     (1 - BB*)^{1/2} (1 + AB*)^{-1} V (1 + B*A)^{-1} (1 - B*B)^{1/2}
+
+    The ``COND_TOL`` checks of both resolvents read their bound
+    1 - ||A|| ||B|| off the two margins and take their SVDs only where that
+    bound cannot decide (``_resolvent_cleared``); B's roots take one SVD.
     """
     v = np.asarray(v, dtype=np.complex128)
     if v.shape != a.shape or a.shape != b.shape:
         raise ValueError("A, B, V must share one shape")
     _require_finite(v, "tangent vector")
     return _differential_rooted(b.matrix, a.matrix, v,
-                                *defect_roots(b.matrix, -0.5, 0.5))
+                                *defect_roots(b.matrix, -0.5, 0.5),
+                                1.0 - (1.0 - b.margin) * (1.0 - a.margin))
 
 
-def _differential_rooted(b, a, v, left, right):
+def _differential_rooted(b, a, v, left, right, bound=None):
     """The differential of M_B at A applied to V from B's roots
     ``left = (1 - BB*)^{-1/2}`` and ``right = (1 - B*B)^{1/2}``, as
     ((1 + AB*) left)^{-1} V (1 + B*A)^{-1} right, after the ``COND_TOL``
-    checks of both resolvents; A and V may be stacks."""
+    checks of both resolvents; A and V may be stacks.  As in
+    ``_require_resolvent``, a ``bound`` 1 - ||A|| ||B|| (one per matrix of
+    a stack) that clears the rule stands in for both checks' SVDs."""
     left_res = np.eye(b.shape[-2]) + a @ adjoint(b)
     right_res = np.eye(b.shape[-1]) + adjoint(b) @ a
-    _require_invertible(left_res, "1 + AB*")
-    _require_invertible(right_res, "1 + B*A")
+    if bound is None or not _resolvent_cleared(bound, b.shape[-2:]):
+        _require_invertible(left_res, "1 + AB*")
+        _require_invertible(right_res, "1 + B*A")
     return np.linalg.solve(left_res @ left, v) @ np.linalg.solve(right_res, right)
 
 
@@ -266,10 +317,11 @@ def _eta_form(t: np.ndarray, dim_h: int, dim_k: int):
     return adjoint(t) @ (sign[:, None] * t if dim_k else t), sign
 
 
-def _minus_diagonal(form: np.ndarray, sign: np.ndarray) -> np.ndarray:
+def _minus_diagonal(form: np.ndarray, sign) -> np.ndarray:
     """``form - diag(sign)`` for a fresh contiguous square matrix or stack,
-    in place: only the diagonal is written, so the result is the same bit
-    for bit as the subtraction of the dense diagonal matrix."""
+    in place, with ``sign`` a vector or one number (-1 adds the identity):
+    only the diagonal is written, so the result is the same bit for bit as
+    the subtraction of the dense diagonal matrix."""
     n = form.shape[-1]
     form.reshape(form.shape[:-2] + (n * n,))[..., ::n + 1] -= sign
     return form

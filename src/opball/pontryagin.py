@@ -230,14 +230,6 @@ def group_table(name: str) -> np.ndarray:
     raise UnknownGroup(f"no table for group {name!r}")
 
 
-def regular_representation(table: np.ndarray) -> np.ndarray:
-    """Permutation matrices of the left regular action as one stack
-    (n, n, n): column h of the matrix of g is e_{gh}, one column gather of
-    the identity."""
-    eye = np.eye(len(table), dtype=np.complex128)
-    return eye[:, table].transpose(1, 0, 2)
-
-
 def _irrep_classes(table: np.ndarray, rng) -> list:
     """One unitary representative per irreducible isomorphism class,
     extracted from the regular representation, each a stack (n, k, k) of

@@ -12,6 +12,7 @@ from numpy.testing import assert_allclose
 from oracles import psd_apply
 
 import opball.hyperbolic as hyperbolic
+import opball.mobius as mobius
 from opball.errors import (
     BoundaryProximity,
     DomainError,
@@ -30,6 +31,7 @@ from opball.hyperbolic import (
     line_through,
 )
 from opball.mobius import (
+    COND_TOL,
     BallAutomorphism,
     BallPoint,
     _automorphism_stack,
@@ -40,8 +42,10 @@ from opball.mobius import (
     defect_roots,
     eta_defect,
     eta_matrix,
+    mobius_apply,
     mobius_as_block,
     mobius_batch,
+    mobius_differential,
     mobius_matrix,
 )
 from opball.opcore import adjoint, spectral_norm
@@ -306,13 +310,14 @@ def test_a_line_keeps_its_polar_factors_and_base_roots(monkeypatch):
     direction = random_direction(rng, 4, 3)
     ts = (-2.0, -0.5, 0.0, 1.0, 3.0)
     # the line takes the SVD of its norm check and the base's roots once;
-    # each point then takes the resolvent check's SVD and its norm's SVD
+    # each point then takes its norm's SVD, and its resolvent check none:
+    # the bound 1 - ||A|| tanh(|t| S[0]) >= 0.2 clears the rule
     calls = _count_calls(monkeypatch, hyperbolic, ["defect_roots", "th_map"])
     svd = _count_calls(monkeypatch, np.linalg, ["svd"])
     line = GeodesicLine(base, direction)
     points = [geodesic_point(line, t) for t in ts]
     assert calls == {"defect_roots": 1, "th_map": 0}
-    assert svd == {"svd": 12}
+    assert svd == {"svd": 7}
     other = random_ball_point(rng, 4, 3, 0.8)
     calls.update(defect_roots=0)
     through = line_through(base, other)
@@ -375,12 +380,13 @@ def test_line_points_check_every_parameter_of_a_stack(monkeypatch):
             geodesic_velocity(line, np.array(bad))
     with pytest.raises(ParameterOverflow, match=r"\|t\| = 19\.0 beyond tanh saturation$"):
         geodesic_point(line, 19.0)
-    # nine points take one batched SVD for their resolvent checks and one for
-    # their norms; nine velocities one for each of their two resolvents
+    # nine points take one batched SVD for their norms; their resolvent
+    # checks, and the two of each of nine velocities, take none, as every
+    # bound 1 - ||A|| tanh(|t| S[0]) clears the rule
     svd = _count_calls(monkeypatch, np.linalg, ["svd"])
     _line_points(line, np.linspace(-1.0, 1.0, 9))
     geodesic_velocity(line, np.linspace(-1.0, 1.0, 9))
-    assert svd == {"svd": 4}
+    assert svd == {"svd": 1}
     monkeypatch.undo()
     # 1 + A*X = diag(1 - a tanh 18, 1 + 0.3 tanh 9): singular at t = 18 only
     base = BallPoint(np.diag([1.0 - 1e-15, 0.3])[[0, 1, 1]] * [[1], [1], [0]],
@@ -392,6 +398,85 @@ def test_line_points_check_every_parameter_of_a_stack(monkeypatch):
         geodesic_point(line, 18.0)
     with pytest.raises(SingularResolvent, match="1 \\+ AB\\* .* at stack index 1$"):
         geodesic_velocity(line, np.array([0.0, 18.0]))
+
+
+def _checked(call, svd_rule):
+    """``call()``'s output as bytes (an error of a resolvent or of an image
+    on the sphere as its name and message) and the SVDs it took; with
+    ``svd_rule`` every resolvent check drops the bound its caller passes and
+    takes its SVD, as before the bound."""
+    with pytest.MonkeyPatch.context() as patch:
+        if svd_rule:
+            require, differential = (mobius._require_resolvent,
+                                     mobius._differential_rooted)
+            for module in (mobius, hyperbolic):
+                patch.setattr(module, "_require_resolvent",
+                              lambda a, x, bound=None: require(a, x))
+                patch.setattr(module, "_differential_rooted",
+                              lambda b, a, v, left, right, bound=None:
+                              differential(b, a, v, left, right))
+        svd = _count_calls(patch, np.linalg, ["svd"])
+        try:
+            out = call()
+        except (SingularResolvent, BoundaryProximity) as exc:
+            return f"{type(exc).__name__}: {exc}", svd["svd"]
+    if isinstance(out, BallPoint):
+        return (out.matrix.tobytes(), out.margin), svd["svd"]
+    outs = out if isinstance(out, tuple) else (out,)
+    return tuple(np.asarray(o).tobytes() for o in outs), svd["svd"]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_resolvent_certificate_decides_as_the_svd_rule():
+    # the bound 1 - ||A|| ||X|| from the margins (a line's inner points have
+    # norm tanh(|t| S[0])) clears the rule at COND_TOL + 8 (p + q)^2 eps;
+    # where it does, each resolvent check skips its SVD, and every output,
+    # and every error, is the SVD rule's bit for bit
+    rng = rng_from(25)
+    margins = (0.5, 1e-2, 1e-8, 1e-12, 3e-13, 1e-13, 1e-15)
+    ts = np.array([-18.0, -3.0, 0.0, 0.5, 9.0])
+
+    def check(call, bound, checks, shape):
+        cleared = bool(np.all(bound >= COND_TOL + 8 * sum(shape) ** 2
+                              * np.finfo(np.float64).eps))
+        got, svds = _checked(call, False)
+        want, svd_rule_svds = _checked(call, True)
+        assert got == want
+        assert svd_rule_svds - svds == (checks if cleared else 0)
+        return cleared
+
+    for p, q in [(1, 1), (2, 1), (1, 2), (2, 2), (3, 2), (4, 3), (6, 3), (16, 3)]:
+        outcomes = set()
+        for ma, mx in itertools.product(margins, repeat=2):
+            a = random_ball_point(rng, p, q, 1.0 - ma, 1.0 - ma)
+            x = random_ball_point(rng, p, q, 1.0 - mx, 1.0 - mx)
+            v = complex_gaussian(rng, p, q)
+            bound = 1.0 - (1.0 - a.margin) * (1.0 - x.margin)
+            outcomes.add(check(lambda: mobius_apply(a, x), bound, 1, (p, q)))
+            check(lambda: mobius_differential(a, x, v), bound, 2, (p, q))
+        for ma in margins:
+            line = GeodesicLine(random_ball_point(rng, p, q, 1.0 - ma, 1.0 - ma),
+                                random_direction(rng, p, q))
+            bounds = 1.0 - (1.0 - line.base.margin) * np.tanh(
+                np.abs(ts) * line._polar.S[0])
+            for t, bound in zip(ts, bounds):
+                outcomes.add(check(lambda: geodesic_point(line, t), bound, 1, (p, q)))
+                check(lambda: geodesic_velocity(line, t), bound, 2, (p, q))
+            check(lambda: _line_points(line, ts), bounds, 1, (p, q))
+            check(lambda: geodesic_velocity(line, ts), bounds, 2, (p, q))
+        # each shape has pairs on both sides of the rule
+        assert outcomes == {True, False}, (p, q)
+    # 1 + A*X = diag(1 - a tanh 18, 1 + 0.3 tanh 9): singular at t = 18 only
+    base = BallPoint(np.diag([1.0 - 1e-15, 0.3])[[0, 1, 1]] * [[1], [1], [0]],
+                     boundary_tol=0.0)
+    line = GeodesicLine(base, np.array([[-1.0, 0.0], [0.0, 0.5], [0.0, 0.0]]))
+    message, svds = _checked(lambda: geodesic_point(line, 18.0), False)
+    assert svds == 1 and message.startswith(
+        "SingularResolvent: 1 + A*X numerically singular: least singular value ")
+    assert message.endswith(" < 1e-13")
+    assert _checked(lambda: geodesic_point(line, 18.0), True)[0] == message
+    assert _checked(lambda: _line_points(line, [0.0, 18.0]), False)[0] == \
+        message + " at stack index 1"
 
 
 def test_checked_paths_take_stacks_and_name_the_first_offender():

@@ -47,7 +47,6 @@ from opball.pontryagin import (
     make_test_representation,
     max_principal_angle,
     negativeness_degree,
-    regular_representation,
     subspace_to_ball,
     unitarize,
     unitarizer_matrix,
@@ -291,24 +290,6 @@ def test_group_tables_are_the_groups():
         assert np.array_equal(table, np.add.outer(np.arange(n), np.arange(n)) % n)
     for name in ("C1", "C7", "S3", "Q8"):
         assert fixedpoint._checked_table(group_table(name))[1] == 0
-
-
-def test_regular_representation_is_homomorphism():
-    table = group_table("S3")
-    reg = regular_representation(table)
-    assert reg.shape == (6, 6, 6)
-    for g in range(6):
-        for h in range(6):
-            assert_allclose(reg[g] @ reg[h], reg[int(table[g][h])], atol=1e-14)
-    # the column gathers are the permutation matrices set entry by entry
-    for name in ("C2", "C6", "C12", "S3", "Q8", "C64"):
-        table = group_table(name)
-        n = len(table)
-        for g, m in enumerate(regular_representation(table)):
-            want = np.zeros((n, n), dtype=np.complex128)
-            for h in range(n):
-                want[table[g][h], h] = 1.0
-            assert m.dtype == want.dtype and np.array_equal(m, want)
 
 
 # the grid, the splits where H and K must share an irreducible class, and
