@@ -36,6 +36,7 @@ from .errors import (
     FixedPointFailed,
     NotEtaPreserving,
     PreconditionUnmet,
+    ShapeMismatch,
 )
 from .mobius import (
     AUT_TOL,
@@ -349,7 +350,9 @@ def _newton_step(tau: np.ndarray, inv22: np.ndarray,
 
 def displacement(group: AutomorphismGroup, x: BallPoint) -> float:
     """f(X) = max_g rho(X, w_g(X)), read in the chart at X (``_chart``,
-    ``_displacement``); zero exactly on common fixed points."""
+    ``_displacement``); zero exactly on common fixed points.  X must have
+    the group's shape (``_check_point_shape``)."""
+    _check_point_shape(x, group.dim_h, group.dim_k)
     return _displacement(_chart(group._blocks, x.matrix)[-1])
 
 
@@ -380,6 +383,13 @@ def _averaged_point(blocks: np.ndarray, p: int, q: int) -> BallPoint:
     basis = r_inv @ vecs[:, :q]
     return BallPoint(np.linalg.solve(basis[p:].T, basis[:p].T).T,
                      boundary_tol=0.0)
+
+
+def _check_point_shape(x: BallPoint, p: int, q: int):
+    """Raise ``ShapeMismatch`` unless the point is p x q, a point of the
+    split (p, q): checked before any chart or SVD is taken."""
+    if x.shape != (p, q):
+        raise ShapeMismatch(f"point shape {x.shape} != {(p, q)}")
 
 
 def _check_mode(mode: str):
@@ -448,11 +458,14 @@ def find_fixed_point(group: AutomorphismGroup, x0: Optional[BallPoint] = None,
     and any other value raises ``ValueError``.  Which point of a
     non-trivial fixed-point set is returned is implementation-defined.
     ``history`` holds the displacement at the start and after each step.
+    After ``mode``, a given ``x0`` is checked to have the group's shape
+    (``_check_point_shape``).
     """
     if x0 is None:
         x0 = (zero_point(group.dim_h, group.dim_k) if group.table is None
               else _averaged_point(group._blocks, group.dim_h, group.dim_k))
     _check_mode(mode)
+    _check_point_shape(x0, group.dim_h, group.dim_k)
     return _solve(group._blocks, x0, _chart(group._blocks, x0.matrix))[0]
 
 

@@ -114,9 +114,12 @@ def th_series(d, terms: int = 60) -> np.ndarray:
     """Direct summation of the defining odd power series of Th.
 
     Slow cross-check oracle only; converges for ||D|| < pi/2 and the
-    truncation error scales like (2 ||D|| / pi)^(2 * terms).
+    truncation error scales like (2 ||D|| / pi)^(2 * terms).  ``terms`` must
+    be at least 1, and ``d`` finite, as ``th_map`` checks it.
     """
-    d = np.asarray(d, dtype=np.complex128)
+    if terms < 1:
+        raise ValueError(f"terms must be at least 1, got {terms!r}")
+    d = _require_finite(np.asarray(d, dtype=np.complex128), "matrix")
     coeffs = _tanh_coefficients(terms)
     gram = d @ adjoint(d)
     power = d  # D^{(2n+1)} = (D D*)^n D

@@ -283,19 +283,12 @@ def eta_matrix(dim_h: int, dim_k: int) -> np.ndarray:
 
 def eta_defect(t: np.ndarray, dim_h: int, dim_k: int):
     """||T*JT - J||: how far T is from preserving eta; a float for a matrix,
-    an array with one value per matrix for a stack."""
+    an array with one value per matrix for a stack.  The gap (``_eta_gap``)
+    is Hermitian, so its norm is its largest |eigenvalue|, from one
+    eigvalsh of the matrix or the stack."""
     t = _require_finite(np.asarray(t), "matrix")
-    defect, _ = _eta_spectra(_eta_gap(t, dim_h, dim_k))
+    defect = np.abs(np.linalg.eigvalsh(_eta_gap(t, dim_h, dim_k))).max(axis=-1)
     return float(defect) if np.ndim(defect) == 0 else defect
-
-
-def _eta_spectra(gap: np.ndarray, t=None):
-    """||gap|| = max |eigenvalue| of the Hermitian T*JT/s - J of a matrix or
-    a stack and, given T, the ascending eigenvalues of T*T, from one eigvalsh."""
-    if t is None:
-        return np.abs(np.linalg.eigvalsh(gap)).max(axis=-1), None
-    lam = np.linalg.eigvalsh(np.stack([gap, adjoint(t) @ t]))
-    return np.abs(lam[0]).max(axis=-1), lam[1]
 
 
 @functools.lru_cache(maxsize=64)
@@ -345,8 +338,10 @@ def _eta_checked(t: np.ndarray, dim_h: int, dim_k: int, aut_tol):
     ``||T||_F^2 / n`` bounds ``||T||^2`` from below.  The allowance is at
     least ``aut_tol``, so ``||T||_F`` is formed only when a left side
     exceeds ``aut_tol``.  Only the blocks the screen cannot pass take
-    ``_eta_spectra``; the failure furthest over its allowance, the first of
-    equals, is raised.  J enters as its signs."""
+    spectra: one eigvalsh of the pairs (T*JT/s - J, T*T) gives each
+    defect, the largest |eigenvalue| of the gap, and ||T||^2, the largest
+    eigenvalue of T*T.  The failure furthest over its allowance, the first
+    of equals, is raised.  J enters as its signs."""
     n = dim_h + dim_k
     form, sign = _eta_form(t, dim_h, dim_k)
     scale = (form.diagonal(0, -2, -1) * sign).sum(-1).real / n
@@ -360,8 +355,10 @@ def _eta_checked(t: np.ndarray, dim_h: int, dim_k: int, aut_tol):
             1.0, frobenius_norm(t) ** 2 / (n * scale)))
         if unsure.any():
             tol = np.broadcast_to(aut_tol, unsure.shape)[unsure]
-            defect, gram = _eta_spectra(gap[unsure], t[unsure])
-            allowed = tol * np.maximum(1.0, gram[:, -1] / scale[unsure])
+            kept = t[unsure]
+            lam = np.linalg.eigvalsh(np.stack([gap[unsure], adjoint(kept) @ kept]))
+            defect = np.abs(lam[0]).max(axis=-1)
+            allowed = tol * np.maximum(1.0, lam[1][:, -1] / scale[unsure])
             if (defect > allowed).any():
                 k = int(np.argmax(defect / allowed))
                 raise NotEtaPreserving(f"||T*JT - J|| = {float(defect[k]):.3e}"

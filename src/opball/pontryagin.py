@@ -30,6 +30,7 @@ from .errors import (
 from .fixedpoint import (
     _averaged_point,
     _check_mode,
+    _check_point_shape,
     _checked_table,
     _fixed_chart,
 )
@@ -39,7 +40,6 @@ from .mobius import (
     _automorphism_stack,
     _eta_form,
     _eta_gap,
-    _eta_spectra,
     _mobius_block,
     eta_defect,
     eta_matrix,
@@ -110,25 +110,23 @@ def is_J_unitary(sig: PontryaginSignature, t):
     return defect <= REP_TOL, defect
 
 
-def _eta_certificate(t: np.ndarray, p: int, q: int, tol: float,
-                     measured) -> float:
+def _eta_certificate(t: np.ndarray, p: int, q: int, tol: float) -> float:
     """The one absolute eta certificate, an upper bound of max ||T*JT - J||
     over a matrix or a stack: the largest ||T*JT - J||_F (``_eta_gap``)
-    where that is within ``tol``, with no spectra; else ``measured()``, the
-    caller's spectral defect, so bound <= ``tol`` decides as the spectral
-    norm does.  It decides every absolute rule: eta preservation at
-    ``REP_TOL`` (``_require_eta_preserving``, ``induced_automorphism``), and
+    where that is within ``tol``, with no spectra; else the largest
+    spectral defect, measured by ``eta_defect``, so bound <= ``tol``
+    decides as the spectral norm does, and a failure quotes the defect
+    itself.  It decides every absolute rule: eta preservation at
+    ``REP_TOL`` (``averaged_fixed_point``, ``induced_automorphism``), and
     unitarity at ``UNIT_TOL`` as T*JT - J = T*T - 1 on the split (dim, 0)."""
     bound = float(frobenius_norm(_eta_gap(t, p, q)).max())
-    return bound if bound <= tol else float(measured())
+    return bound if bound <= tol else float(np.max(eta_defect(t, p, q)))
 
 
 def graph_subspace(sig: PontryaginSignature, a: BallPoint) -> np.ndarray:
     """Column basis [A; I] of L(A) = {Ax (+) x}, a maximal negative
     subspace."""
-    if a.shape != (sig.n_plus, sig.n_minus):
-        raise ShapeMismatch(f"point shape {a.shape} != "
-                            f"{(sig.n_plus, sig.n_minus)}")
+    _check_point_shape(a, sig.n_plus, sig.n_minus)
     return np.vstack([a.matrix, np.eye(sig.n_minus, dtype=np.complex128)])
 
 
@@ -157,9 +155,7 @@ def subspace_to_ball(sig: PontryaginSignature, basis) -> BallPoint:
 def negativeness_degree(sig: PontryaginSignature, a: BallPoint) -> float:
     """Largest eps with eta <= -eps ||.||^2 on L(A):
     (1 - ||A||^2) / (1 + ||A||^2)."""
-    if a.shape != (sig.n_plus, sig.n_minus):
-        raise ShapeMismatch(f"point shape {a.shape} != "
-                            f"{(sig.n_plus, sig.n_minus)}")
+    _check_point_shape(a, sig.n_plus, sig.n_minus)
     beta_sq = spectral_norm(a.matrix) ** 2
     return (1.0 - beta_sq) / (1.0 + beta_sq)
 
@@ -174,7 +170,7 @@ def induced_automorphism(sig: PontryaginSignature, t) -> BallAutomorphism:
     defect is at most about 2d, so that check fails no T the rule passes."""
     t = _square(sig, t)
     p, q = sig.n_plus, sig.n_minus
-    bound = _eta_certificate(t, p, q, REP_TOL, lambda: eta_defect(t, p, q))
+    bound = _eta_certificate(t, p, q, REP_TOL)
     if not bound <= REP_TOL:
         raise NotEtaPreserving(f"||T*JT - J|| = {bound:.3e} > {REP_TOL!r}")
     block = _automorphism_stack(t, p, q, max(REP_TOL, 10 * bound))
@@ -188,9 +184,7 @@ def unitarizer_matrix(sig: PontryaginSignature, d: BallPoint) -> np.ndarray:
     U = [[ (1-DD*)^{-1/2},      -(1-DD*)^{-1/2} D ],
          [ -(1-D*D)^{-1/2} D*,   (1-D*D)^{-1/2}   ]]
     """
-    if d.shape != (sig.n_plus, sig.n_minus):
-        raise ShapeMismatch(f"point shape {d.shape} != "
-                            f"{(sig.n_plus, sig.n_minus)}")
+    _check_point_shape(d, sig.n_plus, sig.n_minus)
     return _mobius_block(-d.matrix)
 
 
@@ -288,15 +282,16 @@ def _assemble_block(classes, dim: int, allowed, rng) -> Optional[np.ndarray]:
     return dress @ block @ adjoint(dress)
 
 
-def _check_homomorphism(table: np.ndarray, stack: np.ndarray, norms):
+def _check_homomorphism(table: np.ndarray, stack: np.ndarray):
     """The homomorphism check of ``Representation``.
 
     A pair passes the screen when the Frobenius norm of its difference is
     within half its tolerance taken with ``||pi(g)||_F / sqrt(dim)``, a
     lower bound of each spectral norm; both sides bound theirs from the
-    safe side, so a pass certifies the pair.  Only if some pair survives is
-    ``norms()``, the spectral norms of the images, called: the survivors
-    are screened again with the exact tolerance and those left take an SVD.
+    safe side, so a pass certifies the pair.  Only if some pair survives
+    are the spectral norms of the images measured, by one batched SVD
+    (``spectral_norm``): the survivors are screened again with the exact
+    tolerance and those left take an SVD of their differences.
     A failure names the pair furthest over its tolerance, the first such
     pair in row-major order."""
     n, dim, _ = stack.shape
@@ -324,7 +319,7 @@ def _check_homomorphism(table: np.ndarray, stack: np.ndarray, norms):
         frobenius > REP_TOL * np.maximum(1.0, np.multiply.outer(low, low)) / 2)
     if rows.size == 0:
         return
-    norms = norms()
+    norms = spectral_norm(stack)
     allowed = REP_TOL * np.maximum(1.0, norms[rows] * norms[cols])
     near = frobenius[rows, cols] > allowed / 2
     rows, cols, allowed = rows[near], cols[near], allowed[near]
@@ -376,10 +371,10 @@ class Representation:
     costs about eps ||pi(g)|| ||pi(h)||.  Eta preservation is checked by
     whoever needs it (``unitarize``).
 
-    ``bound``, the largest ||pi(g)||, and ``eta_defect``, the largest
-    ||pi(g)* J pi(g) - J||, are taken on the first read of either, both
-    from one batched eigvalsh of the pairs (T*JT - J, T*T) kept in the
-    private slot ``_spectra``.  The checks read them only when a Frobenius
+    ``bound``, the largest ||pi(g)||, is measured on each read by one
+    batched SVD (``spectral_norm``), and ``eta_defect``, the largest
+    ||pi(g)* J pi(g) - J||, by one batched eigvalsh (``eta_defect``); no
+    measurement is kept.  The checks take spectra only where a Frobenius
     norm, which bounds a spectral norm from above, cannot decide.
 
     The homomorphism check (``_check_homomorphism``) forms the differences
@@ -393,11 +388,12 @@ class Representation:
 
     ``_unitarization`` holds the result of the first ``unitarize`` of this
     representation that passes its certificate; later calls of
-    ``unitarize`` and ``dual_pair`` reuse it.
+    ``unitarize`` and ``dual_pair`` reuse it.  It is the one slot that
+    changes after construction.
     """
 
-    __slots__ = ("signature", "table", "images", "identity_index", "_stack",
-                 "_spectra", "_unitarization")
+    __slots__ = ("signature", "table", "identity_index", "_stack",
+                 "_unitarization")
 
     def __init__(self, signature: PontryaginSignature, table, images):
         table, ident = _checked_table(table)
@@ -406,40 +402,33 @@ class Representation:
         gap = stack[ident] - np.eye(dim)
         if frobenius_norm(gap) > REP_TOL and spectral_norm(gap) > REP_TOL:
             raise ValueError("identity element must map to the identity matrix")
+        _check_homomorphism(table, stack)
         self._hold(signature, table, ident, stack)
-        _check_homomorphism(table, stack,
-                            lambda: np.sqrt(self._measured()[1][:, -1]))
 
     def _hold(self, signature, table, identity_index, stack):
-        """Set the slots from a valid table and its stack of images; nothing
-        is measured and no unitarization is stored yet."""
+        """Set the slots from a valid table and its stack of images; no
+        unitarization is stored yet."""
         stack.setflags(write=False)
         self.signature = signature
         self.table = table
         self.identity_index = identity_index
         self._stack = stack
-        self.images = tuple(stack)
-        self._spectra = None
         self._unitarization = None
 
-    def _measured(self):
-        """The eta defects and the ascending T*T eigenvalues of the images,
-        from one batched eigvalsh on the first call."""
-        if self._spectra is None:
-            sig, stack = self.signature, self._stack
-            self._spectra = _eta_spectra(
-                _eta_gap(stack, sig.n_plus, sig.n_minus), stack)
-        return self._spectra
+    @property
+    def images(self) -> tuple:
+        return tuple(self._stack)
 
     @property
     def bound(self) -> float:
-        """The largest ||pi(g)||."""
-        return float(np.sqrt(self._measured()[1][:, -1].max()))
+        """The largest ||pi(g)||, from one batched SVD."""
+        return float(spectral_norm(self._stack).max())
 
     @property
     def eta_defect(self) -> float:
-        """The largest ||pi(g)* J pi(g) - J||."""
-        return float(self._measured()[0].max())
+        """The largest ||pi(g)* J pi(g) - J||, from one batched eigvalsh."""
+        sig = self.signature
+        return float(eta_defect(self._stack, sig.n_plus, sig.n_minus).max())
 
     @property
     def group_order(self) -> int:
@@ -525,31 +514,27 @@ def _require_unitary(tau: np.ndarray) -> float:
     measures, where that is.  Otherwise ``FixedPointFailed`` quotes that
     defect; a tau with a non-finite entry fails in ``eta_defect``."""
     dim = tau.shape[-1]
-    bound = _eta_certificate(tau, dim, 0, UNIT_TOL,
-                             lambda: eta_defect(tau, dim, 0).max())
+    bound = _eta_certificate(tau, dim, 0, UNIT_TOL)
     if not bound <= UNIT_TOL:
         raise FixedPointFailed(f"unitarity defect {bound:.3e} > {UNIT_TOL!r}")
     return bound
-
-
-def _require_eta_preserving(rep: Representation):
-    """Raise ``NotEtaPreserving`` unless ``rep.eta_defect <= REP_TOL``,
-    decided by ``_eta_certificate``: the spectra are taken only when some
-    ||pi(g)* J pi(g) - J||_F exceeds ``REP_TOL``."""
-    sig = rep.signature
-    if not _eta_certificate(rep._stack, sig.n_plus, sig.n_minus, REP_TOL,
-                            lambda: rep.eta_defect) <= REP_TOL:
-        raise NotEtaPreserving(
-            f"representation eta-defect {rep.eta_defect:.3e} > {REP_TOL!r}")
 
 
 def averaged_fixed_point(rep: Representation) -> BallPoint:
     """The fixed point of the induced automorphisms read off the averaged
     form R = mean_g pi(g)* pi(g) of an eta-preserving representation
     (``fixedpoint._averaged_point``); R is invariant, so the point is fixed
-    up to rounding."""
-    _require_eta_preserving(rep)
+    up to rounding.
+
+    ``rep.eta_defect <= REP_TOL`` is checked first, decided by
+    ``_eta_certificate``: the spectra are taken only when some
+    ||pi(g)* J pi(g) - J||_F exceeds ``REP_TOL``, and ``NotEtaPreserving``
+    quotes the certificate's value, which is then the measured defect."""
     sig = rep.signature
+    defect = _eta_certificate(rep._stack, sig.n_plus, sig.n_minus, REP_TOL)
+    if not defect <= REP_TOL:
+        raise NotEtaPreserving(
+            f"representation eta-defect {defect:.3e} > {REP_TOL!r}")
     return _averaged_point(rep._stack, sig.n_plus, sig.n_minus)
 
 

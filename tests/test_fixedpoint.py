@@ -14,6 +14,7 @@ from opball.errors import (
     ClosureExceeded,
     NotEtaPreserving,
     PreconditionUnmet,
+    ShapeMismatch,
 )
 from opball.fixedpoint import (
     GROUP_TOL,
@@ -565,6 +566,29 @@ def test_displacement_convex_along_segments():
         mixed = displacement(group, convex_combination(x, y, t))
         bound = (1 - t) * displacement(group, x) + t * displacement(group, y)
         assert mixed <= bound + 1e-7
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("shape", [(1, 2), (3, 1), (1, 1)])
+def test_a_point_of_another_split_is_a_shape_mismatch(monkeypatch, shape):
+    # on a (2, 1) group a (1, 2) point would read displacement inf and
+    # stop unconverged, and a (3, 1) or (1, 1) point would fail in a bare
+    # matmul; the shape is checked before any chart or SVD is taken
+    rep = make_test_representation("C4", PontryaginSignature(2, 1),
+                                   conditioning=10.0, seed=0)
+    group = group_closure([BallAutomorphism(rep.images[1], 2, 1)])
+    x = BallPoint(np.full(shape, 0.1))
+
+    def untaken(*args, **kwargs):
+        raise AssertionError("a chart or an SVD was taken")
+
+    monkeypatch.setattr(fixedpoint, "_chart", untaken)
+    monkeypatch.setattr(np.linalg, "svd", untaken)
+    for solve in (lambda: displacement(group, x),
+                  lambda: find_fixed_point(group, x)):
+        with pytest.raises(ShapeMismatch) as excinfo:
+            solve()
+        assert str(excinfo.value) == f"point shape {shape} != (2, 1)"
 
 
 # --- the fixed-point solver --------------------------------------------------------

@@ -169,6 +169,24 @@ def test_th_series_cross_check():
         assert spectral_norm(th_map(d) - th_series(d, terms=terms)) < 1e-9
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_th_series_checks_its_arguments():
+    # no terms raised IndexError from the coefficient table, and a NaN
+    # entry summed to NaN where th_map rejects it
+    d = random_direction(rng_from(3), 3, 2)
+    for terms in (0, -1):
+        with pytest.raises(ValueError) as excinfo:
+            th_series(d, terms=terms)
+        assert str(excinfo.value) == f"terms must be at least 1, got {terms}"
+    assert np.array_equal(th_series(d, terms=1), d)
+    bad = d.copy()
+    bad[1, 0] = np.nan
+    for th in (th_map, th_series):
+        with pytest.raises(ValueError) as excinfo:
+            th(bad)
+        assert str(excinfo.value) == "matrix contains non-finite entries"
+
+
 def test_th_inverse_scalar():
     direction, t = th_inverse(scalar(0.5))
     assert t == pytest.approx(math.atanh(0.5), abs=1e-15)

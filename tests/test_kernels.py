@@ -35,7 +35,6 @@ from opball.mobius import (
     BallAutomorphism,
     BallPoint,
     _automorphism_stack,
-    _eta_spectra,
     _frac_checked,
     _require_inside,
     automorphism_apply,
@@ -179,7 +178,8 @@ def _assert_stack_measures_match_the_svd(t, p, q):
     returns the SVD's figures, the largest of each, with the allowance."""
     n = p + q
     j = eta_matrix(p, q)
-    defects, gram = _eta_spectra(adjoint(t) @ j @ t - j, t)
+    defects = eta_defect(t, p, q)
+    gram = np.linalg.eigvalsh(adjoint(t) @ t)
     unitarity = np.maximum(gram[:, -1] - 1.0, 1.0 - gram[:, 0])
 
     def svd_norm(m):

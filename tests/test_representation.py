@@ -10,7 +10,7 @@ from oracles import chart_inverse, homomorphism_rule
 
 from opball import pontryagin
 from opball.errors import NotEtaPreserving, ShapeMismatch
-from opball.mobius import _eta_spectra, eta_defect, eta_matrix
+from opball.mobius import eta_defect, eta_matrix
 from opball.opcore import adjoint, spectral_norm
 from opball.pontryagin import (
     REP_TOL,
@@ -90,12 +90,15 @@ def test_blocked_screen_decides_as_the_per_pair_rule(monkeypatch, name, p, q,
                                    conditioning=2.0, seed=0)
     assert homomorphism_rule(rep.table, rep.images, REP_TOL) is None
 
-    def unscreened():
+    def unscreened(stack):
         raise AssertionError("a pair of an exact table survived the screen")
 
     # the screen alone certifies every pair of an exact table, so a block
-    # that forms wrong differences cannot hide behind the spectral fallback
-    pontryagin._check_homomorphism(rep.table, rep._stack, unscreened)
+    # that forms wrong differences cannot hide behind the spectral fallback,
+    # which measures the images' norms first
+    with monkeypatch.context() as patched:
+        patched.setattr(pontryagin, "spectral_norm", unscreened)
+        pontryagin._check_homomorphism(rep.table, rep._stack)
     rng = rng_from(7)
     for k in (1, len(rep.images) // 2, len(rep.images) - 1):
         images = list(rep.images)
@@ -194,10 +197,11 @@ def test_ill_conditioned_representations_construct(name, p, q):
 
 
 def _alone(m, p, q):
-    """The eta defect and the T*T eigenvalues of one image, from the
-    measuring kernel applied to that image alone."""
+    """The eta defect and the T*T eigenvalues of one image, each from an
+    eigvalsh of that image's own Hermitian matrix, with J as a matrix."""
     j = eta_matrix(p, q)
-    return _eta_spectra(adjoint(m) @ j @ m - j, m)
+    return (np.abs(np.linalg.eigvalsh(adjoint(m) @ j @ m - j)).max(),
+            np.linalg.eigvalsh(adjoint(m) @ m))
 
 
 @pytest.mark.parametrize("name, p, q", CASES)
@@ -206,7 +210,7 @@ def test_stacked_measurements_are_the_per_image_formulas(name, p, q):
     rep = make_test_representation(name, PontryaginSignature(p, q),
                                    conditioning=10.0, seed=4)
     alone = [_alone(m, p, q) for m in rep.images]
-    assert rep.bound == max(np.sqrt(gram[-1]) for _, gram in alone)
+    assert rep.bound == max(spectral_norm(m) for m in rep.images)
     assert rep.eta_defect == max(defect for defect, _ in alone)
     assert rep.eta_defect == max(eta_defect(m, p, q) for m in rep.images)
     res = unitarize(rep)
@@ -341,15 +345,29 @@ def test_unitarize_measures_each_stack_with_one_eigvalsh(monkeypatch):
     assert calls["eigvalsh"] == [(32, 16, 16)]
     assert defect == eta_defect(np.stack(res.unitary_rep.images), 16, 0).max()
     assert defect <= res.defect_bound
-    # pi's pairs (T*JT - J, T*T) are measured on the first read of bound,
-    # and kept for every later read of bound and eta_defect
+    # pi's bound and eta_defect are measured on each read and never kept:
+    # one SVD of the stack per read of bound, one eigvalsh per eta_defect
+    calls["svd"].clear()
     calls["eigvalsh"].clear()
     rep.bound
-    assert calls["eigvalsh"] == [(2, 32, 16, 16)]
+    assert calls["svd"] == [(32, 16, 16)] and calls["eigvalsh"] == []
     rep.bound, rep.eta_defect
-    assert calls["eigvalsh"] == [(2, 32, 16, 16)]
+    assert calls["svd"] == [(32, 16, 16)] * 2
+    assert calls["eigvalsh"] == [(32, 16, 16)]
     monkeypatch.undo()
     assert calls["skipped"] == []
+
+
+def test_reading_the_measurements_changes_no_slot():
+    # a representation holds its table and stack; only unitarize stores
+    rep = make_test_representation("Q8", PontryaginSignature(5, 2),
+                                   conditioning=10.0, seed=0)
+    held = {name: getattr(rep, name) for name in Representation.__slots__}
+    for _ in range(2):
+        rep.images, rep.bound, rep.eta_defect, repr(rep)
+    assert not hasattr(rep, "__dict__")
+    assert all(getattr(rep, name) is value for name, value in held.items())
+    assert rep._unitarization is None
 
 
 def test_identity_image_is_decided_by_its_spectral_norm():
