@@ -191,9 +191,8 @@ def load_representation(dirpath, sig_override: str | None = None) -> Representat
 def save_representation(rep: Representation, dirpath):
     dirpath = Path(dirpath)
     dirpath.mkdir(parents=True, exist_ok=True)
-    sig = rep.signature
     (dirpath / "sig.json").write_text(json.dumps(
-        {"n_plus": sig.n_plus, "n_minus": sig.n_minus}, sort_keys=True) + "\n")
+        {"n_plus": rep.dim_h, "n_minus": rep.dim_k}, sort_keys=True) + "\n")
     (dirpath / "table.json").write_text(json.dumps(
         {"order": rep.group_order, "table": rep.table.tolist()},
         sort_keys=True) + "\n")

@@ -15,12 +15,12 @@ the chart at the iterate X (``_chart``): the block U of M_{-X} conjugates
 each element to tau = U T U^{-1}, with U^{-1} the block of M_X, and
 rho(X, w_g(X)) = atanh ||tau12 tau22^{-1}||.  A group with a table starts
 at the point read off its averaged form mean_g T_g* T_g, which is fixed up
-to rounding; a generator set starts at 0.  From a start that misses the
-tolerance, each step solves the fixed-point equations of all elements,
-linearized in that chart, in least squares (Newton), and is kept only
-while f falls.  The
-displacement certifies the point; the minimal enclosing ball of the orbit,
-whose center the paper's normal-structure argument fixes, is never formed.
+to rounding (a representation after its eta check); a generator set at 0.
+From a start that misses the tolerance, each step solves the fixed-point
+equations of all elements, linearized in that chart, in least squares
+(Newton), and is kept only while f falls.  The displacement certifies the
+point; the minimal enclosing ball of the orbit, whose center the paper's
+normal-structure argument fixes, is never formed.
 """
 
 from __future__ import annotations
@@ -93,16 +93,22 @@ def _checked_table(table):
 
 
 class AutomorphismGroup:
-    """A finite set of automorphisms of one split, held only as one
-    read-only stack of their normalized blocks; ``elements`` builds
-    ``BallAutomorphism`` views of its rows on each read.
-
-    With a ``table``, checked as ``Representation`` checks its own and kept
-    as a read-only copy, ``table[i][j]`` indexes the element acting like
-    elements[i] after elements[j]; without one, the set is a generator set.
+    """The one group type: a finite set of automorphisms of one split
+    (``dim_h``, ``dim_k``), held as one read-only stack of blocks, whose rows
+    ``images`` and ``BallAutomorphism`` views ``elements`` are built on each
+    read.  With a ``table`` (``_checked_table``, kept as a read-only copy
+    with its ``identity_index``), ``table[i][j]`` indexes the element acting
+    like elements[i] after elements[j]; without one, both are None and the
+    set is a generator set.  This constructor takes automorphisms, whose
+    blocks are normalized; ``pontryagin.Representation`` is its checked
+    constructor from a signature, a table and one matrix per element.
+    ``_unitarization``, the first passing ``unitarize`` of a representation,
+    which ``unitarize`` and ``dual_pair`` reuse, is the one slot that
+    changes after construction.
     """
 
-    __slots__ = ("_blocks", "dim_h", "dim_k", "table")
+    __slots__ = ("_stack", "dim_h", "dim_k", "table", "identity_index",
+                 "_unitarization")
 
     def __init__(self, elements, table=None):
         if not elements:
@@ -110,27 +116,40 @@ class AutomorphismGroup:
         p, q = elements[0].dim_h, elements[0].dim_k
         if any((t.dim_h, t.dim_k) != (p, q) for t in elements):
             raise ValueError("automorphisms must share one split")
+        ident = None
         if table is not None:
-            table, _ = _checked_table(table)
+            table, ident = _checked_table(table)
             if len(table) != len(elements):
                 raise ValueError(f"table has {len(table)} rows for "
                                  f"{len(elements)} elements")
-        self._hold(np.stack([t.block for t in elements]), p, q, table)
+        self._hold(np.stack([t.block for t in elements]), p, q, table, ident)
 
-    def _hold(self, blocks, dim_h, dim_k, table):
-        """Set the slots from a normalized stack; nothing is checked."""
-        blocks.setflags(write=False)
-        self._blocks, self.dim_h, self.dim_k = blocks, dim_h, dim_k
-        self.table = table
+    def _hold(self, stack, dim_h, dim_k, table, identity_index):
+        """Set the slots; nothing is checked, and no unitarization is stored."""
+        stack.setflags(write=False)
+        self._stack, self.dim_h, self.dim_k = stack, dim_h, dim_k
+        self.table, self.identity_index = table, identity_index
+        self._unitarization = None
         return self
+
+    def _start(self) -> BallPoint:
+        """The default start of ``find_fixed_point``: the averaged point of
+        a group with a table (``_averaged_point``), 0 for a generator set."""
+        if self.table is None:
+            return zero_point(self.dim_h, self.dim_k)
+        return _averaged_point(self._stack, self.dim_h, self.dim_k)
+
+    @property
+    def images(self) -> tuple:
+        return tuple(self._stack)
 
     @property
     def elements(self) -> tuple:
         return tuple(object.__new__(BallAutomorphism)._set(
-            block, self.dim_h, self.dim_k) for block in self._blocks)
+            block, self.dim_h, self.dim_k) for block in self._stack)
 
     def __len__(self):
-        return len(self._blocks)
+        return len(self._stack)
 
 
 def _block_distance(prods: np.ndarray, elems: np.ndarray, norms=None,
@@ -254,9 +273,9 @@ def group_closure(generators: Sequence[BallAutomorphism]) -> AutomorphismGroup:
     # inverses are normalized and checked in one stack
     seeds = np.empty((2 * len(gens) + 1, n, n), dtype=np.complex128)
     seeds[::2] = _automorphism_stack(
-        np.concatenate([np.eye(n)[None], np.linalg.inv(gens._blocks)]),
+        np.concatenate([np.eye(n)[None], np.linalg.inv(gens._stack)]),
         p, q, AUT_TOL)
-    seeds[1::2] = gens._blocks
+    seeds[1::2] = gens._stack
     for part in chunks(0, len(seeds)):
         settle(seeds[part])
 
@@ -298,7 +317,7 @@ def group_closure(generators: Sequence[BallAutomorphism]) -> AutomorphismGroup:
         table[:, j] = by_step[table[:, parent[j]], step[j]]
     table.setflags(write=False)
     return object.__new__(AutomorphismGroup)._hold(blocks[:found].copy(), p, q,
-                                                   table)
+                                                   table, 0)
 
 
 def _chart(blocks: np.ndarray, x: np.ndarray):
@@ -353,7 +372,7 @@ def displacement(group: AutomorphismGroup, x: BallPoint) -> float:
     ``_displacement``); zero exactly on common fixed points.  X must have
     the group's shape (``_check_point_shape``)."""
     _check_point_shape(x, group.dim_h, group.dim_k)
-    return _displacement(_chart(group._blocks, x.matrix)[-1])
+    return _displacement(_chart(group._stack, x.matrix)[-1])
 
 
 @dataclass(frozen=True)
@@ -443,30 +462,32 @@ def _fixed_chart(blocks: np.ndarray, x0: BallPoint):
 
 def find_fixed_point(group: AutomorphismGroup, x0: Optional[BallPoint] = None,
                      mode: str = "midpoint-descent") -> FixedPointResult:
-    """Common fixed point of an elliptic automorphism group.
+    """Common fixed point of an elliptic automorphism group, or of the
+    automorphisms a representation induces.
 
-    The default ``x0`` is the averaged point (``_averaged_point``) of a
-    group with a table, and 0 for a generator set without one.  The
-    displacement is measured in the chart at ``x0`` (``_chart``,
-    ``_displacement``): a start point within ``FP_TOL`` is returned as it
-    is, after 0 iterations.
+    ``mode`` selects nothing: ``"midpoint-descent"`` and
+    ``"chebyshev-iterate"``, names of replaced solvers, both run this one,
+    and any other value raises ``ValueError``; it is checked first, then the
+    shape of a given ``x0`` (``_check_point_shape``), before any start is
+    formed.  The default ``x0`` is the averaged point (``_averaged_point``)
+    of a group with a table, 0 for a generator set, and for a
+    representation ``pontryagin.averaged_fixed_point``, behind its eta
+    certificate, the start ``unitarize`` solves from.  The displacement is
+    measured in the chart at ``x0`` (``_chart``, ``_displacement``): a start
+    point within ``FP_TOL`` is returned as it is, after 0 iterations.
     Otherwise Newton steps (``_newton_step``) are taken while the
     displacement falls, at most ``MAX_ITER``; a step that does not lower
     it ends the solve with ``converged=False``, as in a group with no
-    fixed point.  ``mode`` selects nothing: ``"midpoint-descent"`` and
-    ``"chebyshev-iterate"``, names of replaced solvers, both run this one,
-    and any other value raises ``ValueError``.  Which point of a
-    non-trivial fixed-point set is returned is implementation-defined.
-    ``history`` holds the displacement at the start and after each step.
-    After ``mode``, a given ``x0`` is checked to have the group's shape
-    (``_check_point_shape``).
+    fixed point.  Which point of a non-trivial fixed-point set is returned
+    is implementation-defined.  ``history`` holds the displacement at the
+    start and after each step.
     """
-    if x0 is None:
-        x0 = (zero_point(group.dim_h, group.dim_k) if group.table is None
-              else _averaged_point(group._blocks, group.dim_h, group.dim_k))
     _check_mode(mode)
-    _check_point_shape(x0, group.dim_h, group.dim_k)
-    return _solve(group._blocks, x0, _chart(group._blocks, x0.matrix))[0]
+    if x0 is None:
+        x0 = group._start()
+    else:
+        _check_point_shape(x0, group.dim_h, group.dim_k)
+    return _solve(group._stack, x0, _chart(group._stack, x0.matrix))[0]
 
 
 class EquicontinuityWitness(NamedTuple):

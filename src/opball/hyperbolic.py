@@ -115,8 +115,11 @@ def th_series(d, terms: int = 60) -> np.ndarray:
 
     Slow cross-check oracle only; converges for ||D|| < pi/2 and the
     truncation error scales like (2 ||D|| / pi)^(2 * terms).  ``terms`` must
-    be at least 1, and ``d`` finite, as ``th_map`` checks it.
+    be an integer (not a bool) of at least 1, and ``d`` finite, as
+    ``th_map`` checks it.
     """
+    if isinstance(terms, bool) or not isinstance(terms, (int, np.integer)):
+        raise ValueError(f"terms must be an integer, got {terms!r}")
     if terms < 1:
         raise ValueError(f"terms must be at least 1, got {terms!r}")
     d = _require_finite(np.asarray(d, dtype=np.complex128), "matrix")

@@ -28,6 +28,7 @@ from .errors import (
     UnknownGroup,
 )
 from .fixedpoint import (
+    AutomorphismGroup,
     _averaged_point,
     _check_mode,
     _check_point_shape,
@@ -56,6 +57,8 @@ from .sampling import (_check_conditioning, random_eta_preserving,
 
 REP_TOL = 1e-8
 UNIT_TOL = 1e-7
+# least singular value of a dual pair's two bases side by side, absolute
+SPAN_TOL = 1e-10
 # complex entries the homomorphism screen forms in one block of table
 # columns; a column larger than this is a block of its own
 _SCREEN_ENTRIES = 4096
@@ -356,44 +359,30 @@ def _image_stack(images: list, n: int, dim: int) -> np.ndarray:
     return np.stack(images)
 
 
-class Representation:
+class Representation(AutomorphismGroup):
     """A finite group given by its multiplication table together with one
-    matrix per element.
+    matrix per element: the checked constructor of ``AutomorphismGroup``,
+    whose stack holds the images and whose split is the signature's.
 
-    The table is copied and kept read-only, so the caller's array stays
-    writable; its entries must have an integer dtype (not bool).  The images
-    are coerced as one stack (``_image_stack``), kept read-only, and
-    ``images`` is the tuple of its rows.  The constructor checks that the
-    identity maps to the identity matrix (to ``REP_TOL``, absolute) and that
-    pi is a homomorphism:
+    The table is checked and copied by ``_checked_table``, so the caller's
+    array stays writable, and the images are coerced as one stack
+    (``_image_stack``).  The constructor checks that the identity maps to
+    the identity matrix (to ``REP_TOL``, absolute) and that pi is a
+    homomorphism (``_check_homomorphism``):
     ``||pi(gh) - pi(g) pi(h)|| <= REP_TOL * max(1, ||pi(g)|| ||pi(h)||)``
     for every pair, since forming pi(g) pi(h) in floating point already
-    costs about eps ||pi(g)|| ||pi(h)||.  Eta preservation is checked by
-    whoever needs it (``unitarize``).
+    costs about eps ||pi(g)|| ||pi(h)||.  Both checks take spectra only
+    where a Frobenius norm, which bounds a spectral norm from above, cannot
+    decide.  Eta preservation is checked by whoever needs it
+    (``averaged_fixed_point``, and so ``unitarize`` and ``find_fixed_point``).
 
-    ``bound``, the largest ||pi(g)||, is measured on each read by one
-    batched SVD (``spectral_norm``), and ``eta_defect``, the largest
-    ||pi(g)* J pi(g) - J||, by one batched eigvalsh (``eta_defect``); no
-    measurement is kept.  The checks take spectra only where a Frobenius
-    norm, which bounds a spectral norm from above, cannot decide.
-
-    The homomorphism check (``_check_homomorphism``) forms the differences
-    in blocks of table columns, as many as keep a block within a few
-    thousand entries, and keeps only their Frobenius norms: one screen of
-    all pairs against tolerances taken with
-    ||pi(g)||_F / sqrt(dim) <= ||pi(g)|| certifies the pairs whose products
-    round well within tolerance; survivors are screened again with the
-    exact norms, and those within a factor 2 of their tolerance take an
-    SVD, no more than n at once.
-
-    ``_unitarization`` holds the result of the first ``unitarize`` of this
-    representation that passes its certificate; later calls of
-    ``unitarize`` and ``dual_pair`` reuse it.  It is the one slot that
-    changes after construction.
+    ``signature`` is read off the split.  ``bound``, the largest
+    ||pi(g)||, is measured on each read by one batched SVD
+    (``spectral_norm``), and ``eta_defect``, the largest
+    ||pi(g)* J pi(g) - J||, by one batched eigvalsh; neither is kept.
     """
 
-    __slots__ = ("signature", "table", "identity_index", "_stack",
-                 "_unitarization")
+    __slots__ = ()
 
     def __init__(self, signature: PontryaginSignature, table, images):
         table, ident = _checked_table(table)
@@ -403,21 +392,15 @@ class Representation:
         if frobenius_norm(gap) > REP_TOL and spectral_norm(gap) > REP_TOL:
             raise ValueError("identity element must map to the identity matrix")
         _check_homomorphism(table, stack)
-        self._hold(signature, table, ident, stack)
+        self._hold(stack, signature.n_plus, signature.n_minus, table, ident)
 
-    def _hold(self, signature, table, identity_index, stack):
-        """Set the slots from a valid table and its stack of images; no
-        unitarization is stored yet."""
-        stack.setflags(write=False)
-        self.signature = signature
-        self.table = table
-        self.identity_index = identity_index
-        self._stack = stack
-        self._unitarization = None
+    def _start(self) -> BallPoint:
+        """``find_fixed_point``'s start: ``averaged_fixed_point``, eta checked."""
+        return averaged_fixed_point(self)
 
     @property
-    def images(self) -> tuple:
-        return tuple(self._stack)
+    def signature(self) -> PontryaginSignature:
+        return PontryaginSignature(self.dim_h, self.dim_k)
 
     @property
     def bound(self) -> float:
@@ -427,17 +410,15 @@ class Representation:
     @property
     def eta_defect(self) -> float:
         """The largest ||pi(g)* J pi(g) - J||, from one batched eigvalsh."""
-        sig = self.signature
-        return float(eta_defect(self._stack, sig.n_plus, sig.n_minus).max())
+        return float(eta_defect(self._stack, self.dim_h, self.dim_k).max())
 
     @property
     def group_order(self) -> int:
-        return len(self._stack)
+        return len(self)
 
     def __repr__(self):
         return (f"Representation(order={self.group_order}, "
-                f"sig=({self.signature.n_plus},{self.signature.n_minus}), "
-                f"bound={self.bound:.3g})")
+                f"sig=({self.dim_h},{self.dim_k}), bound={self.bound:.3g})")
 
 
 def make_test_representation(group: Union[str, np.ndarray],
@@ -489,9 +470,7 @@ class UnitarizationResult:
     ``unitarity_defect``, max ||tau(g)* tau(g) - 1||, is measured when read:
     ``eta_defect`` of tau on the split (dim, 0), where T*JT - J is
     T*T - 1, one batched eigvalsh.  ``defect_bound`` is the upper bound of
-    it that ``unitarize`` checked against ``UNIT_TOL`` through
-    ``_eta_certificate``: the Frobenius screen where that passed, else the
-    measured defect.
+    it that ``unitarize`` checked against ``UNIT_TOL`` (``_require_unitary``).
     """
 
     similarity: np.ndarray
@@ -526,16 +505,14 @@ def averaged_fixed_point(rep: Representation) -> BallPoint:
     (``fixedpoint._averaged_point``); R is invariant, so the point is fixed
     up to rounding.
 
-    ``rep.eta_defect <= REP_TOL`` is checked first, decided by
-    ``_eta_certificate``: the spectra are taken only when some
-    ||pi(g)* J pi(g) - J||_F exceeds ``REP_TOL``, and ``NotEtaPreserving``
-    quotes the certificate's value, which is then the measured defect."""
-    sig = rep.signature
-    defect = _eta_certificate(rep._stack, sig.n_plus, sig.n_minus, REP_TOL)
+    ``rep.eta_defect <= REP_TOL`` is checked first by ``_eta_certificate``,
+    whose value, the measured defect on a failure, ``NotEtaPreserving``
+    quotes."""
+    defect = _eta_certificate(rep._stack, rep.dim_h, rep.dim_k, REP_TOL)
     if not defect <= REP_TOL:
         raise NotEtaPreserving(
             f"representation eta-defect {defect:.3e} > {REP_TOL!r}")
-    return _averaged_point(rep._stack, sig.n_plus, sig.n_minus)
+    return _averaged_point(rep._stack, rep.dim_h, rep.dim_k)
 
 
 def unitarize(rep: Representation,
@@ -548,43 +525,40 @@ def unitarize(rep: Representation,
     unitary.
 
     ``mode`` is checked first, as ``find_fixed_point`` checks it.  D starts
-    at ``averaged_fixed_point(rep)``, whose eta check is
-    ``_eta_certificate``, and is taken to the chart at D
-    (``fixedpoint._fixed_chart``), on pi's own stack and with no
-    automorphism group: there rho(D, w_g(D)) = atanh ||C_g|| with the
-    corners C_g = tau12(g) tau22(g)^{-1}.  A D whose corners pass
+    at ``averaged_fixed_point(rep)``, behind its eta certificate, and is
+    taken to the chart at D on pi's own stack (``fixedpoint._fixed_chart``):
+    a D whose corners C_g = tau12(g) tau22(g)^{-1} pass
     max ||C_g||_F <= tanh(``FP_TOL``) is kept with its U and tau, with no
-    spectra; any other is measured and moved by Newton steps, and a solve
-    that stops above ``FP_TOL`` raises ``FixedPointFailed``.
+    spectra; any other is solved from as ``find_fixed_point(rep)`` solves,
+    and a solve that stops above ``FP_TOL`` raises ``FixedPointFailed``.
 
     tau is not checked again as a representation: it has pi's table,
     tau(e) = U U^{-1}, and
     ||tau(gh) - tau(g) tau(h)|| <= ||U|| ||U^{-1}|| ||pi(gh) - pi(g) pi(h)||
     up to the rounding of U pi U^{-1}.  The one check on tau is the one
     that certifies it, max ||tau(g)* tau(g) - 1|| <= ``UNIT_TOL``
-    (``_require_unitary``), decided by the one eta certificate
-    ``_eta_certificate`` on the split (dim, 0), where T*JT - J is T*T - 1:
-    it passes on the Frobenius bound max ||tau(g)* tau(g) - 1||_F where
-    that is within, and only a tau that bound cannot pass takes the
-    batched eigvalsh of ``eta_defect``.  The result keeps the bound it checked
-    (``defect_bound``) and measures ``unitarity_defect`` when read; tau's
-    ``bound`` and ``eta_defect`` are taken only if read.  So a
-    representation whose Frobenius bounds pass is unitarized with no
+    (``_require_unitary``), which takes spectra only where the Frobenius
+    bound cannot pass it; the result keeps that bound (``defect_bound``).
+    So a representation whose Frobenius bounds pass is unitarized with no
     spectra at all.
 
     The first result that passes the certificate is stored on ``rep``, with
     a read-only ``similarity``, and later calls return that same object
     without solving again; each call still checks ``mode``.  A failed solve
-    or check stores nothing.
+    or check stores nothing.  Any other group raises ``TypeError``: its
+    blocks are normalized only up to a unimodular scalar each.
     """
     _check_mode(mode)
+    if not isinstance(rep, Representation):
+        raise TypeError(f"unitarize takes a Representation, not "
+                        f"{type(rep).__name__}")
     res = rep._unitarization
     if res is None:
         point, u, tau = _fixed_chart(rep._stack, averaged_fixed_point(rep))
         bound = _require_unitary(tau)
         u.setflags(write=False)
-        unitary_rep = object.__new__(Representation)
-        unitary_rep._hold(rep.signature, rep.table, rep.identity_index, tau)
+        unitary_rep = object.__new__(Representation)._hold(
+            tau, rep.dim_h, rep.dim_k, rep.table, rep.identity_index)
         res = UnitarizationResult(u, unitary_rep, point, bound)
         rep._unitarization = res
     return res
@@ -593,7 +567,9 @@ def unitarize(rep: Representation,
 @dataclass(frozen=True)
 class DualPair:
     """An invariant decomposition into a positive and a negative subspace,
-    stored as orthonormal column bases."""
+    stored as orthonormal column bases.  Their columns must fill the space,
+    and the least singular value of the two side by side must be at least
+    ``SPAN_TOL``."""
 
     positive_basis: np.ndarray
     negative_basis: np.ndarray
@@ -604,7 +580,7 @@ class DualPair:
         if neg.shape[0] != dim or pos.shape[1] + neg.shape[1] != dim:
             raise ShapeMismatch("component dimensions must fill the space")
         stacked = np.hstack([pos, neg])
-        if np.linalg.svd(stacked, compute_uv=False)[-1] < 1e-10:
+        if np.linalg.svd(stacked, compute_uv=False)[-1] < SPAN_TOL:
             raise DegenerateSplit("components do not span the space")
 
 
@@ -622,8 +598,8 @@ def dual_pair(rep: Representation) -> DualPair:
     read off the result that ``unitarize`` stores on ``rep``, so a
     representation already unitarized is not solved again.
     """
-    sig = rep.signature
     d = unitarize(rep).fixed_point
+    sig = rep.signature
     cograph = np.vstack([np.eye(sig.n_plus), adjoint(d.matrix)])
     positive = np.linalg.qr(cograph)[0]
     negative = np.linalg.qr(graph_subspace(sig, d))[0]

@@ -339,7 +339,7 @@ def test_criterion_13_negative_controls():
         for _ in range(12):
             powers.append(automorphism_compose(powers[-1], hyp))
         pseudo = AutomorphismGroup(elements=powers)
-        images = _frac_checked(pseudo._blocks, zero_point(1, 1).matrix)
+        images = _frac_checked(pseudo._stack, zero_point(1, 1).matrix)
         sup = float(spectral_norm(images).max())
         assert sup > 1 - 1e-3
 

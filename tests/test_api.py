@@ -1,4 +1,6 @@
-"""The optional parameters of the library's public callables, pinned.
+"""The public surface of the library, pinned: the names ``opball``
+exports, the attributes of its one group type and its two constructors, and
+the optional parameters of its public callables.
 
 Every optional parameter is a setting that tests and benchmarks would have
 to cover in each of its values, so a new one is a deliberate edit of
@@ -7,7 +9,10 @@ to cover in each of its values, so a new one is a deliberate edit of
 
 import inspect
 
+import opball
 from opball import fixedpoint, hyperbolic, mobius, opcore, pontryagin
+from opball.fixedpoint import AutomorphismGroup
+from opball.pontryagin import Representation
 
 MODULES = (opcore, mobius, hyperbolic, fixedpoint, pontryagin)
 
@@ -58,3 +63,54 @@ def test_optional_parameters_are_pinned():
 
 def test_ten_optional_parameters():
     assert sum(len(names) for names in OPTIONAL.values()) == 10
+
+
+EXPORTED = [
+    "AutomorphismGroup", "BallAutomorphism", "BallPoint", "DualPair",
+    "EquicontinuityWitness", "FixedPointResult", "GeodesicLine",
+    "MetricSample", "PontryaginSignature", "Representation",
+    "UnitarizationResult", "alpha_metric", "automorphism_apply",
+    "automorphism_compose", "averaged_fixed_point", "barycenter_sequence",
+    "convex_combination", "curve_length", "diameter", "diametral_check",
+    "displacement", "distance", "dual_pair", "equicontinuity_witness",
+    "eta_matrix", "eta_value", "find_fixed_point", "geodesic_point",
+    "geodesic_velocity", "graph_subspace", "group_closure", "group_table",
+    "induced_automorphism", "is_J_unitary", "line_through",
+    "make_test_representation", "max_principal_angle", "mobius_apply",
+    "mobius_as_block", "mobius_differential", "negativeness_degree",
+    "poincare_scalar", "spectral_norm", "subspace_to_ball", "th_inverse",
+    "th_map", "th_series", "unitarize", "unitarizer_matrix", "zero_point",
+]
+
+GROUP_ATTRIBUTES = {"dim_h", "dim_k", "table", "identity_index", "images",
+                    "elements"}
+REPRESENTATION_ATTRIBUTES = GROUP_ATTRIBUTES | {"signature", "bound",
+                                                "eta_defect", "group_order"}
+
+
+def _public(obj):
+    return {name for name in dir(obj) if not name.startswith("_")}
+
+
+def test_exported_names_are_pinned():
+    # submodules are attributes of the package once imported, so they are
+    # left out: which of them a test run has imported varies
+    names = [name for name in _public(opball)
+             if not inspect.ismodule(getattr(opball, name))]
+    assert sorted(names) == EXPORTED
+
+
+def test_one_group_type_with_two_constructors():
+    assert issubclass(Representation, AutomorphismGroup)
+    assert Representation.__slots__ == ()
+    assert _public(AutomorphismGroup) == GROUP_ATTRIBUTES
+    assert _public(Representation) == REPRESENTATION_ATTRIBUTES
+    # a representation adds its checked constructor, its measurements and
+    # its default start of find_fixed_point; everything held is the group's
+    added = {name for name, member in vars(Representation).items()
+             if callable(member) or isinstance(member, property)}
+    assert added == {"__init__", "_start", "__repr__", "signature", "bound",
+                     "eta_defect", "group_order"}
+    for cls, params in ((AutomorphismGroup, ["elements", "table"]),
+                        (Representation, ["signature", "table", "images"])):
+        assert list(inspect.signature(cls).parameters) == params

@@ -44,8 +44,11 @@ from opball.mobius import (
 from opball.opcore import spectral_norm
 from opball.pontryagin import (
     PontryaginSignature,
+    Representation,
+    dual_pair,
     group_table,
     make_test_representation,
+    unitarize,
 )
 from opball.sampling import (
     random_ball_point,
@@ -174,8 +177,8 @@ def test_closure_table_matches_the_block_products(generators, order):
     group = group_closure(generators())
     assert len(group) == order
     for i in range(len(group)):
-        gap = _block_distance(group._blocks[i] @ group._blocks,
-                              group._blocks[group.table[i]])
+        gap = _block_distance(group._stack[i] @ group._stack,
+                              group._stack[group.table[i]])
         assert np.diag(gap).max() <= GROUP_TOL
 
 
@@ -384,11 +387,11 @@ def test_closure_builds_no_automorphism_after_its_generators(monkeypatch):
     assert made == {"__init__": 0, "_set": 0}
     assert [len(group) for group in groups] == [6, 64]
     for group in groups:
-        assert not group._blocks.flags.writeable
+        assert not group._stack.flags.writeable
         assert not group.table.flags.writeable
         views = group.elements
         assert isinstance(views, tuple) and len(views) == len(group)
-        for view, block in zip(views, group._blocks):
+        for view, block in zip(views, group._stack):
             assert view.block.tobytes() == block.tobytes()
             # the defect is measured on the block when read
             assert view.defect == eta_defect(block, group.dim_h, group.dim_k)
@@ -483,20 +486,20 @@ def test_closure_memory_stays_bounded():
 def test_orbit_of_identity_group():
     group = group_closure([BallAutomorphism.identity(2, 1)])
     x = random_ball_point(rng_from(1), 2, 1, 0.5)
-    images = _frac_checked(group._blocks, x.matrix)
+    images = _frac_checked(group._stack, x.matrix)
     assert len(images) == 1
     assert spectral_norm(images[0] - x.matrix) < 1e-14
 
 
 def test_orbit_of_zero_under_rotations():
     group = group_closure([rotation_block(2 * np.pi / 3)])
-    images = _frac_checked(group._blocks, zero_point(1, 1).matrix)
+    images = _frac_checked(group._stack, zero_point(1, 1).matrix)
     assert np.all(spectral_norm(images) < 1e-14)
 
 
 def test_orbit_of_five_cycle_preserves_norm():
     group = group_closure([rotation_block(2 * np.pi / 5)])
-    images = _frac_checked(group._blocks, BallPoint([[0.3]]).matrix)
+    images = _frac_checked(group._stack, BallPoint([[0.3]]).matrix)
     assert len(images) == 5
     assert_allclose(spectral_norm(images), 0.3, rtol=0, atol=1e-12)
 
@@ -507,7 +510,7 @@ def test_truncated_hyperbolic_powers_not_elliptic():
     for _ in range(12):
         powers.append(automorphism_compose(powers[-1], t))
     pseudo = AutomorphismGroup(elements=powers)
-    images = _frac_checked(pseudo._blocks, zero_point(1, 1).matrix)
+    images = _frac_checked(pseudo._stack, zero_point(1, 1).matrix)
     sup = float(spectral_norm(images).max())
     assert sup > 1 - 1e-3  # w_{T^n}(0) = tanh(n) -> 1
 
@@ -525,7 +528,7 @@ def test_induced_group_ellipticity_bound():
         a = random_ball_point(rng, 3, 2, 0.9)
         beta_sq = spectral_norm(a.matrix) ** 2
         floor = rep.bound ** -2 * (1 - beta_sq) / (1 + beta_sq)
-        for image in _frac_checked(group._blocks, a.matrix):
+        for image in _frac_checked(group._stack, a.matrix):
             assert 1 - spectral_norm(image) ** 2 >= floor - 1e-9
 
 
@@ -584,11 +587,95 @@ def test_a_point_of_another_split_is_a_shape_mismatch(monkeypatch, shape):
 
     monkeypatch.setattr(fixedpoint, "_chart", untaken)
     monkeypatch.setattr(np.linalg, "svd", untaken)
-    for solve in (lambda: displacement(group, x),
-                  lambda: find_fixed_point(group, x)):
-        with pytest.raises(ShapeMismatch) as excinfo:
-            solve()
-        assert str(excinfo.value) == f"point shape {shape} != (2, 1)"
+    for held in (group, rep):
+        for solve in (lambda: displacement(held, x),
+                      lambda: find_fixed_point(held, x)):
+            with pytest.raises(ShapeMismatch) as excinfo:
+                solve()
+            assert str(excinfo.value) == f"point shape {shape} != (2, 1)"
+
+
+def test_mode_and_point_shape_are_checked_before_the_start(monkeypatch):
+    # the averaged start of a tabled group took a qr, an inv and an eigh
+    # before a bad mode raised; now neither a bad mode nor a given point of
+    # another shape reaches any np.linalg call, on a group or a
+    # representation
+    rep = make_test_representation("C4", PontryaginSignature(2, 1),
+                                   conditioning=10.0, seed=0)
+    group = group_closure([BallAutomorphism(rep.images[1], 2, 1)])
+    assert group.table is not None
+    other = BallPoint(np.zeros((1, 2)))
+    calls = []
+
+    def counted(name, kernel):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return kernel(*args, **kwargs)
+        return wrapper
+
+    for name in ("qr", "inv", "eigh", "eigvalsh", "svd", "solve", "lstsq",
+                 "norm"):
+        monkeypatch.setattr(np.linalg, name,
+                            counted(name, getattr(np.linalg, name)))
+    for held in (group, rep):
+        with pytest.raises(ValueError) as excinfo:
+            find_fixed_point(held, mode="bad")
+        assert str(excinfo.value) == "unknown mode 'bad'"
+        with pytest.raises(ShapeMismatch):
+            find_fixed_point(held, other)
+    assert calls == []
+
+
+# the grid of test representations on which find_fixed_point(rep) is
+# unitarize's solve, bit for bit
+REP_GRID = [("C4", 2, 1), ("S3", 4, 2), ("Q8", 5, 2), ("C12", 6, 3)]
+
+
+@pytest.mark.parametrize("cond", [2.0, 10.0, 1e2, 1e3])
+@pytest.mark.parametrize("name, n_plus, n_minus", REP_GRID)
+def test_find_fixed_point_of_a_representation_is_unitarize_s_point(
+        name, n_plus, n_minus, cond):
+    sig = PontryaginSignature(n_plus, n_minus)
+    for seed in range(6):
+        rep = make_test_representation(name, sig, conditioning=cond,
+                                       seed=seed)
+        result = find_fixed_point(rep)
+        assert result.converged
+        assert result.displacement == displacement(rep, result.point)
+        point = unitarize(rep).fixed_point
+        assert result.point.matrix.tobytes() == point.matrix.tobytes()
+
+
+def test_find_fixed_point_of_a_non_eta_preserving_representation_raises():
+    # C2 on (2, 1) acting by the swap of the first H and the K coordinate:
+    # a homomorphism whose image is not J-unitary, so the averaged start's
+    # eta certificate refuses it as unitarize does, and no point is returned
+    swap = np.eye(3)[[2, 1, 0]]
+    rep = Representation(PontryaginSignature(2, 1), group_table("C2"),
+                         [np.eye(3), swap])
+    assert rep.eta_defect == pytest.approx(2.0)
+    with pytest.raises(NotEtaPreserving) as solved:
+        find_fixed_point(rep)
+    with pytest.raises(NotEtaPreserving) as unitarized:
+        unitarize(rep)
+    assert str(solved.value) == str(unitarized.value)
+    assert str(solved.value) == "representation eta-defect 2.000e+00 > 1e-08"
+
+
+def test_unitarize_refuses_a_closed_group():
+    # a closed group is the same type as a representation, but its blocks
+    # are normalized only up to a unimodular scalar each, so tau would be a
+    # projective representation; find_fixed_point takes it, unitarize not
+    rep = make_test_representation("C4", PontryaginSignature(2, 1),
+                                   conditioning=10.0, seed=0)
+    group = group_closure([BallAutomorphism(rep.images[1], 2, 1)])
+    assert find_fixed_point(group).converged
+    for solve in (unitarize, dual_pair):
+        with pytest.raises(TypeError) as excinfo:
+            solve(group)
+        assert str(excinfo.value) == ("unitarize takes a Representation, "
+                                      "not AutomorphismGroup")
+    assert group._unitarization is None
 
 
 # --- the fixed-point solver --------------------------------------------------------
@@ -832,7 +919,7 @@ def test_not_elliptic_raises():
     assert not result.converged
     assert result.displacement == pytest.approx(12.0, abs=1e-6)
     # and the orbit of 0 reaches within 1e-6 of the sphere: w_{T^12}(0) = tanh(12)
-    images = _frac_checked(pseudo._blocks, zero_point(1, 1).matrix)
+    images = _frac_checked(pseudo._stack, zero_point(1, 1).matrix)
     assert spectral_norm(images).max() > 1 - 1e-6
 
 

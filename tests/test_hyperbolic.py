@@ -179,6 +179,13 @@ def test_th_series_checks_its_arguments():
             th_series(d, terms=terms)
         assert str(excinfo.value) == f"terms must be at least 1, got {terms}"
     assert np.array_equal(th_series(d, terms=1), d)
+    # a float raised a bare TypeError from the coefficient table, and True
+    # ran as one term; numpy integers are integers
+    for terms in (2.5, True):
+        with pytest.raises(ValueError) as excinfo:
+            th_series(d, terms=terms)
+        assert str(excinfo.value) == f"terms must be an integer, got {terms!r}"
+    assert np.array_equal(th_series(d, terms=np.int64(3)), th_series(d, terms=3))
     bad = d.copy()
     bad[1, 0] = np.nan
     for th in (th_map, th_series):

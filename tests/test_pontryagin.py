@@ -596,7 +596,7 @@ def _automorphisms(rep):
     blocks = _automorphism_stack(rep._stack, sig.n_plus, sig.n_minus,
                                  np.maximum(REP_TOL, 10 * defects))
     return object.__new__(AutomorphismGroup)._hold(
-        blocks, sig.n_plus, sig.n_minus, rep.table)
+        blocks, sig.n_plus, sig.n_minus, rep.table, rep.identity_index)
 
 
 def _solved(group, x0=None):
@@ -631,7 +631,7 @@ def test_chart_certificate_is_the_descent_start(group, n_plus, n_minus, cond):
         rep, u).tobytes()
     # rho(D, w_g(D)) read in the chart at D is the sinh-form displacement
     autos = _automorphisms(rep)
-    images = _frac_checked(autos._blocks, start.matrix)
+    images = _frac_checked(autos._stack, start.matrix)
     sinh_form = _rho(np.broadcast_to(start.matrix, images.shape), images).max()
     assert abs(chart - sinh_form) <= 1e-11
     # the solve on the group starts at the averaged point of the normalized

@@ -322,10 +322,15 @@ def test_unitarize_measures_each_stack_with_one_eigvalsh(monkeypatch):
                         counted("eigvalsh", np.linalg.eigvalsh))
     monkeypatch.setattr(mobius, "_eta_checked", skipped("_eta_checked"))
     monkeypatch.setattr(hyperbolic, "_rho", skipped("_rho"))
-    # a group is built by its constructor, or by ``_hold`` in the closure
-    for method in ("__init__", "_hold"):
-        monkeypatch.setattr(fixedpoint.AutomorphismGroup, method,
-                            skipped("AutomorphismGroup"))
+    # a representation is held by the one ``_hold`` of the group type; no
+    # group of automorphisms is built from its images, neither by the
+    # group constructor nor by normalizing a stack of blocks, wherever that
+    # kernel is bound
+    monkeypatch.setattr(fixedpoint.AutomorphismGroup, "__init__",
+                        skipped("AutomorphismGroup"))
+    for module in (mobius, fixedpoint, pontryagin):
+        monkeypatch.setattr(module, "_automorphism_stack",
+                            skipped("_automorphism_stack"))
     monkeypatch.setattr(mobius, "_frac_checked", skipped("_frac_checked"))
     rep = Representation(PontryaginSignature(8, 8), group_table("C32"),
                          images)
@@ -359,12 +364,18 @@ def test_unitarize_measures_each_stack_with_one_eigvalsh(monkeypatch):
 
 
 def test_reading_the_measurements_changes_no_slot():
-    # a representation holds its table and stack; only unitarize stores
+    # a representation holds its split, table and stack in the slots of the
+    # one group type; only unitarize stores
     rep = make_test_representation("Q8", PontryaginSignature(5, 2),
                                    conditioning=10.0, seed=0)
-    held = {name: getattr(rep, name) for name in Representation.__slots__}
+    slots = [name for cls in type(rep).__mro__
+             for name in getattr(cls, "__slots__", ())]
+    assert set(slots) == {"_stack", "dim_h", "dim_k", "table",
+                          "identity_index", "_unitarization"}
+    held = {name: getattr(rep, name) for name in slots}
     for _ in range(2):
-        rep.images, rep.bound, rep.eta_defect, repr(rep)
+        rep.images, rep.elements, rep.signature, rep.bound, rep.eta_defect
+        repr(rep)
     assert not hasattr(rep, "__dict__")
     assert all(getattr(rep, name) is value for name, value in held.items())
     assert rep._unitarization is None
