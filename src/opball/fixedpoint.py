@@ -194,10 +194,10 @@ def group_closure(generators: Sequence[BallAutomorphism]) -> AutomorphismGroup:
     chunk's products, which forms the norms and rows of the products only.
     Each product is the nearest element it matches, the earliest of equals;
     a chunk with no open product, one that matches no element, is settled
-    by that search alone.  Otherwise only the open products are gone
-    through in order, on lists: one that matches no element started
-    earlier in the chunk starts a new one, and a later open product is the
-    nearest such element it matches.  The table is gathered from the
+    by that search alone.  Otherwise the open products are gone through in
+    order, on lists: each is the nearest new element started earlier in
+    its chunk, the earliest of equals, if that is within ``GROUP_TOL``, and
+    else starts a new element.  The table is gathered from the
     permutations the steps make of the elements.  Raises
     ``ClosureExceeded`` when the group is infinite or larger than
     ``MAX_ELEMENTS``, or when a step is not a permutation.
@@ -245,24 +245,20 @@ def group_closure(generators: Sequence[BallAutomorphism]) -> AutomorphismGroup:
         open_ = np.flatnonzero(best > GROUP_TOL)
         if not len(open_):
             return index
-        # only a product that matches no known element can start one; the
-        # later open products of the chunk are compared with each of those
-        near = best[open_].tolist()
-        among = gap[open_[:, None], found + open_].tolist()
-        match = [0] * len(near)
-        fresh = []
-        for a, k in enumerate(open_.tolist()):
-            if near[a] <= GROUP_TOL:
+        # an open product is the nearest new element started earlier in the
+        # chunk, the earliest of equals, within GROUP_TOL; else it starts one
+        fresh, match = [], []
+        for a, dist in enumerate(gap[open_[:, None], found + open_].tolist()):
+            near = min(fresh, key=dist.__getitem__, default=None)
+            if near is not None and dist[near] <= GROUP_TOL:
+                match.append(match[near])
                 continue
             if found + len(fresh) >= MAX_ELEMENTS:
                 raise ClosureExceeded(MAX_ELEMENTS)
-            match[a] = found + len(fresh)
-            fresh.append(k)
-            for b in range(a + 1, len(near)):
-                if among[b][a] < near[b]:
-                    near[b], match[b] = among[b][a], match[a]
+            match.append(found + len(fresh))
+            fresh.append(a)
         index[open_] = match
-        new = found + np.array(fresh)
+        new = found + open_[fresh]
         for kept in (blocks, norms, rows):
             kept[found:found + len(fresh)] = kept[new]
         found += len(fresh)

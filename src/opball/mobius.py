@@ -35,13 +35,17 @@ COND_TOL = 1e-13
 class BallPoint:
     """A matrix with spectral norm strictly below 1.
 
-    ``boundary_tol`` sets the rejection margin; construction raises
+    ``boundary_tol``, a finite number in [0, 1) (else ``ValueError``,
+    before any SVD), sets the rejection margin; construction raises
     ``BoundaryProximity`` for closer points instead of clamping.
     """
 
     __slots__ = ("matrix", "margin")
 
     def __init__(self, matrix, boundary_tol: float = BOUNDARY_TOL):
+        if not 0.0 <= boundary_tol < 1.0:
+            raise ValueError("boundary_tol must be a finite number in [0, 1), "
+                             f"got {boundary_tol!r}")
         m = as_matrix(matrix, name="ball point")
         self._set(m, _require_inside(m, boundary_tol))
 
@@ -326,12 +330,11 @@ def _eta_gap(t: np.ndarray, dim_h: int, dim_k: int) -> np.ndarray:
     return _minus_diagonal(*_eta_form(t, dim_h, dim_k))
 
 
-def _eta_checked(t: np.ndarray, dim_h: int, dim_k: int, aut_tol):
+def _eta_checked(t: np.ndarray, dim_h: int, dim_k: int, aut_tol: float):
     """T over the scalar s > 0 that best fits T*JT to J, s = tr(J T*JT) / n
     (Frobenius Rayleigh estimate), read-only, for a matrix or a stack,
     checked by ``||T*JT/s - J|| <= aut_tol max(1, ||T||^2/s)``, since
-    forming T*JT loses ||T||^2 eps; ``aut_tol`` may hold one value per
-    matrix.
+    forming T*JT loses ||T||^2 eps; ``aut_tol`` is one number per call.
 
     A Frobenius screen, ``||T*JT/s - J||_F <= aut_tol max(1, ||T||_F^2/(n s))``,
     passes a block first: its left side bounds the defect from above and
@@ -354,11 +357,10 @@ def _eta_checked(t: np.ndarray, dim_h: int, dim_k: int, aut_tol):
         unsure &= ~(screen <= aut_tol * np.maximum(
             1.0, frobenius_norm(t) ** 2 / (n * scale)))
         if unsure.any():
-            tol = np.broadcast_to(aut_tol, unsure.shape)[unsure]
             kept = t[unsure]
             lam = np.linalg.eigvalsh(np.stack([gap[unsure], adjoint(kept) @ kept]))
             defect = np.abs(lam[0]).max(axis=-1)
-            allowed = tol * np.maximum(1.0, lam[1][:, -1] / scale[unsure])
+            allowed = aut_tol * np.maximum(1.0, lam[1][:, -1] / scale[unsure])
             if (defect > allowed).any():
                 k = int(np.argmax(defect / allowed))
                 raise NotEtaPreserving(f"||T*JT - J|| = {float(defect[k]):.3e}"
@@ -370,7 +372,7 @@ def _eta_checked(t: np.ndarray, dim_h: int, dim_k: int, aut_tol):
 
 def _automorphism_stack(blocks: np.ndarray, dim_h: int, dim_k: int, aut_tol):
     """A stack of blocks normalized and checked as the ``BallAutomorphism``
-    constructor does (``_eta_checked``), read-only."""
+    constructor does (``_eta_checked``), at one ``aut_tol``, read-only."""
     t = _require_finite(np.asarray(blocks, dtype=np.complex128),
                         "automorphism block")
     return _eta_checked(t, dim_h, dim_k, aut_tol)

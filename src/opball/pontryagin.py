@@ -66,15 +66,18 @@ _SCREEN_ENTRIES = 4096
 
 @dataclass(frozen=True)
 class PontryaginSignature:
-    """The split H (+) K with its involution J = diag(I_H, -I_K)."""
+    """The split H (+) K with its involution J = diag(I_H, -I_K); the two
+    dimensions are kept as Python ints, numpy integers converted."""
 
     n_plus: int
     n_minus: int
 
     def __post_init__(self):
-        for value in (self.n_plus, self.n_minus):
+        for name in ("n_plus", "n_minus"):
+            value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
                 raise TypeError(f"dimensions must be integers, got {value!r}")
+            object.__setattr__(self, name, int(value))
         if self.n_plus < 1 or self.n_minus < 1:
             raise ValueError("both components need positive dimension")
 
@@ -293,14 +296,13 @@ def _check_homomorphism(table: np.ndarray, stack: np.ndarray):
     lower bound of each spectral norm; both sides bound theirs from the
     safe side, so a pass certifies the pair.  Only if some pair survives
     are the spectral norms of the images measured, by one batched SVD
-    (``spectral_norm``): the survivors are screened again with the exact
-    tolerance and those left take an SVD of their differences.
+    (``spectral_norm``), and each survivor takes an SVD of its difference.
     A failure names the pair furthest over its tolerance, the first such
     pair in row-major order."""
     n, dim, _ = stack.shape
     tall = stack.reshape(n * dim, dim)
     width = max(1, _SCREEN_ENTRIES // (n * dim * dim))
-    frobenius_sq = np.empty((n, n))
+    frobenius = np.empty((n, n))
     # a block of columns h at a time: pi(g) pi(h) for every g and every h of
     # the block is one product of the images stacked as an (n dim) x dim
     # matrix with those of the block side by side, and the pi(gh) one gather
@@ -310,22 +312,16 @@ def _check_homomorphism(table: np.ndarray, stack: np.ndarray):
         wide = block.transpose(1, 0, 2).reshape(dim, -1)
         diff = stack[table[:, part]]
         diff -= (tall @ wide).reshape(n, dim, len(block), dim).swapaxes(1, 2)
-        flat = diff.view(np.float64).reshape(n, len(block), -1)
-        frobenius_sq[:, part] = np.vecdot(flat, flat)
+        frobenius[:, part] = frobenius_norm(diff)
     low = frobenius_norm(stack) / np.sqrt(dim)
     # rounding in either norm cannot carry a difference across the factor 2,
-    # so neither screen decides a pair the SVD would not; they compare roots,
-    # since the squared tolerance would overflow once ||pi(g)|| ||pi(h)||
-    # passes about 3e162
-    frobenius = np.sqrt(frobenius_sq)
+    # so the screen decides no pair the SVD would not
     rows, cols = np.nonzero(
         frobenius > REP_TOL * np.maximum(1.0, np.multiply.outer(low, low)) / 2)
     if rows.size == 0:
         return
     norms = spectral_norm(stack)
     allowed = REP_TOL * np.maximum(1.0, norms[rows] * norms[cols])
-    near = frobenius[rows, cols] > allowed / 2
-    rows, cols, allowed = rows[near], cols[near], allowed[near]
     defect = np.empty(rows.size)
     # n pairs at a time, so a table far from a homomorphism holds no more
     # differences at once than one column of the screen
@@ -525,7 +521,8 @@ def unitarize(rep: Representation,
     unitary.
 
     ``mode`` is checked first, as ``find_fixed_point`` checks it.  D starts
-    at ``averaged_fixed_point(rep)``, behind its eta certificate, and is
+    at ``rep._start()``, the start of ``find_fixed_point(rep)``:
+    ``averaged_fixed_point(rep)``, behind its eta certificate.  It is
     taken to the chart at D on pi's own stack (``fixedpoint._fixed_chart``):
     a D whose corners C_g = tau12(g) tau22(g)^{-1} pass
     max ||C_g||_F <= tanh(``FP_TOL``) is kept with its U and tau, with no
@@ -554,7 +551,7 @@ def unitarize(rep: Representation,
                         f"{type(rep).__name__}")
     res = rep._unitarization
     if res is None:
-        point, u, tau = _fixed_chart(rep._stack, averaged_fixed_point(rep))
+        point, u, tau = _fixed_chart(rep._stack, rep._start())
         bound = _require_unitary(tau)
         u.setflags(write=False)
         unitary_rep = object.__new__(Representation)._hold(

@@ -29,7 +29,7 @@ def spectral_eta_rule(t, dim_h, dim_k, aut_tol):
         return "T*JT has non-positive alignment with J", None
     defect = np.abs(np.linalg.eigvalsh(form / scale[:, None, None] - j)).max(-1)
     top = np.linalg.eigvalsh(adj @ stack)[:, -1]
-    allowed = np.broadcast_to(aut_tol, scale.shape) * np.maximum(1.0, top / scale)
+    allowed = aut_tol * np.maximum(1.0, top / scale)
     ratios = defect / allowed
     if np.any(ratios > 1.0):
         k = int(np.argmax(ratios))

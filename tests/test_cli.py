@@ -114,6 +114,19 @@ def test_representation_roundtrip(tmp_path):
         assert_allclose(a, b, rtol=0, atol=0)
 
 
+def test_representation_with_numpy_integer_dimensions_roundtrips(tmp_path):
+    sig = PontryaginSignature(np.int64(2), np.int32(1))
+    assert type(sig.n_plus) is int and type(sig.n_minus) is int
+    rep = make_test_representation("C2", sig)
+    save_representation(rep, tmp_path / "rep")
+    doc = json.loads((tmp_path / "rep" / "sig.json").read_text())
+    assert doc == {"n_plus": 2, "n_minus": 1}
+    assert all(type(v) is int for v in doc.values())
+    back = load_representation(tmp_path / "rep")
+    assert back.signature == PontryaginSignature(2, 1)
+    assert np.stack(back.images).tobytes() == rep._stack.tobytes()
+
+
 # --- subcommands -------------------------------------------------------------------
 
 

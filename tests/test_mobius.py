@@ -1,3 +1,4 @@
+import re
 import sys
 
 import numpy as np
@@ -9,6 +10,7 @@ from oracles import psd_apply, spectral_eta_rule
 import opball.mobius as mobius
 from opball.errors import BoundaryProximity, NotEtaPreserving
 from opball.mobius import (
+    BOUNDARY_TOL,
     BallAutomorphism,
     BallPoint,
     _automorphism_stack,
@@ -41,6 +43,24 @@ def test_ball_point_rejects_boundary():
         BallPoint([[1.0 - 1e-9]])
     p = BallPoint([[0.5]])
     assert p.margin == pytest.approx(0.5)
+
+
+def test_ball_point_checks_its_boundary_tol_before_any_svd(monkeypatch):
+    def no_svd(*args, **kwargs):
+        raise AssertionError("an SVD ran before the boundary_tol check")
+
+    for tol in (-1.0, np.nan, 1.0, np.inf):
+        with monkeypatch.context() as patched:
+            patched.setattr(np.linalg, "svd", no_svd)
+            with pytest.raises(ValueError, match=re.escape(repr(tol))):
+                BallPoint([[1.5]], boundary_tol=tol)
+    # 0 and the default behave as before
+    assert BallPoint([[1.0 - 1e-9]], boundary_tol=0.0).margin == pytest.approx(1e-9)
+    with pytest.raises(BoundaryProximity):
+        BallPoint([[1.0]], boundary_tol=0.0)
+    assert BallPoint([[0.5]]).margin == BallPoint([[0.5]], BOUNDARY_TOL).margin
+    with pytest.raises(BoundaryProximity, match=re.escape(repr(BOUNDARY_TOL))):
+        BallPoint([[1.0 - 1e-9]])
 
 
 def test_mobius_fixes_origin_image():
@@ -271,14 +291,6 @@ def test_automorphism_stack_checks_each_block():
     stretched = np.diag([1.0, 2.0, 3.0])
     with pytest.raises(NotEtaPreserving):
         _automorphism_stack(np.stack([good, stretched]), 2, 1, 1e-8)
-    # the bound may differ per block
-    defect = eta_defect(_automorphism_stack(stretched[None], 2, 1, 10.0)[0],
-                        2, 1)
-    _automorphism_stack(np.stack([good, stretched]), 2, 1,
-                        np.array([1e-8, 2.0 * defect]))
-    with pytest.raises(NotEtaPreserving):
-        _automorphism_stack(np.stack([good, stretched]), 2, 1,
-                            np.array([2.0 * defect, 1e-8]))
     # swap flips the form's sign
     with pytest.raises(NotEtaPreserving):
         _automorphism_stack(np.stack([np.eye(2), np.array([[0.0, 1.0],
@@ -373,10 +385,18 @@ def test_eta_screen_decides_as_the_spectral_rule(monkeypatch, p, q):
         outcomes.append((_decides_as_the_rule(t, p, q, tol), bool(spectra)))
     assert (True, False) in outcomes and (False, True) in outcomes
     assert [passed for passed, _ in outcomes] == list(ratios <= 1.0)
-    # stacks of six with a tolerance per block: the failure furthest over
-    # its allowance is raised, and a stack that passes is normalized
-    # exactly as its blocks are alone
+    # stacks of six at one tolerance, taken in turn from each of its
+    # blocks: the failure furthest over its allowance is raised, and a
+    # stack that passes is normalized exactly as its blocks are alone; a
+    # tolerance that puts a block within SCREEN_EDGE of its allowance is left
+    # out, as above
+    stacked = set()
     for at in range(0, len(blocks) - 5, 6):
         part = slice(at, at + 6)
-        assert _decides_as_the_rule(blocks[part], p, q, tols[part]) == bool(
-            np.all(ratios[part] <= 1.0))
+        for tol in tols[part]:
+            at_tol = ratios[part] * tols[part] / tol
+            if np.all(np.abs(at_tol - 1.0) > SCREEN_EDGE):
+                passed = _decides_as_the_rule(blocks[part], p, q, tol)
+                assert passed == bool(np.all(at_tol <= 1.0))
+                stacked.add(passed)
+    assert stacked == {True, False}

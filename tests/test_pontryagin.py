@@ -590,11 +590,12 @@ CHART_CASES = UNIQUE_CASES + [("C32", 8, 8)]
 
 def _automorphisms(rep):
     """pi's images as the tabled group ``find_fixed_point`` solves on,
-    each checked at the allowance ``induced_automorphism`` uses."""
+    checked at the allowance ``induced_automorphism`` uses for the image
+    of largest eta defect; the normalized blocks do not depend on it."""
     sig = rep.signature
     defects = eta_defect(rep._stack, sig.n_plus, sig.n_minus)
     blocks = _automorphism_stack(rep._stack, sig.n_plus, sig.n_minus,
-                                 np.maximum(REP_TOL, 10 * defects))
+                                 max(REP_TOL, 10 * defects.max()))
     return object.__new__(AutomorphismGroup)._hold(
         blocks, sig.n_plus, sig.n_minus, rep.table, rep.identity_index)
 
