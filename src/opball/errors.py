@@ -69,9 +69,11 @@ class PreconditionUnmet(OperatorBallError):
 
 # --- indefinite inner products ----------------------------------------------
 
-class ShapeMismatch(OperatorBallError):
+class ShapeMismatch(OperatorBallError, ValueError):
     """Operands, or the matrices of input files, do not have the shapes that
-    fit together."""
+    fit together: the one error for sizes that do not fit the split, raised
+    by ``opcore._fit`` before any factorization.  It is also a
+    ``ValueError``, so a caller that catches that catches it too."""
 
 
 class NotNegative(OperatorBallError):

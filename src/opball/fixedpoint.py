@@ -36,7 +36,6 @@ from .errors import (
     FixedPointFailed,
     NotEtaPreserving,
     PreconditionUnmet,
-    ShapeMismatch,
 )
 from .mobius import (
     AUT_TOL,
@@ -51,7 +50,7 @@ from .mobius import (
     mobius_batch,
     zero_point,
 )
-from .opcore import adjoint, frobenius_norm, spectral_norm
+from .opcore import _fit, frobenius_norm, spectral_norm
 
 GROUP_TOL = 1e-8
 FP_TOL = 1e-9
@@ -114,14 +113,12 @@ class AutomorphismGroup:
         if not elements:
             raise ValueError("need at least one automorphism")
         p, q = elements[0].dim_h, elements[0].dim_k
-        if any((t.dim_h, t.dim_k) != (p, q) for t in elements):
-            raise ValueError("automorphisms must share one split")
+        for k, t in enumerate(elements):
+            _fit((t.dim_h, t.dim_k), (p, q), f"split of automorphism {k}")
         ident = None
         if table is not None:
             table, ident = _checked_table(table)
-            if len(table) != len(elements):
-                raise ValueError(f"table has {len(table)} rows for "
-                                 f"{len(elements)} elements")
+            _fit(table.shape, (len(elements),) * 2, "table")
         self._hold(np.stack([t.block for t in elements]), p, q, table, ident)
 
     def _hold(self, stack, dim_h, dim_k, table, identity_index):
@@ -366,8 +363,8 @@ def _newton_step(tau: np.ndarray, inv22: np.ndarray,
 def displacement(group: AutomorphismGroup, x: BallPoint) -> float:
     """f(X) = max_g rho(X, w_g(X)), read in the chart at X (``_chart``,
     ``_displacement``); zero exactly on common fixed points.  X must have
-    the group's shape (``_check_point_shape``)."""
-    _check_point_shape(x, group.dim_h, group.dim_k)
+    the group's shape (``opcore._fit``), checked before any chart is taken."""
+    _fit(x.shape, (group.dim_h, group.dim_k), "point")
     return _displacement(_chart(group._stack, x.matrix)[-1])
 
 
@@ -398,13 +395,6 @@ def _averaged_point(blocks: np.ndarray, p: int, q: int) -> BallPoint:
     basis = r_inv @ vecs[:, :q]
     return BallPoint(np.linalg.solve(basis[p:].T, basis[:p].T).T,
                      boundary_tol=0.0)
-
-
-def _check_point_shape(x: BallPoint, p: int, q: int):
-    """Raise ``ShapeMismatch`` unless the point is p x q, a point of the
-    split (p, q): checked before any chart or SVD is taken."""
-    if x.shape != (p, q):
-        raise ShapeMismatch(f"point shape {x.shape} != {(p, q)}")
 
 
 def _check_mode(mode: str):
@@ -464,7 +454,7 @@ def find_fixed_point(group: AutomorphismGroup, x0: Optional[BallPoint] = None,
     ``mode`` selects nothing: ``"midpoint-descent"`` and
     ``"chebyshev-iterate"``, names of replaced solvers, both run this one,
     and any other value raises ``ValueError``; it is checked first, then the
-    shape of a given ``x0`` (``_check_point_shape``), before any start is
+    shape of a given ``x0`` (``opcore._fit``), before any start is
     formed.  The default ``x0`` is the averaged point (``_averaged_point``)
     of a group with a table, 0 for a generator set, and for a
     representation ``pontryagin.averaged_fixed_point``, behind its eta
@@ -482,7 +472,7 @@ def find_fixed_point(group: AutomorphismGroup, x0: Optional[BallPoint] = None,
     if x0 is None:
         x0 = group._start()
     else:
-        _check_point_shape(x0, group.dim_h, group.dim_k)
+        _fit(x0.shape, (group.dim_h, group.dim_k), "point")
     return _solve(group._stack, x0, _chart(group._stack, x0.matrix))[0]
 
 
@@ -499,15 +489,18 @@ def equicontinuity_witness(g: BallAutomorphism,
     """Certify equicontinuity failure for a near-boundary automorphism.
 
     For g with ||g(0)|| > 1 - delta the pair X1 = 0 and X2 (the pullback of
-    half the top spectral slice of g(0)) satisfies ||X2 - X1|| > 1/4 while
-    the images under g differ by less than delta.
+    half the top singular pair of g(0), 0.5 s1 w1 v1*) satisfies
+    ||X2 - X1|| > 1/4 while the images under g differ by less than delta:
+    M_A acts on that pair alone, moving s1 by t(1 - s1^2)/(1 + s1 t) with
+    t = s1/2.  One SVD of g(0) gives both its norm and the pair.
     """
     if not 0.0 < delta < 0.5:
         raise PreconditionUnmet(f"delta must lie in (0, 1/2), got {delta!r}")
     p, q = g.dim_h, g.dim_k
     x1 = zero_point(p, q)
     a = automorphism_apply(g, x1)
-    norm_a = spectral_norm(a.matrix)
+    w, sig, vh = np.linalg.svd(a.matrix, full_matrices=False)
+    norm_a = float(sig[0])
     if norm_a <= 1.0 - delta:
         raise PreconditionUnmet(
             f"||g(0)|| = {norm_a!r} not above 1 - delta = {1.0 - delta!r}")
@@ -516,11 +509,7 @@ def equicontinuity_witness(g: BallAutomorphism,
     # unitary blocks, acting by X -> S11 X S22^{-1}
     s = automorphism_compose(mobius_as_block(BallPoint(-a.matrix, 0.0)), g)
     s11, _, _, s22 = s.blocks()
-    gram = adjoint(a.matrix) @ a.matrix
-    lam, vecs = np.linalg.eigh(gram)
-    top = lam >= lam[-1] - 1e-10 * (1.0 + lam[-1])
-    proj = vecs[:, top] @ adjoint(vecs[:, top])
-    half_slice = 0.5 * a.matrix @ proj
+    half_slice = 0.5 * norm_a * np.outer(w[:, 0], vh[0])
     x2 = BallPoint(np.linalg.solve(s11, half_slice) @ s22, boundary_tol=0.0)
 
     y2 = automorphism_apply(g, x2)

@@ -36,7 +36,7 @@ from .mobius import (
     _require_resolvent,
     defect_roots,
 )
-from .opcore import _require_finite, adjoint, as_matrix, spectral_norm
+from .opcore import _fit, _operand, _require_finite, adjoint, spectral_norm
 
 DIR_TOL = 1e-8
 LINE_TOL = 1e-12
@@ -69,8 +69,7 @@ def _sinh_form(a: np.ndarray, b: np.ndarray):
     """K, and A's roots (1 - AA*)^{-1/2} and (1 - A*A)^{1/2} for M_{-A} and
     M_A, for two matrices or two (n, p, q) stacks of one shape, in one
     stacked call."""
-    if a.shape != b.shape:
-        raise ValueError(f"shape mismatch {a.shape} vs {b.shape}")
+    _fit(b.shape, a.shape, "point B")
     left, right = defect_roots(np.stack([a, b]), -0.5, _SINH_EXPONENTS[a.ndim])
     return left[0] @ (b - a) @ right[1], (left[0], right[0])
 
@@ -156,9 +155,7 @@ class GeodesicLine:
         self._set(base, direction, None)
 
     def _set(self, base, direction, roots):
-        d = as_matrix(direction, name="direction")
-        if d.shape != base.shape:
-            raise ValueError(f"direction shape {d.shape} != base {base.shape}")
+        d = _operand(direction, base.shape, "direction")
         polar = np.linalg.svd(d, full_matrices=False)
         norm = float(polar.S[0])
         if abs(norm - 1.0) > DIR_TOL:
@@ -281,10 +278,7 @@ def convex_combination(x: BallPoint, y: BallPoint, t: float) -> BallPoint:
 
 def alpha_metric(a: BallPoint, v) -> float:
     """Differential metric alpha(A, V) = ||(1-AA*)^{-1/2} V (1-A*A)^{-1/2}||."""
-    v = np.asarray(v, dtype=np.complex128)
-    if v.shape != a.shape:
-        raise ValueError(f"shape mismatch {v.shape} vs {a.shape}")
-    return float(_alpha(a.matrix, _require_finite(v, "tangent vector")))
+    return float(_alpha(a.matrix, _operand(v, a.shape, "tangent vector")))
 
 
 def _alpha(a: np.ndarray, v: np.ndarray):
@@ -300,11 +294,11 @@ def curve_length(ts, points: Sequence[BallPoint], velocities=None) -> float:
     ``velocities`` may give the derivative matrix at each node; when absent
     it is approximated by second-order differences of the sample.  The
     speeds are one ``_alpha`` of the stacked points and velocities, which
-    must be finite and of the points' shape (else ``ValueError``).
+    must have the points' shape (else ``ShapeMismatch``) and be finite
+    (else ``ValueError``).
     """
     ts = np.asarray(ts, dtype=np.float64)
-    if ts.ndim != 1 or len(ts) != len(points):
-        raise ValueError("parameter grid and points must align")
+    _fit(ts.shape, (len(points),), "parameter grid")
     if len(ts) < 3:
         raise GridTooCoarse(f"need at least 3 nodes, got {len(ts)}")
     if not np.all(np.diff(ts) > 0):
@@ -312,10 +306,7 @@ def curve_length(ts, points: Sequence[BallPoint], velocities=None) -> float:
     stack = np.stack([pt.matrix for pt in points])
     if velocities is None:
         velocities = np.gradient(stack, ts, axis=0)
-    velocities = np.asarray(velocities, dtype=np.complex128)
-    if velocities.shape != stack.shape:
-        raise ValueError(f"shape mismatch {velocities.shape} vs {stack.shape}")
-    speeds = _alpha(stack, _require_finite(velocities, "tangent vector"))
+    speeds = _alpha(stack, _operand(velocities, stack.shape, "tangent vector"))
     return _simpson(speeds, ts)
 
 
@@ -381,9 +372,12 @@ def diameter(sample: MetricSample):
 
 
 def diametral_check(sample: MetricSample, index: int):
-    """Whether the point's farthest in-sample distance attains the diameter."""
-    if not 0 <= index < len(sample):
-        raise IndexError(f"index {index} out of range")
+    """Whether the point's farthest in-sample distance attains the diameter.
+    ``index`` must be an integer, a numpy one too, in [0, len(sample)): a
+    bool, a float or any other value raises ``IndexError`` naming it."""
+    if (isinstance(index, bool) or not isinstance(index, (int, np.integer))
+            or not 0 <= index < len(sample)):
+        raise IndexError(f"index {index!r} out of range")
     radius = float(sample.pairwise[index].max())
     diam, _ = diameter(sample)
     return radius >= diam - DIAM_TOL, radius

@@ -25,7 +25,8 @@ from .errors import (
     SingularDenominator,
     SingularResolvent,
 )
-from .opcore import _require_finite, adjoint, as_matrix, frobenius_norm
+from .opcore import (_fit, _operand, _require_finite, adjoint, as_matrix,
+                     frobenius_norm)
 
 BOUNDARY_TOL = 1e-8
 AUT_TOL = 1e-8
@@ -195,8 +196,7 @@ def mobius_apply(a: BallPoint, x: BallPoint) -> BallPoint:
     two margins and takes an SVD only where that bound cannot decide
     (``_resolvent_cleared``); A's roots and the image's norm take one SVD
     each."""
-    if a.shape != x.shape:
-        raise ValueError(f"shape mismatch {a.shape} vs {x.shape}")
+    _fit(x.shape, a.shape, "point X")
     _require_resolvent(a.matrix, x.matrix,
                        1.0 - (1.0 - a.margin) * (1.0 - x.margin))
     return BallPoint(mobius_batch(a.matrix, x.matrix), boundary_tol=0.0)
@@ -211,10 +211,8 @@ def mobius_differential(b: BallPoint, a: BallPoint, v) -> np.ndarray:
     1 - ||A|| ||B|| off the two margins and take their SVDs only where that
     bound cannot decide (``_resolvent_cleared``); B's roots take one SVD.
     """
-    v = np.asarray(v, dtype=np.complex128)
-    if v.shape != a.shape or a.shape != b.shape:
-        raise ValueError("A, B, V must share one shape")
-    _require_finite(v, "tangent vector")
+    _fit(a.shape, b.shape, "point A")
+    v = _operand(v, b.shape, "tangent vector")
     return _differential_rooted(b.matrix, a.matrix, v,
                                 *defect_roots(b.matrix, -0.5, 0.5),
                                 1.0 - (1.0 - b.margin) * (1.0 - a.margin))
@@ -247,10 +245,8 @@ class BallAutomorphism:
     __slots__ = ("block", "dim_h", "dim_k")
 
     def __init__(self, block, dim_h: int, dim_k: int):
-        t = as_matrix(block, name="automorphism block")
         n = dim_h + dim_k
-        if t.shape != (n, n):
-            raise ValueError(f"block must be {n}x{n}, got {t.shape}")
+        t = _operand(block, (n, n), "automorphism block")
         self._set(_eta_checked(t, dim_h, dim_k, AUT_TOL), dim_h, dim_k)
 
     def _set(self, block, dim_h, dim_k):
@@ -396,9 +392,7 @@ def mobius_as_block(a: BallPoint) -> BallAutomorphism:
 
 def automorphism_apply(t: BallAutomorphism, a: BallPoint) -> BallPoint:
     """w_T(A) = (T11 A + T12)(T21 A + T22)^{-1}."""
-    if a.shape != (t.dim_h, t.dim_k):
-        raise ValueError(f"point shape {a.shape} does not match split "
-                         f"({t.dim_h}, {t.dim_k})")
+    _fit(a.shape, (t.dim_h, t.dim_k), "point")
     return BallPoint(_frac_checked(t.block, a.matrix), boundary_tol=0.0)
 
 
@@ -423,6 +417,5 @@ def _frac_checked(blocks: np.ndarray, x: np.ndarray) -> np.ndarray:
 def automorphism_compose(t1: BallAutomorphism,
                          t2: BallAutomorphism) -> BallAutomorphism:
     """Composition of actions; a plain block-matrix product, renormalized."""
-    if (t1.dim_h, t1.dim_k) != (t2.dim_h, t2.dim_k):
-        raise ValueError("incompatible splits")
+    _fit((t2.dim_h, t2.dim_k), (t1.dim_h, t1.dim_k), "second split")
     return BallAutomorphism(t1.block @ t2.block, t1.dim_h, t1.dim_k)

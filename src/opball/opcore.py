@@ -1,13 +1,15 @@
-"""Dense complex matrix primitives: input coercion, the adjoint, and the
-spectral and Frobenius norms.  The defect roots come from an SVD
-(``mobius.defect_roots``), and every Hermitian spectrum from numpy's
-``eigh`` or ``eigvalsh`` at its caller.  All functions are pure and
-operate on immutable inputs.
+"""Dense complex matrix primitives: input coercion and the one rule for
+operand sizes (``_fit``), the adjoint, and the spectral and Frobenius
+norms.  The defect roots come from an SVD (``mobius.defect_roots``), and
+every Hermitian spectrum from numpy's ``eigh`` or ``eigvalsh`` at its
+caller.  All functions are pure and operate on immutable inputs.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+from .errors import ShapeMismatch
 
 
 def as_matrix(data, name: str = "matrix") -> np.ndarray:
@@ -15,6 +17,24 @@ def as_matrix(data, name: str = "matrix") -> np.ndarray:
     a = np.array(data, dtype=np.complex128, copy=True)
     if a.ndim != 2 or a.shape[0] < 1 or a.shape[1] < 1:
         raise ValueError(f"{name} must be 2-D with positive shape, got {a.shape}")
+    _require_finite(a, name)
+    a.setflags(write=False)
+    return a
+
+
+def _fit(shape, want, what: str):
+    """Raise ``ShapeMismatch`` naming ``what`` unless ``shape`` is ``want``:
+    the one decision whether an operand fits the split, taken before any
+    factorization.  The message is built only on failure."""
+    if shape != want:
+        raise ShapeMismatch(f"{what} shape {shape} != {want}")
+
+
+def _operand(data, want, name: str) -> np.ndarray:
+    """``data`` as a fresh read-only complex array of shape ``want``: its
+    size checked first (``_fit``), then its entries (``_require_finite``)."""
+    a = np.array(data, dtype=np.complex128, copy=True)
+    _fit(a.shape, want, name)
     _require_finite(a, name)
     a.setflags(write=False)
     return a

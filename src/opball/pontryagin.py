@@ -31,7 +31,6 @@ from .fixedpoint import (
     AutomorphismGroup,
     _averaged_point,
     _check_mode,
-    _check_point_shape,
     _checked_table,
     _fixed_chart,
 )
@@ -46,9 +45,10 @@ from .mobius import (
     eta_matrix,
 )
 from .opcore import (
+    _fit,
+    _operand,
     _require_finite,
     adjoint,
-    as_matrix,
     frobenius_norm,
     spectral_norm,
 )
@@ -92,27 +92,17 @@ class PontryaginSignature:
 
 def eta_value(sig: PontryaginSignature, x) -> float:
     """eta(x) = <Jx, x> = ||x_H||^2 - ||x_K||^2."""
-    x = np.asarray(x, dtype=np.complex128).reshape(-1)
-    if x.shape[0] != sig.dim:
-        raise ShapeMismatch(f"vector length {x.shape[0]} != {sig.dim}")
-    _require_finite(x, "vector")
+    x = _operand(np.reshape(x, -1), (sig.dim,), "vector")
     p = sig.n_plus
     return float(np.sum(np.abs(x[:p]) ** 2) - np.sum(np.abs(x[p:]) ** 2))
-
-
-def _square(sig: PontryaginSignature, t) -> np.ndarray:
-    """T as a finite complex (dim, dim) matrix, its shape checked first."""
-    t = np.asarray(t, dtype=np.complex128)
-    if t.shape != (sig.dim, sig.dim):
-        raise ShapeMismatch(f"expected {(sig.dim, sig.dim)}, got {t.shape}")
-    return as_matrix(t, name="matrix")
 
 
 def is_J_unitary(sig: PontryaginSignature, t):
     """Returns ``(preserves, defect)`` with defect = ||T*JT - J|| from
     ``eta_defect`` and ``preserves`` = defect <= ``REP_TOL``, the rule that
     ``induced_automorphism`` decides through ``_eta_certificate``."""
-    defect = eta_defect(_square(sig, t), sig.n_plus, sig.n_minus)
+    t = _operand(t, (sig.dim, sig.dim), "matrix")
+    defect = eta_defect(t, sig.n_plus, sig.n_minus)
     return defect <= REP_TOL, defect
 
 
@@ -132,16 +122,13 @@ def _eta_certificate(t: np.ndarray, p: int, q: int, tol: float) -> float:
 def graph_subspace(sig: PontryaginSignature, a: BallPoint) -> np.ndarray:
     """Column basis [A; I] of L(A) = {Ax (+) x}, a maximal negative
     subspace."""
-    _check_point_shape(a, sig.n_plus, sig.n_minus)
+    _fit(a.shape, (sig.n_plus, sig.n_minus), "point")
     return np.vstack([a.matrix, np.eye(sig.n_minus, dtype=np.complex128)])
 
 
 def subspace_to_ball(sig: PontryaginSignature, basis) -> BallPoint:
     """The contraction whose graph spans the same maximal negative subspace."""
-    basis = as_matrix(basis, name="subspace basis")
-    if basis.shape != (sig.dim, sig.n_minus):
-        raise ShapeMismatch(f"basis must be {(sig.dim, sig.n_minus)}, "
-                            f"got {basis.shape}")
+    basis = _operand(basis, (sig.dim, sig.n_minus), "subspace basis")
     sing = np.linalg.svd(basis, compute_uv=False)
     if sing[-1] <= 1e-12 * sing[0]:
         raise ValueError("basis columns are linearly dependent")
@@ -161,7 +148,7 @@ def subspace_to_ball(sig: PontryaginSignature, basis) -> BallPoint:
 def negativeness_degree(sig: PontryaginSignature, a: BallPoint) -> float:
     """Largest eps with eta <= -eps ||.||^2 on L(A):
     (1 - ||A||^2) / (1 + ||A||^2)."""
-    _check_point_shape(a, sig.n_plus, sig.n_minus)
+    _fit(a.shape, (sig.n_plus, sig.n_minus), "point")
     beta_sq = spectral_norm(a.matrix) ** 2
     return (1.0 - beta_sq) / (1.0 + beta_sq)
 
@@ -174,7 +161,7 @@ def induced_automorphism(sig: PontryaginSignature, t) -> BallAutomorphism:
     no spectra.  The normalized block is checked with the allowance
     max(``REP_TOL``, 10 bound): once ||T*JT - J|| = d <= ``REP_TOL`` its
     defect is at most about 2d, so that check fails no T the rule passes."""
-    t = _square(sig, t)
+    t = _operand(t, (sig.dim, sig.dim), "matrix")
     p, q = sig.n_plus, sig.n_minus
     bound = _eta_certificate(t, p, q, REP_TOL)
     if not bound <= REP_TOL:
@@ -190,7 +177,7 @@ def unitarizer_matrix(sig: PontryaginSignature, d: BallPoint) -> np.ndarray:
     U = [[ (1-DD*)^{-1/2},      -(1-DD*)^{-1/2} D ],
          [ -(1-D*D)^{-1/2} D*,   (1-D*D)^{-1/2}   ]]
     """
-    _check_point_shape(d, sig.n_plus, sig.n_minus)
+    _fit(d.shape, (sig.n_plus, sig.n_minus), "point")
     return _mobius_block(-d.matrix)
 
 
@@ -337,8 +324,9 @@ def _check_homomorphism(table: np.ndarray, stack: np.ndarray):
 
 def _image_stack(images: list, n: int, dim: int) -> np.ndarray:
     """The n images as one fresh complex stack (n, dim, dim), coerced and
-    checked finite at once; on any irregularity each image is coerced and
-    checked in turn, so the error names the first offending one."""
+    checked finite at once; on any irregularity their count is checked, then
+    each image in turn (``opcore._operand``), so the error names the first
+    offending one."""
     try:
         stack = np.array(images, dtype=np.complex128)
     except (TypeError, ValueError):
@@ -346,13 +334,9 @@ def _image_stack(images: list, n: int, dim: int) -> np.ndarray:
     if (stack is not None and stack.shape == (n, dim, dim)
             and np.isfinite(stack).all()):
         return stack
-    images = [as_matrix(m, name=f"image {k}") for k, m in enumerate(images)]
-    if len(images) != n:
-        raise ValueError(f"need {n} images, got {len(images)}")
-    for m in images:
-        if m.shape != (dim, dim):
-            raise ShapeMismatch(f"image shape {m.shape} != {(dim, dim)}")
-    return np.stack(images)
+    _fit((len(images),), (n,), "image list")
+    return np.stack([_operand(m, (dim, dim), f"image {k}")
+                     for k, m in enumerate(images)])
 
 
 class Representation(AutomorphismGroup):

@@ -16,6 +16,7 @@ from opball.errors import (
     CoincidentPoints,
     GridTooCoarse,
     ParameterOverflow,
+    ShapeMismatch,
     ZeroInput,
 )
 from opball.hyperbolic import (
@@ -581,12 +582,14 @@ def test_curve_length_rejects_bad_velocities():
     ts = np.linspace(0.0, 1.0, 5)
     pts = [x] * 5
     vel = random_direction(rng, 3, 2)
-    for vels, match in [([vel] * 4, "shape mismatch"),
-                        ([vel.T] * 5, "shape mismatch"),
-                        ([vel] * 4 + [vel[:, :1]], "inhomogeneous"),
-                        ([vel] * 4 + [np.full((3, 2), np.nan)], "non-finite"),
-                        ([vel] * 4 + [np.full((3, 2), np.inf)], "non-finite")]:
-        with pytest.raises(ValueError, match=match):
+    shape = r"^tangent vector shape \({}\) != \(5, 3, 2\)$"
+    for vels, error, match in [
+            ([vel] * 4, ShapeMismatch, shape.format("4, 3, 2")),
+            ([vel.T] * 5, ShapeMismatch, shape.format("5, 2, 3")),
+            ([vel] * 4 + [vel[:, :1]], ValueError, "inhomogeneous"),
+            ([vel] * 4 + [np.full((3, 2), np.nan)], ValueError, "non-finite"),
+            ([vel] * 4 + [np.full((3, 2), np.inf)], ValueError, "non-finite")]:
+        with pytest.raises(error, match=match):
             curve_length(ts, pts, vels)
 
 
@@ -651,6 +654,20 @@ def test_midpoint_is_not_diametral():
     flag, radius = diametral_check(sample, 2)
     assert not flag
     assert radius == pytest.approx(distance(x, y) / 2, abs=1e-8)
+
+
+@pytest.mark.parametrize("seed", [1, 3])
+def test_diametral_check_takes_only_integer_indices(seed):
+    rng = rng_from(seed)
+    sample = MetricSample([random_ball_point(rng, 2, 1, 0.8) for _ in range(4)])
+    expected = diametral_check(sample, 1)
+    for k in (np.int64(1), np.intp(1), np.uint8(1)):
+        assert diametral_check(sample, k) == expected
+    # a bool would index the table as a mask, a float as numpy decides
+    for bad in (True, False, 1.0, np.float64(1.0), "1", None, 4, -1):
+        with pytest.raises(IndexError) as excinfo:
+            diametral_check(sample, bad)
+        assert str(excinfo.value) == f"index {bad!r} out of range"
 
 
 def test_equilateral_triangle_all_diametral():

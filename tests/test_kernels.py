@@ -17,6 +17,7 @@ from opball.errors import (
     BoundaryProximity,
     DomainError,
     ParameterOverflow,
+    ShapeMismatch,
     SingularDenominator,
     SingularResolvent,
 )
@@ -273,7 +274,8 @@ def test_metric_sample_takes_each_pair_once(monkeypatch):
     # the kernel takes two arrays of one shape; a point does not broadcast
     # against a stack
     stack = np.stack([pt.matrix for pt in points])
-    with pytest.raises(ValueError, match="shape mismatch"):
+    with pytest.raises(ShapeMismatch,
+                       match=r"^point B shape \(6, 3, 2\) != \(3, 2\)$"):
         hyperbolic._rho(points[0].matrix, stack)
 
 

@@ -7,16 +7,32 @@ from numpy.testing import assert_allclose
 from oracles import psd_apply
 
 from opball import (
+    AutomorphismGroup,
+    BallAutomorphism,
     BallPoint,
+    GeodesicLine,
     PontryaginSignature,
+    Representation,
     alpha_metric,
+    automorphism_apply,
+    automorphism_compose,
+    curve_length,
+    displacement,
+    distance,
     eta_value,
+    find_fixed_point,
+    graph_subspace,
+    group_table,
     induced_automorphism,
     is_J_unitary,
     max_principal_angle,
+    mobius_apply,
     mobius_differential,
+    negativeness_degree,
     poincare_scalar,
+    subspace_to_ball,
     th_map,
+    unitarizer_matrix,
 )
 from opball.errors import ShapeMismatch
 from opball.mobius import eta_defect
@@ -85,16 +101,17 @@ def test_intertwining_identity(f):
 
 
 # the library functions that take a raw matrix beside checked objects: each
-# keeps its own shape check, then rejects NaN and inf as ``as_matrix`` does
+# checks its shape first (``opcore._operand``), then rejects NaN and inf as
+# ``as_matrix`` does
 POINT = BallPoint(np.array([[0.3], [0.1]]))
 SIG21 = PontryaginSignature(2, 1)
 RAW_MATRIX_CALLS = {
     "is_J_unitary": (lambda m: is_J_unitary(SIG21, m), (3, 3), ShapeMismatch),
     "induced_automorphism": (lambda m: induced_automorphism(SIG21, m), (3, 3),
                              ShapeMismatch),
-    "alpha_metric": (lambda m: alpha_metric(POINT, m), (2, 1), ValueError),
+    "alpha_metric": (lambda m: alpha_metric(POINT, m), (2, 1), ShapeMismatch),
     "mobius_differential": (lambda m: mobius_differential(POINT, POINT, m),
-                            (2, 1), ValueError),
+                            (2, 1), ShapeMismatch),
     "th_map": (th_map, (2, 1), None),
     "eta_defect": (lambda m: eta_defect(m, 2, 1), (3, 3), None),
     "max_principal_angle": (lambda m: max_principal_angle(m, np.eye(3, 1)),
@@ -131,3 +148,79 @@ def test_a_non_finite_vector_or_disc_point_raises_value_error(bad):
             with pytest.raises(ValueError,
                                match="^disc point contains non-finite entries$"):
                 poincare_scalar(*pair)
+
+
+# one wrong size per operand check of the library: each raises ShapeMismatch,
+# also a ValueError, naming the operand, before any LAPACK call
+WIDE = BallPoint(np.array([[0.3, 0.1]]))
+T21, T12 = BallAutomorphism.identity(2, 1), BallAutomorphism.identity(1, 2)
+C2 = group_table("C2")
+MISFITS = {
+    "mobius_apply": (lambda: mobius_apply(POINT, WIDE),
+                     "point X shape (1, 2) != (2, 1)"),
+    "mobius_differential points": (
+        lambda: mobius_differential(POINT, WIDE, np.zeros((2, 1))),
+        "point A shape (1, 2) != (2, 1)"),
+    "mobius_differential vector": (
+        lambda: mobius_differential(POINT, POINT, np.zeros((1, 2))),
+        "tangent vector shape (1, 2) != (2, 1)"),
+    "BallAutomorphism": (lambda: BallAutomorphism(np.eye(2), 2, 1),
+                         "automorphism block shape (2, 2) != (3, 3)"),
+    "automorphism_apply": (lambda: automorphism_apply(T21, WIDE),
+                           "point shape (1, 2) != (2, 1)"),
+    "automorphism_compose": (lambda: automorphism_compose(T21, T12),
+                             "second split shape (1, 2) != (2, 1)"),
+    "distance": (lambda: distance(POINT, WIDE), "point B shape (1, 2) != (2, 1)"),
+    "GeodesicLine": (lambda: GeodesicLine(POINT, np.eye(2)),
+                     "direction shape (2, 2) != (2, 1)"),
+    "alpha_metric": (lambda: alpha_metric(POINT, np.zeros((1, 2))),
+                     "tangent vector shape (1, 2) != (2, 1)"),
+    "curve_length grid": (lambda: curve_length([0.0, 1.0], [POINT] * 3),
+                          "parameter grid shape (2,) != (3,)"),
+    "curve_length velocities": (
+        lambda: curve_length([0.0, 0.5, 1.0], [POINT] * 3,
+                             [np.zeros((1, 2))] * 3),
+        "tangent vector shape (3, 1, 2) != (3, 2, 1)"),
+    "AutomorphismGroup split": (lambda: AutomorphismGroup([T21, T12]),
+                                "split of automorphism 1 shape (1, 2) != (2, 1)"),
+    "AutomorphismGroup table": (lambda: AutomorphismGroup([T21], C2),
+                                "table shape (2, 2) != (1, 1)"),
+    "displacement": (lambda: displacement(AutomorphismGroup([T21]), WIDE),
+                     "point shape (1, 2) != (2, 1)"),
+    "find_fixed_point": (lambda: find_fixed_point(AutomorphismGroup([T21]), WIDE),
+                         "point shape (1, 2) != (2, 1)"),
+    "eta_value": (lambda: eta_value(SIG21, [0.0] * 4), "vector shape (4,) != (3,)"),
+    "is_J_unitary": (lambda: is_J_unitary(SIG21, np.eye(2)),
+                     "matrix shape (2, 2) != (3, 3)"),
+    "induced_automorphism": (lambda: induced_automorphism(SIG21, np.eye(2)),
+                             "matrix shape (2, 2) != (3, 3)"),
+    "graph_subspace": (lambda: graph_subspace(SIG21, WIDE),
+                       "point shape (1, 2) != (2, 1)"),
+    "subspace_to_ball": (lambda: subspace_to_ball(SIG21, np.eye(3, 2)),
+                         "subspace basis shape (3, 2) != (3, 1)"),
+    "negativeness_degree": (lambda: negativeness_degree(SIG21, WIDE),
+                            "point shape (1, 2) != (2, 1)"),
+    "unitarizer_matrix": (lambda: unitarizer_matrix(SIG21, WIDE),
+                          "point shape (1, 2) != (2, 1)"),
+    "Representation count": (lambda: Representation(SIG21, C2, [np.eye(3)] * 3),
+                             "image list shape (3,) != (2,)"),
+    "Representation image": (
+        lambda: Representation(SIG21, C2, [np.eye(3), np.eye(2)]),
+        "image 1 shape (2, 2) != (3, 3)"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MISFITS))
+def test_every_misfit_raises_shape_mismatch_before_lapack(name, monkeypatch):
+    call, message = MISFITS[name]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("LAPACK called before the operand check")
+
+    for kernel in ("svd", "eigvalsh", "eigh", "solve", "inv", "qr"):
+        monkeypatch.setattr(np.linalg, kernel, refuse)
+    with pytest.raises(ShapeMismatch) as excinfo:
+        call()
+    assert type(excinfo.value) is ShapeMismatch
+    assert isinstance(excinfo.value, ValueError)
+    assert str(excinfo.value) == message

@@ -246,20 +246,19 @@ def test_unitarized_representation_passes_the_constructor_checks(name, p, q,
 
 
 @pytest.mark.parametrize("images, error, message", [
-    ([np.eye(3), np.eye(3)[0]], ValueError,
-     "image 1 must be 2-D with positive shape, got (3,)"),
-    ([np.eye(3), np.eye(3)[None]], ValueError,
-     "image 1 must be 2-D with positive shape, got (1, 3, 3)"),
-    ([np.eye(3), np.zeros((0, 3))], ValueError,
-     "image 1 must be 2-D with positive shape, got (0, 3)"),
+    ([np.eye(3), np.eye(3)[0]], ShapeMismatch, "image 1 shape (3,) != (3, 3)"),
+    ([np.eye(3), np.eye(3)[None]], ShapeMismatch,
+     "image 1 shape (1, 3, 3) != (3, 3)"),
+    ([np.eye(3), np.zeros((0, 3))], ShapeMismatch,
+     "image 1 shape (0, 3) != (3, 3)"),
     ([np.eye(3), np.diag([1.0, np.nan, 1.0])], ValueError,
      "image 1 contains non-finite entries"),
     ([np.eye(3), np.diag([1.0, 1.0, 1j * np.inf])], ValueError,
      "image 1 contains non-finite entries"),
-    ([np.eye(3)] * 3, ValueError, "need 2 images, got 3"),
-    ([np.eye(3)], ValueError, "need 2 images, got 1"),
-    ([np.eye(4), np.eye(4)], ShapeMismatch, "image shape (4, 4) != (3, 3)"),
-    ([np.eye(3), np.eye(2)], ShapeMismatch, "image shape (2, 2) != (3, 3)"),
+    ([np.eye(3)] * 3, ShapeMismatch, "image list shape (3,) != (2,)"),
+    ([np.eye(3)], ShapeMismatch, "image list shape (1,) != (2,)"),
+    ([np.eye(4), np.eye(4)], ShapeMismatch, "image 0 shape (4, 4) != (3, 3)"),
+    ([np.eye(3), np.eye(2)], ShapeMismatch, "image 1 shape (2, 2) != (3, 3)"),
 ])
 def test_irregular_images_are_named_as_one_by_one(images, error, message):
     # the stacked coercion falls back to the per-image checks, whose
