@@ -5,9 +5,10 @@ A group is closed from its generators along the Cayley graph: the
 elements found in the last layer are multiplied by each generator and
 inverse in stacked kernel calls, and products are told apart by their
 normalized blocks, aligned by the unimodular scalar they are defined up to.
-Each element keeps its Frobenius norm and conjugated flat row, so a layer
-measures only its own products, and one whose products all match known
-elements ends when their nearest elements are found.
+Only the elements' blocks are kept: each chunk of a layer's products is
+measured against them and against itself in one distance call, and a chunk
+whose products all match known elements ends when their nearest elements
+are found.
 
 The solver drives the displacement f(X) = max_g rho(X, w_g(X)) to zero;
 f vanishes exactly on the common fixed-point set.  Everything is read in
@@ -149,26 +150,21 @@ class AutomorphismGroup:
         return len(self._stack)
 
 
-def _block_distance(prods: np.ndarray, elems: np.ndarray, norms=None,
-                    rows=None) -> np.ndarray:
+def _block_distance(prods: np.ndarray, elems: np.ndarray) -> np.ndarray:
     """The relative phase-aligned distance ||P - cE||_F / (||P||_F ||E||_F)
     from each block P of one stack to each block E of another, with
     c = <E, P> / |<E, P>| (1 where <E, P> = 0), the unimodular scalar that
     brings E nearest to P: a normalized block is defined only up to such a
-    scalar.  A caller that keeps the Es' Frobenius norms and conjugated flat
-    rows passes them as ``norms`` and ``rows``; the Ps are then the last
-    blocks of the Es, and their norms are read from ``norms``."""
-    if norms is None:
-        norms, own = frobenius_norm(elems), frobenius_norm(prods)
-        rows = elems.reshape(len(elems), -1).conj()
-    else:
-        own = norms[len(norms) - len(prods):]
+    scalar.  Both stacks' Frobenius norms are formed here, and the inner
+    products are one matrix product of the flat Ps with the conjugated flat
+    Es."""
+    rows = elems.reshape(len(elems), -1).conj()
     inner = prods.reshape(len(prods), -1) @ rows.T
     size = abs(inner)
     phase = np.divide(inner, size, out=np.ones_like(inner), where=size > 0)
     aligned = phase[..., None, None] * elems
     gap = frobenius_norm(np.subtract(prods[:, None], aligned, out=aligned))
-    return gap / (own[:, None] * norms)
+    return gap / (frobenius_norm(prods)[:, None] * frobenius_norm(elems))
 
 
 def group_closure(generators: Sequence[BallAutomorphism]) -> AutomorphismGroup:
@@ -182,20 +178,19 @@ def group_closure(generators: Sequence[BallAutomorphism]) -> AutomorphismGroup:
     unimodular scalar they are defined up to, are within a relative
     Frobenius distance ``GROUP_TOL`` (``_block_distance``).
 
-    Each element found keeps its normalized block, its Frobenius norm and
-    its conjugated flat row.  A layer's products are taken in chunks that
+    Only the normalized block of each element found is kept, in one array
+    of ``MAX_ELEMENTS`` blocks.  A layer's products are taken in chunks that
     keep every stacked temporary within ``CLOSURE_CHUNK`` entries, each as
     a few stacked kernel calls: one broadcast product of the chunk's
     elements with every step, one normalization and eta check, and one
     distance from each product to the elements found so far and to the
-    chunk's products, which forms the norms and rows of the products only.
-    Each product is the nearest element it matches, the earliest of equals;
-    a chunk with no open product, one that matches no element, is settled
-    by that search alone.  Otherwise the open products are gone through in
-    order, on lists: each is the nearest new element started earlier in
-    its chunk, the earliest of equals, if that is within ``GROUP_TOL``, and
-    else starts a new element.  The table is gathered from the
-    permutations the steps make of the elements.  Raises
+    chunk's products.  Each product is the nearest element it matches, the
+    earliest of equals; a chunk with no open product, one that matches no
+    element, is settled by that search alone.  Otherwise the open products
+    are gone through in order, on lists: each is the nearest new element
+    started earlier in its chunk, the earliest of equals, if that is within
+    ``GROUP_TOL``, and else starts a new element.  The table is gathered
+    from the permutations the steps make of the elements.  Raises
     ``ClosureExceeded`` when the group is infinite or larger than
     ``MAX_ELEMENTS``, or when a step is not a permutation.
     """
@@ -210,14 +205,8 @@ def group_closure(generators: Sequence[BallAutomorphism]) -> AutomorphismGroup:
         return max(1, (math.isqrt(found * found + 4 * (CLOSURE_CHUNK // (n * n)))
                        - found) // 2)
 
-    # what is kept of each element found: its normalized block, Frobenius
-    # norm and conjugated flat row.  A chunk's candidates are written after
-    # the last element, so that its distance reads one stack, and the new
-    # ones stay there; a chunk holds at most rows_at(0) candidates
-    room = MAX_ELEMENTS + rows_at(0)
-    blocks = np.empty((room, n, n), dtype=np.complex128)
-    norms = np.empty(room)
-    rows = np.empty((room, n * n), dtype=np.complex128)
+    # the normalized block of each element found, in the order found
+    blocks = np.empty((MAX_ELEMENTS, n, n), dtype=np.complex128)
     found = 0
 
     def chunks(at: int, stop: int):
@@ -231,11 +220,7 @@ def group_closure(generators: Sequence[BallAutomorphism]) -> AutomorphismGroup:
         """The index of the element each normalized block of a stack is;
         one that matches no earlier one is appended."""
         nonlocal found
-        stop = found + len(cand)
-        blocks[found:stop] = cand
-        norms[found:stop] = frobenius_norm(cand)
-        np.conjugate(cand.reshape(len(cand), -1), out=rows[found:stop])
-        gap = _block_distance(cand, blocks[:stop], norms[:stop], rows[:stop])
+        gap = _block_distance(cand, np.concatenate([blocks[:found], cand]))
         known = gap[:, :found]
         best = known.min(axis=1, initial=np.inf)
         index = known.argmin(axis=1) if found else np.zeros(len(cand), dtype=int)
@@ -255,9 +240,7 @@ def group_closure(generators: Sequence[BallAutomorphism]) -> AutomorphismGroup:
             match.append(found + len(fresh))
             fresh.append(a)
         index[open_] = match
-        new = found + open_[fresh]
-        for kept in (blocks, norms, rows):
-            kept[found:found + len(fresh)] = kept[new]
+        blocks[found:found + len(fresh)] = cand[open_[fresh]]
         found += len(fresh)
         return index
 

@@ -351,7 +351,7 @@ class MetricSample:
         if len(points) >= 3:
             slack = (table[:, :, None] + table[None, :, :]).min(axis=1) - table
             worst = float(slack.min())
-            if worst < -1e-9:
+            if worst < -DIAM_TOL:
                 raise ArithmeticError(
                     f"triangle inequality violated by {-worst:.3e}")
         table.setflags(write=False)

@@ -285,7 +285,9 @@ def eta_defect(t: np.ndarray, dim_h: int, dim_k: int):
     """||T*JT - J||: how far T is from preserving eta; a float for a matrix,
     an array with one value per matrix for a stack.  The gap (``_eta_gap``)
     is Hermitian, so its norm is its largest |eigenvalue|, from one
-    eigvalsh of the matrix or the stack."""
+    eigvalsh of the matrix or the stack.  Each matrix must be
+    (dim_h + dim_k) x (dim_h + dim_k) (``opcore._fit``)."""
+    _fit(np.shape(t)[-2:], (dim_h + dim_k,) * 2, "matrix")
     t = _require_finite(np.asarray(t), "matrix")
     defect = np.abs(np.linalg.eigvalsh(_eta_gap(t, dim_h, dim_k))).max(axis=-1)
     return float(defect) if np.ndim(defect) == 0 else defect

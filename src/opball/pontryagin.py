@@ -59,6 +59,9 @@ REP_TOL = 1e-8
 UNIT_TOL = 1e-7
 # least singular value of a dual pair's two bases side by side, absolute
 SPAN_TOL = 1e-10
+# relative cut under which subspace_to_ball sees dependent columns, or a
+# bottom block too singular for a graph over K
+GRAPH_TOL = 1e-12
 # complex entries the homomorphism screen forms in one block of table
 # columns; a column larger than this is a block of its own
 _SCREEN_ENTRIES = 4096
@@ -130,7 +133,7 @@ def subspace_to_ball(sig: PontryaginSignature, basis) -> BallPoint:
     """The contraction whose graph spans the same maximal negative subspace."""
     basis = _operand(basis, (sig.dim, sig.n_minus), "subspace basis")
     sing = np.linalg.svd(basis, compute_uv=False)
-    if sing[-1] <= 1e-12 * sing[0]:
+    if sing[-1] <= GRAPH_TOL * sing[0]:
         raise ValueError("basis columns are linearly dependent")
     gram, _ = _eta_form(basis, sig.n_plus, sig.n_minus)
     lam = np.linalg.eigvalsh(gram)
@@ -139,7 +142,7 @@ def subspace_to_ball(sig: PontryaginSignature, basis) -> BallPoint:
     p = sig.n_plus
     bottom = basis[p:, :]
     bsing = np.linalg.svd(bottom, compute_uv=False)
-    if bsing[-1] <= 1e-12 * max(bsing[0], 1.0):
+    if bsing[-1] <= GRAPH_TOL * max(bsing[0], 1.0):
         raise DegenerateGraph("subspace meets H; not a graph over K")
     a = np.linalg.solve(bottom.conj().T, basis[:p, :].conj().T).conj().T
     return BallPoint(a, boundary_tol=0.0)
@@ -598,7 +601,9 @@ def max_principal_angle(b1: np.ndarray, b2: np.ndarray):
     or an array for stacks of bases that broadcast.  With QR bases Q1 of
     the wider span and Q2, its sine is ||Q2 - Q1 Q1* Q2|| and its cosine the
     least singular value of Q1* Q2; each form is taken where it is accurate,
-    the sine below pi/4 (Knyazev & Argentati 2002)."""
+    the sine below pi/4 (Knyazev & Argentati 2002).  Both bases must have
+    the same number of rows (``opcore._fit``)."""
+    _fit(np.shape(b2)[-2:-1], np.shape(b1)[-2:-1], "second basis rows")
     q1, q2 = (np.linalg.qr(_require_finite(np.asarray(b), "basis"))[0]
               for b in (b1, b2))
     if q1.shape[-1] < q2.shape[-1]:

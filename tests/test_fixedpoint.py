@@ -4,7 +4,7 @@ import warnings
 import mpmath as mp
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 
 from oracles import spectral_eta_rule
 
@@ -208,6 +208,27 @@ def test_closure_table_ignores_a_phase_on_the_generators(generators, rows):
                                g.dim_h, g.dim_k)
               for k, g in enumerate(generators())]
     test_closure_order_and_table_are_pinned(lambda: phased, rows)
+
+
+def cyclic_64_from_one_image():
+    rep = make_test_representation("C64", PontryaginSignature(3, 2), 10.0,
+                                   seed=1)
+    return [BallAutomorphism(rep.images[1], 3, 2)]
+
+
+@pytest.mark.parametrize("generators",
+                         [c[1] for c in PINNED_CLOSURES]
+                         + [cyclic_64_from_one_image],
+                         ids=[c[0] for c in PINNED_CLOSURES] + ["C64-one"])
+def test_closure_does_not_depend_on_the_chunk_size(generators, monkeypatch):
+    # with CLOSURE_CHUNK = 1 every chunk holds one product, so each new
+    # element is settled against the ones found in earlier chunks only
+    whole = group_closure(generators())
+    monkeypatch.setattr(fixedpoint, "CLOSURE_CHUNK", 1)
+    single = group_closure(generators())
+    assert len(single) == len(whole)
+    assert_array_equal(single.table, whole.table)
+    assert_array_equal(single._stack, whole._stack)
 
 
 # every image as a generator, as ``opball fixpoint`` closes a directory, at

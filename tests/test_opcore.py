@@ -202,6 +202,10 @@ MISFITS = {
                             "point shape (1, 2) != (2, 1)"),
     "unitarizer_matrix": (lambda: unitarizer_matrix(SIG21, WIDE),
                           "point shape (1, 2) != (2, 1)"),
+    "eta_defect": (lambda: eta_defect(np.eye(4), 2, 1),
+                   "matrix shape (4, 4) != (3, 3)"),
+    "max_principal_angle": (lambda: max_principal_angle(np.eye(3, 2), np.eye(4, 2)),
+                            "second basis rows shape (4,) != (3,)"),
     "Representation count": (lambda: Representation(SIG21, C2, [np.eye(3)] * 3),
                              "image list shape (3,) != (2,)"),
     "Representation image": (
